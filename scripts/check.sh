@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Full correctness gate: strict SPMD-safety lint, strict phase-contract
 # diff, type check (when mypy is installed), tier-1 suite, the dedicated
-# fault/recovery suite, the analyzer mutation campaign (detection rate +
+# fault/recovery suite, the chaos campaign (serial and pooled process
+# executor), the analyzer mutation campaign (detection rate +
 # committed-matrix digest), the bench smoke test (throughput floor +
-# partition digest), and end-to-end CLI exit-code checks (a corrupted
-# partition directory must make `cusp validate` exit non-zero).
+# partition digest), the perf-harness smoke run, and end-to-end CLI
+# exit-code checks (a corrupted partition directory must make `cusp
+# validate` exit non-zero).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -39,6 +41,7 @@ python -m pytest -x -q -m faults
 
 echo "== chaos campaign: full fault family, bit-identity gate =="
 python -m repro chaos --plans 10 --seed 7 --quiet
+python -m repro chaos --plans 10 --seed 7 --executor process --quiet
 
 echo "== analyzer mutation campaign: detection + matrix digest gate =="
 python -m repro mutate --budget 24 --seed 7 --strict --quiet \
@@ -46,6 +49,9 @@ python -m repro mutate --budget 24 --seed 7 --strict --quiet \
 
 echo "== bench-smoke: throughput floor + partition digest =="
 python scripts/bench_smoke.py
+
+echo "== perf harness smoke (benchmarks/perf --quick; exit status is the verdict) =="
+python3 benchmarks/perf/run.py --quick >/dev/null
 
 echo "== CLI exit-code checks =="
 tmp="$(mktemp -d)"

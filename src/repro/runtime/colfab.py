@@ -294,10 +294,10 @@ class MessageBatch:
         column to its parent without copying it through the pipe.
 
         Default mode: segments are owned by whoever decodes the buffer
-        (:meth:`from_bytes` maps them zero-copy; :meth:`detach_shared`
-        or :meth:`release_shared` unlinks).  The creator deliberately
-        unregisters the segments from the ``multiprocessing`` resource
-        tracker — lifecycle is explicit here, not process-exit-scoped.
+        (:meth:`from_bytes` maps them zero-copy; :meth:`release_shared`
+        unlinks).  The creator deliberately unregisters the segments
+        from the ``multiprocessing`` resource tracker — lifecycle is
+        explicit here, not process-exit-scoped.
 
         ``borrow=True``: the *encoder* keeps segment ownership.  Columns
         whose segments this batch already owns (a decoded batch being
@@ -392,11 +392,11 @@ class MessageBatch:
 
         Inline columns become read-only views over ``buf``;
         shared-memory columns are mapped in place — *owned* ones stay
-        linked until :meth:`detach_shared` / :meth:`release_shared`,
-        *borrowed* ones (``borrow=True`` encodes) are mapped and
-        immediately divorced from their ``SharedMemory`` wrapper, so
-        the view stays valid for its own lifetime while the encoder
-        keeps the only unlink obligation.  The embedded CRC-32 is
+        linked until :meth:`release_shared`, *borrowed* ones
+        (``borrow=True`` encodes) are mapped and immediately divorced
+        from their ``SharedMemory`` wrapper, so the view stays valid for
+        its own lifetime while the encoder keeps the only unlink
+        obligation.  The embedded CRC-32 is
         recomputed over the decoded batch and a mismatch raises
         ``ValueError`` — the same integrity check the reliable
         transport performs per block — except for trusted intra-machine
@@ -489,32 +489,14 @@ class MessageBatch:
                 )
         return batch
 
-    def detach_shared(self) -> None:
-        """Copy shared-memory columns private, then close + unlink them.
-
-        Call once on the decoding side after :meth:`from_bytes` to take
-        ownership of the data; a no-op for purely inline batches.
-        """
-        if not self._shm:
-            return
-        cols = list(self.columns)
-        for i, seg in self._shm:
-            cols[i] = cols[i].copy()
-        self.columns = tuple(cols)
-        for _, seg in self._shm:
-            seg.close()
-            seg.unlink()
-        self._shm = ()
-        self._shm_owner = None
-
     def release_shared(self) -> None:
         """Unlink owned segments **without** copying the columns private.
 
-        The zero-copy sibling of :meth:`detach_shared`: the mapped views
-        stay valid (a mapping lives until its last view dies); only the
-        ``/dev/shm`` names are removed.  A no-op in any process that is
-        not the recorded owner — a forked child inheriting this batch
-        must never unlink segments its parent still serves to workers.
+        The mapped views stay valid (a mapping lives until its last
+        view dies); only the ``/dev/shm`` names are removed.  A no-op in
+        any process that is not the recorded owner — a forked child
+        inheriting this batch must never unlink segments its parent
+        still serves to workers.
         Called automatically when the owning batch is garbage-collected,
         so queue entries dropped on abort/recovery paths self-clean.
         """
@@ -606,7 +588,7 @@ def _create_shared_segment(raw: np.ndarray, tracked: bool = False) -> Any:
 
     By default the segment is unregistered from the ``multiprocessing``
     resource tracker on purpose: the decoding side unlinks explicitly
-    (``detach_shared``), and a fork-spawned creator calling ``os._exit``
+    (``release_shared``), and a fork-spawned creator calling ``os._exit``
     must not leave a tracker entry behind to double-unlink.  Pass
     ``tracked=True`` for resident segments whose attach/unlink pairing
     happens in this same process (the executor pool's graph residency):
@@ -680,7 +662,7 @@ def _attach_shared_segment(name: str) -> Any:
     """Map an existing segment, leaving its tracker registration alone.
 
     Attaching registers with the resource tracker (CPython < 3.13 does
-    so unconditionally) and ``detach_shared``'s ``unlink()`` unregisters
+    so unconditionally) and ``release_shared``'s ``unlink()`` unregisters
     again internally — so the attach-side registration is already
     balanced, and an explicit unregister here would make the tracker
     daemon print a KeyError for every segment.
@@ -797,8 +779,8 @@ class ReceivedBatch:
 
 
 class BatchSender(Protocol):
-    """Where an accumulator flushes: a HostView, Communicator ledger view,
-    or anything else exposing the batch send verb."""
+    """Where an accumulator flushes: a HostView, or anything else
+    exposing the batch send verb."""
 
     def send_batch(
         self,

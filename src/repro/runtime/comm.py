@@ -40,7 +40,7 @@ from typing import Any, Iterable, Mapping, Protocol
 import numpy as np
 
 from ..analysis import isolation
-from .colfab import BatchAccumulator, ColumnSchema, MessageBatch, ReceivedBatch
+from .colfab import ColumnSchema, MessageBatch, ReceivedBatch
 from .faults import FaultEvent, FaultInjector, SendRetriesExhausted
 
 __all__ = ["Communicator", "CommLedger", "CommObserver", "payload_nbytes"]
@@ -334,11 +334,11 @@ class Communicator:
     def replay_recv(self, dst: int, tag: str, count: int) -> None:
         """Re-play a worker process's drain of ``dst``'s queue.
 
-        The process executor's workers drain queues against their
-        copy-on-write snapshot of this communicator; at the barrier the
-        parent removes the same ``count`` oldest entries here so queue
-        state and the observer's drain tally match what a serial sweep
-        would have produced.  Entries merged from other hosts at the
+        The process executor's workers drain the :meth:`snapshot_queues`
+        copy shipped with their tasks; at the barrier the parent removes
+        the same ``count`` oldest entries here so queue state and the
+        observer's drain tally match what a serial sweep would have
+        produced.  Entries merged from other hosts at the
         same barrier are appended *behind* the snapshot the worker saw,
         so popping from the front removes exactly the drained messages.
         """
@@ -386,33 +386,6 @@ class Communicator:
     # ------------------------------------------------------------------
     # Columnar batch path (repro.runtime.colfab)
     # ------------------------------------------------------------------
-    def send_batch(
-        self,
-        src: int,
-        dst: int,
-        batch: MessageBatch,
-        tag: str = "default",
-        logical_messages: int = 1,
-        nbytes: int | None = None,
-        coalesce: bool = False,
-    ) -> None:
-        """Send one columnar block: exactly one transport send.
-
-        Accounting, fault-injection draws, queue entries, and observer
-        hooks are those of :meth:`send` with the same ``(nbytes,
-        logical_messages, coalesce, tag)`` — the batch path never has
-        its own cost model.  ``nbytes`` defaults to the batch's O(1)
-        exact size.
-        """
-        if not isinstance(batch, MessageBatch):
-            raise TypeError(
-                f"send_batch wants a MessageBatch, got {type(batch).__name__}"
-            )
-        self.send(
-            src, dst, batch, tag=tag, logical_messages=logical_messages,
-            nbytes=nbytes, coalesce=coalesce,
-        )
-
     def recv_all_batch(
         self, dst: int, tag: str, schema: ColumnSchema
     ) -> ReceivedBatch:
@@ -424,11 +397,6 @@ class Communicator:
         sources preserved (``srcs``/``src_column``).
         """
         return ReceivedBatch(schema, self.recv_all(dst, tag))
-
-    def accumulator(self, src: int) -> BatchAccumulator:
-        """A per-host batch accumulator flushing through :meth:`send_batch`."""
-        self._check_host(src)
-        return BatchAccumulator(_BoundBatchSender(self, src), host=src)
 
     # ------------------------------------------------------------------
     # Collectives (payload-carrying, with cost events)
@@ -542,31 +510,6 @@ class Communicator:
             raise ValueError(f"host {h} out of range [0, {self.num_hosts})")
 
 
-class _BoundBatchSender:
-    """Adapter binding a communicator's batch send to one source host."""
-
-    __slots__ = ("comm", "src")
-
-    def __init__(self, comm: Communicator, src: int):
-        self.comm = comm
-        self.src = src
-
-    def send_batch(
-        self,
-        dst: int,
-        batch: MessageBatch,
-        tag: str = "default",
-        logical_messages: int = 1,
-        nbytes: int | None = None,
-        coalesce: bool = False,
-    ) -> None:
-        self.comm.send_batch(
-            self.src, dst, batch, tag=tag,
-            logical_messages=logical_messages, nbytes=nbytes,
-            coalesce=coalesce,
-        )
-
-
 class _DirectRetrySink:
     """Retry sink that charges straight to the shared matrices."""
 
@@ -651,29 +594,6 @@ class CommLedger:
                     size, logical_messages
                 )
         self.queued.append((dst, tag, payload))
-
-    def send_batch(
-        self,
-        dst: int,
-        batch: MessageBatch,
-        tag: str = "default",
-        logical_messages: int = 1,
-        nbytes: int | None = None,
-        coalesce: bool = False,
-    ) -> None:
-        """Record one columnar block (one send) on this ledger."""
-        if not isinstance(batch, MessageBatch):
-            raise TypeError(
-                f"send_batch wants a MessageBatch, got {type(batch).__name__}"
-            )
-        self.send(
-            dst, batch, tag=tag, logical_messages=logical_messages,
-            nbytes=nbytes, coalesce=coalesce,
-        )
-
-    def accumulator(self) -> BatchAccumulator:
-        """A batch accumulator flushing through this private ledger."""
-        return BatchAccumulator(self, host=self.host)
 
     def charge_retry(self, dst: int, size: int, attempt: int) -> None:
         if isolation._depth:

@@ -15,10 +15,11 @@ computes* from *how the hosts are driven*:
   recording onto a *private* :class:`~repro.runtime.comm.CommLedger`
   (plus private disk/compute accumulators and a redirected fault-event
   sink) that is merged back in **host order** at the barrier.
-  :class:`ProcessExecutor` runs them in forked worker processes — the
-  GIL-free engine: each worker gets a copy-on-write snapshot of the
-  barrier-entry state, records the same private ledger, and ships a
-  picklable delta (accounting vectors, queued payloads on the
+  :class:`ProcessExecutor` runs them on a resident pool of forked
+  worker processes — the GIL-free engine: each barrier ships a dispatch
+  spec (task refs, payloads, queue snapshots, live fault state) to the
+  workers, which record the same private ledger and ship a picklable
+  delta (accounting vectors, queued payloads on the
   :mod:`~repro.runtime.colfab` wire format, fault-channel RNG state,
   isolation evidence) back over a pipe for the identical host-order
   merge.
@@ -30,7 +31,10 @@ a second argument) and an ``apply`` callback that the executor runs *in
 the parent, at the barrier, in host order* with the body's result —
 that is where shared-state writes go.  The serial path runs ``apply``
 immediately after each body, which is the same order (phases submit
-tasks in host order), so the seam changes nothing observably.
+tasks in host order), so the seam changes nothing observably.  The
+process pool resolves bodies by name, so there a body must be a
+module-level function with every input in ``payload``; anything else
+raises :class:`UnshippableTaskError` before dispatch.
 
 Determinism argument (why parallel is bit-identical to serial):
 
@@ -96,6 +100,7 @@ __all__ = [
     "ProcessExecutor",
     "make_executor",
     "EXECUTOR_NAMES",
+    "UnshippableTaskError",
 ]
 
 EXECUTOR_NAMES = (
@@ -113,8 +118,15 @@ _CAN_FORK = hasattr(os, "fork")
 
 #: True inside a resident pool worker (set by ``_pool_worker_main``).
 #: Phase code keys worker-local recompute caches off this flag so they
-#: never grow in the parent or in throwaway fork-per-barrier children.
+#: never grow in the parent.
 _IN_POOL_WORKER = False
+
+
+class UnshippableTaskError(TypeError):
+    """A barrier the process pool cannot ship to its resident workers:
+    a body that is not a module-level function (workers resolve bodies
+    by name) or a dispatch spec — a ``payload`` — that does not pickle.
+    Raised in the parent before anything is dispatched."""
 
 
 @dataclass(frozen=True)
@@ -168,6 +180,10 @@ class HostView:
                    nbytes: int | None = None,
                    coalesce: bool = False) -> None:
         """One columnar block = one transport send (same cost model)."""
+        if not isinstance(batch, MessageBatch):
+            raise TypeError(
+                f"send_batch wants a MessageBatch, got {type(batch).__name__}"
+            )
         self.send(
             dst, batch, tag=tag, logical_messages=logical_messages,
             nbytes=nbytes, coalesce=coalesce,
@@ -491,12 +507,13 @@ class ParallelExecutor(Executor):
 
 
 class _ShippedHostView(LedgerHostView):
-    """The ledger view a forked worker runs a task against.
+    """The ledger view a pool worker runs a task against.
 
     Identical to :class:`LedgerHostView` except every queue drain is
-    logged: the worker drains its copy-on-write snapshot of the queues,
-    so the parent must re-play the same drains against the real
-    communicator at the barrier (:meth:`Communicator.replay_recv`).
+    logged: the worker drains the queue snapshot shipped in its
+    dispatch spec, so the parent must re-play the same drains against
+    the real communicator at the barrier
+    (:meth:`Communicator.replay_recv`).
     """
 
     __slots__ = ("recv_log",)
@@ -575,7 +592,6 @@ def _run_shipped_task(
     task: HostTask,
     monitor: isolation.IsolationMonitor | None,
     phase_name: str,
-    precheck: bool = True,
 ) -> dict[str, Any]:
     """Worker-side: run one task, return its serializable delta.
 
@@ -583,12 +599,9 @@ def _run_shipped_task(
     bit-identical to a serial run of the task: the private ledger's
     accounting vectors and queued payloads, fault events and the
     channel's advanced RNG/op state, disk/compute charges, the drain
-    log, and the isolation monitor's evidence.
-
-    ``precheck=False`` skips the result's trial pickling — the pooled
-    path serializes each delta itself (through the segment-exporting
-    pickler) and substitutes the same diagnostic on failure, so the
-    trial run would only double-serialize multi-megabyte results.
+    log, and the isolation monitor's evidence.  A result that does not
+    pickle is diagnosed where the delta is serialized
+    (:func:`_dump_delta`).
     """
     comm = stats.comm
     injector = comm.injector
@@ -617,14 +630,6 @@ def _run_shipped_task(
             "rng": ch._rng.bit_generator.state,
             "fired": list(ch.fired),
         }
-    if exc is None and precheck:
-        try:
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as perr:  # noqa: BLE001 — converted to task failure
-            result, exc = None, RuntimeError(
-                f"host {task.host} task {task.label!r} returned an "
-                f"unshippable result ({perr}); task outputs must pickle"
-            )
     if exc is not None:
         try:
             pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
@@ -701,9 +706,8 @@ def _fn_shippable(fn: Callable[..., Any]) -> bool:
 
     Pool workers fork once and then outlive the closures a phase builds
     per barrier, so only module-level functions can cross: anything else
-    (closures, lambdas, methods) sends the whole barrier down the
-    fork-per-barrier path, where copy-on-write snapshots keep closures
-    working.
+    (closures, lambdas, methods) is rejected with
+    :class:`UnshippableTaskError` before the barrier dispatches.
     """
     mod = getattr(fn, "__module__", None)
     qual = getattr(fn, "__qualname__", None)
@@ -969,6 +973,14 @@ def _export_resident(obj: Any) -> dict[str, Any]:
     }
 
 
+def _resident_frame(name: str, entry: dict[str, Any]) -> bytes:
+    """Parent-side: the framed command installing ``entry`` in a worker."""
+    return pickle.dumps(
+        ("resident", name, entry["gen"], entry["blob"], entry["manifest"]),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
 def _install_resident(
     residents: dict[str, dict],
     name: str,
@@ -1008,8 +1020,8 @@ def _install_resident(
 
 
 def _dump_delta(task: HostTask, delta: dict[str, Any]) -> bytes:
-    """Worker-side: serialize one delta, preserving the unshippable
-    diagnostic the per-barrier fork path produces via its pre-check."""
+    """Worker-side: serialize one delta; a result that does not pickle
+    becomes the task's failure, with a diagnostic naming the task."""
     try:
         blob, _segments = _dumps_with_segments(delta)
         return blob
@@ -1061,9 +1073,7 @@ def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
             label=tspec["label"],
             payload=tspec["payload"] if tspec["has_payload"] else _NO_PAYLOAD,
         )
-        delta = _run_shipped_task(
-            stats, task, monitor, spec["phase"], precheck=False
-        )
+        delta = _run_shipped_task(stats, task, monitor, spec["phase"])
         blobs.append(_dump_delta(task, delta))
     return ("ok", blobs)
 
@@ -1111,14 +1121,13 @@ class ProcessExecutor(Executor):
     sanitizer audits, and every accounting counter stay bit-identical
     to serial.
 
-    Barriers whose task bodies are closures (not resolvable by name in
-    a resident worker) fall back to the original fork-per-barrier
-    path, where copy-on-write snapshots keep closures working — same
-    deltas, same merge.
-
-    Task bodies must not write shared structures (worker writes die
-    with the worker); declared outputs go through ``HostTask.apply``,
-    which runs in the parent at the barrier.  The
+    Task bodies must be module-level functions (workers resolve them
+    by name) taking their inputs through ``HostTask.payload``; a
+    closure body or an unpicklable payload raises
+    :class:`UnshippableTaskError` before anything is dispatched.
+    Bodies must not write shared structures (worker writes die with
+    the worker); declared outputs go through ``HostTask.apply``, which
+    runs in the parent at the barrier.  The
     ``unshippable-task-capture`` lint rule enforces this statically.
 
     On platforms without ``os.fork`` the executor degrades to the
@@ -1189,10 +1198,7 @@ class ProcessExecutor(Executor):
     def _broadcast_resident(self, name: str, entry: dict[str, Any]) -> None:
         if not self._workers:
             return
-        msg = pickle.dumps(
-            ("resident", name, entry["gen"], entry["blob"], entry["manifest"]),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        msg = _resident_frame(name, entry)
         for worker in self._workers:
             try:
                 _write_frame(worker["cmd_w"], msg)
@@ -1247,19 +1253,7 @@ class ProcessExecutor(Executor):
                 entry_new["obj"] = entry["obj"]
                 self._residents[name] = entry_new
                 entry = entry_new
-            _write_frame(
-                worker["cmd_w"],
-                pickle.dumps(
-                    (
-                        "resident",
-                        name,
-                        entry["gen"],
-                        entry["blob"],
-                        entry["manifest"],
-                    ),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            )
+            _write_frame(worker["cmd_w"], _resident_frame(name, entry))
 
     def _destroy_pool(self, graceful: bool = False) -> dict[int, int]:
         """Retire every worker; returns ``pid -> exit code``.
@@ -1330,11 +1324,7 @@ class ProcessExecutor(Executor):
             # Single task: no concurrency to gain.  No fork(): degrade
             # to the reference semantics rather than fail.
             return [_run_direct(stats, t) for t in tasks]
-        deltas = None
-        if all(_fn_shippable(t.fn) for t in tasks):
-            deltas = self._pool_dispatch(stats, tasks)
-        if deltas is None:
-            deltas = self._fork_and_collect(stats, tasks)
+        deltas = self._pool_dispatch(stats, tasks)
         # Decode queued payloads for *every* delta up front — a delta
         # discarded on the failure path below must still reclaim its
         # shared-memory segments, which the decoded batches do
@@ -1383,15 +1373,22 @@ class ProcessExecutor(Executor):
 
     def _pool_dispatch(
         self, stats: PhaseStats, tasks: list[HostTask]
-    ) -> list[dict[str, Any]] | None:
+    ) -> list[dict[str, Any]]:
         """Run one barrier on the resident pool; collect every delta.
 
-        Returns ``None`` when the dispatch spec cannot be pickled (an
-        undeclared-payload edge the fork path's copy-on-write snapshot
-        still handles) — with every segment created so far reclaimed.
+        Raises :class:`UnshippableTaskError` — before any worker forks,
+        with every segment created so far reclaimed — when a body is
+        not a module-level function or a dispatch spec does not pickle.
         Worker death or a worker-side error tears the pool down,
         reclaims every in-flight segment, and raises.
         """
+        for task in tasks:
+            if not _fn_shippable(task.fn):
+                raise UnshippableTaskError(
+                    f"host {task.host} task {task.label!r}: body {task.fn!r} "
+                    "is not a module-level function (pool workers resolve "
+                    "bodies by name); pass its inputs through payload="
+                )
         chunks = _split_chunks(len(tasks), self._width(len(tasks)))
         phase_name = getattr(stats, "name", "")
         comm = stats.comm
@@ -1405,11 +1402,12 @@ class ProcessExecutor(Executor):
                 task_specs = []
                 for i in chunk:
                     task = tasks[i]
+                    has_payload = task.payload is not _NO_PAYLOAD
                     queues: dict[str, list[tuple[int, Any]]] = {}
                     for tag, entries in comm.snapshot_queues(task.host).items():
                         # borrow=True: the parent keeps ownership of
-                        # every segment these blobs reference, so a
-                        # fallback to fork (below), a dead worker, or a
+                        # every segment these blobs reference, so an
+                        # unshippable spec (below), a dead worker, or a
                         # tag the task never drains cannot leak or
                         # double-free — the queue entries themselves
                         # release the segments when they are drained or
@@ -1423,12 +1421,8 @@ class ProcessExecutor(Executor):
                             "host": task.host,
                             "fn": (task.fn.__module__, task.fn.__qualname__),
                             "label": task.label,
-                            "has_payload": task.payload is not _NO_PAYLOAD,
-                            "payload": (
-                                None
-                                if task.payload is _NO_PAYLOAD
-                                else task.payload
-                            ),
+                            "has_payload": has_payload,
+                            "payload": task.payload if has_payload else None,
                             "queues": queues,
                         }
                     )
@@ -1444,14 +1438,17 @@ class ProcessExecutor(Executor):
                 blob, segments = _dumps_with_segments(spec, resident_pids)
                 spec_blobs.append(blob)
                 spec_segments.append(segments)
-        except Exception:  # noqa: BLE001 — reclaim, then fall back to fork
+        except Exception as perr:  # noqa: BLE001 — reclaim, then re-raise typed
             for segments in spec_segments:
                 for seg in segments:
                     _discard_untracked_segment(seg)
             # Queue entries already wire-encoded for this spec need no
             # reclaim: borrow-mode encoding left every segment owned by
             # the still-queued parent batches.
-            return None
+            raise UnshippableTaskError(
+                f"phase {phase_name!r}: dispatch spec does not pickle "
+                f"({perr}); task payloads must pickle"
+            ) from perr
         self._ensure_pool(len(chunks))
         workers = self._workers[: len(chunks)]
         sent = 0
@@ -1510,62 +1507,6 @@ class ProcessExecutor(Executor):
             "process executor worker(s) died without shipping their "
             f"deltas: {', '.join(parts)}"
         )
-
-    def _fork_and_collect(
-        self, stats: PhaseStats, tasks: list[HostTask]
-    ) -> list[dict[str, Any]]:
-        """Fork one worker per chunk; gather every task's delta."""
-        chunks = _split_chunks(len(tasks), self._width(len(tasks)))
-        phase_name = getattr(stats, "name", "")
-        children: list[tuple[int, int, list[int]]] = []
-        with warnings.catch_warnings():
-            # CPython warns on fork() in a threaded process; the workers
-            # only touch the snapshot and never take inherited locks.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for chunk in chunks:
-                r, w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    status = 0
-                    try:
-                        os.close(r)
-                        shipped = [
-                            _run_shipped_task(
-                                stats, tasks[i], self.monitor, phase_name
-                            )
-                            for i in chunk
-                        ]
-                        blob = pickle.dumps(
-                            shipped, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                        with os.fdopen(w, "wb") as out:
-                            out.write(blob)
-                    except BaseException:  # noqa: BLE001 — worker must exit
-                        status = 1
-                    os._exit(status)
-                os.close(w)
-                children.append((pid, r, chunk))
-        deltas: list[dict[str, Any] | None] = [None] * len(tasks)
-        broken: list[str] = []
-        for pid, r, chunk in children:
-            # Read the pipe fully *before* waiting: a worker blocked on
-            # a full pipe buffer never exits.
-            with os.fdopen(r, "rb") as reader:
-                blob = reader.read()
-            _, status = os.waitpid(pid, 0)
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0 or not blob:
-                hosts = [tasks[i].host for i in chunk]
-                broken.append(f"hosts {hosts} (exit {code})")
-                continue
-            for i, delta in zip(chunk, pickle.loads(blob)):
-                deltas[i] = delta
-        if broken:
-            raise RuntimeError(
-                "process executor worker(s) died without shipping their "
-                f"deltas: {', '.join(broken)}"
-            )
-        return [d for d in deltas if d is not None]
 
     def _merge_evidence(self, evidence: dict[str, Any] | None) -> None:
         if evidence is None or self.monitor is None:

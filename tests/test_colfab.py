@@ -37,12 +37,21 @@ from repro.runtime.colfab import (
 )
 from repro.runtime.colfab import concat_batches
 from repro.runtime.comm import Communicator
+from repro.runtime.executor import DirectHostView, LedgerHostView
 from repro.runtime.faults import FaultPlan, HostCrash
+from repro.runtime.stats import PhaseStats
 
 from .test_executors import assert_same_breakdown, assert_same_partition
 
 I64 = np.dtype(np.int64)
 I32 = np.dtype(np.int32)
+
+
+def host_view(comm, host, cls=DirectHostView):
+    """A host's view over a bare communicator — the one batch entry
+    point phase bodies use (``view.accumulator()`` / ``send_batch``)."""
+    stats = PhaseStats(name="test", comm=comm, num_hosts=comm.num_hosts)
+    return cls(stats, host)
 
 
 def ids_batch(schema, *cols, scalars=()):
@@ -229,7 +238,7 @@ class TestWireFormat:
         assert len(buf) < batch.nbytes  # columns live in shm, not inline
         back = MessageBatch.from_bytes(buf)
         assert_batches_equal(batch, back)
-        back.detach_shared()  # copy private + unlink the segments
+        back.release_shared()  # unlink the segments; views stay valid
         assert_batches_equal(batch, back)
 
     def test_decode_is_zero_copy_for_inline_columns(self):
@@ -266,7 +275,7 @@ class TestWireShmAbnormalExit:
         # ValueError, not a raw FileNotFoundError.
         buf = self._shm_batch().to_bytes(shm_threshold=1024)
         first = MessageBatch.from_bytes(buf)
-        first.detach_shared()
+        first.release_shared()
         with pytest.raises(ValueError, match="is gone"):
             MessageBatch.from_bytes(buf)
         assert leaked_segments() == []
@@ -402,7 +411,7 @@ class TestBatchAccumulator:
         batch_comm = Communicator(4, buffer_size=64)
         scalar_comm = Communicator(4, buffer_size=64)
         payload = np.arange(100, dtype=np.int64)
-        acc = batch_comm.accumulator(0)
+        acc = host_view(batch_comm, 0).accumulator()
         acc.append(1, ids_batch(self.SCHEMA, payload), tag="t",
                    logical_messages=5, nbytes=320)
         acc.flush_all()
@@ -414,7 +423,7 @@ class TestBatchAccumulator:
         assert batch_comm.pending(1, "t") == scalar_comm.pending(1, "t") == 1
 
     def test_merging_appends_requires_coalesce(self):
-        acc = Communicator(4).accumulator(0)
+        acc = host_view(Communicator(4), 0).accumulator()
         acc.append(1, ids_batch(self.SCHEMA, [1]), tag="t")
         with pytest.raises(ValueError):
             acc.append(1, ids_batch(self.SCHEMA, [2]), tag="t")
@@ -427,7 +436,7 @@ class TestBatchAccumulator:
         scalar_comm = Communicator(4, buffer_size=64)
         a = np.arange(5, dtype=np.int64)
         b = np.arange(7, dtype=np.int64)
-        acc = batch_comm.accumulator(0)
+        acc = host_view(batch_comm, 0).accumulator()
         acc.append(1, ids_batch(self.SCHEMA, a), tag="t", coalesce=True)
         acc.append(1, ids_batch(self.SCHEMA, b), tag="t", coalesce=True)
         acc.flush_all()
@@ -444,7 +453,7 @@ class TestBatchAccumulator:
         assert rb.columns["x"].tolist() == a.tolist() + b.tolist()
 
     def test_coalesced_merge_rejects_schema_drift(self):
-        acc = Communicator(4).accumulator(0)
+        acc = host_view(Communicator(4), 0).accumulator()
         acc.append(1, ids_batch(self.SCHEMA, [1]), tag="t", coalesce=True)
         other = ColumnSchema((("y", I64),))
         with pytest.raises(TypeError):
@@ -452,15 +461,16 @@ class TestBatchAccumulator:
 
     def test_flush_order_is_first_append_order(self):
         comm = Communicator(4, buffer_size=0)
+        view = host_view(comm, 0)
         sent = []
-        orig = comm.send_batch
+        orig = view.send
 
-        def spy(src, dst, batch, **kw):
+        def spy(dst, batch, **kw):
             sent.append((dst, kw["tag"]))
-            return orig(src, dst, batch, **kw)
+            return orig(dst, batch, **kw)
 
-        comm.send_batch = spy
-        acc = comm.accumulator(0)
+        view.send = spy
+        acc = view.accumulator()
         for dst, tag in [(3, "a"), (1, "b"), (2, "a")]:
             acc.append(dst, ids_batch(self.SCHEMA, [dst]), tag=tag)
         assert acc.staged_rows(3, "a") == 1
@@ -472,19 +482,19 @@ class TestBatchAccumulator:
         assert sent == [(3, "a"), (1, "b"), (2, "a")]
 
     def test_append_rejects_non_batches(self):
-        acc = Communicator(2).accumulator(0)
+        acc = host_view(Communicator(2), 0).accumulator()
         with pytest.raises(TypeError):
             acc.append(1, np.arange(3), tag="t")
 
     def test_ledger_accumulator_stays_private_until_merge(self):
         comm = Communicator(3, buffer_size=0)
-        ledger = comm.ledger(0)
-        acc = ledger.accumulator()
+        view = host_view(comm, 0, LedgerHostView)
+        acc = view.accumulator()
         acc.append(1, ids_batch(self.SCHEMA, [1, 2]), tag="t")
         acc.flush_all()
         assert comm.pending(1, "t") == 0  # buffered on the ledger
-        assert ledger.sent_bytes[1] == 16
-        comm.merge_ledger(ledger)
+        assert view.ledger.sent_bytes[1] == 16
+        view.merge()
         assert comm.pending(1, "t") == 1
         assert comm.sent_bytes[0, 1] == 16
 
@@ -496,7 +506,8 @@ class TestCommBatchPath:
         batch_comm = Communicator(3, buffer_size=10)
         scalar_comm = Communicator(3, buffer_size=10)
         payload = np.arange(9, dtype=np.int64)  # 72 bytes -> ceil = 8 msgs
-        batch_comm.send_batch(0, 1, ids_batch(self.SCHEMA, payload), tag="t")
+        host_view(batch_comm, 0).send_batch(
+            1, ids_batch(self.SCHEMA, payload), tag="t")
         scalar_comm.send(0, 1, payload, tag="t")
         assert np.array_equal(batch_comm.sent_bytes, scalar_comm.sent_bytes)
         assert np.array_equal(batch_comm.sent_messages,
@@ -504,8 +515,9 @@ class TestCommBatchPath:
 
     def test_send_batch_rejects_raw_payloads(self):
         comm = Communicator(2)
-        with pytest.raises(TypeError):
-            comm.send_batch(0, 1, np.arange(3), tag="t")
+        for cls in (DirectHostView, LedgerHostView):
+            with pytest.raises(TypeError, match="wants a MessageBatch"):
+                host_view(comm, 0, cls).send_batch(1, np.arange(3), tag="t")
 
     def test_recv_all_batch_matches_recv_all_concatenation(self):
         comm = Communicator(3, buffer_size=0)
@@ -513,7 +525,8 @@ class TestCommBatchPath:
         rng = np.random.default_rng(7)
         for src, rows in [(0, 3), (2, 5), (0, 0), (1, 4)]:
             col = rng.integers(0, 100, size=rows)
-            comm.send_batch(src, 1, ids_batch(self.SCHEMA, col), tag="t")
+            host_view(comm, src).send_batch(
+                1, ids_batch(self.SCHEMA, col), tag="t")
             shadow.send(src, 1, (np.asarray(col, dtype=np.int64),), tag="t")
         rb = comm.recv_all_batch(1, "t", self.SCHEMA)
         manual = np.concatenate(

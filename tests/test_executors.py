@@ -31,6 +31,7 @@ from repro.runtime.executor import (
     ParallelExecutor,
     ProcessExecutor,
     SerialExecutor,
+    UnshippableTaskError,
     make_executor,
 )
 from repro.runtime.faults import (
@@ -368,30 +369,62 @@ class TestSerialProcessEquivalence:
         report = run_campaign(plans=4, seed=7, executor="process")
         assert report.ok(), report.render_text()
 
-    def test_worker_exception_propagates(self):
+    def test_worker_exception_propagates(self, pool):
         ph = _make_stats()
-
-        def boom(view):
-            raise RuntimeError("task failed in worker")
-
-        tasks = [HostTask(0, lambda v: None), HostTask(1, boom)]
+        tasks = [HostTask(0, _pool_ok_body), HostTask(1, _pool_boom_body)]
         with pytest.raises(RuntimeError, match="task failed in worker"):
-            ProcessExecutor(max_workers=2).run(ph, tasks)
+            pool.run(ph, tasks)
 
-    def test_unshippable_result_is_reported(self):
+    def test_unshippable_result_is_reported(self, pool):
         ph = _make_stats()
-        tasks = [
-            HostTask(h, (lambda h: lambda v: (lambda: h))(h))  # closures
-            for h in range(2)                                  # don't pickle
-        ]
+        tasks = [HostTask(h, _pool_closure_result_body) for h in range(2)]
         with pytest.raises(RuntimeError, match="unshippable"):
-            ProcessExecutor(max_workers=2).run(ph, tasks)
+            pool.run(ph, tasks)
 
-    def test_results_in_task_order(self):
+    def test_results_in_task_order(self, pool):
         ph = _make_stats()
-        tasks = [HostTask(h, (lambda h: lambda v: h * 10)(h))
+        tasks = [HostTask(h, _pool_times_ten_body, payload=h)
                  for h in (2, 0, 1)]
-        assert ProcessExecutor(max_workers=2).run(ph, tasks) == [20, 0, 10]
+        assert pool.run(ph, tasks) == [20, 0, 10]
+
+    def test_closure_body_rejected_before_dispatch(self, pool):
+        ph = _make_stats()
+        tasks = [HostTask(h, lambda v: None) for h in range(2)]
+        with pytest.raises(UnshippableTaskError, match="module-level"):
+            pool.run(ph, tasks)
+        assert pool._workers == []  # rejected before any fork
+        assert leaked_segments() == []
+        # One task never reaches the pool, so closures stay legal
+        # there — as under the serial and thread executors.
+        assert pool.run(ph, [HostTask(0, lambda v: "direct")]) == ["direct"]
+        assert pool._workers == []
+
+    def test_unpicklable_payload_reclaims_segments(self, pool):
+        ph = _make_stats()
+        # The array is big enough to be exported into a spec segment:
+        # host 0's spec pickles (its segment is live), then host 1's
+        # pickler exports the array and fails on the lambda.
+        big = np.arange(1 << 13, dtype=np.int64)  # 64 KiB
+        tasks = [
+            HostTask(0, _pool_times_ten_body, payload=(big, None)),
+            HostTask(1, _pool_times_ten_body, payload=(big, lambda: 1)),
+        ]
+        with pytest.raises(UnshippableTaskError) as info:
+            pool.run(ph, tasks)
+        assert info.value.__cause__ is not None
+        assert pool._workers == []
+        assert leaked_segments() == []
+
+
+@pytest.fixture
+def pool():
+    """A two-worker ProcessExecutor, closed (workers retired, residents
+    unlinked) before the module's leak check runs."""
+    ex = ProcessExecutor(max_workers=2)
+    try:
+        yield ex
+    finally:
+        ex.close()
 
 
 def _make_stats(num_hosts=3):
@@ -401,9 +434,8 @@ def _make_stats(num_hosts=3):
     return PhaseStats(name="test", comm=comm, num_hosts=num_hosts)
 
 
-# Module-level bodies: resolvable by name in a pool worker, so these
-# barriers take the persistent-pool path (lambdas would fall back to
-# fork-per-barrier and never touch the pool's crash teardown).
+# Module-level bodies: resolvable by name in a pool worker (a lambda or
+# closure body is rejected with UnshippableTaskError before dispatch).
 def _pool_large_delta_body(view):
     view.send(1, np.arange(1 << 15, dtype=np.int64), tag="bulk")
     return "shipped"
@@ -415,6 +447,18 @@ def _pool_suicide_body(view):
 
 def _pool_ok_body(view):
     return "ok"
+
+
+def _pool_boom_body(view):
+    raise RuntimeError("task failed in worker")
+
+
+def _pool_closure_result_body(view):
+    return lambda: view.host  # closures don't pickle
+
+
+def _pool_times_ten_body(view, h):
+    return h * 10
 
 
 class TestPoolCrashTeardown:
