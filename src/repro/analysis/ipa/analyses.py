@@ -13,8 +13,9 @@ Rules:
 * ``deep-comm-in-task`` — the shared Communicator (``.comm`` access or
   a phase-global collective) reached from a HostTask body *through
   helpers*, any call depth.  The comm layer itself
-  (``runtime/comm.py``, ``runtime/executor.py``, ``runtime/colfab.py``)
-  is the sanctioned boundary: traversal stops there.
+  (``runtime/comm.py``, ``runtime/executor.py``, ``runtime/pool.py``,
+  ``runtime/colfab.py``) is the sanctioned boundary: traversal stops
+  there.
 * ``deep-unseeded-rng`` — a seed parameter threaded through wrappers
   (``def fresh(seed=None): return default_rng(seed)``) that a call
   site leaves unbound or binds to ``None``.
@@ -48,6 +49,7 @@ __all__ = ["DEEP_RULES", "DeepRule", "all_deep_rules"]
 TRUSTED_RELS = (
     "runtime/comm.py",
     "runtime/executor.py",
+    "runtime/pool.py",
     "runtime/colfab.py",
 )
 

@@ -539,8 +539,9 @@ class LedgerBypassRule(LintRule):
     """Communicator accounting state is written only by the comm layer.
 
     Mutating the shared matrices or queues from anywhere but
-    ``runtime/comm.py``/``runtime/executor.py`` produces traffic that a
-    ledger merge cannot reproduce — the counters stop being a pure
+    ``runtime/comm.py``/``runtime/executor.py``/``runtime/pool.py``
+    (which adopts a pool worker's shipped ledger) produces traffic that
+    a ledger merge cannot reproduce — the counters stop being a pure
     function of the send sequence.
     """
 
@@ -550,7 +551,7 @@ class LedgerBypassRule(LintRule):
         "direct mutation of Communicator accounting state outside the "
         "comm layer; use send()/HostView charges"
     )
-    exempt_paths = ("runtime/comm.py", "runtime/executor.py")
+    exempt_paths = ("runtime/comm.py", "runtime/executor.py", "runtime/pool.py")
 
     _SHARED_ATTRS = {
         "sent_bytes", "sent_messages", "retry_bytes", "retry_messages",

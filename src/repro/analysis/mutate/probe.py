@@ -208,11 +208,9 @@ def _dynamic_verdict(out: IO[str]) -> None:
         ):
             checks.append(f"divergence:{policy}")
         if serial is not None and index == 0:
-            # The *checked* executors run their tasks under the isolation
-            # monitor, which takes a different code path than a plain
-            # production run (campaign evidence: a flush skipped only on
-            # the unmonitored branch — skip-flush #2/#4 — passed every
-            # monitored run).  Cover both plain executors by digest.
+            # Cover the plain production executors by digest too: every
+            # run above is monitored, and none of them ships a barrier
+            # through the process pool.
             for plain in ("parallel", "process"):
                 alt = attempt(
                     f"{plain}:{policy}",

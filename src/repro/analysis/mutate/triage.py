@@ -54,27 +54,10 @@ TRIAGE: dict[str, TriageEntry] = {
     #    suite against each mutant in place.
     "reverse-merge-order:runtime/executor.py#0": TriageEntry(
         "covered-elsewhere",
-        "Reversing ParallelExecutor's host merge order breaks the"
-        " serial-vs-parallel bit-identity assertions in"
+        "Reversing the host merge order of the barrier the thread and"
+        " process executors share breaks the serial-vs-parallel and"
+        " serial-vs-process bit-identity assertions in"
         " tests/test_executors.py (tier-1, every CI leg).",
-    ),
-    "reverse-merge-order:runtime/executor.py#1": TriageEntry(
-        "covered-elsewhere",
-        "Reversing ProcessExecutor's delta replay order breaks the"
-        " cross-process bit-identity assertions in"
-        " tests/test_executors.py (tier-1, every CI leg).",
-    ),
-    "drop-ledger-merge:runtime/executor.py#1": TriageEntry(
-        "covered-elsewhere",
-        "Dropping the worker-delta ledger merge zeroes the shipped"
-        " accounting; tests/test_executors.py asserts process-executor"
-        " breakdowns match serial bit-for-bit (tier-1, every CI leg).",
-    ),
-    "skip-flush:runtime/executor.py#3": TriageEntry(
-        "covered-elsewhere",
-        "The monitored worker flush is exercised by the"
-        " process-checked executor tests in tests/test_executors.py"
-        " (tier-1, every CI leg), which fail on the skipped flush.",
     ),
     "skip-barrier:core/state.py#0": TriageEntry(
         "covered-elsewhere",

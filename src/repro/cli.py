@@ -204,10 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--strict", action="store_true",
                    help="treat warnings as errors")
-    p.add_argument("--format", choices=["text", "json"], default="text",
-                   help="report format (default text)")
     p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
+                   help="emit the report as JSON instead of text")
     p.add_argument(
         "--rule", action="append", metavar="NAME",
         help="run only the named rule (repeatable; see --list-rules)",
@@ -258,10 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--strict", action="store_true",
                    help="treat dead-clause warnings as errors")
-    p.add_argument("--format", choices=["text", "json"], default="text",
-                   help="report format (default text)")
     p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
+                   help="emit the report as JSON instead of text")
 
     p = sub.add_parser(
         "chaos",
@@ -331,10 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="additionally require >= 90%% detection over non-equivalents",
     )
-    p.add_argument("--format", choices=["text", "json"], default="text",
-                   help="report format (default text)")
     p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
+                   help="emit the report as JSON instead of text")
     p.add_argument(
         "--reference", metavar="FILE",
         help=(
@@ -460,6 +454,25 @@ def _check_exit(ok: bool, success: str, failure: str) -> int:
     return 1
 
 
+def _report_exit(report, args, strict_note: str) -> int:
+    """Print a ``lint``/``contracts`` report — JSON, or its findings and
+    the verdict line — and return the exit code.  ``strict_note`` is
+    appended when only ``--strict`` turned the verdict into a failure."""
+    ok = report.ok(strict=args.strict)
+    if args.json:
+        print(report.to_json())
+        return 0 if ok else 1
+    for finding in report.findings:
+        print(finding.render())
+    if not (args.strict and not ok and not report.errors):
+        strict_note = ""
+    return _check_exit(
+        ok,
+        f"OK: {report.summary()}",
+        f"FAIL: {report.summary()}{strict_note}",
+    )
+
+
 def _default_deep_cache(paths: list) -> str:
     """Per-tree default cache file under the user's cache directory."""
     import hashlib
@@ -514,22 +527,7 @@ def _run_lint_command(args) -> int:
         paths, rules=rules, deep=args.deep, cache=cache,
         deep_rules=deep_rules,
     )
-    ok = report.ok(strict=args.strict)
-    if args.json or args.format == "json":
-        print(report.to_json())
-        return 0 if ok else 1
-    for finding in report.findings:
-        print(finding.render())
-    strict_note = (
-        " (strict: warnings are errors)"
-        if args.strict and not ok and not report.errors
-        else ""
-    )
-    return _check_exit(
-        ok,
-        f"OK: {report.summary()}",
-        f"FAIL: {report.summary()}{strict_note}",
-    )
+    return _report_exit(report, args, " (strict: warnings are errors)")
 
 
 def _run_contracts_command(args) -> int:
@@ -538,22 +536,7 @@ def _run_contracts_command(args) -> int:
 
     root = args.root or os.path.dirname(os.path.abspath(__file__))
     report = check_contracts(root)
-    ok = report.ok(strict=args.strict)
-    if args.json or args.format == "json":
-        print(report.to_json())
-        return 0 if ok else 1
-    for finding in report.findings:
-        print(finding.render())
-    strict_note = (
-        " (strict: dead clauses are errors)"
-        if args.strict and not ok and not report.errors
-        else ""
-    )
-    return _check_exit(
-        ok,
-        f"OK: {report.summary()}",
-        f"FAIL: {report.summary()}{strict_note}",
-    )
+    return _report_exit(report, args, " (strict: dead clauses are errors)")
 
 
 def _run_mutate_command(args) -> int:
@@ -574,7 +557,7 @@ def _run_mutate_command(args) -> int:
         return 0
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     progress = None
-    if not args.quiet and args.format != "json" and not args.json:
+    if not args.quiet and not args.json:
         progress = print
     try:
         report = run_campaign(
@@ -604,7 +587,7 @@ def _run_mutate_command(args) -> int:
                 " and re-run with --write-reference if intended)"
             )
     ok = report.ok(strict=args.strict) and not drift
-    if args.json or args.format == "json":
+    if args.json:
         print(matrix, end="")
         return 0 if ok else 1
     if not args.quiet:

@@ -58,7 +58,7 @@ fabrics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -227,9 +227,6 @@ class FaultPlan:
             and not self.slow_hosts
             and not self.torn_checkpoints
         )
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     # ------------------------------------------------------------------
     # Parsing (CLI --inject-faults)
@@ -402,6 +399,21 @@ class HostFaultChannel:
         #: past the host serial order would have aborted at) is forgotten
         #: exactly as if the host had never run.
         self.fired: list[int] = []
+
+    def live_state(self) -> dict[str, Any]:
+        """Picklable mid-phase position: op counter, consumed-draw
+        position of the generator, pending (uncommitted) crash fires."""
+        return {
+            "ops": self.ops,
+            "rng": self._rng.bit_generator.state,
+            "fired": list(self.fired),
+        }
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Continue from another process's :meth:`live_state`."""
+        self.ops = int(state["ops"])
+        self._rng.bit_generator.state = state["rng"]
+        self.fired = list(state["fired"])
 
     def tick(self) -> None:
         """Record one accounting operation; may fire a mid-phase crash."""
@@ -598,12 +610,7 @@ class FaultInjector:
             "fired": sorted(self._fired),
             "torn_fired": sorted(self._torn_fired),
             "channels": {
-                host: {
-                    "ops": ch.ops,
-                    "rng": ch._rng.bit_generator.state,
-                    "fired": list(ch.fired),
-                }
-                for host, ch in self._channels.items()
+                host: ch.live_state() for host, ch in self._channels.items()
             },
         }
 
@@ -617,20 +624,8 @@ class FaultInjector:
         inj._fired = {int(i) for i in state["fired"]}
         inj._torn_fired = {str(s) for s in state["torn_fired"]}
         for host, ch_state in state["channels"].items():
-            ch = inj.channel(int(host))
-            ch.ops = int(ch_state["ops"])
-            ch._rng.bit_generator.state = ch_state["rng"]
-            ch.fired = list(ch_state["fired"])
+            inj.channel(int(host)).restore(ch_state)
         return inj
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def event_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event[0]] = counts.get(event[0], 0) + 1
-        return counts
 
 
 class RecoveryManager:

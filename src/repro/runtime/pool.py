@@ -1,0 +1,680 @@
+"""The process pool behind :class:`ProcessExecutor` — the GIL-free engine.
+
+:class:`ProcessExecutor` runs a phase's host tasks on a resident pool of
+forked worker processes: each barrier ships a dispatch spec (task refs,
+payloads, queue snapshots, live fault state) to the workers, which
+record the same private ledger a thread would and ship a picklable
+delta (accounting vectors, queued payloads on the
+:mod:`~repro.runtime.colfab` wire format, fault-channel RNG state,
+isolation evidence) back over a pipe.  The parent adopts each delta
+into a ledger view and hands it to the barrier in
+:mod:`repro.runtime.executor` — the host-order merge is that module's,
+shared with the thread executor, and is not re-implemented here.  This
+module is everything between that barrier and the body: the spec and
+its reply, the view both ends of the pipe agree on, pipe framing, and
+the workers' spawn/retire/teardown lifecycle.  How large arrays cross
+without touching a pipe is :mod:`repro.runtime.residency`.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+import struct
+import sys
+import warnings
+from dataclasses import replace
+from typing import Any, Callable
+
+import numpy as np
+
+from ..analysis import isolation
+from . import residency
+from .colfab import ColumnSchema, MessageBatch, ReceivedBatch
+from .comm import Communicator
+from .executor import (
+    HostTask,
+    LedgerHostView,
+    UnshippableTaskError,
+    _LedgerExecutor,
+    _Outcome,
+    _run_private,
+)
+from .faults import FaultInjector
+from .residency import SHM_THRESHOLD
+from .stats import PhaseStats
+
+__all__ = ["ProcessExecutor"]
+
+_CAN_FORK = hasattr(os, "fork")
+
+#: True inside a resident pool worker (set by ``_pool_worker_main``).
+#: Phase code keys worker-local recompute caches off this flag so they
+#: never grow in the parent.
+_IN_POOL_WORKER = False
+
+#: The per-destination accounting vectors of a
+#: :class:`~repro.runtime.comm.CommLedger`, in the order a delta ships
+#: them.
+_LEDGER_VECTORS = (
+    "sent_bytes", "sent_messages", "retry_bytes", "retry_messages",
+    "stream_bytes", "stream_logical",
+)
+
+
+class _ShippedHostView(LedgerHostView):
+    """One host's ledger view on either side of a pool pipe.
+
+    In the worker it is the view the task runs against: identical to
+    :class:`LedgerHostView` except every queue drain is logged, because
+    the worker drains the queue snapshot shipped in its dispatch spec
+    and the parent must re-play the same drains against the real
+    communicator (:meth:`Communicator.replay_recv`).  :meth:`export`
+    packs what the view recorded into the picklable delta.
+
+    In the parent a fresh view takes that delta in (:meth:`adopt`) and
+    from then on is the view a thread would have recorded on: the
+    shared barrier merges or releases it the same way.
+    """
+
+    __slots__ = ("recv_log",)
+
+    def __init__(self, stats: PhaseStats, host: int):
+        super().__init__(stats, host)
+        #: ``(tag, count)`` per non-empty drain, in drain order.
+        self.recv_log: list[tuple[str, int]] = []
+
+    def recv_all(self, tag: str = "default") -> list[tuple[int, Any]]:
+        out = super().recv_all(tag)
+        if out:
+            # Only non-empty drains are logged, matching when the
+            # communicator notifies its observer.
+            self.recv_log.append((tag, len(out)))
+        return out
+
+    def recv_all_batch(self, tag: str, schema: ColumnSchema) -> ReceivedBatch:
+        return ReceivedBatch(schema, self.recv_all(tag))
+
+    def export(self) -> dict[str, Any]:
+        """Worker-side: everything this view recorded, picklable.
+
+        Together with the task's result that is all the parent needs to
+        make its shared state bit-identical to a serial run of the
+        task: the private ledger's accounting vectors and queued
+        payloads, fault events and the channel's advanced RNG/op state,
+        disk/compute charges, and the drain log.
+        """
+        ledger = self.ledger
+        channel = self._channel
+        return {
+            "vectors": [getattr(ledger, name) for name in _LEDGER_VECTORS],
+            "backoff_units": ledger.backoff_units,
+            "queued": [
+                (dst, tag, _encode_queued_payload(p))
+                for dst, tag, p in ledger.queued
+            ],
+            "fault_events": ledger.fault_events,
+            "channel": None if channel is None else channel.live_state(),
+            "disk_bytes": self.disk_bytes,
+            "compute_units": self.compute_units,
+            "recv_log": self.recv_log,
+        }
+
+    def adopt(self, delta: dict[str, Any]) -> None:
+        """Parent-side inverse of :meth:`export`.
+
+        Queued wire payloads are decoded here, for *every* delta and
+        before the barrier knows which ones it keeps: a delta discarded
+        on the failure path must still reclaim its shared-memory
+        segments, which the decoded batches do themselves
+        (``release_shared`` runs from their finalizer when the released
+        view is dropped).
+        """
+        ledger = self.ledger
+        for name, vector in zip(_LEDGER_VECTORS, delta["vectors"]):
+            getattr(ledger, name)[:] = vector
+        ledger.backoff_units = delta["backoff_units"]
+        ledger.queued = [
+            (dst, tag, _decode_queued_payload(p))
+            for dst, tag, p in delta["queued"]
+        ]
+        ledger.fault_events.extend(delta["fault_events"])
+        self.disk_bytes = delta["disk_bytes"]
+        self.compute_units = delta["compute_units"]
+        self.recv_log = delta["recv_log"]
+        if self._channel is not None:
+            self._channel.restore(delta["channel"])
+
+    def merge(self) -> None:
+        super().merge()
+        for tag, count in self.recv_log:
+            self._stats.comm.replay_recv(self.host, tag, count)
+
+
+def _encode_queued_payload(payload: Any, borrow: bool = False) -> tuple[str, Any]:
+    """Wire-encode one queued payload for an executor pipe.
+
+    Large columnar batches go through the shared-memory wire format so
+    their columns never cross the pipe; everything else rides pickle
+    (:class:`MessageBatch` itself pickles via the inline wire format).
+    Both directions are intra-box, so blobs are marked trusted (the
+    decoder skips the CRC re-verification pass).
+
+    ``borrow=True`` is the parent -> worker direction (queue-snapshot
+    shipping): the parent keeps segment ownership, already-mapped
+    segments of previously decoded batches are re-shipped by name with
+    zero bytes copied, and a worker can die — or simply never drain the
+    tag — without leaking anything.
+    """
+    if isinstance(payload, MessageBatch) and payload.nbytes >= SHM_THRESHOLD:
+        return (
+            "wire",
+            payload.to_bytes(
+                shm_threshold=SHM_THRESHOLD, borrow=borrow, trusted=True
+            ),
+        )
+    return ("obj", payload)
+
+
+def _decode_queued_payload(enc: tuple[str, Any]) -> Any:
+    kind, data = enc
+    if kind == "wire":
+        # Zero-copy: shared columns stay mapped in place.  Owned
+        # segments (worker -> parent deltas) are unlinked by the
+        # decoded batch itself — explicitly via ``release_shared`` on
+        # reclaim paths, or by its finalizer when a queue entry is
+        # drained/discarded — so a dropped delta can never leak one.
+        # Borrowed segments (parent -> worker snapshots) were divorced
+        # from their wrappers during decode and are never this side's
+        # to unlink.
+        return MessageBatch.from_bytes(data)
+    return data
+
+
+def _run_shipped_task(
+    stats: PhaseStats, task: HostTask, monitored: bool, phase_name: str
+) -> dict[str, Any]:
+    """Worker-side: run one task, return its serializable delta — the
+    view's :meth:`~_ShippedHostView.export` plus the task's result or
+    failure and, when ``monitored``, the evidence of an isolation
+    monitor attached for just this task.  A result that does not pickle
+    is diagnosed where the delta is serialized (:func:`_dump_delta`)."""
+    monitor = isolation.IsolationMonitor() if monitored else None
+    view = _ShippedHostView(stats, task.host)
+    result, exc = _run_private(task, view, monitor, phase_name)
+    if exc is not None:
+        try:
+            pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 — substitute a shippable summary
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    evidence = None
+    if monitor is not None:
+        evidence = {
+            "accesses": monitor.accesses,
+            "num_accesses": monitor.num_accesses,
+            "violations": monitor.violations,
+        }
+    return dict(view.export(), result=result, exc=exc, monitor=evidence)
+
+
+def _write_frame(fd: int, blob: bytes) -> None:
+    """Write one length-prefixed frame, handling short writes."""
+    view = memoryview(struct.pack("<Q", len(blob)) + blob)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, n: int) -> bytes | None:
+    """Read exactly ``n`` bytes, or ``None`` on EOF (peer died/closed)."""
+    chunks: list[bytes] = []
+    got = 0
+    while got < n:
+        b = os.read(fd, n - got)
+        if not b:
+            return None
+        chunks.append(b)
+        got += len(b)
+    return b"".join(chunks)
+
+
+def _read_frame(fd: int) -> bytes | None:
+    header = _read_exact(fd, 8)
+    if header is None:
+        return None
+    (n,) = struct.unpack("<Q", header)
+    return _read_exact(fd, n)
+
+
+def _fn_shippable(fn: Callable[..., Any]) -> bool:
+    """True when ``fn`` is a module-level function: the only kind pickle
+    ships by reference, and the only kind a pool worker — forked once,
+    outliving the closures a phase builds per barrier — can resolve."""
+    mod = getattr(fn, "__module__", None)
+    qual = getattr(fn, "__qualname__", None)
+    if not mod or not qual or "." in qual:
+        return False
+    module = sys.modules.get(mod)
+    return module is not None and getattr(module, qual, None) is fn
+
+
+def _dump_delta(task: HostTask, delta: dict[str, Any]) -> bytes:
+    """Worker-side: serialize one delta; a result that does not pickle
+    becomes the task's failure, with a diagnostic naming the task."""
+    try:
+        blob, _segments = residency.dumps_with_segments(delta)
+        return blob
+    except Exception as perr:  # noqa: BLE001 — converted to task failure
+        delta = dict(
+            delta,
+            result=None,
+            exc=RuntimeError(
+                f"host {task.host} task {task.label!r} returned an "
+                f"unshippable result ({perr}); task outputs must pickle"
+            ),
+        )
+        blob, _segments = residency.dumps_with_segments(delta)
+        return blob
+
+
+def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
+    """Worker-side: run one dispatch spec, return the reply envelope."""
+    spec = residency.loads_with_segments(spec_blob, residents)
+    injector = None
+    if spec["injector"] is not None:
+        injector = FaultInjector.from_live_state(spec["injector"])
+    comm = Communicator(
+        spec["num_hosts"],
+        buffer_size=spec["buffer_size"],
+        injector=injector,
+        max_retries=spec["max_retries"],
+    )
+    stats = PhaseStats(
+        name=spec["phase"], comm=comm, num_hosts=spec["num_hosts"]
+    )
+    blobs: list[bytes] = []
+    for tspec in spec["tasks"]:
+        task = tspec["task"]
+        comm.preload_queues(
+            task.host,
+            {
+                tag: [(src, _decode_queued_payload(enc)) for src, enc in entries]
+                for tag, entries in tspec["queues"].items()
+            },
+        )
+        delta = _run_shipped_task(stats, task, spec["monitor"], spec["phase"])
+        blobs.append(_dump_delta(task, delta))
+    return ("ok", blobs)
+
+
+def _pool_worker_main(cmd_r: int, reply_w: int) -> None:
+    """Resident worker: serve framed commands until EOF or ``exit``."""
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+    residents: dict[str, dict] = {}
+    while True:
+        frame = _read_frame(cmd_r)
+        if frame is None:
+            os._exit(0)
+        msg = pickle.loads(frame)
+        kind = msg[0]
+        if kind == "exit":
+            os._exit(0)
+        if kind == "resident":
+            residency.install_resident(residents, *msg[1:])
+            continue
+        try:
+            reply: tuple[str, Any] = _run_spec(msg[1], residents)
+        except BaseException as exc:  # noqa: BLE001 — worker must keep serving
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        _write_frame(reply_w, pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class ProcessExecutor(_LedgerExecutor):
+    """A persistent pool of forked workers over private per-host ledgers.
+
+    The GIL-free engine.  Workers fork once (lazily, at the first
+    pooled barrier) and stay resident for the life of a
+    ``CuSP.partition`` run: immutable inputs — the CSR graph, master
+    array, edge assignment, proxy tables — are published once into
+    named POSIX shared-memory segments (:meth:`publish`) that workers
+    map as zero-copy NumPy views, and each barrier ships only a small
+    dispatch spec (task refs, payload references, queue snapshots,
+    live fault-channel state) over a framed pipe.  No graph bytes ever
+    cross a pipe: payload arrays at or above the wire threshold ride
+    ephemeral segments, and results/ledger deltas come back the same
+    way.  The parent adopts each delta into a ledger view — accounting
+    vectors, queued payloads, the fault channel's advanced RNG/op
+    state, the drain log — folds in isolation evidence, and hands the
+    views to the barrier it shares with the thread executor
+    (:meth:`_LedgerExecutor.run`), so fault plans, crash recovery,
+    sanitizer audits, and every accounting counter stay bit-identical
+    to serial.
+
+    Task bodies must be module-level functions (workers resolve them
+    by name) taking their inputs through ``HostTask.payload``; a
+    closure body or an unpicklable payload raises
+    :class:`UnshippableTaskError` before anything is dispatched.
+    Bodies must not write shared structures (worker writes die with
+    the worker); declared outputs go through ``HostTask.apply``, which
+    runs in the parent at the barrier.  The
+    ``unshippable-task-capture`` lint rule enforces this statically.
+
+    On platforms without ``os.fork`` the executor degrades to the
+    serial direct path (still correct, no speedup).  :meth:`close`
+    retires the pool and unlinks every resident segment; an abnormal
+    worker death tears the pool down, reclaims every in-flight
+    segment, and lets the next barrier respawn cleanly.
+    """
+
+    name = "process"
+    _overlaps = _CAN_FORK
+
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        check_isolation: bool = False,
+        monitor: "isolation.IsolationMonitor | None" = None,
+    ):
+        super().__init__(max_workers, check_isolation, monitor)
+        #: Live pool workers: ``{"pid", "cmd_w", "reply_r"}`` each.
+        self._workers: list[dict[str, int]] = []
+        #: Published residents by name: ``{"gen", "obj", "blob",
+        #: "manifest", "segments", "arrays", "array_ids"}``.
+        self._residents: dict[str, dict[str, Any]] = {}
+
+    # ------------------------------------------------------------------
+    # Graph residency
+    # ------------------------------------------------------------------
+    def publish(self, name: str, obj: Any) -> Any:
+        """Export ``obj`` into shared segments and install it pool-wide.
+
+        Idempotent per object identity; republishing a new object under
+        an existing name bumps the generation, unlinks the old
+        segments, and re-installs in every live worker (crash replays
+        rebuild phase outputs, so names are stable but objects are
+        not).
+        """
+        if not _CAN_FORK:  # pragma: no cover - non-POSIX platform
+            return obj
+        entry = self._residents.get(name)
+        if entry is not None and entry["obj"] is obj and entry["blob"] is not None:
+            return obj
+        gen = entry["gen"] + 1 if entry is not None else 0
+        if entry is not None:
+            residency.unlink_resident(entry)
+        exported = residency.export_resident(obj, gen)
+        self._residents[name] = exported
+        self._broadcast_resident(name, exported)
+        return obj
+
+    def _broadcast_resident(self, name: str, entry: dict[str, Any]) -> None:
+        if not self._workers:
+            return
+        msg = residency.resident_frame(name, entry)
+        for worker in self._workers:
+            try:
+                _write_frame(worker["cmd_w"], msg)
+            except OSError:
+                # A worker died idle; retire the pool (residents stay
+                # valid — the parent still owns their segments) and let
+                # the next barrier respawn and replay them.
+                self._destroy_pool()
+                return
+
+    # ------------------------------------------------------------------
+    # Pool lifecycle
+    # ------------------------------------------------------------------
+    def _ensure_pool(self, width: int) -> None:
+        if len(self._workers) >= width:
+            return
+        with warnings.catch_warnings():
+            # CPython warns on fork() in a threaded process; pool
+            # workers only touch the snapshot and their own pipes.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            while len(self._workers) < width:
+                self._spawn_worker()
+
+    def _spawn_worker(self) -> None:
+        cmd_r, cmd_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 0
+            try:
+                os.close(cmd_w)
+                os.close(reply_r)
+                # Drop inherited parent-side pipe ends of sibling
+                # workers, so a sibling's death yields EOF in the
+                # parent instead of a silent hang.
+                for sibling in self._workers:
+                    os.close(sibling["cmd_w"])
+                    os.close(sibling["reply_r"])
+                _pool_worker_main(cmd_r, reply_w)
+            except BaseException:  # noqa: BLE001 — worker must exit
+                status = 1
+            os._exit(status)
+        os.close(cmd_r)
+        os.close(reply_w)
+        worker = {"pid": pid, "cmd_w": cmd_w, "reply_r": reply_r}
+        self._workers.append(worker)
+        # Replay every published resident into the fresh worker.
+        for name, entry in self._residents.items():
+            if entry["blob"] is None:
+                entry = residency.export_resident(entry["obj"], entry["gen"] + 1)
+                self._residents[name] = entry
+            _write_frame(worker["cmd_w"], residency.resident_frame(name, entry))
+
+    def _destroy_pool(self, graceful: bool = False) -> dict[int, int]:
+        """Retire every worker; returns ``pid -> exit code``.
+
+        ``graceful`` sends ``exit`` and lets idle workers leave on
+        their own; otherwise workers are SIGKILLed first — a worker
+        blocked writing a reply into a full pipe nobody will read must
+        not deadlock the reaper.
+        """
+        codes: dict[int, int] = {}
+        for worker in self._workers:
+            if graceful:
+                try:
+                    _write_frame(worker["cmd_w"], pickle.dumps(("exit",)))
+                # repro-lint: disable-next-line=swallowed-error -- worker already died; the waitpid below still reaps it
+                except OSError:  # pragma: no cover
+                    pass
+            else:
+                try:
+                    os.kill(worker["pid"], signal.SIGKILL)
+                # repro-lint: disable-next-line=swallowed-error -- worker already exited; the waitpid below still reaps it
+                except ProcessLookupError:  # pragma: no cover
+                    pass
+            os.close(worker["cmd_w"])
+        for worker in self._workers:
+            try:
+                _, status = os.waitpid(worker["pid"], 0)
+                codes[worker["pid"]] = os.waitstatus_to_exitcode(status)
+            # repro-lint: disable-next-line=swallowed-error -- already reaped elsewhere (e.g. a test harness); exit code defaults below
+            except ChildProcessError:  # pragma: no cover
+                codes[worker["pid"]] = -1
+            os.close(worker["reply_r"])
+        self._workers = []
+        return codes
+
+    def close(self) -> None:
+        """Retire the pool and unlink every resident segment."""
+        self._destroy_pool(graceful=True)
+        for entry in self._residents.values():
+            residency.unlink_resident(entry)
+        self._residents.clear()
+
+    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
+        try:
+            self.close()
+        # repro-lint: disable-next-line=swallowed-error -- interpreter teardown; best-effort release only
+        except Exception:
+            pass
+
+    def _width(self, num_tasks: int) -> int:
+        workers = self._max_workers
+        if workers is None:
+            # One worker per core: on a single-core box a second worker
+            # only adds context-switching and duplicate group-cache
+            # hydration (measurably slower); pass max_workers explicitly
+            # to exercise multi-worker paths regardless of core count.
+            workers = min(num_tasks, os.cpu_count() or 1)
+        return max(1, min(workers, num_tasks))
+
+    def _outcomes(self, stats: PhaseStats, tasks: list[HostTask]) -> list[_Outcome]:
+        outcomes: list[_Outcome] = []
+        for task, delta in zip(tasks, self._pool_dispatch(stats, tasks)):
+            # All workers ran (as with threads), so all evidence counts,
+            # a later-discarded host's included; tasks arrive in host
+            # order, which keeps the merged log deterministic.
+            self._merge_evidence(delta["monitor"])
+            view = _ShippedHostView(stats, task.host)
+            view.adopt(delta)
+            outcomes.append((view, delta["result"], delta["exc"]))
+        return outcomes
+
+    def _pool_dispatch(
+        self, stats: PhaseStats, tasks: list[HostTask]
+    ) -> list[dict[str, Any]]:
+        """Run one barrier on the resident pool; collect every delta.
+
+        Raises :class:`UnshippableTaskError` — before any worker forks,
+        with every segment created so far reclaimed — when a body is
+        not a module-level function or a dispatch spec does not pickle.
+        Worker death or a worker-side error tears the pool down,
+        reclaims every in-flight segment, and raises.
+        """
+        for task in tasks:
+            if not _fn_shippable(task.fn):
+                raise UnshippableTaskError(
+                    f"host {task.host} task {task.label!r}: body {task.fn!r} "
+                    "is not a module-level function (pool workers resolve "
+                    "bodies by name); pass its inputs through payload="
+                )
+        # Contiguous runs of task indices, one per worker.
+        chunks = [
+            chunk.tolist()
+            for chunk in np.array_split(
+                np.arange(len(tasks)), self._width(len(tasks))
+            )
+        ]
+        phase_name = getattr(stats, "name", "")
+        comm = stats.comm
+        injector = comm.injector
+        inj_state = injector.export_live_state() if injector is not None else None
+        pids = residency.resident_pids(self._residents)
+        spec_blobs: list[bytes] = []
+        spec_segments: list[Any] = []
+        try:
+            for chunk in chunks:
+                task_specs = []
+                for i in chunk:
+                    task = tasks[i]
+                    queues: dict[str, list[tuple[int, Any]]] = {}
+                    for tag, entries in comm.snapshot_queues(task.host).items():
+                        # borrow=True: the parent keeps ownership of
+                        # every segment these blobs reference, so an
+                        # unshippable spec (below), a dead worker, or a
+                        # tag the task never drains cannot leak or
+                        # double-free — the queue entries themselves
+                        # release the segments when they are drained or
+                        # dropped.
+                        queues[tag] = [
+                            (src, _encode_queued_payload(payload, borrow=True))
+                            for src, payload in entries
+                        ]
+                    # ``apply`` stays behind: it runs in the parent, at
+                    # the barrier, and is typically a closure.
+                    task_specs.append(
+                        {"task": replace(task, apply=None), "queues": queues}
+                    )
+                spec = {
+                    "phase": phase_name,
+                    "num_hosts": comm.num_hosts,
+                    "buffer_size": comm.buffer_size,
+                    "max_retries": comm.max_retries,
+                    "monitor": self.monitor is not None,
+                    "injector": inj_state,
+                    "tasks": task_specs,
+                }
+                blob, segments = residency.dumps_with_segments(spec, pids)
+                spec_blobs.append(blob)
+                spec_segments.extend(segments)
+        except Exception as perr:  # noqa: BLE001 — reclaim, then re-raise typed
+            for seg in spec_segments:
+                residency.discard_untracked_segment(seg)
+            # Queue entries already wire-encoded for this spec need no
+            # reclaim: borrow-mode encoding left every segment owned by
+            # the still-queued parent batches.
+            raise UnshippableTaskError(
+                f"phase {phase_name!r}: dispatch spec does not pickle "
+                f"({perr}); task payloads must pickle"
+            ) from perr
+        self._ensure_pool(len(chunks))
+        workers = self._workers[: len(chunks)]
+        sent = 0
+        for worker, blob in zip(workers, spec_blobs):
+            try:
+                _write_frame(
+                    worker["cmd_w"],
+                    pickle.dumps(("run", blob), protocol=pickle.HIGHEST_PROTOCOL),
+                )
+                sent += 1
+            except OSError:
+                break
+        replies: list[tuple[str, Any] | None] = []
+        for worker in workers[:sent]:
+            frame = _read_frame(worker["reply_r"])
+            replies.append(None if frame is None else pickle.loads(frame))
+        replies.extend([None] * (len(workers) - sent))
+        # Chunks are contiguous and in task order, so are the deltas.
+        deltas: list[dict[str, Any]] = []
+        broken: list[tuple[list[int], dict[str, int]]] = []
+        errors: list[str] = []
+        for worker, chunk, reply in zip(workers, chunks, replies):
+            if reply is None:
+                broken.append((chunk, worker))
+            elif reply[0] == "error":
+                errors.append(reply[1])
+            else:
+                deltas.extend(map(residency.loads_with_segments, reply[1]))
+        if not broken and not errors:
+            return deltas
+        # Failure path: reclaim every in-flight segment before raising.
+        # Deltas already decoded adopted their reply segments (unlinked
+        # on load); decoding + releasing the queued wire payloads of
+        # surviving deltas reclaims those too; the family sweep below
+        # unlinks whatever a dead worker never consumed (spec segments,
+        # a half-shipped reply).
+        for delta in deltas:
+            for _dst, _tag, enc in delta["queued"]:
+                payload = _decode_queued_payload(enc)
+                if isinstance(payload, MessageBatch):
+                    payload.release_shared()
+        codes = self._destroy_pool()
+        residency.sweep_family_segments()
+        if errors:
+            raise RuntimeError(
+                f"process executor worker failed: {'; '.join(errors)}"
+            )
+        parts = [
+            f"hosts {[tasks[i].host for i in chunk]} "
+            f"(exit {codes.get(worker['pid'], -1)})"
+            for chunk, worker in broken
+        ]
+        raise RuntimeError(
+            "process executor worker(s) died without shipping their "
+            f"deltas: {', '.join(parts)}"
+        )
+
+    def _merge_evidence(self, evidence: dict[str, Any] | None) -> None:
+        if evidence is None or self.monitor is None:
+            return
+        mon = self.monitor
+        for access in evidence["accesses"]:
+            if len(mon.accesses) < mon.max_recorded:
+                mon.accesses.append(access)
+        mon.num_accesses += evidence["num_accesses"]
+        mon.violations.extend(evidence["violations"])

@@ -1,0 +1,330 @@
+"""Shared-memory residency for the process pool: segment-exporting
+pickling, resident export/install, ephemeral arrays, the family sweep.
+
+No graph bytes cross a pool pipe.  An immutable input published once
+per run becomes a *resident*: its large arrays are copied into
+parent-owned named POSIX segments that every worker maps as read-only
+zero-copy NumPy views, and the rest of the object crosses as a small
+pickle blob.  Dispatch specs and worker replies pickle through a
+segment-exporting pickler, so any other array at or above the wire
+threshold rides a one-shot *ephemeral* segment whose ownership
+transfers to the decoding side, while a reference to a resident shrinks
+to a persistent id.  Segments that never reach a consumer are reclaimed
+here too; ``colfab.leaked_segments() == []`` is the tested invariant.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import pickle
+from typing import Any, Callable, Sequence
+
+import numpy as np
+
+from . import colfab
+
+__all__ = [
+    "SHM_THRESHOLD", "dumps_with_segments", "loads_with_segments",
+    "discard_untracked_segment", "sweep_family_segments", "export_resident",
+    "unlink_resident", "resident_pids", "resident_frame", "install_resident",
+]
+
+#: Arrays (and :class:`~repro.runtime.colfab.MessageBatch` columns) at
+#: or above this size ride POSIX shared memory instead of a pipe.
+SHM_THRESHOLD = 64 * 1024
+
+#: One exported array: ``(segment name, dtype descr, shape)``.
+_SegmentRef = tuple[str, Any, tuple[int, ...]]
+
+
+def _array_to_segment(arr: np.ndarray, tracked: bool) -> tuple[Any, _SegmentRef]:
+    """Copy ``arr`` into a fresh (creator-closed) segment; return the
+    handle and the reference a decoder needs to map it back."""
+    raw = np.ascontiguousarray(arr)
+    seg = colfab._create_shared_segment(raw, tracked=tracked)
+    seg.close()
+    return seg, (seg.name, np.lib.format.dtype_to_descr(raw.dtype), raw.shape)
+
+
+def _segment_to_array(ref: _SegmentRef) -> tuple[Any, np.ndarray]:
+    """Map one exported array zero-copy; return the handle and the view."""
+    name, descr, shape = ref
+    seg = colfab._attach_shared_segment(name)
+    dtype = np.lib.format.descr_to_dtype(descr)
+    count = math.prod(shape)
+    return seg, np.frombuffer(seg.buf, dtype=dtype, count=count).reshape(shape)
+
+
+def discard_untracked_segment(seg: Any) -> None:
+    """Unlink a creator-owned (tracker-unregistered) segment quietly.
+
+    Balances the resource tracker by registering before the unlink
+    (which unregisters internally); if the consumer already unlinked
+    the segment, the provisional registration is rolled back — either
+    way the tracker daemon never prints a KeyError or leak warning.
+    """
+    from multiprocessing import resource_tracker
+
+    try:
+        resource_tracker.register(seg._name, "shared_memory")  # noqa: SLF001
+        seg.unlink()
+    except FileNotFoundError:
+        try:
+            resource_tracker.unregister(seg._name, "shared_memory")  # noqa: SLF001
+        # repro-lint: disable-next-line=swallowed-error -- tracker API is CPython-internal; registration was provisional
+        except Exception:  # pragma: no cover
+            pass
+    # repro-lint: disable-next-line=swallowed-error -- cleanup on an already-failed path must not mask the original error
+    except Exception:  # pragma: no cover
+        pass
+
+
+def sweep_family_segments() -> None:
+    """Unlink leftover family segments a dead worker failed to consume.
+
+    Resident segments (still owned by the parent and valid across pool
+    restarts) are exempt; everything else under this process family's
+    prefix is, at teardown time, an orphan of the aborted dispatch.
+    """
+    from multiprocessing import shared_memory
+
+    for name in colfab.leaked_segments():
+        if name in colfab._resident_registry:
+            continue
+        try:
+            seg = shared_memory.SharedMemory(name=name)
+        # repro-lint: disable-next-line=swallowed-error -- segment vanished between listing and attach; nothing left to clean
+        except FileNotFoundError:  # pragma: no cover
+            continue
+        seg.close()
+        seg.unlink()
+
+
+class _SegmentPickler(pickle.Pickler):
+    """Pickler that swaps large arrays for persistent ids.
+
+    ``known`` maps ``id(object)`` to the persistent id it pickles as
+    (residents and their already-exported arrays, for a dispatch spec).
+    Any other contiguous-representable ndarray at or above the wire
+    threshold is handed once to ``export`` — which copies it into a
+    segment and returns its persistent id — and remembered in
+    :attr:`known`.  Everything else pickles inline.
+    """
+
+    def __init__(
+        self,
+        file: Any,
+        export: Callable[[np.ndarray], tuple],
+        known: dict[int, tuple] | None = None,
+    ):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._export = export
+        self.known = dict(known or {})
+
+    def persistent_id(self, obj: Any) -> tuple | None:
+        pid = self.known.get(id(obj))
+        if (
+            pid is None
+            and isinstance(obj, np.ndarray)
+            and not obj.dtype.hasobject
+            and obj.nbytes >= SHM_THRESHOLD
+        ):
+            # repro-lint: disable-next-line=deep-determinism-taint -- id() is a process-local dedupe key; segment names/indices come from deterministic insertion order
+            pid = self.known[id(obj)] = self._export(obj)
+        return pid
+
+
+class _SegmentUnpickler(pickle.Unpickler):
+    """Inverse of :class:`_SegmentPickler` (worker and parent side):
+    ``residents`` resolves a spec's resident references, ``arrays`` the
+    manifest indices inside a resident's own blob."""
+
+    def __init__(
+        self,
+        file: Any,
+        residents: dict[str, dict] | None = None,
+        arrays: Sequence[np.ndarray] = (),
+    ):
+        super().__init__(file)
+        self._residents = residents or {}
+        self._arrays = arrays
+        self._loaded: dict[str, np.ndarray] = {}
+
+    def persistent_load(self, pid: tuple) -> Any:
+        kind = pid[0]
+        if kind == "nd":
+            name = pid[1]
+            arr = self._loaded.get(name)
+            if arr is None:
+                arr = _load_ephemeral_array(pid[1:])
+                self._loaded[name] = arr
+            return arr
+        if kind == "rarr":
+            return self._arrays[pid[1]]
+        if kind == "res":
+            return self._resident_entry(pid[1], pid[2])["obj"]
+        if kind == "rref":
+            return self._resident_entry(pid[1], pid[2])["arrays"][pid[3]]
+        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+
+    def _resident_entry(self, name: str, gen: int) -> dict:
+        entry = self._residents.get(name)
+        if entry is None or entry["gen"] != gen:
+            have = None if entry is None else entry["gen"]
+            raise pickle.UnpicklingError(
+                f"resident {name!r} generation {gen} not installed in this "
+                f"worker (have {have})"
+            )
+        return entry
+
+
+def _load_ephemeral_array(ref: _SegmentRef) -> np.ndarray:
+    """Adopt one ephemeral segment as a zero-copy array, unlinking it.
+
+    The returned array *is* the mapping: ``unlink`` drops the name
+    immediately (exactly-once consumption, nothing to leak), and
+    divorcing the mapping from its wrapper leaves the pages alive until
+    the array's last view dies — refcounting munmaps them.  This is the
+    difference between memcpy-ing every multi-megabyte result/payload
+    through private heap and just keeping the pages the producer already
+    wrote.
+    """
+    seg, arr = _segment_to_array(ref)
+    seg.unlink()
+    colfab._defuse_segment(seg)
+    return arr
+
+
+def dumps_with_segments(
+    obj: Any, resident_pids: dict[int, tuple] | None = None
+) -> tuple[bytes, list[Any]]:
+    """Pickle ``obj`` with large arrays in ephemeral segments, whose
+    ownership transfers to the decoding side.  Returns the blob and the
+    (creator-closed) segments, for the caller to unlink if the blob
+    never reaches a consumer; they are unlinked here if pickling fails."""
+    segments: list[Any] = []
+
+    def export(arr: np.ndarray) -> tuple:
+        seg, ref = _array_to_segment(arr, tracked=False)
+        segments.append(seg)
+        return ("nd", *ref)
+
+    buf = io.BytesIO()
+    try:
+        _SegmentPickler(buf, export, resident_pids).dump(obj)
+    except Exception:
+        for seg in segments:
+            discard_untracked_segment(seg)
+        raise
+    return buf.getvalue(), segments
+
+
+def loads_with_segments(
+    blob: bytes, residents: dict[str, dict] | None = None
+) -> Any:
+    return _SegmentUnpickler(io.BytesIO(blob), residents).load()
+
+
+def export_resident(obj: Any, gen: int) -> dict[str, Any]:
+    """Export one immutable object as shared segments plus a pickle blob.
+
+    Returns the parent-side registry entry: the object and its
+    generation, the blob (with large arrays replaced by manifest
+    indices), the segment manifest ``(name, dtype descr, shape)``
+    workers attach zero-copy, the live ``SharedMemory`` handles (parent
+    owns the unlink), strong references to the exported source arrays
+    (id-stability for the ``rref`` map), and the ``id(array) ->
+    manifest index`` map itself.
+    """
+    manifest: list[_SegmentRef] = []
+    segments: list[Any] = []
+    arrays: list[np.ndarray] = []
+    entry: dict[str, Any] = {
+        "gen": gen,
+        "obj": obj,
+        "blob": None,
+        "manifest": manifest,
+        "segments": segments,
+        "arrays": arrays,
+    }
+
+    def export(arr: np.ndarray) -> tuple:
+        seg, ref = _array_to_segment(arr, tracked=True)
+        colfab.register_resident_segment(seg.name, arr.nbytes)
+        arrays.append(arr)
+        segments.append(seg)
+        manifest.append(ref)
+        return ("rarr", len(manifest) - 1)
+
+    buf = io.BytesIO()
+    pickler = _SegmentPickler(buf, export)
+    try:
+        pickler.dump(obj)
+    except Exception:
+        unlink_resident(entry)
+        raise
+    entry["blob"] = buf.getvalue()
+    entry["array_ids"] = {aid: pid[1] for aid, pid in pickler.known.items()}
+    return entry
+
+
+def unlink_resident(entry: dict[str, Any]) -> None:
+    """Unlink an entry's segments and mark it unexported (``blob`` is
+    ``None`` until someone re-exports the object)."""
+    for seg in entry["segments"]:
+        try:
+            seg.unlink()
+        # repro-lint: disable-next-line=swallowed-error -- already unlinked by an earlier teardown; accounting below stays exact
+        except FileNotFoundError:  # pragma: no cover
+            pass
+        colfab.unregister_resident_segment(seg.name)
+    entry["segments"] = []
+    entry["blob"] = None
+
+
+def resident_pids(residents: dict[str, dict[str, Any]]) -> dict[int, tuple]:
+    """``id(object) -> persistent id`` map for the spec pickler."""
+    pids: dict[int, tuple] = {}
+    for name, entry in residents.items():
+        if entry["blob"] is None:
+            continue
+        pids[id(entry["obj"])] = ("res", name, entry["gen"])
+        for aid, idx in entry["array_ids"].items():
+            pids[aid] = ("rref", name, entry["gen"], idx)
+    return pids
+
+
+def resident_frame(name: str, entry: dict[str, Any]) -> bytes:
+    """Parent-side: the framed command installing ``entry`` in a worker."""
+    return pickle.dumps(
+        ("resident", name, entry["gen"], entry["blob"], entry["manifest"]),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def install_resident(
+    residents: dict[str, dict],
+    name: str,
+    gen: int,
+    blob: bytes,
+    manifest: list[_SegmentRef],
+) -> None:
+    """Worker-side: map a resident's segments zero-copy and cache it."""
+    old = residents.pop(name, None)
+    if old is not None:
+        for seg in old["shms"]:
+            seg.close()
+    arrays: list[np.ndarray] = []
+    shms: list[Any] = []
+    for ref in manifest:
+        seg, arr = _segment_to_array(ref)
+        # Residents are immutable by contract; a task body that tries to
+        # write through a zero-copy view fails loudly instead of
+        # corrupting every sibling worker's view.
+        arr.flags.writeable = False
+        arrays.append(arr)
+        shms.append(seg)
+
+    obj = _SegmentUnpickler(io.BytesIO(blob), arrays=arrays).load()
+    residents[name] = {"gen": gen, "obj": obj, "arrays": arrays, "shms": shms}

@@ -222,29 +222,65 @@ class TestExecutorMechanics:
             "process", "process-checked",
         }
 
-    def _stats(self, num_hosts=3):
-        from repro.runtime.stats import PhaseStats
-
-        comm = Communicator(num_hosts, injector=FaultInjector(FaultPlan()))
-        return PhaseStats(name="test", comm=comm, num_hosts=num_hosts)
-
-    def test_duplicate_hosts_rejected(self):
-        ph = self._stats()
-        with pytest.raises(ValueError):
-            ParallelExecutor().run(ph, [
-                HostTask(0, lambda v: None), HostTask(0, lambda v: None),
+    def test_duplicate_hosts_rejected(self, ledger_executor):
+        with pytest.raises(ValueError, match="one task per host"):
+            ledger_executor.run(_make_stats(), [
+                HostTask(0, _pool_ok_body), HostTask(0, _pool_ok_body),
             ])
 
-    def test_results_in_task_order(self):
-        ph = self._stats()
-        tasks = [HostTask(h, (lambda h: lambda v: h * 10)(h))
+    def test_results_in_task_order(self, ledger_executor):
+        tasks = [HostTask(h, _pool_times_ten_body, payload=h)
                  for h in (2, 0, 1)]
-        assert ParallelExecutor().run(ph, tasks) == [20, 0, 10]
-        ph2 = self._stats()
-        assert SerialExecutor().run(ph2, tasks) == [20, 0, 10]
+        assert ledger_executor.run(_make_stats(), tasks) == [20, 0, 10]
+        assert SerialExecutor().run(_make_stats(), tasks) == [20, 0, 10]
+
+    def test_task_exception_propagates(self, ledger_executor):
+        # One task takes the direct path, two take the barrier.
+        with pytest.raises(RuntimeError, match="task failed in worker"):
+            ledger_executor.run(_make_stats(), [HostTask(0, _pool_boom_body)])
+        with pytest.raises(RuntimeError, match="task failed in worker"):
+            ledger_executor.run(_make_stats(), [
+                HostTask(0, _pool_ok_body), HostTask(1, _pool_boom_body),
+            ])
+
+    def test_failed_barrier_leaves_what_serial_leaves(self, ledger_executor):
+        """First failure in host order wins: host 0 merges fully, host
+        1's partial ledger merges as-is, host 2 — which did run,
+        concurrently — is discarded, fault events included."""
+        def fail_at_host_1(executor):
+            ph = _make_stats(plan=FaultPlan(
+                seed=5, send_failure_rate=0.3, duplicate_rate=0.3,
+            ))
+            ph.comm.injector.begin_phase("test")
+            tasks = [HostTask(h, _charge_then_fail_body, payload=1)
+                     for h in range(3)]
+            with pytest.raises(RuntimeError, match="host failed mid-task"):
+                executor.run(ph, tasks)
+            comm = ph.comm
+            return {
+                "sent_bytes": comm.sent_bytes.tolist(),
+                "sent_messages": comm.sent_messages.tolist(),
+                "retry_bytes": comm.retry_bytes.tolist(),
+                "queues": [
+                    [(src, np.asarray(p).tolist())
+                     for src, p in comm.recv_all(h, tag="t")]
+                    for h in range(3)
+                ],
+                "disk_bytes": ph.disk_bytes.tolist(),
+                "compute_units": ph.compute_units.tolist(),
+                "events": list(comm.injector.events),
+            }
+
+        expected = fail_at_host_1(SerialExecutor())
+        assert fail_at_host_1(ledger_executor) == expected
+        # The scenario is the one described, not a degenerate one.
+        assert expected["events"], "fault plan never fired"
+        assert expected["disk_bytes"] == [100.0, 200.0, 0.0]
+        assert (0, "after") in expected["queues"][1]
+        assert all(src != 2 for q in expected["queues"] for src, _ in q)
 
     def test_parallel_actually_overlaps(self):
-        ph = self._stats(num_hosts=2)
+        ph = _make_stats(num_hosts=2)
         barrier = threading.Barrier(2, timeout=10)
 
         def body(view):
@@ -255,15 +291,6 @@ class TestExecutorMechanics:
             HostTask(0, body), HostTask(1, body),
         ])
         assert results == [True, True]
-
-    def test_task_exception_propagates(self):
-        ph = self._stats()
-
-        def boom(view):
-            raise RuntimeError("task failed")
-
-        with pytest.raises(RuntimeError, match="task failed"):
-            ParallelExecutor().run(ph, [HostTask(0, boom)])
 
     def test_ledger_merge_matches_direct(self):
         """The ledger path charges the same matrices as direct sends."""
@@ -280,7 +307,7 @@ class TestExecutorMechanics:
                 ph.disk_bytes.copy(), ph.compute_units.copy(),
             )
 
-        ph_s, ph_p = self._stats(), self._stats()
+        ph_s, ph_p = _make_stats(), _make_stats()
         tasks = lambda: [
             HostTask(h, (lambda h: lambda v: workload(v, [
                 j for j in range(3) if j != h]))(h))
@@ -369,23 +396,11 @@ class TestSerialProcessEquivalence:
         report = run_campaign(plans=4, seed=7, executor="process")
         assert report.ok(), report.render_text()
 
-    def test_worker_exception_propagates(self, pool):
-        ph = _make_stats()
-        tasks = [HostTask(0, _pool_ok_body), HostTask(1, _pool_boom_body)]
-        with pytest.raises(RuntimeError, match="task failed in worker"):
-            pool.run(ph, tasks)
-
     def test_unshippable_result_is_reported(self, pool):
         ph = _make_stats()
         tasks = [HostTask(h, _pool_closure_result_body) for h in range(2)]
         with pytest.raises(RuntimeError, match="unshippable"):
             pool.run(ph, tasks)
-
-    def test_results_in_task_order(self, pool):
-        ph = _make_stats()
-        tasks = [HostTask(h, _pool_times_ten_body, payload=h)
-                 for h in (2, 0, 1)]
-        assert pool.run(ph, tasks) == [20, 0, 10]
 
     def test_closure_body_rejected_before_dispatch(self, pool):
         ph = _make_stats()
@@ -427,10 +442,23 @@ def pool():
         ex.close()
 
 
-def _make_stats(num_hosts=3):
+@pytest.fixture(params=["parallel", "process"])
+def ledger_executor(request):
+    """Each executor that merges private ledgers at the barrier, two
+    workers wide, closed before the module's leak check runs."""
+    ex = {"parallel": ParallelExecutor, "process": ProcessExecutor}[
+        request.param
+    ](max_workers=2)
+    try:
+        yield ex
+    finally:
+        ex.close()
+
+
+def _make_stats(num_hosts=3, plan=FaultPlan()):
     from repro.runtime.stats import PhaseStats
 
-    comm = Communicator(num_hosts, injector=FaultInjector(FaultPlan()))
+    comm = Communicator(num_hosts, injector=FaultInjector(plan))
     return PhaseStats(name="test", comm=comm, num_hosts=num_hosts)
 
 
@@ -459,6 +487,17 @@ def _pool_closure_result_body(view):
 
 def _pool_times_ten_body(view, h):
     return h * 10
+
+
+def _charge_then_fail_body(view, failing_host):
+    for dst in range(3):
+        if dst != view.host:
+            view.send(dst, np.arange(16) + view.host, tag="t")
+    view.add_disk(100.0 * (view.host + 1))
+    view.add_compute(7.0 * (view.host + 1))
+    if view.host == failing_host:
+        raise RuntimeError("host failed mid-task")
+    view.send((view.host + 1) % 3, "after", tag="t")
 
 
 class TestPoolCrashTeardown:
