@@ -3,14 +3,16 @@
 
 Partitions a small deterministic graph on both fabrics and asserts
 
-* the partition digest matches the committed reference
+* for every policy in :data:`POLICIES` — one pure master rule (CVC)
+  and the history-sensitive ones (FVC Fennel, FEC/SVC FennelEB, LEC
+  LDG) — the partition digest matches the committed reference
   (``scripts/bench_smoke_reference.json``) — partitions are a pure
   function of (graph, policy, seed), so any drift is a real behaviour
   change, not noise;
 * the columnar fabric clears a *very* conservative wall-clock
-  throughput floor, catching order-of-magnitude perf regressions
-  without the variance problems of asserting real benchmark numbers
-  in CI.
+  throughput floor on :data:`FLOOR_POLICY`, catching order-of-magnitude
+  perf regressions without the variance problems of asserting real
+  benchmark numbers in CI.
 
 Regenerate the reference (only after an intended behaviour change)
 with ``python scripts/bench_smoke.py --write-reference``.
@@ -37,8 +39,17 @@ REFERENCE = Path(__file__).with_name("bench_smoke_reference.json")
 NUM_NODES = 2_000
 NUM_EDGES = 24_000
 SEED = 5
-POLICY = "CVC"
+#: Table II rows whose digests are pinned: CVC (ContiguousEB, pure),
+#: FVC (Fennel), FEC and SVC (FennelEB, edge-cut and 2-D cut), LEC (LDG).
+POLICIES = ("CVC", "FVC", "FEC", "SVC", "LEC")
+#: The policy the throughput floor is measured on.
+FLOOR_POLICY = "CVC"
 NUM_HOSTS = 4
+#: Synchronization rounds for the stateful policies (Table VI's second
+#: point, the perf harness's setting): 50-vertex chunks, so each
+#: ``assign_batch`` call sees edges between vertices of its own batch,
+#: and the pooled runs stay at ~30 barriers.
+SYNC_ROUNDS = 10
 #: Floor in edges/second — two orders of magnitude below what a
 #: single modern core measures, so only a gross regression trips it.
 THROUGHPUT_FLOOR = 50_000.0
@@ -55,26 +66,36 @@ def partition_digest(dg) -> str:
     return h.hexdigest()
 
 
-def run() -> dict:
+def run() -> dict[str, dict]:
+    """``{policy: result}`` for every pinned policy, on one graph."""
     graph = erdos_renyi(NUM_NODES, NUM_EDGES, seed=SEED)
-    t0 = time.perf_counter()
-    dg = CuSP(NUM_HOSTS, POLICY, fabric="columnar").partition(graph)
-    elapsed = time.perf_counter() - t0
-    scalar_dg = CuSP(NUM_HOSTS, POLICY, fabric="scalar").partition(graph)
-    # The process executor must complete and reproduce the digest (its
-    # wall-clock is not floored: fork/pickle overhead dominates at this
-    # graph size and only the serial throughput guards regressions).
-    process_dg = CuSP(
-        NUM_HOSTS, POLICY, fabric="columnar", executor="process"
-    ).partition(graph)
-    return {
-        "digest": partition_digest(dg),
-        "scalar_digest": partition_digest(scalar_dg),
-        "process_digest": partition_digest(process_dg),
-        "edges": graph.num_edges,
-        "elapsed_s": elapsed,
-        "edges_per_s": graph.num_edges / elapsed,
-    }
+    results = {}
+    for policy in POLICIES:
+        t0 = time.perf_counter()
+        dg = CuSP(
+            NUM_HOSTS, policy, fabric="columnar", sync_rounds=SYNC_ROUNDS
+        ).partition(graph)
+        elapsed = time.perf_counter() - t0
+        scalar_dg = CuSP(
+            NUM_HOSTS, policy, fabric="scalar", sync_rounds=SYNC_ROUNDS
+        ).partition(graph)
+        # The process executor must complete and reproduce the digest
+        # (its wall-clock is not floored: fork/pickle overhead dominates
+        # at this graph size and only the serial throughput guards
+        # regressions).
+        process_dg = CuSP(
+            NUM_HOSTS, policy, fabric="columnar", executor="process",
+            sync_rounds=SYNC_ROUNDS,
+        ).partition(graph)
+        results[policy] = {
+            "digest": partition_digest(dg),
+            "scalar_digest": partition_digest(scalar_dg),
+            "process_digest": partition_digest(process_dg),
+            "edges": graph.num_edges,
+            "elapsed_s": elapsed,
+            "edges_per_s": graph.num_edges / elapsed,
+        }
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,50 +105,59 @@ def main(argv: list[str] | None = None) -> int:
         help="record the current digest as the committed reference",
     )
     args = parser.parse_args(argv)
-    result = run()
+    results = run()
 
-    if result["digest"] != result["scalar_digest"]:
-        print("FAIL: columnar and scalar fabrics disagree", file=sys.stderr)
-        return 1
-
-    if result["digest"] != result["process_digest"]:
-        print("FAIL: process executor diverges from serial", file=sys.stderr)
-        return 1
+    for policy, result in results.items():
+        if result["digest"] != result["scalar_digest"]:
+            print(
+                f"FAIL: {policy}: columnar and scalar fabrics disagree",
+                file=sys.stderr,
+            )
+            return 1
+        if result["digest"] != result["process_digest"]:
+            print(
+                f"FAIL: {policy}: process executor diverges from serial",
+                file=sys.stderr,
+            )
+            return 1
 
     if args.write_reference:
         REFERENCE.write_text(json.dumps({
-            "policy": POLICY,
             "num_hosts": NUM_HOSTS,
+            "sync_rounds": SYNC_ROUNDS,
             "graph": {"nodes": NUM_NODES, "edges": NUM_EDGES, "seed": SEED},
-            "digest": result["digest"],
+            "digests": {p: r["digest"] for p, r in results.items()},
         }, indent=2) + "\n")
-        print(f"reference written: {result['digest'][:16]}…")
+        print(f"reference written: {len(results)} digest(s)")
         return 0
 
     if not REFERENCE.exists():
         print(f"FAIL: no committed reference at {REFERENCE}", file=sys.stderr)
         return 1
-    expected = json.loads(REFERENCE.read_text())["digest"]
-    if result["digest"] != expected:
+    expected = json.loads(REFERENCE.read_text())["digests"]
+    for policy, result in results.items():
+        if result["digest"] != expected.get(policy):
+            print(
+                f"FAIL: {policy}: partition digest drifted\n"
+                f"  expected {expected.get(policy)}\n"
+                f"  got      {result['digest']}\n"
+                "(if the change is intended, rerun with --write-reference)",
+                file=sys.stderr,
+            )
+            return 1
+    floor = results[FLOOR_POLICY]
+    if floor["edges_per_s"] < THROUGHPUT_FLOOR:
         print(
-            "FAIL: partition digest drifted\n"
-            f"  expected {expected}\n"
-            f"  got      {result['digest']}\n"
-            "(if the change is intended, rerun with --write-reference)",
+            f"FAIL: {FLOOR_POLICY} throughput {floor['edges_per_s']:.0f} "
+            f"edges/s below the {THROUGHPUT_FLOOR:.0f} floor",
             file=sys.stderr,
         )
         return 1
-    if result["edges_per_s"] < THROUGHPUT_FLOOR:
-        print(
-            f"FAIL: throughput {result['edges_per_s']:.0f} edges/s below "
-            f"the {THROUGHPUT_FLOOR:.0f} floor",
-            file=sys.stderr,
-        )
-        return 1
+    pinned = ", ".join(f"{p} {r['digest'][:8]}" for p, r in results.items())
     print(
-        f"bench-smoke OK: digest {result['digest'][:16]}…, "
-        f"{result['edges_per_s'] / 1e6:.2f} Medges/s "
-        f"({result['elapsed_s'] * 1e3:.0f} ms)"
+        f"bench-smoke OK: {pinned}; {FLOOR_POLICY} "
+        f"{floor['edges_per_s'] / 1e6:.2f} Medges/s "
+        f"({floor['elapsed_s'] * 1e3:.0f} ms)"
     )
     return 0
 
