@@ -66,27 +66,28 @@ def partition_digest(dg) -> str:
     return h.hexdigest()
 
 
+def _partition(graph, policy: str, **kwargs):
+    return CuSP(
+        NUM_HOSTS, policy, sync_rounds=SYNC_ROUNDS, **kwargs
+    ).partition(graph)
+
+
 def run() -> dict[str, dict]:
     """``{policy: result}`` for every pinned policy, on one graph."""
     graph = erdos_renyi(NUM_NODES, NUM_EDGES, seed=SEED)
     results = {}
     for policy in POLICIES:
         t0 = time.perf_counter()
-        dg = CuSP(
-            NUM_HOSTS, policy, fabric="columnar", sync_rounds=SYNC_ROUNDS
-        ).partition(graph)
+        dg = _partition(graph, policy, fabric="columnar")
         elapsed = time.perf_counter() - t0
-        scalar_dg = CuSP(
-            NUM_HOSTS, policy, fabric="scalar", sync_rounds=SYNC_ROUNDS
-        ).partition(graph)
+        scalar_dg = _partition(graph, policy, fabric="scalar")
         # The process executor must complete and reproduce the digest
         # (its wall-clock is not floored: fork/pickle overhead dominates
         # at this graph size and only the serial throughput guards
         # regressions).
-        process_dg = CuSP(
-            NUM_HOSTS, policy, fabric="columnar", executor="process",
-            sync_rounds=SYNC_ROUNDS,
-        ).partition(graph)
+        process_dg = _partition(
+            graph, policy, fabric="columnar", executor="process"
+        )
         results[policy] = {
             "digest": partition_digest(dg),
             "scalar_digest": partition_digest(scalar_dg),

@@ -2,8 +2,13 @@
 
 A master rule decides, for each vertex, which partition holds its master
 proxy.  The framework calls rules through :meth:`MasterRule.assign_batch`
-so built-in stateless rules can run fully vectorized; history-sensitive
-rules (the Fennel family) fall back to the paper's per-node formulation.
+so built-in stateless rules can run fully vectorized.  History-sensitive
+rules (Fennel, FennelEB, LDG) must decide vertex by vertex — each
+placement feeds the next vertex's load term — but everything that does
+not depend on the decisions is prefetched once per batch: the
+neighbour-per-partition counts of every batch vertex and a reverse index
+that re-files them when a master inside the batch changes
+(:func:`_prefetch_neighbor_counts`).
 
 Rule capabilities drive the framework's synchronization optimizations
 (paper §IV-D5):
@@ -21,6 +26,7 @@ import math
 
 import numpy as np
 
+from ..graph.csr import CSRGraph
 from .prop import GraphProp
 from .state import PartitioningState, PartitionLoadState, VoidState
 
@@ -153,6 +159,113 @@ class ContiguousEB(MasterRule):
         return (first // self._edge_block(prop)).astype(np.int32)
 
 
+def _prefetch_neighbor_counts(
+    graph: CSRGraph, node_ids: np.ndarray, masters: np.ndarray | None, k: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray] | None]]:
+    """Neighbour-per-partition counts of a whole batch, gathered once.
+
+    Returns ``(counts, folds)``:
+
+    * ``counts[i, p]`` (C-contiguous float64 holding exact small
+      integers): how many out-neighbours of ``node_ids[i]`` are mastered
+      on partition ``p`` under ``masters`` as passed in (``-1`` =
+      unplaced) — what the per-node formulation's
+      ``bincount(masters[nbrs][masters[nbrs] >= 0])`` yields for row
+      ``i`` if nothing is written before it.
+    * ``folds[i]``, the reverse index that keeps ``counts`` true for
+      the rows still to come while the caller writes
+      ``masters[node_ids[i]]`` row by row: ``None`` when no row after
+      the vertex's first one has ``node_ids[i]`` as an out-neighbour
+      (most rows — they pay nothing), else ``(cells, mult)``: those
+      rows, as flat offsets ``row * k`` into ``counts.ravel()``, and how
+      many parallel edges each has.  When ``masters[node_ids[i]]`` moves
+      from ``old`` to ``new`` the caller hands the pair to
+      :func:`_refile_neighbor`.  The fold is keyed on the vertex, not on
+      the batch position, so unsorted and repeated ``node_ids``,
+      pre-mastered vertices and self-loops all take the same path.
+
+    A pure function of its arguments; memory is O(out-edges of the
+    batch + ``len(node_ids) * k``).  ``masters=None`` (no neighbour
+    information) gives all-zero counts and no folds.
+    """
+    batch = node_ids.size
+    folds: list[tuple[np.ndarray, np.ndarray] | None] = [None] * batch
+    indptr, indices = graph.indptr, graph.indices
+    starts = indptr[node_ids]
+    degrees = indptr[node_ids + 1] - starts
+    total = int(degrees.sum())
+    if masters is None or total == 0:
+        return np.zeros((batch, k)), folds
+    row = np.repeat(np.arange(batch, dtype=np.int64), degrees)
+    # Flat edge positions of every row's out-edges, in row order.
+    row_offset = np.cumsum(degrees) - degrees
+    nbrs = indices[
+        np.arange(total, dtype=np.int64)
+        + np.repeat(starts - row_offset, degrees)
+    ]
+    # One 2-D bincount over ``row * (k + 1) + masters[nbrs] + 1``: the
+    # unplaced (-1) neighbours land in a column 0 that is dropped.
+    counts = np.ascontiguousarray(
+        np.bincount(
+            row * (k + 1) + (masters[nbrs] + 1), minlength=batch * (k + 1)
+        ).reshape(batch, k + 1)[:, 1:],
+        dtype=np.float64,
+    )
+
+    # Reverse index over the edges that stay inside the batch.  The
+    # range test is exact for the contiguous chunks the framework
+    # passes and only a pre-filter otherwise.
+    first_row = np.argsort(node_ids, kind="stable")
+    vertices = node_ids[first_row]
+    inside = np.flatnonzero((nbrs >= vertices[0]) & (nbrs <= vertices[-1]))
+    # One entry per distinct (target vertex, source row), sorted by
+    # target: parallel edges collapse into a multiplicity, so a fold
+    # never names a row twice and in-place fancy updates are safe.
+    pair, mult = np.unique(
+        nbrs[inside] * batch + row[inside], return_counts=True
+    )
+    target, source = pair // batch, pair % batch
+    # A repeated vertex is looked up under its first slot, the one the
+    # stable sort gives its first row.  That row is where the vertex is
+    # first written, and rows up to it are never read again, so only
+    # later source rows need the fold.
+    slot = np.searchsorted(vertices, target)
+    keep = (vertices[slot] == target) & (source > first_row[slot])
+    slot, cells, mult = (
+        slot[keep], source[keep] * k, mult[keep].astype(np.float64)
+    )
+    bounds = np.searchsorted(slot, np.arange(batch + 1, dtype=np.int64))
+    row_slot = np.searchsorted(vertices, node_ids)
+    lo, hi = bounds[row_slot], bounds[row_slot + 1]
+    has_fold = lo != hi
+    for i, a, b in zip(
+        np.flatnonzero(has_fold).tolist(),
+        lo[has_fold].tolist(),
+        hi[has_fold].tolist(),
+    ):
+        folds[i] = (cells[a:b], mult[a:b])
+    return counts, folds
+
+
+def _refile_neighbor(
+    counts: np.ndarray,
+    fold: tuple[np.ndarray, np.ndarray],
+    old: int,
+    new: int,
+) -> None:
+    """Move one vertex from partition ``old`` (``-1``: unplaced) to
+    ``new`` in every row of ``counts`` that has it as an out-neighbour
+    (``fold``: its entry in :func:`_prefetch_neighbor_counts`'s reverse
+    index)."""
+    if old == new:
+        return
+    cells, mult = fold
+    flat = counts.ravel()  # C-contiguous by the helper's contract: a view
+    if old >= 0:
+        flat[cells + old] -= mult
+    flat[cells + new] += mult
+
+
 #: Abstract compute units per Fennel score entry: each entry evaluates a
 #: floating-point pow() under an irregular access pattern, roughly 20x the
 #: single-op unit the cost model is denominated in.
@@ -229,6 +342,9 @@ class Fennel(MasterRule):
         k).  The single-entry update evaluates exactly the expression the
         per-node formulation evaluates for that entry, so the decision
         sequence is bit-identical to :meth:`assign` called in order.
+        The affinity term comes from :func:`_prefetch_neighbor_counts`:
+        gathered once for the batch, re-filed only when a placement
+        changes the master of a vertex some batch row points at.
         """
         node_ids = np.asarray(node_ids)
         out = np.empty(node_ids.size, dtype=np.int32)
@@ -252,28 +368,20 @@ class Fennel(MasterRule):
         table = -alpha_gamma * np.power(
             np.arange(top, dtype=np.float64), gm1
         )
-        indptr, indices = prop.graph.indptr, prop.graph.indices
-        bincount, argmax = np.bincount, np.argmax
-        for i, v in enumerate(node_ids):
-            part = -1
-            if masters is not None:
-                nbrs = indices[indptr[v] : indptr[v + 1]]
-                if nbrs.size:
-                    known = masters[nbrs]
-                    known = known[known >= 0]
-                    if known.size:
-                        part = int(argmax(
-                            penalty + bincount(known, minlength=k)
-                        ))
-            if part < 0:
-                # No placed neighbors: the affinity term is zero
-                # everywhere, so the penalty alone decides.
-                part = int(argmax(penalty))
+        counts, folds = _prefetch_neighbor_counts(
+            prop.graph, node_ids, masters, k
+        )
+        for i, v in enumerate(node_ids.tolist()):
+            # With no placed neighbors the affinity row is zero and the
+            # penalty alone decides.
+            part = int((penalty + counts[i]).argmax())
             out[i] = part
             li = load_int[part] + 1
             load_int[part] = li
             penalty[part] = table[li]
             if masters is not None:
+                if folds[i] is not None:
+                    _refile_neighbor(counts, folds[i], masters[v], part)
                 masters[v] = part
         # State deltas sum per partition, so one bulk charge at the end
         # leaves mstate exactly as n per-node add_node() calls would.
@@ -359,11 +467,15 @@ class FennelEB(MasterRule):
         """Incremental-penalty batch kernel (see :meth:`Fennel.assign_batch`).
 
         The high-degree short-circuit is vectorized up front: those nodes
-        go straight to ContiguousEB.  For the rest, the blended
-        ``(numNodes + mu * numEdges) / 2`` load penalty is maintained in
-        place — only the chosen partition's entry is recomputed per
-        placement — keeping the decision sequence bit-identical to the
-        per-node formulation.
+        go straight to ContiguousEB, and their masters are visible to
+        every scored row of the batch (earlier ones included).  For the
+        rest, the blended ``(numNodes + mu * numEdges) / 2`` load penalty
+        is maintained in place — only the chosen partition's entry is
+        recomputed per placement — keeping the decision sequence
+        bit-identical to :meth:`assign` called on the short-circuited
+        nodes first and then on the rest in order.  Neighbour counts are
+        prefetched for the scored rows after the short-circuit has
+        written its masters.
         """
         node_ids = np.asarray(node_ids)
         out = np.empty(node_ids.size, dtype=np.int32)
@@ -386,37 +498,38 @@ class FennelEB(MasterRule):
         mu = n / m if m else 0.0
         nodes_load = mstate.numNodes.astype(np.float64)
         edges_load = mstate.numEdges.astype(np.float64)
-        load = (nodes_load + mu * edges_load) / 2.0
-        penalty = -alpha_gamma * np.power(load, gm1)
-        indptr, indices = prop.graph.indptr, prop.graph.indices
-        bincount, argmax, power = np.bincount, np.argmax, np.power
+        penalty = -alpha_gamma * np.power(
+            (nodes_load + mu * edges_load) / 2.0, gm1
+        )
+        # The scalar loads live in Python floats (the same IEEE doubles,
+        # without an array access per update).
+        nodes_load, edges_load = nodes_load.tolist(), edges_load.tolist()
         low_positions = np.flatnonzero(~high)
-        for i in low_positions:
-            v = node_ids[i]
-            part = -1
-            if masters is not None:
-                nbrs = indices[indptr[v] : indptr[v + 1]]
-                if nbrs.size:
-                    known = masters[nbrs]
-                    known = known[known >= 0]
-                    if known.size:
-                        part = int(argmax(
-                            penalty + bincount(known, minlength=k)
-                        ))
-            if part < 0:
-                part = int(argmax(penalty))
-            out[i] = part
+        low_ids = node_ids[low_positions]
+        low_degrees = degrees[low_positions].astype(np.float64).tolist()
+        counts, folds = _prefetch_neighbor_counts(
+            prop.graph, low_ids, masters, k
+        )
+        power = np.power
+        load_cell = np.empty(1, dtype=np.float64)
+        low_out = []
+        for i, v in enumerate(low_ids.tolist()):
+            part = int((penalty + counts[i]).argmax())
+            low_out.append(part)
             nodes_load[part] += 1.0
-            edges_load[part] += float(degrees[i])
-            load[part] = (nodes_load[part] + mu * edges_load[part]) / 2.0
+            edges_load[part] += low_degrees[i]
+            load_cell[0] = (nodes_load[part] + mu * edges_load[part]) / 2.0
             # Same vectorized pow kernel as the full recompute, applied
             # to the one entry that changed.
-            penalty[part] = -alpha_gamma * power(load[part : part + 1], gm1)[0]
+            penalty[part] = -alpha_gamma * power(load_cell, gm1)[0]
             if masters is not None:
+                if folds[i] is not None:
+                    _refile_neighbor(counts, folds[i], masters[v], part)
                 masters[v] = part
+        low_parts = np.asarray(low_out, dtype=np.int32)
+        out[low_positions] = low_parts
         # Bulk state charge: deltas sum per partition, so this leaves
         # mstate exactly as per-node add_node/add_edges calls would.
-        low_parts = out[low_positions]
         placed = np.bincount(low_parts, minlength=k)
         placed_edges = np.bincount(
             low_parts, weights=degrees[low_positions], minlength=k
@@ -494,31 +607,33 @@ class LDG(MasterRule):
         k = prop.getNumPartitions()
         capacity = math.ceil(prop.getNumNodes() / k) or 1
         load = mstate.numNodes.astype(np.float64)
-        indptr, indices = prop.graph.indptr, prop.graph.indices
-        for i, v in enumerate(node_ids):
-            weight = np.maximum(1.0 - load / capacity, 0.0)
-            affinity = np.zeros(k, dtype=np.float64)
-            if masters is not None:
-                nbrs = indices[indptr[v] : indptr[v + 1]]
-                if nbrs.size:
-                    known = masters[nbrs]
-                    known = known[known >= 0]
-                    if known.size:
-                        affinity = np.bincount(
-                            known, minlength=k
-                        ).astype(np.float64)
-            score = affinity * weight
+        # A placement changes one partition's load, so the clamped
+        # ``1 - load / capacity`` weight is maintained one entry at a
+        # time, as the same IEEE expression on that entry.
+        weight = np.maximum(1.0 - load / capacity, 0.0)
+        counts, folds = _prefetch_neighbor_counts(
+            prop.graph, node_ids, masters, k
+        )
+        for i, v in enumerate(node_ids.tolist()):
+            score = counts[i] * weight
             if not score.any():
-                part = int(np.argmin(load))
+                # No placed neighbors (or everything full): least loaded.
+                part = int(load.argmin())
             else:
-                part = int(np.argmax(score))
+                part = int(score.argmax())
             if load[part] >= capacity:
-                part = int(np.argmin(load))
+                part = int(load.argmin())
             out[i] = part
             load[part] += 1.0
-            mstate.add_node(part)
+            weight[part] = max(1.0 - load[part] / capacity, 0.0)
             if masters is not None:
+                if folds[i] is not None:
+                    _refile_neighbor(counts, folds[i], masters[v], part)
                 masters[v] = part
+        # Bulk state charge, as in :meth:`Fennel.assign_batch`.
+        placed = np.bincount(out, minlength=k)
+        for p in np.flatnonzero(placed):
+            mstate.add_node(int(p), int(placed[p]))
         return out
 
     def compute_units(self, num_nodes: int, num_edges: int, k: int) -> float:

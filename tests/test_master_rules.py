@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Contiguous,
@@ -12,6 +13,8 @@ from repro.core import (
     make_master_rule,
 )
 from repro.graph import CSRGraph, erdos_renyi, star_graph
+
+from .strategies import graphs
 
 
 def prop_for(graph, k):
@@ -180,10 +183,99 @@ class TestFennelEB:
             FennelEB(degree_threshold=-1)
 
 
-class TestBatchScalarEquivalence:
-    """The hoisted batch loops must replay the paper's scalar semantics."""
+#: The history-sensitive rules, with a FennelEB threshold low enough
+#: that small test graphs hit the ContiguousEB short-circuit.
+STATEFUL_RULES = [
+    ("Fennel", {}),
+    ("FennelEB", {"degree_threshold": 3}),
+    ("LDG", {}),
+]
 
-    @pytest.mark.parametrize("rule_name", ["Fennel", "FennelEB"])
+
+def replay_scalar(rule_name, kwargs, prop, node_ids, masters):
+    """The reference: the paper-signature ``assign()`` vertex by vertex.
+
+    Returns ``(out, masters, (numNodes, numEdges) totals)``; ``masters``
+    (or ``None``) is updated the way :meth:`MasterRule.assign_batch`
+    documents — a host's own assignments are visible at once.
+
+    One documented difference in visiting order: FennelEB's batch kernel
+    resolves its ContiguousEB short-circuits (degree > threshold) before
+    it scores anything, so their masters are visible to every scored row
+    of the batch, including earlier ones.  The committed partition
+    digests pin that, so the replay visits those rows first; ``assign()``
+    neither scores nor charges them, so their own order is immaterial.
+    """
+    rule = make_master_rule(rule_name, **kwargs)
+    state = rule.make_state(prop.getNumPartitions(), 1)
+    view = state.host_view(0)
+    out = np.empty(len(node_ids), dtype=np.int32)
+    rows = range(len(node_ids))
+    if rule_name == "FennelEB":
+        rows = sorted(
+            rows,
+            key=lambda i: prop.getNodeOutDegree(int(node_ids[i]))
+            <= rule.degree_threshold,
+        )
+    for i in rows:
+        v = int(node_ids[i])
+        out[i] = rule.assign(prop, v, view, masters)
+        if masters is not None:
+            masters[v] = out[i]
+    return out, masters, state.totals()
+
+
+def run_batch(rule_name, kwargs, prop, node_ids, masters):
+    rule = make_master_rule(rule_name, **kwargs)
+    state = rule.make_state(prop.getNumPartitions(), 1)
+    out = rule.assign_batch(
+        prop, np.asarray(node_ids, dtype=np.int64), state.host_view(0), masters
+    )
+    return out, masters, state.totals()
+
+
+def assert_batch_replays_scalar(rule_name, kwargs, prop, node_ids, masters):
+    got = run_batch(
+        rule_name, kwargs, prop, node_ids,
+        None if masters is None else masters.copy(),
+    )
+    want = replay_scalar(
+        rule_name, kwargs, prop, node_ids,
+        None if masters is None else masters.copy(),
+    )
+    assert got[0].dtype == np.int32
+    assert got[0].tolist() == want[0].tolist()
+    if masters is not None:
+        assert got[1].tolist() == want[1].tolist()
+    assert got[2][0].tolist() == want[2][0].tolist()  # numNodes
+    assert got[2][1].tolist() == want[2][1].tolist()  # numEdges
+
+
+@st.composite
+def batches(draw):
+    """``(graph, k, node_ids, masters)`` for one ``assign_batch`` call.
+
+    ``node_ids`` is a permuted subset of the vertices with repeats;
+    ``masters`` is ``None`` or pre-seeded with some placed vertices,
+    inside and outside the batch.
+    """
+    graph = draw(graphs(max_nodes=24, max_edges=90))
+    n = graph.num_nodes
+    k = draw(st.integers(1, 5))
+    node_ids = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    if draw(st.booleans()):
+        return graph, k, node_ids, None
+    masters = draw(
+        st.lists(st.sampled_from([-1, -1] + list(range(k))),
+                 min_size=n, max_size=n)
+    )
+    return graph, k, node_ids, np.array(masters, dtype=np.int32)
+
+
+class TestBatchScalarEquivalence:
+    """One ``assign_batch`` call must replay the paper's scalar semantics."""
+
+    @pytest.mark.parametrize("rule_name", ["Fennel", "FennelEB", "LDG"])
     def test_batch_equals_scalar_sequence(self, rule_name):
         g = erdos_renyi(80, 900, seed=11)
         k = 4
@@ -191,37 +283,79 @@ class TestBatchScalarEquivalence:
         kwargs = {"degree_threshold": 15} if rule_name == "FennelEB" else {}
         ids = np.arange(80)
 
-        batch_rule = make_master_rule(rule_name, **kwargs)
-        state = batch_rule.make_state(k, 1)
-        masters_b = np.full(80, -1, dtype=np.int32)
-        view = state.host_view(0)
-        masters_b[:] = -1
-        got_batch = batch_rule.assign_batch(p, ids, view, masters_b)
-        # NOTE: scalar path feeds masters incrementally; replicate that
-        # for the batch by assigning in chunks of 1 with updates.
+        # assign_batch writes masters[v] as it goes, exactly like the
+        # scalar loop, so one call over the whole range must equal it.
+        assert_batch_replays_scalar(
+            rule_name, kwargs, p, ids, np.full(80, -1, dtype=np.int32)
+        )
+
+    @pytest.mark.parametrize("rule_name", ["Fennel", "FennelEB", "LDG"])
+    def test_one_vertex_batches_equal_plain_scalar_sequence(self, rule_name):
+        # Fed one vertex per call the kernels have no batch to look
+        # ahead in, so they equal assign() in plain vertex order —
+        # for FennelEB too.
+        g = erdos_renyi(80, 900, seed=11)
+        k = 4
+        p = prop_for(g, k)
+        kwargs = {"degree_threshold": 15} if rule_name == "FennelEB" else {}
         scalar_rule = make_master_rule(rule_name, **kwargs)
-        state2 = scalar_rule.make_state(k, 1)
-        view2 = state2.host_view(0)
+        state_s = scalar_rule.make_state(k, 1)
+        view_s = state_s.host_view(0)
         masters_s = np.full(80, -1, dtype=np.int32)
-        got_scalar = np.empty(80, dtype=np.int32)
-        for v in ids:
-            got_scalar[v] = scalar_rule.assign(p, int(v), view2, masters_s)
-            masters_s[v] = got_scalar[v]
-        # Batch sees a fixed masters snapshot while scalar updates it per
-        # node, so compare under the same protocol: re-run batch per-node.
-        per_node_rule = make_master_rule(rule_name, **kwargs)
-        state3 = per_node_rule.make_state(k, 1)
-        view3 = state3.host_view(0)
-        masters_p = np.full(80, -1, dtype=np.int32)
-        got_per_node = np.empty(80, dtype=np.int32)
-        for v in ids:
-            got_per_node[v] = per_node_rule.assign_batch(
-                p, np.array([v]), view3, masters_p
-            )[0]
-            masters_p[v] = got_per_node[v]
-        assert np.array_equal(got_per_node, got_scalar)
-        # State totals agree regardless of protocol.
-        assert state3.totals()[0].sum() == state2.totals()[0].sum()
+        batch_rule = make_master_rule(rule_name, **kwargs)
+        state_b = batch_rule.make_state(k, 1)
+        view_b = state_b.host_view(0)
+        masters_b = np.full(80, -1, dtype=np.int32)
+        for v in range(80):
+            masters_s[v] = scalar_rule.assign(p, v, view_s, masters_s)
+            batch_rule.assign_batch(p, np.array([v]), view_b, masters_b)
+        assert np.array_equal(masters_b, masters_s)
+        for got, want in zip(state_b.totals(), state_s.totals()):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rule_name,kwargs", STATEFUL_RULES)
+    @given(batch=batches())
+    @settings(max_examples=60, deadline=None)
+    def test_any_batch_replays_scalar(self, rule_name, kwargs, batch):
+        graph, k, node_ids, masters = batch
+        assert_batch_replays_scalar(
+            rule_name, kwargs, prop_for(graph, k), node_ids, masters
+        )
+
+    @pytest.mark.parametrize("rule_name,kwargs", STATEFUL_RULES)
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_self_loops_and_duplicate_edges(self, rule_name, kwargs, seeded):
+        # 0 -> 0 (self-loop), 0 -> 1 twice and 1 -> 0 three times
+        # (parallel edges inside the batch), 2 -> 2 twice, a vertex (3)
+        # past the FennelEB threshold that points back into the batch,
+        # and vertex 6 outside the batch.
+        src = [0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 4, 5, 5]
+        dst = [0, 1, 1, 0, 0, 0, 2, 2, 0, 1, 2, 6, 3, 4, 6]
+        g = CSRGraph.from_edges(
+            np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            num_nodes=7,
+        )
+        masters = np.full(7, -1, dtype=np.int32)
+        if seeded:
+            masters[[1, 6]] = [2, 0]
+        # Unsorted, with 0 and 2 visited twice.
+        node_ids = [2, 0, 5, 1, 0, 3, 4, 2]
+        assert_batch_replays_scalar(
+            rule_name, kwargs, prop_for(g, 3), node_ids, masters
+        )
+
+    @pytest.mark.parametrize("rule_name,kwargs", STATEFUL_RULES)
+    @pytest.mark.parametrize("with_masters", [False, True])
+    def test_empty_batch(self, rule_name, kwargs, with_masters):
+        g = erdos_renyi(10, 30, seed=4)
+        masters = np.full(10, -1, dtype=np.int32) if with_masters else None
+        out, masters_after, totals = run_batch(
+            rule_name, kwargs, prop_for(g, 3), [], masters
+        )
+        assert out.dtype == np.int32 and out.size == 0
+        if with_masters:
+            assert (masters_after == -1).all()
+        assert totals[0].sum() == 0 and totals[1].sum() == 0
 
     def test_batch_state_updates_match_scalar(self):
         g = erdos_renyi(50, 400, seed=12)
@@ -237,7 +371,9 @@ class TestBatchScalarEquivalence:
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("name", ["Contiguous", "ContiguousEB", "Fennel", "FennelEB"])
+    @pytest.mark.parametrize(
+        "name", ["Contiguous", "ContiguousEB", "Fennel", "FennelEB", "LDG"]
+    )
     def test_make(self, name):
         assert make_master_rule(name).name == name
 
