@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.partition import DistributedGraph
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, stable_group_order
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.cost_model import STAMPEDE2, CostModel
 from ..runtime.stats import TimeBreakdown
@@ -61,7 +61,7 @@ def _exchange_add(phase, dg, local_vals, masks, tag):
             continue
         gids = part.global_ids[mirrors]
         owners = dg.masters[gids]
-        order = np.argsort(owners, kind="stable")
+        order = stable_group_order(owners, k)
         mirrors, gids, owners = mirrors[order], gids[order], owners[order]
         cuts = np.searchsorted(owners, np.arange(k + 1))
         for m in range(k):
@@ -95,7 +95,7 @@ def _full_mirror_book(dg):
             continue
         gids = part.global_ids[mirrors]
         owners = dg.masters[gids]
-        order = np.argsort(owners, kind="stable")
+        order = stable_group_order(owners, k)
         mirrors, gids, owners = mirrors[order], gids[order], owners[order]
         cuts = np.searchsorted(owners, np.arange(k + 1))
         for m in range(k):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.partition import DistributedGraph
+from ..graph.csr import stable_group_order
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.cost_model import STAMPEDE2, CostModel
 from ..runtime.stats import TimeBreakdown
@@ -195,7 +196,7 @@ class Engine:
                 continue
             gids = part.global_ids[readable]
             owners = dg.masters[gids]
-            order = np.argsort(owners, kind="stable")
+            order = stable_group_order(owners, k)
             readable, gids, owners = readable[order], gids[order], owners[order]
             cuts = np.searchsorted(owners, np.arange(k + 1))
             for m in range(k):
@@ -236,7 +237,7 @@ class Engine:
                         continue
                     gids = part.global_ids[mirrors]
                     owners = dg.masters[gids]
-                    order = np.argsort(owners, kind="stable")
+                    order = stable_group_order(owners, k)
                     mirrors, gids, owners = (
                         mirrors[order], gids[order], owners[order]
                     )

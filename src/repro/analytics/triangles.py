@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.partition import DistributedGraph
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, stable_group_order
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.cost_model import STAMPEDE2, CostModel
 from ..runtime.stats import TimeBreakdown
@@ -75,7 +75,7 @@ def count_triangles(
         for p in dg.partitions:
             lo, hi = oriented[p.host]
             owners = dg.masters[lo]
-            order = np.argsort(owners, kind="stable")
+            order = stable_group_order(owners, k)
             lo, hi, owners = lo[order], hi[order], owners[order]
             cuts = np.searchsorted(owners, np.arange(k + 1))
             for m in range(k):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, stable_group_order
 from ..runtime import pool as _pool
 from ..runtime.colfab import ColumnSchema, MessageBatch, resolve_fabric
 from ..runtime.executor import HostTask, HostView
@@ -63,14 +63,21 @@ def _mask_unique(num_nodes: int, *id_arrays: np.ndarray) -> np.ndarray:
 class HostGroups:
     """One host's edges grouped by owner, with per-group unique sources.
 
-    Built from a single stable ``argsort`` of the owner array.  Because
-    the host's ``src`` column is non-decreasing (it comes from the CSR
-    ``indptr`` walk) and the sort is stable, ``src`` stays non-decreasing
-    *within* each owner group, so the per-group sorted-unique source
-    lists fall out of one O(n) boundary scan instead of a ``np.unique``
-    per peer.  The same grouping serves edge assignment (mirror sets),
-    allocation (endpoint sets) and construction (edge shipping), so it
-    is computed once per host and cached on :class:`EdgeAssignment`.
+    A counting sort in NumPy calls: the permutation comes from
+    :func:`~repro.graph.csr.stable_group_order` (an O(n) radix argsort
+    of the owner array narrowed to one or two bytes per edge) and the
+    group boundaries from ``bincount -> cumsum`` of the same array.
+    Because the host's ``src`` column is non-decreasing (it comes from
+    the CSR ``indptr`` walk) and the grouping is stable, ``src`` stays
+    non-decreasing *within* each owner group, so the per-group
+    sorted-unique source lists fall out of one O(n) boundary scan
+    instead of a ``np.unique`` per peer.  The same grouping serves edge
+    assignment (mirror sets), allocation (endpoint sets) and
+    construction (edge shipping), so it is computed once per host and
+    cached on :class:`EdgeAssignment`.
+
+    Raises :class:`ValueError` naming the value when an owner is
+    outside ``[0, num_hosts)``.
     """
 
     __slots__ = (
@@ -83,14 +90,10 @@ class HostGroups:
         src: np.ndarray,
         dst: np.ndarray,
         num_hosts: int,
-        order: np.ndarray | None = None,
     ):
-        if order is None:
-            order = np.argsort(owner, kind="stable")
-        self.order = order
-        self.cuts = np.searchsorted(
-            owner[order], np.arange(num_hosts + 1)
-        )
+        self.order = stable_group_order(owner, num_hosts)
+        self.cuts = np.zeros(num_hosts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=num_hosts), out=self.cuts[1:])
         self._fill(src, dst)
 
     def _fill(self, src: np.ndarray, dst: np.ndarray) -> None:
@@ -99,21 +102,18 @@ class HostGroups:
         cuts = self.cuts
         s = src[order]
         n = s.size
-        if n:
-            keep = np.empty(n, dtype=bool)
-            keep[0] = True
-            np.not_equal(s[1:], s[:-1], out=keep[1:])
-            starts = cuts[:-1]
-            keep[starts[starts < n]] = True
-            usrc = s[keep]
-            usrc_cuts = np.concatenate(([0], np.cumsum(keep)))[cuts]
-        else:
-            usrc = s
-            usrc_cuts = np.zeros(cuts.size, dtype=np.int64)
+        # A row opens a unique-source run when its source differs from
+        # the row above or it is the first row of an owner group.
+        keep = np.empty(n, dtype=bool)
+        keep[:1] = True
+        np.not_equal(s[1:], s[:-1], out=keep[1:])
+        starts = cuts[:-1]
+        keep[starts[starts < n]] = True
+        first = np.flatnonzero(keep)
         self.src_sorted = s
         self.dst_sorted = dst[order]
-        self.usrc = usrc
-        self.usrc_cuts = usrc_cuts
+        self.usrc = s[first]
+        self.usrc_cuts = np.searchsorted(first, cuts)
 
     def __getstate__(self):
         # Only the sort permutation and group boundaries cross process

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "stable_group_order"]
 
 
 def _as_int64(a, name: str) -> np.ndarray:
@@ -46,18 +46,50 @@ def _edge_sort_order(
 
     ``np.lexsort`` runs one comparison sort per key; when the composite
     key ``src * num_nodes + dst`` fits an integer word, a single stable
-    (radix) argsort of the fused key yields the identical permutation —
-    the key is injective over (src, dst) pairs and stability preserves
-    duplicate order — at 2-3x the speed.  Graphs too large for the
-    fused key fall back to lexsort.
+    argsort of the fused key yields the identical permutation — the key
+    is injective over (src, dst) pairs and stability preserves duplicate
+    order — at 2-3x the speed.  Both are comparison sorts: NumPy's
+    stable argsort is a radix sort only for keys of 16 bits or fewer
+    (see :func:`stable_group_order`) and timsort for anything wider.
+    Graphs too large for the fused key fall back to lexsort.
     """
     if num_nodes >= _MAX_COMPOSITE_NODES:
         return np.lexsort((dst, src))
     key = src * num_nodes + dst
     if num_nodes <= 65536:
-        # Keys < 2**32: a narrower dtype halves the radix passes.
+        # Keys < 2**32.  Still timsort, but its merges move and compare
+        # half the bytes of the int64 key.
         key = key.astype(np.uint32)
     return np.argsort(key, kind="stable")
+
+
+def stable_group_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, num_keys)``.
+
+    The group-by primitive behind every "bucket rows by owner" step:
+    entries sharing a key stay in input order.  NumPy's stable argsort
+    is an O(n) radix sort for integer keys of 16 bits or fewer and an
+    O(n log n) timsort for anything wider, whatever values the keys
+    hold, so a key that fits is narrowed to ``uint8``/``uint16`` first
+    (1-2 bytes per entry, dropped on return); a wider range takes the
+    plain argsort.  The permutation is identical either way.
+
+    Raises :class:`ValueError` naming the offending value when a key is
+    negative or ``>= num_keys`` — a narrowed key would otherwise wrap
+    and group silently wrong.
+    """
+    if keys.size:
+        lo, hi = int(keys.min()), int(keys.max())
+        if lo < 0 or hi >= num_keys:
+            bad = lo if lo < 0 else hi
+            raise ValueError(
+                f"group key {bad} out of range [0, {num_keys})"
+            )
+    if num_keys <= 1 << 8:
+        keys = keys.astype(np.uint8)
+    elif num_keys <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 @dataclass
@@ -194,16 +226,19 @@ class CSRGraph:
             if data.shape[0] != src.size:
                 raise ValueError("edge_data must have one entry per edge")
         order = _edge_sort_order(src, dst, num_nodes)
-        src, dst = src[order], dst[order]
+        dst = dst[order]
         if data is not None:
             data = data[order]
         if dedup and src.size:
+            src = src[order]
             keep = np.empty(src.size, dtype=bool)
             keep[0] = True
             np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
             src, dst = src[keep], dst[keep]
             if data is not None:
                 data = data[keep]
+        # Row lengths do not depend on edge order, so without dedup the
+        # unsorted src column is counted as it came (one gather saved).
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
         return cls(indptr=indptr, indices=dst, edge_data=data)
@@ -222,14 +257,15 @@ class CSRGraph:
     def transpose(self) -> "CSRGraph":
         """The reverse graph (in-memory transpose; CSR -> CSC view).
 
-        Implemented with a counting sort over destinations so it runs in
-        O(V + E) without per-edge Python work.
+        A stable group-by over destinations, no per-edge Python work:
+        O(V + E) up to 65 536 nodes (:func:`stable_group_order`'s radix
+        path), a timsort of the destination column beyond.
         """
         n = self.num_nodes
         in_deg = np.bincount(self.indices, minlength=n)
         new_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(in_deg, out=new_indptr[1:])
-        order = np.argsort(self.indices, kind="stable")
+        order = stable_group_order(self.indices, n)
         new_indices = self.edge_sources()[order]
         new_data = None if self.edge_data is None else self.edge_data[order]
         return CSRGraph(indptr=new_indptr, indices=new_indices, edge_data=new_data)
