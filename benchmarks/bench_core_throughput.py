@@ -52,13 +52,12 @@ def test_partition_throughput_executor(benchmark, graph, executor):
     assert result.num_global_edges == graph.num_edges
 
 
-@pytest.mark.parametrize("fabric", ["columnar", "scalar"])
-def test_partition_throughput_fabric(benchmark, wdc_graph, fabric):
-    """Columnar batch fabric vs the scalar compatibility path (the
-    before/after pair recorded in BENCH_colfab.json).  Warmed for the
+def test_partition_throughput_fabric(benchmark, wdc_graph):
+    """CVC at wdc scale (the "columnar" row of BENCH_colfab.json; its
+    "scalar" row was the deleted compatibility fabric).  Warmed for the
     same reason as the executor trio: first-run allocator and page-cache
     effects are not what the JSON records."""
-    cusp = CuSP(8, "CVC", fabric=fabric)
+    cusp = CuSP(8, "CVC")
     result = benchmark.pedantic(
         lambda: cusp.partition(wdc_graph),
         rounds=3, iterations=1, warmup_rounds=1,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark smoke test: tiny graph, throughput floor + result digest.
 
-Partitions a small deterministic graph on both fabrics and asserts
+Partitions a small deterministic graph and asserts
 
 * for every policy in :data:`POLICIES` — one pure master rule (CVC)
   and the history-sensitive ones (FVC Fennel, FEC/SVC FennelEB, LEC
@@ -9,7 +9,7 @@ Partitions a small deterministic graph on both fabrics and asserts
   (``scripts/bench_smoke_reference.json``) — partitions are a pure
   function of (graph, policy, seed), so any drift is a real behaviour
   change, not noise;
-* the columnar fabric clears a *very* conservative wall-clock
+* the serial run clears a *very* conservative wall-clock
   throughput floor on :data:`FLOOR_POLICY`, catching order-of-magnitude
   perf regressions without the variance problems of asserting real
   benchmark numbers in CI.
@@ -78,19 +78,15 @@ def run() -> dict[str, dict]:
     results = {}
     for policy in POLICIES:
         t0 = time.perf_counter()
-        dg = _partition(graph, policy, fabric="columnar")
+        dg = _partition(graph, policy)
         elapsed = time.perf_counter() - t0
-        scalar_dg = _partition(graph, policy, fabric="scalar")
         # The process executor must complete and reproduce the digest
         # (its wall-clock is not floored: fork/pickle overhead dominates
         # at this graph size and only the serial throughput guards
         # regressions).
-        process_dg = _partition(
-            graph, policy, fabric="columnar", executor="process"
-        )
+        process_dg = _partition(graph, policy, executor="process")
         results[policy] = {
             "digest": partition_digest(dg),
-            "scalar_digest": partition_digest(scalar_dg),
             "process_digest": partition_digest(process_dg),
             "edges": graph.num_edges,
             "elapsed_s": elapsed,
@@ -109,12 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     results = run()
 
     for policy, result in results.items():
-        if result["digest"] != result["scalar_digest"]:
-            print(
-                f"FAIL: {policy}: columnar and scalar fabrics disagree",
-                file=sys.stderr,
-            )
-            return 1
         if result["digest"] != result["process_digest"]:
             print(
                 f"FAIL: {policy}: process executor diverges from serial",

@@ -375,7 +375,7 @@ class UnorderedDictSendRule(LintRule):
     the dict was filled from received messages, merged ledgers, or any
     per-host work split.  A loop that iterates such a dict and sends
     per entry ships that order into the communication schedule, where
-    replay, CommSan byte mirroring, and scalar-fabric bit-identity all
+    replay, CommSan byte mirroring, and the pinned accounting all
     depend on it.  Iterate ``sorted(d)``/``sorted(d.items())`` instead.
 
     This is the set-order rule's sibling gap, promoted after the
@@ -862,8 +862,8 @@ class ScalarSendInHotLoopRule(LintRule):
     scalar message path: every call pays Python-level pack/charge
     overhead that :meth:`~repro.runtime.executor.HostView.send_batch` or
     a :class:`~repro.runtime.colfab.BatchAccumulator` amortizes over a
-    whole column batch.  Intentional scalar paths — the compatibility
-    fabric, accounting-only ablations — must say so in a suppression
+    whole column batch.  Intentional per-payload sends — accounting-only
+    ablations, control traffic — must say so in a suppression
     justification.
     """
 
@@ -872,7 +872,7 @@ class ScalarSendInHotLoopRule(LintRule):
     description = (
         "per-element send inside a loop in a phase module; batch through "
         "the columnar fabric (send_batch / BatchAccumulator) or justify "
-        "the scalar path"
+        "the per-payload send"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:

@@ -150,15 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--fabric", choices=["columnar", "scalar"], default=None,
-        help=(
-            "message fabric for the phase pipeline: 'columnar' "
-            "(default; typed MessageBatch columns, vectorized "
-            "pack/unpack) or 'scalar' (per-payload compatibility "
-            "path; bit-identical partitions and accounting)"
-        ),
-    )
-    p.add_argument(
         "--commsan", action="store_true",
         help=(
             "run under the phase-communication sanitizer: every phase "
@@ -363,10 +354,6 @@ def _run_partitioner(graph, args):
             "--inject-faults/--checkpoint-dir/--resume/--supervise only "
             f"apply to CuSP policies, not to {args.policy!r}"
         )
-    if fault_extras and args.fabric:
-        raise SystemExit(
-            f"--fabric only applies to CuSP policies, not to {args.policy!r}"
-        )
     if spec.startswith("window"):
         from .core import WindowedPartitioner
 
@@ -406,7 +393,6 @@ def _run_partitioner(graph, args):
             max_retries=args.max_retries,
             executor=args.executor,
             sanitizer=args.commsan,
-            fabric=args.fabric,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))

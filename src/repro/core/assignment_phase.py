@@ -15,12 +15,9 @@ equivalent because rules are required to be deterministic (§III-A) — we
 memoize rather than recompute, and charge the re-evaluation work to the
 construction phase as the paper's system would incur it.
 
-Two message fabrics are supported (``fabric=``): the default
-``"columnar"`` path ships typed :class:`~repro.runtime.colfab.MessageBatch`
-blocks and vectorizes the mirror-set computation through the per-host
-:class:`HostGroups` cache; the ``"scalar"`` path is the original
-tuple-per-message formulation, kept bit-identical as a compatibility
-baseline.  Both charge the same bytes/messages/compute.
+Messages are typed :class:`~repro.runtime.colfab.MessageBatch` blocks,
+and the mirror sets come out of the per-host :class:`HostGroups` cache
+that allocation and construction reuse.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph, stable_group_order
 from ..runtime import pool as _pool
-from ..runtime.colfab import ColumnSchema, MessageBatch, resolve_fabric
+from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
 from ..runtime.stats import PhaseStats
 from .policies import Policy
@@ -333,24 +330,16 @@ def mirror_info_schema(masters_dtype: np.dtype) -> ColumnSchema:
 # ``run_edge_assignment`` — apply callbacks never ship.
 
 
-def _assign_edges_common(
-    view: HostView,
-    rule,
-    prop: GraphProp,
-    masters: np.ndarray,
-    estate,
-    comm,
-    num_hosts: int,
-    h: int,
-    start: int,
-    stop: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Owner evaluation + bookkeeping shared by both fabrics.
+def _assign_edges_body(view: HostView, payload: tuple):
+    """Edge-assignment pass for one host.
 
-    Pure with respect to shared state: the owner/count arrays are
-    returned and the task's ``apply`` callback installs them into the
-    :class:`EdgeAssignment` at the barrier (task-payload seam).
+    Pure with respect to shared state: the owner/count arrays and the
+    grouping are returned and the task's ``apply`` callback installs
+    them into the :class:`EdgeAssignment` at the barrier (task-payload
+    seam).
     """
+    (rule, prop, masters, schema, estate, comm, num_hosts,
+     h, start, stop) = payload
     src, dst, _weights = host_edge_slice(prop.graph, start, stop)
     estate_view = estate.host_view(h) if estate is not None else None
     owner = rule.owner_batch(
@@ -368,16 +357,6 @@ def _assign_edges_common(
         # never executes inside a mapped task.
         # repro-lint: disable-next-line=comm-in-task,deep-comm-in-task -- chain()-only path, sequential by construction
         estate.sync_round(comm, blocking=False)
-    return src, dst, owner, counts
-
-
-def _assign_edges_body(view: HostView, payload: tuple):
-    """Columnar edge-assignment pass for one host."""
-    (rule, prop, masters, schema, estate, comm, num_hosts,
-     h, start, stop) = payload
-    src, dst, owner, counts = _assign_edges_common(
-        view, rule, prop, masters, estate, comm, num_hosts, h, start, stop
-    )
     groups = HostGroups(owner, src, dst, num_hosts)
     nodes_read = stop - start
     mark = np.empty(prop.getNumNodes(), dtype=bool)
@@ -392,9 +371,9 @@ def _assign_edges_body(view: HostView, payload: tuple):
             continue
         # Mirror info: destination proxies on j whose master is
         # elsewhere, plus source proxies on j whose master is
-        # elsewhere.  A presence mask + flatnonzero yields the scalar
-        # path's sorted-unique endpoints (minus the j-mastered ones)
-        # without any per-peer sort.
+        # elsewhere.  A presence mask + flatnonzero yields the
+        # sorted-unique endpoints (minus the j-mastered ones) without
+        # any per-peer sort.
         mark[:] = False
         mark[groups.unique_src(j)] = True
         mark[groups.group_dst(j)] = True
@@ -416,58 +395,11 @@ def _assign_edges_body(view: HostView, payload: tuple):
     return owner, counts, groups
 
 
-def _assign_edges_body_scalar(view: HostView, payload: tuple):
-    """Scalar-fabric edge-assignment pass (compatibility path)."""
-    (rule, prop, masters, schema, estate, comm, num_hosts,
-     h, start, stop) = payload
-    src, dst, owner, counts = _assign_edges_common(
-        view, rule, prop, masters, estate, comm, num_hosts, h, start, stop
-    )
-    nodes_read = stop - start
-    for j in range(num_hosts):
-        if j == h:
-            continue
-        if counts[j] == 0:
-            # Paper §IV-D2: "nothing to send" notification.
-            # repro-lint: disable-next-line=scalar-send-in-hot-loop -- scalar fabric compatibility path
-            view.send(j, None, tag="edge-counts",
-                      nbytes=_EMPTY_MESSAGE_BYTES)
-            continue
-        mask = owner == j
-        # Mirror info: destination proxies on j whose master is
-        # elsewhere, plus source proxies on j whose master is
-        # elsewhere.
-        endpoints = np.unique(np.concatenate([src[mask], dst[mask]]))
-        mirror_ids = endpoints[masters[endpoints] != j]
-        payload_bytes = (
-            nodes_read * 8 + mirror_ids.size * _MIRROR_ENTRY_BYTES
-        )
-        # repro-lint: disable-next-line=scalar-send-in-hot-loop -- scalar fabric compatibility path
-        view.send(
-            j,
-            (counts[j], mirror_ids, masters[mirror_ids]),
-            tag="edge-counts",
-            nbytes=payload_bytes,
-        )
-    # The scalar path never groups by owner here; construction's scalar
-    # tasks argsort locally, so the cache stays lazy.
-    return owner, counts, None
-
-
 def _tally_counts_body(view: HostView, schema: ColumnSchema) -> int:
-    """Columnar tally of one host's incoming edge totals."""
+    """Tally one host's incoming edge totals."""
     incoming = view.recv_all_batch(tag="edge-counts", schema=schema)
     view.add_compute(float(incoming.num_blocks))
     return int(incoming.scalars["count"].sum())
-
-
-def _tally_counts_body_scalar(view: HostView) -> int:
-    """Scalar-fabric tally (compatibility path)."""
-    incoming = view.recv_all(tag="edge-counts")
-    view.add_compute(float(len(incoming)))
-    return int(sum(
-        payload[0] for _, payload in incoming if payload is not None
-    ))
 
 
 def run_edge_assignment(
@@ -476,10 +408,8 @@ def run_edge_assignment(
     policy: Policy,
     ranges: list[tuple[int, int]],
     masters: np.ndarray,
-    fabric: str | None = None,
 ) -> EdgeAssignment:
     """Run edge assignment for all hosts with exact comm accounting."""
-    fabric = resolve_fabric(fabric)
     rule = policy.edge_rule
     num_hosts = len(ranges)
     k = prop.getNumPartitions()
@@ -497,24 +427,19 @@ def run_edge_assignment(
         """Parent-side barrier callback installing one host's results.
 
         The edge arrays are a pure function of (graph, range) and stay
-        lazy on the assignment; the grouping (when the columnar body
-        built one) rides along by reference on the serial/thread paths
-        and as an order-only skeleton on the process path, rehydrated
-        by whoever touches it next.
+        lazy on the assignment; the grouping rides along by reference
+        on the serial/thread paths and as an order-only skeleton on the
+        process path, rehydrated by whoever touches it next.
         """
         def install(outcome):
             owner, counts, groups = outcome
             result.owners[h] = owner
             result.edges_to[h, :] = counts
-            if groups is not None:
-                result._groups[h] = groups
+            result._groups[h] = groups
             return owner
 
         return install
 
-    assign_body = (
-        _assign_edges_body if fabric == "columnar" else _assign_edges_body_scalar
-    )
     # The communicator only rides in the payload for stateful rules,
     # whose tasks go through chain() and are never pickled; stateless
     # payloads stay shippable.
@@ -522,7 +447,7 @@ def run_edge_assignment(
 
     def assign_task(h: int, start: int, stop: int) -> HostTask:
         return HostTask(
-            h, assign_body, label="assign-edges",
+            h, _assign_edges_body, label="assign-edges",
             # repro-lint: disable-next-line=deep-unshippable-payload -- comm_arg is None unless the rule is stateful, and stateful tasks go through chain(), which never pickles
             payload=(
                 rule, prop, masters, schema, estate, comm_arg,
@@ -549,14 +474,9 @@ def run_edge_assignment(
         return install
 
     def tally_task(j: int) -> HostTask:
-        if fabric == "columnar":
-            return HostTask(
-                j, _tally_counts_body, label="tally-counts",
-                payload=schema, apply=install_tally(j),
-            )
         return HostTask(
-            j, _tally_counts_body_scalar, label="tally-counts",
-            apply=install_tally(j),
+            j, _tally_counts_body, label="tally-counts",
+            payload=schema, apply=install_tally(j),
         )
 
     phase.executor.run(phase, [tally_task(j) for j in range(num_hosts)])

@@ -11,22 +11,20 @@ serialized per source node, buffered up to the message-buffer threshold
 If a CSC partition is requested, each host finishes with a local
 in-memory transpose, which needs no communication (Algorithm 4 line 13).
 
-Under the default ``"columnar"`` fabric both phases share the
+Both phases share the
 :class:`~repro.core.assignment_phase.HostGroups` owner grouping cached on
 the :class:`~repro.core.assignment_phase.EdgeAssignment` (one stable sort
 per host serves endpoint grouping, edge shipping and the per-peer unique
 source counts), and edges travel as typed
-:class:`~repro.runtime.colfab.MessageBatch` columns.  The ``"scalar"``
-fabric keeps the original per-payload formulation with identical charges.
+:class:`~repro.runtime.colfab.MessageBatch` columns.
 
 Task bodies live at module level so the pooled process executor can ship
 them by reference; the phase inputs they share (``assignment``,
 ``masters``, ``proxies``) are published as shared-memory residents so
 workers map them zero-copy.  The allocation pass's endpoint sets are
 pure index *descriptors* into the assignment's group cache (see
-``_group_endpoints_body``), so on the columnar path no endpoint arrays
-are published or shipped at all; only the scalar compatibility path
-still publishes materialized endpoint arrays.
+``_group_endpoints_body``), so no endpoint arrays are published or
+shipped at all.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..runtime.colfab import ColumnSchema, MessageBatch, resolve_fabric
+from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
 from ..runtime.stats import PhaseStats
 from .assignment_phase import EdgeAssignment, _mask_unique
@@ -51,7 +49,7 @@ __all__ = ["run_allocation", "run_construction"]
 def _group_endpoints_body(
     view: HostView, payload: tuple
 ) -> list[tuple[int, int, int, int, int, int]]:
-    """Columnar endpoint grouping for one reading host.
+    """Endpoint grouping for one reading host.
 
     Returns *descriptors* — ``(j, h, usrc_lo, usrc_hi, cut_lo, cut_hi)``
     index ranges into host ``h``'s group cache — rather than the
@@ -75,26 +73,8 @@ def _group_endpoints_body(
     return pieces
 
 
-def _group_endpoints_body_scalar(
-    view: HostView, payload: tuple
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Scalar-fabric endpoint grouping (compatibility path)."""
-    assignment, num_hosts, h = payload
-    src, dst, _w = assignment.host_edges(h)
-    owner = assignment.owners[h]
-    order = np.argsort(owner, kind="stable")
-    sorted_owner = owner[order]
-    cuts = np.searchsorted(sorted_owner, np.arange(num_hosts + 1))
-    pieces: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for j in range(num_hosts):
-        sl = order[cuts[j] : cuts[j + 1]]
-        if sl.size:
-            pieces.append((j, np.unique(src[sl]), np.unique(dst[sl])))
-    return pieces
-
-
 def _build_proxies_body(view: HostView, payload: tuple) -> np.ndarray:
-    """Columnar proxy-table union for one owning host.
+    """Proxy-table union for one owning host.
 
     ``endpoint_refs`` holds the pass-1 descriptors for this owner; each
     resolves to a zero-copy slice of the reading host's group cache on
@@ -113,18 +93,8 @@ def _build_proxies_body(view: HostView, payload: tuple) -> np.ndarray:
     return gids
 
 
-def _build_proxies_body_scalar(view: HostView, payload: tuple) -> np.ndarray:
-    """Scalar-fabric proxy-table union (compatibility path)."""
-    assignment, masters, endpoint_refs, n, j = payload
-    mastered = np.flatnonzero(masters == j).astype(np.int64)
-    pieces = list(endpoint_refs) + [mastered]
-    gids = np.unique(np.concatenate(pieces))
-    view.add_compute(float(gids.size) + float(assignment.to_receive[j]))
-    return gids
-
-
 def _ship_edges_body(view: HostView, payload: tuple) -> None:
-    """Columnar edge shipping for one reading host."""
+    """Edge shipping for one reading host."""
     assignment, schema, per_edge, num_hosts, h = payload
     src, dst, w = assignment.host_edges(h)
     groups = assignment.host_groups(h)
@@ -155,50 +125,12 @@ def _ship_edges_body(view: HostView, payload: tuple) -> None:
     view.add_compute(float(src.size) + float(remote))
 
 
-def _ship_edges_body_scalar(view: HostView, payload: tuple) -> None:
-    """Scalar-fabric edge shipping (compatibility path)."""
-    assignment, per_edge, weighted, num_hosts, h = payload
-    src, dst, w = assignment.host_edges(h)
-    owner = assignment.owners[h]
-    order = np.argsort(owner, kind="stable")
-    sorted_owner = owner[order]
-    cuts = np.searchsorted(sorted_owner, np.arange(num_hosts + 1))
-    for j in range(num_hosts):
-        sl = order[cuts[j] : cuts[j + 1]]
-        if sl.size == 0:
-            continue
-        s, d = src[sl], dst[sl]
-        payload_j = (s, d, w[sl] if weighted else None)
-        # Serialized per source node: node id + its edge list (paper
-        # §IV-C3); the comm layer turns the byte volume into network
-        # messages according to the buffer threshold.
-        unique_srcs = int(np.unique(s).size)
-        nbytes = unique_srcs * 8 + s.size * per_edge
-        # repro-lint: disable-next-line=scalar-send-in-hot-loop -- scalar fabric compatibility path
-        view.send(
-            j, payload_j, tag="edges",
-            logical_messages=unique_srcs, nbytes=nbytes,
-        )
-    # Re-evaluating getEdgeOwner costs one unit per edge; remote edges
-    # additionally pay serialization.  Local edges are constructed in
-    # place (Algorithm 4 line 5) and are charged at the receiver only.
-    remote = int(src.size - (owner == h).sum())
-    view.add_compute(float(src.size) + float(remote))
-
-
-def _assemble_partition(
-    view: HostView,
-    j: int,
-    all_src: np.ndarray,
-    all_dst: np.ndarray,
-    all_w: np.ndarray | None,
-    proxies: list[np.ndarray],
-    masters: np.ndarray,
-    assignment: EdgeAssignment,
-    n: int,
-    output: str,
-) -> LocalPartition:
-    """Receiver-side assembly shared by both fabrics."""
+def _build_partition_body(view: HostView, payload: tuple) -> LocalPartition:
+    """Partition assembly for one owning host."""
+    proxies, masters, assignment, schema, weighted, n, output, j = payload
+    rb = view.recv_all_batch(tag="edges", schema=schema)
+    all_src, all_dst = rb.columns["src"], rb.columns["dst"]
+    all_w = rb.columns["w"] if weighted else None
     gids = proxies[j]
     lookup = np.full(n, -1, dtype=np.int64)
     mastered_mask = masters[gids] == j
@@ -231,40 +163,6 @@ def _assemble_partition(
     )
 
 
-def _build_partition_body(view: HostView, payload: tuple) -> LocalPartition:
-    """Columnar partition assembly for one owning host."""
-    proxies, masters, assignment, schema, weighted, n, output, j = payload
-    rb = view.recv_all_batch(tag="edges", schema=schema)
-    all_w = rb.columns["w"] if weighted else None
-    return _assemble_partition(
-        view, j, rb.columns["src"], rb.columns["dst"], all_w,
-        proxies, masters, assignment, n, output,
-    )
-
-
-def _build_partition_body_scalar(
-    view: HostView, payload: tuple
-) -> LocalPartition:
-    """Scalar-fabric partition assembly (compatibility path)."""
-    proxies, masters, assignment, schema, weighted, n, output, j = payload
-    received = view.recv_all(tag="edges")
-    srcs = [p[0] for _, p in received]
-    dsts = [p[1] for _, p in received]
-    ws = [p[2] for _, p in received] if weighted else None
-    if srcs:
-        all_src = np.concatenate(srcs)
-        all_dst = np.concatenate(dsts)
-        all_w = np.concatenate(ws) if weighted else None
-    else:
-        all_src = np.empty(0, dtype=np.int64)
-        all_dst = np.empty(0, dtype=np.int64)
-        all_w = np.empty(0, dtype=np.int64) if weighted else None
-    return _assemble_partition(
-        view, j, all_src, all_dst, all_w,
-        proxies, masters, assignment, n, output,
-    )
-
-
 # -- Phase drivers -------------------------------------------------------
 
 
@@ -273,7 +171,6 @@ def run_allocation(
     prop: GraphProp,
     assignment: EdgeAssignment,
     masters: np.ndarray,
-    fabric: str | None = None,
 ) -> list[np.ndarray]:
     """Build every host's proxy table and charge allocation work.
 
@@ -281,57 +178,36 @@ def run_allocation(
     every vertex mastered on the host plus every endpoint of an edge the
     host owns.
     """
-    fabric = resolve_fabric(fabric)
     num_hosts = len(assignment.owners)
     n = prop.getNumNodes()
-    group_body = (
-        _group_endpoints_body
-        if fabric == "columnar"
-        else _group_endpoints_body_scalar
-    )
 
     # Pass 1: each reading host groups its edge endpoints by owner.
     grouped = phase.executor.run(
         phase,
         [
             HostTask(
-                h, group_body, label="group-endpoints",
+                h, _group_endpoints_body, label="group-endpoints",
                 payload=(assignment, num_hosts, h),
             )
             for h in range(num_hosts)
         ],
     )
+    # Pass 1 returned index descriptors into each reading host's group
+    # cache — a few ints per (reader, owner) pair.  They ride in pass
+    # 2's task payloads directly; the endpoint arrays are resolved
+    # inside the consumer against the shared assignment, so nothing
+    # endpoint-sized needs publishing or shipping.
     endpoint_sets: list[list] = [[] for _ in range(num_hosts)]
-    if fabric == "columnar":
-        # Pass 1 returned index descriptors into each reading host's
-        # group cache — a few ints per (reader, owner) pair.  They ride
-        # in pass 2's task payloads directly; the endpoint arrays are
-        # resolved inside the consumer against the shared assignment,
-        # so nothing endpoint-sized needs publishing or shipping.
-        for pieces in grouped:
-            for piece in pieces:
-                endpoint_sets[piece[0]].append(piece[1:])
-    else:
-        for pieces in grouped:
-            for j, srcs, dsts in pieces:
-                endpoint_sets[j].append(srcs)
-                endpoint_sets[j].append(dsts)
-        # Phase-local but immutable from here on: publish once so pass
-        # 2's pooled workers map the endpoint arrays zero-copy instead
-        # of re-pickling them into every task payload.
-        endpoint_sets = phase.executor.publish("endpoint-sets", endpoint_sets)
+    for pieces in grouped:
+        for piece in pieces:
+            endpoint_sets[piece[0]].append(piece[1:])
 
     # Pass 2: each owner unions what lands on it with what it masters.
-    proxy_body = (
-        _build_proxies_body
-        if fabric == "columnar"
-        else _build_proxies_body_scalar
-    )
     return phase.executor.run(
         phase,
         [
             HostTask(
-                j, proxy_body, label="build-proxies",
+                j, _build_proxies_body, label="build-proxies",
                 payload=(assignment, masters, endpoint_sets[j], n, j),
             )
             for j in range(num_hosts)
@@ -359,12 +235,10 @@ def run_construction(
     masters: np.ndarray,
     proxies: list[np.ndarray],
     output: str = "csr",
-    fabric: str | None = None,
 ) -> list[LocalPartition]:
     """Exchange edges and build every host's local partition."""
     if output not in ("csr", "csc"):
         raise ValueError("output must be 'csr' or 'csc'")
-    fabric = resolve_fabric(fabric)
     num_hosts = len(assignment.owners)
     n = prop.getNumNodes()
     weighted = prop.graph.is_weighted
@@ -372,35 +246,23 @@ def run_construction(
     per_edge = 16 if weighted else 8
 
     # Senders: group each host's edges by owner and ship them.
-    if fabric == "columnar":
-        send_tasks = [
+    phase.executor.run(
+        phase,
+        [
             HostTask(
                 h, _ship_edges_body, label="ship-edges",
                 payload=(assignment, schema, per_edge, num_hosts, h),
             )
             for h in range(num_hosts)
-        ]
-    else:
-        send_tasks = [
-            HostTask(
-                h, _ship_edges_body_scalar, label="ship-edges",
-                payload=(assignment, per_edge, weighted, num_hosts, h),
-            )
-            for h in range(num_hosts)
-        ]
-    phase.executor.run(phase, send_tasks)
+        ],
+    )
 
     # Receivers: deserialize, map to local ids, build the CSR partition.
-    build_body = (
-        _build_partition_body
-        if fabric == "columnar"
-        else _build_partition_body_scalar
-    )
     return phase.executor.run(
         phase,
         [
             HostTask(
-                j, build_body, label="build-partition",
+                j, _build_partition_body, label="build-partition",
                 payload=(
                     proxies, masters, assignment, schema,
                     weighted, n, output, j,

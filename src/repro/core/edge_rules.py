@@ -103,7 +103,11 @@ class EdgeRule:
 
     #: Structural invariant the rule guarantees, used by the analytics
     #: engine to pick communication optimizations (paper §V-C):
-    #: "edge-cut", "2d-cut", or "vertex-cut" (no invariant).
+    #: "edge-cut", "2d-cut", or "vertex-cut" (no invariant).  "2d-cut"
+    #: promises exactly this: every edge lives in the grid row of its
+    #: source's master (``grid_shape``).  It does *not* promise that a
+    #: proxy stays in its master's row or column; only Cartesian adds
+    #: that.
     invariant: str = "vertex-cut"
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -223,9 +227,11 @@ class CartesianRule(EdgeRule):
 
     The adjacency matrix is blocked by the master assignment in both
     dimensions; block (m_s, m_d) goes to the partition at grid position
-    (blocked row m_s, cyclic column m_d).  Every partition then only
-    shares vertices with partitions in its grid row or column, the
-    invariant D-Galois exploits (paper §V-C).
+    (blocked row m_s, cyclic column m_d).  Beyond the "2d-cut" row
+    promise, the cyclic column puts every destination proxy in its
+    master's grid column, so every proxy sits in the grid row or column
+    of its master and a partition only shares vertices with partitions
+    there, the invariant D-Galois exploits (paper §V-C).
     """
 
     name = "Cartesian"
@@ -267,6 +273,10 @@ class CheckerboardRule(EdgeRule):
     dimensions, but *both* dimensions are distributed blocked (CVC uses a
     cyclic column distribution): grid cell (row band of the source
     master, column band of the destination master) owns the edge.
+    Every edge lives in the grid row of its source's master; the
+    blocked column band is not the destination master's grid column,
+    so destination proxies may sit outside their master's row and
+    column.
     """
 
     name = "Checkerboard"
@@ -310,6 +320,9 @@ class JaggedRule(EdgeRule):
     and *staggers* the cyclic column distribution per row band — the
     column boundaries differ across bands (the "jagged" property) while
     each edge's owner still follows from pure arithmetic on the masters.
+    Every edge lives in the grid row of its source's master; the
+    staggered column is not the destination master's grid column, so
+    destination proxies may sit outside their master's row and column.
     """
 
     name = "Jagged"

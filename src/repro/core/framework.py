@@ -35,7 +35,6 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..graph.formats import read_gr
 from ..runtime.cluster import SimulatedCluster
-from ..runtime.colfab import resolve_fabric
 from ..runtime.cost_model import STAMPEDE2, CostModel
 from ..runtime.executor import HostTask
 from ..runtime.faults import (
@@ -149,11 +148,10 @@ class CuSP:
         :class:`~repro.analysis.contracts.ContractViolationError` at the
         offending phase's barrier.
     fabric:
-        Message fabric for the phase pipeline: ``"columnar"`` (default)
-        moves typed :class:`~repro.runtime.colfab.MessageBatch` blocks
-        with vectorized pack/unpack; ``"scalar"`` is the original
-        object-per-message path, kept as a bit-identical compatibility
-        baseline (see ``docs/PERFORMANCE.md``).
+        Accepted and ignored: ``None`` or ``"columnar"``, the one message
+        fabric (typed :class:`~repro.runtime.colfab.MessageBatch`
+        blocks).  Kept so callers that name it keep running; any other
+        value raises :class:`ValueError`.
     """
 
     def __init__(
@@ -216,11 +214,11 @@ class CuSP:
         self.supervise = supervise
         self.max_retries = max_retries
         self.executor = executor
-        #: Message fabric: ``"columnar"`` (default) ships typed
-        #: MessageBatch blocks through the phases; ``"scalar"`` keeps the
-        #: original per-payload path.  Partitions and every comm/time
-        #: counter are bit-identical between the two.
-        self.fabric = resolve_fabric(fabric)
+        if fabric not in (None, "columnar"):
+            raise ValueError(
+                f"unknown fabric {fabric!r}: the scalar fabric was removed, "
+                "'columnar' is the only message fabric"
+            )
         if sanitizer is True:
             from ..analysis.contracts import CommSan
 
@@ -488,7 +486,6 @@ class CuSP:
                 ph, prop, self.policy, ranges,
                 sync_rounds=self.sync_rounds,
                 elide_master_communication=self.elide_master_communication,
-                fabric=self.fabric,
             )
 
         ma = None
@@ -508,9 +505,7 @@ class CuSP:
 
         # Phase 3: edge assignment.
         def phase_edges(ph):
-            return run_edge_assignment(
-                ph, prop, self.policy, ranges, masters, fabric=self.fabric
-            )
+            return run_edge_assignment(ph, prop, self.policy, ranges, masters)
 
         if "assignment" in done:
             owner_blob = checkpoint.load("assignment")
@@ -540,9 +535,7 @@ class CuSP:
         def phase_alloc(ph):
             if ma is not None:
                 ma.state.reset()
-            return run_allocation(
-                ph, prop, assignment, masters, fabric=self.fabric
-            )
+            return run_allocation(ph, prop, assignment, masters)
 
         if "allocation" in done:
             proxy_blob = checkpoint.load("allocation")
@@ -560,7 +553,7 @@ class CuSP:
         def phase_construct(ph):
             return run_construction(
                 ph, prop, self.policy, assignment, masters, proxies,
-                output=output, fabric=self.fabric,
+                output=output,
             )
 
         partitions = recoverable(PHASE_NAMES[4], phase_construct)

@@ -22,18 +22,17 @@ real cluster (hosts don't block for slow peers).  The simulation is
 bulk-synchronous and therefore deterministic — a reproducibility-friendly
 member of the family of schedules the real system may produce.
 
-Under the default ``"columnar"`` fabric the request and shipping paths
-move typed :class:`~repro.runtime.colfab.MessageBatch` blocks — shipping
-goes through a per-host :class:`~repro.runtime.colfab.BatchAccumulator`
-that flushes at the executor's phase barrier — with byte/message charges
-identical to the ``"scalar"`` compatibility path.
+The request and shipping paths move typed
+:class:`~repro.runtime.colfab.MessageBatch` blocks; shipping goes through
+a per-host :class:`~repro.runtime.colfab.BatchAccumulator` that flushes
+at the executor's phase barrier, one coalesced send per requester.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.colfab import ColumnSchema, MessageBatch, resolve_fabric
+from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
 from ..runtime.stats import PhaseStats
 from .assignment_phase import _mask_unique
@@ -67,11 +66,6 @@ class MasterAssignment:
         self.state = state
 
 
-def _owning_host(node_ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Which host reads (and therefore assigns) each node."""
-    return np.searchsorted(bounds, node_ids, side="right") - 1
-
-
 # -- Task bodies ---------------------------------------------------------
 #
 # Module-level so the pooled process executor can ship them by reference
@@ -102,8 +96,8 @@ def _pure_assign_body(view: HostView, payload: tuple) -> np.ndarray | None:
         )
     else:
         # Ablation: naive broadcast of every assignment.  The payload
-        # is accounting-only (None body), so there is nothing to
-        # columnarize; it stays on the scalar verb under both fabrics.
+        # is accounting-only (None body), so there is nothing to put in
+        # a batch; it stays on the plain ``send`` verb.
         view.add_compute(rule.compute_units(node_ids.size, 0, k))
         for peer in range(num_hosts):
             if peer != h and node_ids.size:
@@ -117,13 +111,12 @@ def _pure_assign_body(view: HostView, payload: tuple) -> np.ndarray | None:
 
 
 def _request_masters_body(view: HostView, payload: tuple) -> list[np.ndarray]:
-    """Columnar request pass: ask assigners for needed masters."""
+    """Request pass: ask each assigner for the masters this host needs."""
     prop, bounds, num_hosts, j, start, stop = payload
     lo, hi = prop.graph.indptr[start], prop.graph.indptr[stop]
     # ``nbrs`` is sorted, so the per-assigner split is a searchsorted
-    # against the host bounds instead of a boolean mask per assigner:
-    # nbrs[cuts[a]:cuts[a+1]] == nbrs[_owning_host(nbrs, bounds) == a]
-    # exactly.
+    # against the host bounds: nbrs[cuts[a]:cuts[a+1]] are exactly the
+    # neighbours that host ``a`` reads, and therefore assigns.
     nbrs = _mask_unique(prop.getNumNodes(), prop.graph.indices[lo:hi])
     cuts = np.searchsorted(nbrs, bounds)
     per_assigner = []
@@ -135,28 +128,6 @@ def _request_masters_body(view: HostView, payload: tuple) -> list[np.ndarray]:
                 assigner,
                 MessageBatch(_REQUEST_SCHEMA, (wanted,)),
                 tag="master-requests",
-                nbytes=wanted.size * _REQUEST_ENTRY_BYTES,
-                coalesce=True,
-            )
-    return per_assigner
-
-
-def _request_masters_body_scalar(
-    view: HostView, payload: tuple
-) -> list[np.ndarray]:
-    """Scalar-fabric request pass (compatibility path)."""
-    prop, bounds, num_hosts, j, start, stop = payload
-    lo, hi = prop.graph.indptr[start], prop.graph.indptr[stop]
-    nbrs = np.unique(prop.graph.indices[lo:hi])
-    owner = _owning_host(nbrs, bounds)
-    per_assigner = []
-    for assigner in range(num_hosts):
-        wanted = nbrs[owner == assigner]
-        per_assigner.append(wanted)
-        if assigner != j and wanted.size:
-            # repro-lint: disable-next-line=scalar-send-in-hot-loop -- scalar fabric compatibility path
-            view.send(
-                assigner, wanted, tag="master-requests",
                 nbytes=wanted.size * _REQUEST_ENTRY_BYTES,
                 coalesce=True,
             )
@@ -187,7 +158,7 @@ def _assign_chunk_body(view: HostView, payload: tuple):
 def _ship_assignments_body(
     view: HostView, payload: tuple
 ) -> list[tuple[int, np.ndarray]]:
-    """Columnar shipping pass: send fresh assignments to requesters."""
+    """Shipping pass: send this round's assignments to their requesters."""
     requests_h, masters, num_hosts, h, fresh = payload
     if fresh.size == 0:
         return []
@@ -201,37 +172,11 @@ def _ship_assignments_body(
         ship = wanted[(wanted >= lo) & (wanted <= hi)]
         if ship.size:
             # One staged block per requester; the accumulator flushes
-            # at the executor barrier, charging exactly the scalar
-            # path's per-peer coalesced send.
+            # at the executor barrier as one coalesced send per peer.
             acc.append(
                 j,
                 MessageBatch(_ASSIGNMENT_SCHEMA, (ship, masters[ship])),
                 tag="master-assignments",
-                nbytes=ship.size * _ASSIGNMENT_ENTRY_BYTES,
-                coalesce=True,
-            )
-            shipped.append((j, ship))
-    return shipped
-
-
-def _ship_assignments_body_scalar(
-    view: HostView, payload: tuple
-) -> list[tuple[int, np.ndarray]]:
-    """Scalar-fabric shipping pass (compatibility path)."""
-    requests_h, masters, num_hosts, h, fresh = payload
-    if fresh.size == 0:
-        return []
-    lo, hi = fresh[0], fresh[-1]
-    shipped = []
-    for j in range(num_hosts):
-        if j == h:
-            continue
-        wanted = requests_h[j]
-        ship = wanted[(wanted >= lo) & (wanted <= hi)]
-        if ship.size:
-            # repro-lint: disable-next-line=scalar-send-in-hot-loop -- scalar fabric compatibility path
-            view.send(
-                j, (ship, masters[ship]), tag="master-assignments",
                 nbytes=ship.size * _ASSIGNMENT_ENTRY_BYTES,
                 coalesce=True,
             )
@@ -246,7 +191,6 @@ def run_master_assignment(
     ranges: list[tuple[int, int]],
     sync_rounds: int = 10,
     elide_master_communication: bool = True,
-    fabric: str | None = None,
 ) -> MasterAssignment:
     """Assign every vertex's master, with exact communication accounting.
 
@@ -257,7 +201,6 @@ def run_master_assignment(
     """
     if sync_rounds < 1:
         raise ValueError("sync_rounds must be >= 1")
-    fabric = resolve_fabric(fabric)
     rule = policy.master_rule
     k = prop.getNumPartitions()
     n = prop.getNumNodes()
@@ -305,12 +248,6 @@ def run_master_assignment(
         # Request-driven exchange (§IV-D5): each host asks only for the
         # masters of its read-nodes' neighbors.  Task j computes column j
         # of the request table; the parent installs it at the barrier.
-        request_body = (
-            _request_masters_body
-            if fabric == "columnar"
-            else _request_masters_body_scalar
-        )
-
         def request_task(j: int, start: int, stop: int) -> HostTask:
             def install(per_assigner: list[np.ndarray]) -> list[np.ndarray]:
                 # The parent fills column j of the request table at the
@@ -320,7 +257,7 @@ def run_master_assignment(
                 return per_assigner
 
             return HostTask(
-                j, request_body, label="request-masters",
+                j, _request_masters_body, label="request-masters",
                 payload=(prop, bounds, num_hosts, j, start, stop),
                 apply=install,
             )
@@ -365,12 +302,6 @@ def run_master_assignment(
             apply=install,
         )
 
-    ship_body = (
-        _ship_assignments_body
-        if fabric == "columnar"
-        else _ship_assignments_body_scalar
-    )
-
     def ship_task(h: int, fresh: np.ndarray) -> HostTask:
         def install(
             shipped: list[tuple[int, np.ndarray]],
@@ -382,7 +313,7 @@ def run_master_assignment(
             return shipped
 
         return HostTask(
-            h, ship_body, label="ship-assignments",
+            h, _ship_assignments_body, label="ship-assignments",
             payload=(requests[h], masters, num_hosts, h, fresh),
             apply=install,
         )

@@ -116,6 +116,8 @@ class DistributedGraph:
     policy_name: str
     #: Structural invariant of the partitioning ("edge-cut", "2d-cut",
     #: "vertex-cut") — drives analytics communication optimizations.
+    #: "2d-cut" means every edge lives in the grid row of its source's
+    #: master, nothing more (see ``EdgeRule.invariant``).
     invariant: str = "vertex-cut"
     #: Simulated partitioning-time breakdown (None for external partitions).
     breakdown: TimeBreakdown | None = None

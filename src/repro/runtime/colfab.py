@@ -23,12 +23,13 @@ algorithm.  This module is the data plane of the batch message path:
   explicit points (or automatically at the executor's phase barrier).
   Every flushed block is exactly one transport send, so byte/message
   accounting, fault-injection draws, and CommSan's mirrored traffic
-  matrix all see the same operations the scalar path would have issued
-  when one block is staged per peer — which is how the phases use it.
+  matrix all see one operation per staged block — one per peer, which
+  is how the phases use it.
 
-The scalar ``send``/``recv_all`` path remains fully supported; the
-batch layer is sugar *plus vectorization*, never a different cost
-model.  See ``docs/PERFORMANCE.md`` for the design rationale.
+The per-payload ``send``/``recv_all`` verbs remain for analytics,
+control and accounting-only traffic; a batch is charged exactly what a
+``send`` of the same ``nbytes`` is, never by a different cost model.
+See ``docs/PERFORMANCE.md`` for the design rationale.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ __all__ = [
     "MessageBatch",
     "ReceivedBatch",
     "BatchAccumulator",
-    "FABRIC_NAMES",
     "WIRE_MAGIC",
     "WIRE_VERSION",
-    "resolve_fabric",
 ]
 
 #: Wire-format framing for :meth:`MessageBatch.to_bytes`.
@@ -77,23 +76,9 @@ _SCALAR_FLOAT = 1
 
 _HEADER = struct.Struct("<4sHHQHHI")  # magic, version, flags, rows, ncols, nscalars, crc
 
-#: Valid values for the ``fabric=`` knob threaded through CuSP and the CLI.
-FABRIC_NAMES = ("columnar", "scalar")
-
 #: Serialized size of one scalar field (one machine word, matching
 #: :func:`repro.runtime.comm.payload_nbytes` on a Python number).
 SCALAR_NBYTES = 8
-
-
-def resolve_fabric(spec: str | None) -> str:
-    """Validate a fabric name (``None`` means the default, columnar)."""
-    if spec is None:
-        return "columnar"
-    if spec not in FABRIC_NAMES:
-        raise ValueError(
-            f"unknown fabric {spec!r}; expected one of {FABRIC_NAMES}"
-        )
-    return spec
 
 
 class ColumnSchema:

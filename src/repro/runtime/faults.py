@@ -49,10 +49,8 @@ The columnar fabric (:mod:`repro.runtime.colfab`) changes none of this:
 a ``send_batch`` — including each per-(peer, tag) block a
 :class:`~repro.runtime.colfab.BatchAccumulator` flushes — is exactly one
 send on the channel, so it draws one fault decision and, on failure, is
-retried and charged as one block.  Because every batch send replaces
-exactly one scalar send with identical ``nbytes``, the per-host op
-sequences — and therefore every fault draw — are bit-identical across
-fabrics.
+retried and charged as one block, exactly as a per-payload ``send`` of
+the same ``nbytes`` would be.
 """
 
 from __future__ import annotations

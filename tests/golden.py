@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import CuSP
+from repro.core import CuSP, policy_names
 from repro.graph import CSRGraph, erdos_renyi
 from repro.runtime.faults import FaultPlan, HostCrash
 
@@ -24,8 +24,6 @@ from . import oracle
 
 GOLDEN = Path(__file__).parent / "data" / "accounting_golden.json"
 NUM_HOSTS = 4
-POLICIES = ["EEC", "HVC", "CVC", "FEC", "GVC", "SVC", "CEC", "FVC", "DBH",
-            "PGC", "HDRF", "BVC", "JVC", "LEC"]
 
 
 def _weighted_graph(num_nodes=160, num_edges=1600, seed=12):
@@ -46,7 +44,7 @@ CRASH_PLAN = FaultPlan(
 CORRUPT_PLAN = FaultPlan(seed=21, corrupt_rate=0.3)
 
 #: case name -> (graph, policy, output, fault plan)
-CASES = {f"serial/{p}": (GRAPH, p, "csr", None) for p in POLICIES}
+CASES = {f"serial/{p}": (GRAPH, p, "csr", None) for p in policy_names()}
 CASES["weighted-csc/HVC"] = (WEIGHTED, "HVC", "csc", None)
 CASES["crash-plan/CVC"] = (GRAPH, "CVC", "csr", CRASH_PLAN)
 CASES["corrupt-plan/CVC"] = (erdos_renyi(300, 2400, seed=11), "CVC", "csr",

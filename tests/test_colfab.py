@@ -4,12 +4,11 @@ Two layers of coverage.  Unit: schemas, batches, receiver views and the
 sender-side :class:`BatchAccumulator`, including the accounting contract
 — every flushed block is exactly one transport send, and merging staged
 appends is only legal where the stream formula makes the merged charge
-equal the sum of per-append charges.  End-to-end: the ``fabric=`` knob,
-where the columnar pipeline must produce bit-identical partitions *and*
-bit-identical simulated breakdowns to the scalar compatibility path on
-every policy, on every executor, under CommSan, and under injected
-faults — the columnar path is a vectorization, never a different cost
-model.
+equal the sum of per-append charges.  End-to-end: the pipeline must
+produce the paper oracle's partitions *and* the simulated breakdowns
+recorded from the scalar fabric before it was deleted, on every policy,
+on every executor, under CommSan, and under injected faults — batching
+is a vectorization, never a different cost model.
 
 Also here: the ``recv_all`` queue-semantics tests (tag isolation, FIFO
 across ledger merges, ``pending`` with mixed direct/ledger sends) that
@@ -24,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CuSP
-from repro.graph import erdos_renyi
+from repro.cli import main
+from repro.core import CuSP, policy_names
 from repro.runtime.colfab import (
     WIRE_MAGIC,
     BatchAccumulator,
@@ -33,15 +32,13 @@ from repro.runtime.colfab import (
     MessageBatch,
     ReceivedBatch,
     leaked_segments,
-    resolve_fabric,
 )
 from repro.runtime.colfab import concat_batches
 from repro.runtime.comm import Communicator
 from repro.runtime.executor import DirectHostView, LedgerHostView
-from repro.runtime.faults import FaultPlan, HostCrash
 from repro.runtime.stats import PhaseStats
 
-from .test_executors import assert_same_breakdown, assert_same_partition
+from .golden import check_case
 
 I64 = np.dtype(np.int64)
 I32 = np.dtype(np.int32)
@@ -586,90 +583,56 @@ class TestRecvAllSemantics:
 
 
 class TestResolveFabric:
+    """``fabric=`` names the one fabric or nothing; the scalar twin and
+    the CLI flag that selected it are gone."""
+
     def test_default_and_validation(self):
-        assert resolve_fabric(None) == "columnar"
-        assert resolve_fabric("scalar") == "scalar"
-        with pytest.raises(ValueError):
-            resolve_fabric("vectorized")
+        CuSP(4, "CVC", fabric=None)
+        CuSP(4, "CVC", fabric="columnar")
+        with pytest.raises(ValueError, match="scalar fabric was removed"):
+            CuSP(4, "CVC", fabric="scalar")
 
     def test_cusp_rejects_unknown_fabric(self):
         with pytest.raises(ValueError):
             CuSP(4, "CVC", fabric="vectorized")
 
-
-GRAPH = erdos_renyi(220, 2400, seed=11)
-
-
-def _weighted_graph(num_nodes=160, num_edges=1600, seed=12):
-    from repro.graph import CSRGraph
-
-    rng = np.random.default_rng(seed)
-    src = rng.integers(0, num_nodes, size=num_edges, dtype=np.int64)
-    dst = rng.integers(0, num_nodes, size=num_edges, dtype=np.int64)
-    w = rng.integers(1, 1000, size=num_edges, dtype=np.int64)
-    return CSRGraph.from_edges(src, dst, num_nodes=num_nodes, edge_data=w)
-
-
-WEIGHTED = _weighted_graph()
-
-
-def run(policy="CVC", graph=GRAPH, output="csr", **kw):
-    return CuSP(4, policy, **kw).partition(graph, output=output)
+    def test_cli_has_no_fabric_flag(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["partition", "g.gr", "-k", "4", "-p", "CVC",
+                  "--fabric", "scalar"])
+        assert exit_info.value.code == 2
 
 
 class TestFabricEquivalence:
-    """Columnar vs scalar: partitions AND breakdowns bit-identical."""
+    """The fabric against the two references that replaced the scalar
+    twin (``tests/golden.py``): partitions list for list what the paper
+    oracle builds, accounting row for row what the scalar fabric charged
+    before it was deleted -- on every policy, on every executor, under
+    CommSan, and under injected faults."""
 
-    @pytest.mark.parametrize(
-        "policy",
-        ["EEC", "HVC", "CVC", "FEC", "GVC", "SVC", "CEC", "FVC", "DBH",
-         "PGC", "HDRF", "BVC", "JVC", "LEC"],
-    )
+    @pytest.mark.parametrize("policy", policy_names())
     def test_every_policy_serial(self, policy):
-        col = run(policy, fabric="columnar")
-        sca = run(policy, fabric="scalar")
-        assert_same_partition(col, sca)
-        assert_same_breakdown(col.breakdown, sca.breakdown)
+        check_case(f"serial/{policy}")
 
     def test_weighted_graph_with_csc_output(self):
-        col = run("HVC", graph=WEIGHTED, output="csc", fabric="columnar")
-        sca = run("HVC", graph=WEIGHTED, output="csc", fabric="scalar")
-        assert_same_partition(col, sca)
-        assert_same_breakdown(col.breakdown, sca.breakdown)
-        for pc, ps in zip(col.partitions, sca.partitions):
-            assert np.array_equal(pc.local_graph.edge_data,
-                                  ps.local_graph.edge_data)
-            assert np.array_equal(pc.local_csc.indptr, ps.local_csc.indptr)
+        # The oracle's lists carry the weights and the CSC side too.
+        check_case("weighted-csc/HVC")
 
     @pytest.mark.parametrize(
         "executor",
         ["parallel", "parallel-checked", "process", "process-checked"],
     )
     def test_parallel_executors(self, executor):
-        col = run("CVC", fabric="columnar", executor=executor)
-        sca = run("CVC", fabric="scalar", executor="serial")
-        assert_same_partition(col, sca)
-        assert_same_breakdown(col.breakdown, sca.breakdown)
+        check_case("serial/CVC", executor=executor)
 
     def test_under_commsan(self):
-        col = run("FVC", fabric="columnar", sanitizer=True)
-        sca = run("FVC", fabric="scalar", sanitizer=True)
-        assert_same_partition(col, sca)
-        assert_same_breakdown(col.breakdown, sca.breakdown)
+        cusp, _ = check_case("serial/FVC", sanitizer=True)
+        assert cusp.sanitizer.violations == []
+        assert cusp.sanitizer.phases_checked >= 5
 
     @pytest.mark.parametrize("executor", ["serial", "parallel", "process"])
     def test_under_injected_faults(self, executor):
-        """Same fault plan, same draws: the columnar op sequence matches
-        the scalar one operation for operation."""
-        plan = FaultPlan(
-            seed=2, send_failure_rate=0.05, drop_rate=0.03,
-            duplicate_rate=0.03,
-            crashes=(HostCrash(host=1, phase=2, op_count=5),
-                     HostCrash(host=2, phase=4)),
-        )
-        col = run("CVC", fabric="columnar", fault_plan=plan,
-                  executor=executor)
-        sca = run("CVC", fabric="scalar", fault_plan=plan, executor="serial")
-        assert_same_partition(col, sca)
-        assert_same_breakdown(col.breakdown, sca.breakdown)
-        assert col.breakdown.failed_phases()  # the crashes actually fired
+        """Same fault plan, same draws: the op sequence matches the
+        scalar recording operation for operation."""
+        _, dg = check_case("crash-plan/CVC", executor=executor)
+        assert dg.breakdown.failed_phases()  # the crashes actually fired

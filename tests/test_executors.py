@@ -357,10 +357,9 @@ class TestSerialProcessEquivalence:
         assert_same_partition(dg_s, dg_p)
         assert_same_breakdown(dg_s.breakdown, dg_p.breakdown)
 
-    @pytest.mark.parametrize("fabric", ["columnar", "scalar"])
-    def test_both_fabrics(self, fabric):
+    def test_fec_serial_vs_process(self):
         graph = erdos_renyi(250, 1800, seed=3)
-        dg_s, dg_p = run_serial_and_process(graph, "FEC", fabric=fabric)
+        dg_s, dg_p = run_serial_and_process(graph, "FEC")
         assert_same_partition(dg_s, dg_p)
         assert_same_breakdown(dg_s.breakdown, dg_p.breakdown)
 

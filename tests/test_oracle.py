@@ -24,7 +24,7 @@ from repro.core.streaming_rules import HDRFRule
 from repro.graph import erdos_renyi
 
 from . import oracle
-from .golden import CASES, GRAPH, assert_matches_oracle, check_case
+from .golden import GRAPH, assert_matches_oracle
 from .strategies import graphs
 
 
@@ -62,13 +62,6 @@ class TestOracleEqualsProduct:
             partition_and_check(
                 graph, policy, k, output=output, sync_rounds=sync_rounds
             )
-
-    @pytest.mark.parametrize("case", list(CASES))
-    @pytest.mark.parametrize("fabric", ["scalar", "columnar"])
-    def test_accounting_matches_the_scalar_recording(self, case, fabric):
-        """Both fabrics reproduce ``accounting_golden.json`` (recorded
-        from ``fabric="scalar"``) and the oracle's partitions."""
-        check_case(case, fabric=fabric)
 
 
 class _HidesThreshold:

@@ -33,6 +33,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.supervisor import DeadlinePolicy
 
+from .golden import check_case
 from .test_faults import assert_same_partition, run, small_graph
 
 pytestmark = pytest.mark.faults
@@ -227,14 +228,11 @@ class TestCorruptPayload:
         _, clean = run(None)
         assert_same_partition(dg, clean)
 
-    def test_fabrics_agree_on_corruption(self):
-        plan = FaultPlan(seed=21, corrupt_rate=0.3)
-        col, col_dg = run(plan, fabric="columnar")
-        sca, sca_dg = run(plan, fabric="scalar")
-        assert (
-            col.last_fault_report.counts() == sca.last_fault_report.counts()
-        )
-        assert_same_partition(col_dg, sca_dg)
+    def test_corruption_matches_scalar_recording_and_oracle(self):
+        """Fault counts and accounting as the scalar fabric produced
+        them under the same plan; partition as the paper oracle's."""
+        cusp, _ = check_case("corrupt-plan/CVC", sanitizer=True)
+        assert cusp.sanitizer.violations == []
 
     def test_batch_checksum_detects_bit_flips(self):
         schema = ColumnSchema((("ids", np.int64),), scalars=("count",))
