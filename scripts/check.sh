@@ -2,8 +2,9 @@
 # Full correctness gate: strict SPMD-safety lint, strict phase-contract
 # diff, type check (when mypy is installed), tier-1 suite, the dedicated
 # fault/recovery suite, the chaos campaign (serial and pooled process
-# executor), the analyzer mutation campaign (detection rate +
-# committed-matrix digest), the bench smoke test (throughput floor +
+# executor, the latter also under SVC's stateful master rule), the
+# analyzer mutation campaign (detection rate + committed-matrix
+# digest), the bench smoke test (throughput floor +
 # partition digest), the perf-harness smoke run, and end-to-end CLI
 # exit-code checks (a corrupted partition directory must make `cusp
 # validate` exit non-zero).
@@ -42,6 +43,9 @@ python -m pytest -x -q -m faults
 echo "== chaos campaign: full fault family, bit-identity gate =="
 python -m repro chaos --plans 10 --seed 7 --quiet
 python -m repro chaos --plans 10 --seed 7 --executor process --quiet
+# A history-sensitive master rule: the pooled masters rounds (published
+# request table, refreshed masters maps) under every fault family.
+python -m repro chaos --plans 10 --seed 7 --executor process -p SVC --quiet
 
 echo "== analyzer mutation campaign: detection + matrix digest gate =="
 python -m repro mutate --budget 24 --seed 7 --strict --quiet \

@@ -23,6 +23,7 @@ gate pins one and must stay green forever.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any
@@ -212,6 +213,14 @@ def _run_scenario(
         "supervise": scenario.supervise,
         "executor": executor,
     }
+    if plan.corrupt_rate > 0:
+        # At these rates (0.2-0.4) a policy that sends hundreds of
+        # blocks meets four corrupted deliveries in a row, which
+        # exhausts the default budget.  The scenario is about surviving
+        # corruption: a send may retry until a run that long has a
+        # chance below 1e-16.  The budget consumes no draws, so verdicts
+        # the default already survived are unchanged.
+        kwargs["max_retries"] = math.ceil(-16 / math.log10(plan.corrupt_rate))
 
     def finish(
         cusp: CuSP, dg: DistributedGraph, extra: str = ""

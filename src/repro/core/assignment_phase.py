@@ -477,6 +477,7 @@ def run_edge_assignment(
         return HostTask(
             j, _tally_counts_body, label="tally-counts",
             payload=schema, apply=install_tally(j),
+            drains=("edge-counts",),
         )
 
     phase.executor.run(phase, [tally_task(j) for j in range(num_hosts)])

@@ -267,6 +267,7 @@ def run_construction(
                     proxies, masters, assignment, schema,
                     weighted, n, output, j,
                 ),
+                drains=("edges",),
             )
             for j in range(num_hosts)
         ],

@@ -71,8 +71,9 @@ class MasterAssignment:
 # Module-level so the pooled process executor can ship them by reference
 # (a pickled dotted name) instead of forking the whole parent per
 # barrier.  Everything a body needs travels in its payload tuple; the
-# big immutable inputs (``prop``, ``masters``) resolve against the
-# pool's shared-memory residents, so no graph bytes cross a pipe.
+# big inputs (``prop``, the request table, the per-host and global
+# masters maps) resolve against the pool's shared-memory residents, so
+# neither graph bytes nor a round's unchanged state cross a pipe.
 # Parent-side installs remain closures on ``run_master_assignment``'s
 # locals — apply callbacks never ship.
 
@@ -140,6 +141,10 @@ def _assign_chunk_body(view: HostView, payload: tuple):
     node_ids = np.arange(c0, c1, dtype=np.int64)
     if node_ids.size == 0:
         return node_ids, None, None
+    if masters_h is not None and not masters_h.flags.writeable:
+        # A pool worker sees the host's map as a read-only resident;
+        # the rule scribbles on it, so it gets a private copy.
+        masters_h = masters_h.copy()
     # Each host scores against the frozen snapshot plus its own pending
     # delta.  The rule's in-place updates (masters_h, state delta) are
     # scratch work in a worker; the body returns everything the parent
@@ -159,7 +164,7 @@ def _ship_assignments_body(
     view: HostView, payload: tuple
 ) -> list[tuple[int, np.ndarray]]:
     """Shipping pass: send this round's assignments to their requesters."""
-    requests_h, masters, num_hosts, h, fresh = payload
+    requests, masters, num_hosts, h, fresh = payload
     if fresh.size == 0:
         return []
     lo, hi = fresh[0], fresh[-1]
@@ -168,7 +173,7 @@ def _ship_assignments_body(
     for j in range(num_hosts):
         if j == h:
             continue
-        wanted = requests_h[j]
+        wanted = requests[h][j]
         ship = wanted[(wanted >= lo) & (wanted <= hi)]
         if ship.size:
             # One staged block per requester; the accumulator flushes
@@ -273,6 +278,10 @@ def run_master_assignment(
             everything = np.arange(start, stop, dtype=np.int64)
             for j in range(num_hosts):
                 requests[h][j] = everything
+    # The table is complete and round-invariant from here on: published
+    # once, every round's ship tasks reference it instead of re-sending
+    # their row of it.
+    phase.executor.publish("master-requests", requests)
 
     # Round-robin over sync_rounds chunks of each host's node range.
     chunk_bounds = [
@@ -314,17 +323,25 @@ def run_master_assignment(
 
         return HostTask(
             h, _ship_assignments_body, label="ship-assignments",
-            payload=(requests[h], masters, num_hosts, h, fresh),
+            payload=(requests, masters, num_hosts, h, fresh),
             apply=install,
         )
 
+    # ``known[h]`` and ``masters`` change every round, in the parent, at
+    # the barriers; republishing an array of unchanged dtype and shape
+    # refreshes its resident in place, so a round ships what it newly
+    # made, not the maps.
     for r in range(sync_rounds):
+        if rule.uses_masters:
+            for h in range(num_hosts):
+                phase.executor.publish(f"known-masters-{h}", known[h])
         newly = phase.executor.run(
             phase, [assign_task(h, r) for h in range(num_hosts)]
         )
         # Round boundary: reconcile state, ship requested assignments.
         # Master-assignment rounds never block on peers (paper §IV-D5).
         state.sync_round(phase.comm, blocking=False)
+        phase.executor.publish("masters", masters)
         phase.executor.run(
             phase, [ship_task(h, newly[h]) for h in range(num_hosts)]
         )

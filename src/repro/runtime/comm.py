@@ -358,20 +358,25 @@ class Communicator:
         if self.observer is not None:
             self.observer.on_recv(dst, tag, count)
 
-    def snapshot_queues(self, dst: int) -> dict[str, list[tuple[int, Any]]]:
-        """Non-draining FIFO snapshot of every non-empty queue for ``dst``.
+    def snapshot_queues(
+        self, dst: int, tags: Iterable[str]
+    ) -> dict[str, list[tuple[int, Any]]]:
+        """Non-draining FIFO snapshot of ``dst``'s non-empty queues among
+        ``tags`` — the inbox its task declared (``HostTask.drains``).
 
         The pooled process executor ships this to the worker that runs
         ``dst``'s task, where :meth:`preload_queues` installs it into a
         fresh worker-side communicator; the parent's queues stay intact
         until :meth:`replay_recv` re-plays the worker's drains at the
-        barrier.  Iteration order is the queues' insertion order, which
-        is deterministic under the barrier protocol.
+        barrier.  Queues under any other tag are never copied: no body
+        can drain them, so shipping them would only re-send the host's
+        whole backlog at every barrier.
         """
         self._check_host(dst)
         out: dict[str, list[tuple[int, Any]]] = {}
-        for (d, tag), q in self._queues.items():
-            if d == dst and q:
+        for tag in tags:
+            q = self._queues.get((dst, tag))
+            if q:
                 out[tag] = list(q)
         return out
 

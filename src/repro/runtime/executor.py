@@ -30,7 +30,10 @@ immediately after each body, which is the same order (phases submit
 tasks in host order), so the seam changes nothing observably.  The
 process pool resolves bodies by name, so there a body must be a
 module-level function with every input in ``payload``; anything else
-raises :class:`UnshippableTaskError` before dispatch.
+raises :class:`UnshippableTaskError` before dispatch.  The queue tags a
+body drains are declared the same way (``drains``): a worker receives
+that part of its host's inbox only, and a view refuses any other tag
+with :class:`UndeclaredDrainError` under every executor.
 
 Determinism argument (why parallel is bit-identical to serial):
 
@@ -89,6 +92,7 @@ __all__ = [
     "make_executor",
     "EXECUTOR_NAMES",
     "UnshippableTaskError",
+    "UndeclaredDrainError",
 ]
 
 
@@ -111,6 +115,14 @@ class UnshippableTaskError(TypeError):
     Raised in the parent before anything is dispatched."""
 
 
+class UndeclaredDrainError(RuntimeError):
+    """A task body drained a queue tag its :class:`HostTask` did not
+    declare in ``drains``.  Raised by the view under every executor: the
+    process pool ships a worker only the declared tags of its host's
+    inbox, so an undeclared drain there would see a silently empty
+    queue."""
+
+
 @dataclass(frozen=True)
 class HostTask:
     """One host's unit of phase work: a closure plus the host it charges.
@@ -127,7 +139,11 @@ class HostTask:
     declared output seam: the executor calls it in the parent, at the
     barrier, in host order, with the body's result, and its return
     value becomes the task's result — all shared-state writes belong
-    there, never in ``fn``.
+    there, never in ``fn``.  ``drains`` is the declared inbox: the queue
+    tags ``fn`` may drain through the view (``recv_all`` /
+    ``recv_all_batch``); any other tag raises
+    :class:`UndeclaredDrainError`, and the process pool ships a worker
+    those tags of the host's pending queues and nothing else.
     """
 
     host: int
@@ -135,6 +151,7 @@ class HostTask:
     label: str = ""
     payload: Any = _NO_PAYLOAD
     apply: Callable[[Any], Any] | None = None
+    drains: tuple[str, ...] = ()
 
 
 class HostView:
@@ -148,6 +165,7 @@ class HostView:
 
     host: int
     _stats: "PhaseStats"
+    _drains: tuple[str, ...]
     _accumulators: "list[BatchAccumulator] | None"
 
     def send(self, dst: int, payload: Any, tag: str = "default",
@@ -155,10 +173,19 @@ class HostView:
              coalesce: bool = False) -> None:
         raise NotImplementedError
 
+    def _check_drain(self, tag: str) -> None:
+        if tag not in self._drains:
+            raise UndeclaredDrainError(
+                f"host {self.host} drained tag {tag!r}, which its task "
+                f"does not declare (HostTask.drains={self._drains!r})"
+            )
+
     def recv_all(self, tag: str = "default") -> list[tuple[int, Any]]:
-        """Drain this host's own queue for ``tag``.  Every view reads
-        the shared communicator: queues are only ever appended to at
-        merge barriers, and each host drains only its own."""
+        """Drain this host's own queue for ``tag``, which the task must
+        have declared in ``HostTask.drains``.  Every view reads the
+        shared communicator: queues are only ever appended to at merge
+        barriers, and each host drains only its own."""
+        self._check_drain(tag)
         return self._stats.comm.recv_all(self.host, tag)
 
     def send_batch(self, dst: int, batch: MessageBatch,
@@ -176,6 +203,7 @@ class HostView:
         )
 
     def recv_all_batch(self, tag: str, schema: ColumnSchema) -> ReceivedBatch:
+        self._check_drain(tag)
         return self._stats.comm.recv_all_batch(self.host, tag, schema)
 
     def accumulator(self) -> BatchAccumulator:
@@ -206,11 +234,13 @@ class HostView:
 class DirectHostView(HostView):
     """Charges land immediately on the shared ``PhaseStats``/``Communicator``."""
 
-    __slots__ = ("_stats", "host", "_accumulators")
+    __slots__ = ("_stats", "host", "_drains", "_accumulators")
 
-    def __init__(self, stats: PhaseStats, host: int):
+    def __init__(self, stats: PhaseStats, host: int,
+                 drains: tuple[str, ...] = ()):
         self._stats = stats
         self.host = int(host)
+        self._drains = drains
         self._accumulators = None
 
     def send(self, dst: int, payload: Any, tag: str = "default",
@@ -237,12 +267,14 @@ class LedgerHostView(HostView):
     (or discarded) deterministically.
     """
 
-    __slots__ = ("_stats", "_channel", "host", "ledger",
+    __slots__ = ("_stats", "_channel", "host", "_drains", "ledger",
                  "disk_bytes", "compute_units", "_accumulators")
 
-    def __init__(self, stats: PhaseStats, host: int):
+    def __init__(self, stats: PhaseStats, host: int,
+                 drains: tuple[str, ...] = ()):
         self._stats = stats
         self.host = int(host)
+        self._drains = drains
         self.ledger = stats.comm.ledger(host)
         self.disk_bytes = 0.0
         self.compute_units = 0.0
@@ -304,16 +336,22 @@ class Executor:
     name = "abstract"
 
     def publish(self, name: str, obj: Any) -> Any:
-        """Register an immutable input under ``name`` for zero-copy reuse.
+        """Register a barrier input under ``name`` for zero-copy reuse.
 
         The pooled process executor exports the object's large arrays
         into named shared-memory segments that its resident workers map
-        as zero-copy NumPy views, so task payloads referencing the
-        object never re-pickle the data across a pipe.  Every other
-        executor shares the parent's address space already, so the
-        default is the identity.  The published object must not be
-        mutated afterwards (phases publish *after* checkpoint
-        roundtrips, which is also when the object becomes immutable).
+        as zero-copy, read-only NumPy views, so task payloads
+        referencing the object (or one of those arrays) ship a
+        persistent id, not the data.  Every other executor shares the
+        parent's address space already, so the default is the identity.
+
+        A published object must not be mutated before it is published
+        again (phases publish *after* checkpoint roundtrips, which is
+        also when an object becomes immutable).  Publishing again is
+        how state that does change between barriers stays resident: an
+        ndarray republished under its name with unchanged dtype and
+        shape is copied into the segment the workers already map.  Call
+        it between barriers only.
         """
         return obj
 
@@ -350,7 +388,7 @@ def _run_direct(stats: PhaseStats, task: HostTask) -> Any:
     """Run one task on the shared ledgers, flushing staged batches at
     the end of the body (the serial phase barrier), then applying its
     declared output."""
-    view = DirectHostView(stats, task.host)
+    view = DirectHostView(stats, task.host, task.drains)
     result = _invoke(task, view)
     view.flush_accumulators()
     if task.apply is not None:
@@ -502,7 +540,7 @@ class ParallelExecutor(_LedgerExecutor):
             self._pool_width = 0
 
     def _outcomes(self, stats: PhaseStats, tasks: list[HostTask]) -> list[_Outcome]:
-        views = [LedgerHostView(stats, t.host) for t in tasks]
+        views = [LedgerHostView(stats, t.host, t.drains) for t in tasks]
         pool = self._ensure_pool(len(tasks))
         phase_name = getattr(stats, "name", "")
         futures = [

@@ -2,8 +2,9 @@
 
 :class:`ProcessExecutor` runs a phase's host tasks on a resident pool of
 forked worker processes: each barrier ships a dispatch spec (task refs,
-payloads, queue snapshots, live fault state) to the workers, which
-record the same private ledger a thread would and ship a picklable
+payloads, the declared part of each host's inbox, live fault state) to
+the workers, which record the same private ledger a thread would and
+ship a picklable
 delta (accounting vectors, queued payloads on the
 :mod:`~repro.runtime.colfab` wire format, fault-channel RNG state,
 isolation evidence) back over a pipe.  The parent adopts each delta
@@ -80,8 +81,9 @@ class _ShippedHostView(LedgerHostView):
 
     __slots__ = ("recv_log",)
 
-    def __init__(self, stats: PhaseStats, host: int):
-        super().__init__(stats, host)
+    def __init__(self, stats: PhaseStats, host: int,
+                 drains: tuple[str, ...] = ()):
+        super().__init__(stats, host, drains)
         #: ``(tag, count)`` per non-empty drain, in drain order.
         self.recv_log: list[tuple[str, int]] = []
 
@@ -201,7 +203,7 @@ def _run_shipped_task(
     monitor attached for just this task.  A result that does not pickle
     is diagnosed where the delta is serialized (:func:`_dump_delta`)."""
     monitor = isolation.IsolationMonitor() if monitored else None
-    view = _ShippedHostView(stats, task.host)
+    view = _ShippedHostView(stats, task.host, task.drains)
     result, exc = _run_private(task, view, monitor, phase_name)
     if exc is not None:
         try:
@@ -339,14 +341,18 @@ class ProcessExecutor(_LedgerExecutor):
     array, edge assignment, proxy tables — are published once into
     named POSIX shared-memory segments (:meth:`publish`) that workers
     map as zero-copy NumPy views, and each barrier ships only a small
-    dispatch spec (task refs, payload references, queue snapshots,
-    live fault-channel state) over a framed pipe.  No graph bytes ever
-    cross a pipe: payload arrays at or above the wire threshold ride
-    ephemeral segments, and results/ledger deltas come back the same
-    way.  The parent adopts each delta into a ledger view — accounting
-    vectors, queued payloads, the fault channel's advanced RNG/op
-    state, the drain log — folds in isolation evidence, and hands the
-    views to the barrier it shares with the thread executor
+    dispatch spec (task refs, payload references, a snapshot of the
+    queue tags each task declares in ``HostTask.drains``, live
+    fault-channel state) over a framed pipe.  A barrier input ships
+    once: no graph bytes ever cross a pipe, a queue no task drains
+    never leaves the parent, round-invariant tables are published, and
+    arrays that change between barriers are republished into the
+    segment they already occupy.  Other payload arrays at or above the
+    wire threshold ride ephemeral segments, and results/ledger deltas
+    come back the same way.  The parent adopts each delta into a ledger
+    view — accounting vectors, queued payloads, the fault channel's
+    advanced RNG/op state, the drain log — folds in isolation evidence,
+    and hands the views to the barrier it shares with the thread executor
     (:meth:`_LedgerExecutor.run`), so fault plans, crash recovery,
     sanitizer audits, and every accounting counter stay bit-identical
     to serial.
@@ -389,17 +395,25 @@ class ProcessExecutor(_LedgerExecutor):
     def publish(self, name: str, obj: Any) -> Any:
         """Export ``obj`` into shared segments and install it pool-wide.
 
-        Idempotent per object identity; republishing a new object under
-        an existing name bumps the generation, unlinks the old
-        segments, and re-installs in every live worker (crash replays
-        rebuild phase outputs, so names are stable but objects are
-        not).
+        Idempotent per object identity, except for an ndarray, which is
+        published for its values: one whose dtype and shape match the
+        live resident of that name is copied into the existing segment
+        (workers are idle between barriers and already map it, so there
+        is nothing to unlink, create or broadcast).  Anything else
+        republished under an existing name bumps the generation,
+        unlinks the old segments, and re-installs in every live worker
+        (crash replays rebuild phase outputs, so names are stable but
+        objects are not).
         """
         if not _CAN_FORK:  # pragma: no cover - non-POSIX platform
             return obj
         entry = self._residents.get(name)
-        if entry is not None and entry["obj"] is obj and entry["blob"] is not None:
-            return obj
+        if entry is not None and entry["blob"] is not None:
+            if isinstance(obj, np.ndarray):
+                if residency.refresh_resident(entry, obj):
+                    return obj
+            elif entry["obj"] is obj:
+                return obj
         gen = entry["gen"] + 1 if entry is not None else 0
         if entry is not None:
             residency.unlink_resident(entry)
@@ -516,11 +530,17 @@ class ProcessExecutor(_LedgerExecutor):
     def _width(self, num_tasks: int) -> int:
         workers = self._max_workers
         if workers is None:
-            # One worker per core: on a single-core box a second worker
-            # only adds context-switching and duplicate group-cache
-            # hydration (measurably slower); pass max_workers explicitly
-            # to exercise multi-worker paths regardless of core count.
-            workers = min(num_tasks, os.cpu_count() or 1)
+            # One worker per core this process may run on (affinity and
+            # cgroup pinning shrink that below ``os.cpu_count()``): on a
+            # single-core box a second worker only adds
+            # context-switching and duplicate group-cache hydration
+            # (measurably slower); pass max_workers explicitly to
+            # exercise multi-worker paths regardless of core count.
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:  # pragma: no cover - platform without an affinity API
+                cpus = os.cpu_count() or 1
+            workers = min(num_tasks, cpus)
         return max(1, min(workers, num_tasks))
 
     def _outcomes(self, stats: PhaseStats, tasks: list[HostTask]) -> list[_Outcome]:
@@ -572,19 +592,21 @@ class ProcessExecutor(_LedgerExecutor):
                 task_specs = []
                 for i in chunk:
                     task = tasks[i]
-                    queues: dict[str, list[tuple[int, Any]]] = {}
-                    for tag, entries in comm.snapshot_queues(task.host).items():
-                        # borrow=True: the parent keeps ownership of
-                        # every segment these blobs reference, so an
-                        # unshippable spec (below), a dead worker, or a
-                        # tag the task never drains cannot leak or
-                        # double-free — the queue entries themselves
-                        # release the segments when they are drained or
-                        # dropped.
-                        queues[tag] = [
+                    # Only the declared inbox ships; borrow=True: the
+                    # parent keeps ownership of every segment these
+                    # blobs reference, so an unshippable spec (below) or
+                    # a dead worker cannot leak or double-free — the
+                    # queue entries themselves release the segments
+                    # when they are drained or dropped.
+                    queues = {
+                        tag: [
                             (src, _encode_queued_payload(payload, borrow=True))
                             for src, payload in entries
                         ]
+                        for tag, entries in comm.snapshot_queues(
+                            task.host, task.drains
+                        ).items()
+                    }
                     # ``apply`` stays behind: it runs in the parent, at
                     # the barrier, and is typically a closure.
                     task_specs.append(

@@ -1,12 +1,13 @@
 """Shared-memory residency for the process pool: segment-exporting
 pickling, resident export/install, ephemeral arrays, the family sweep.
 
-No graph bytes cross a pool pipe.  An immutable input published once
-per run becomes a *resident*: its large arrays are copied into
-parent-owned named POSIX segments that every worker maps as read-only
-zero-copy NumPy views, and the rest of the object crosses as a small
-pickle blob.  Dispatch specs and worker replies pickle through a
-segment-exporting pickler, so any other array at or above the wire
+No graph bytes cross a pool pipe.  A published input becomes a
+*resident*: its large arrays are copied into parent-owned named POSIX
+segments that every worker maps as read-only zero-copy NumPy views, and
+the rest of the object crosses as a small pickle blob.  A resident
+ndarray that changes between barriers is refreshed inside its segment
+(:func:`refresh_resident`).  Dispatch specs and worker replies pickle
+through a segment-exporting pickler, so any other array at or above the wire
 threshold rides a one-shot *ephemeral* segment whose ownership
 transfers to the decoding side, while a reference to a resident shrinks
 to a persistent id.  Segments that never reach a consumer are reclaimed
@@ -27,7 +28,8 @@ from . import colfab
 __all__ = [
     "SHM_THRESHOLD", "dumps_with_segments", "loads_with_segments",
     "discard_untracked_segment", "sweep_family_segments", "export_resident",
-    "unlink_resident", "resident_pids", "resident_frame", "install_resident",
+    "refresh_resident", "unlink_resident", "resident_pids", "resident_frame",
+    "install_resident",
 ]
 
 #: Arrays (and :class:`~repro.runtime.colfab.MessageBatch` columns) at
@@ -269,6 +271,35 @@ def export_resident(obj: Any, gen: int) -> dict[str, Any]:
     return entry
 
 
+def refresh_resident(entry: dict[str, Any], arr: np.ndarray) -> bool:
+    """Overwrite an exported resident ndarray with ``arr`` inside its
+    segment.
+
+    Only when the resident is a single exported array of ``arr``'s
+    dtype and shape (otherwise returns ``False`` and touches nothing):
+    the segment, its name and the generation stay, so no worker needs
+    telling — each already maps these very pages.  The caller must know
+    the workers idle, which between barriers they are.  An array
+    refreshed once is refreshed every round, so the parent's writable
+    mapping stays (``entry["live"]``) until the resident is unlinked.
+    """
+    manifest = entry["manifest"]
+    if not (
+        isinstance(entry["obj"], np.ndarray)
+        and len(manifest) == 1
+        and manifest[0][1:] == (np.lib.format.dtype_to_descr(arr.dtype), arr.shape)
+    ):
+        return False
+    live = entry.get("live")
+    if live is None:
+        seg, live = _segment_to_array(manifest[0])
+        colfab._defuse_segment(seg)
+        entry["live"] = live
+    live[...] = arr
+    entry.update(obj=arr, arrays=[arr], array_ids={id(arr): 0})
+    return True
+
+
 def unlink_resident(entry: dict[str, Any]) -> None:
     """Unlink an entry's segments and mark it unexported (``blob`` is
     ``None`` until someone re-exports the object)."""
@@ -281,6 +312,7 @@ def unlink_resident(entry: dict[str, Any]) -> None:
         colfab.unregister_resident_segment(seg.name)
     entry["segments"] = []
     entry["blob"] = None
+    entry.pop("live", None)
 
 
 def resident_pids(residents: dict[str, dict[str, Any]]) -> dict[int, tuple]:
@@ -310,21 +342,21 @@ def install_resident(
     blob: bytes,
     manifest: list[_SegmentRef],
 ) -> None:
-    """Worker-side: map a resident's segments zero-copy and cache it."""
-    old = residents.pop(name, None)
-    if old is not None:
-        for seg in old["shms"]:
-            seg.close()
+    """Worker-side: map a resident's segments zero-copy and cache it.
+
+    Each mapping lives exactly as long as its last view: replacing a
+    generation just drops the old entry (closing a mapping under the
+    views the old object still holds would raise ``BufferError``).
+    """
     arrays: list[np.ndarray] = []
-    shms: list[Any] = []
     for ref in manifest:
         seg, arr = _segment_to_array(ref)
-        # Residents are immutable by contract; a task body that tries to
-        # write through a zero-copy view fails loudly instead of
-        # corrupting every sibling worker's view.
+        colfab._defuse_segment(seg)
+        # Residents are immutable to a task; a body that tries to write
+        # through a zero-copy view fails loudly instead of corrupting
+        # every sibling worker's view.
         arr.flags.writeable = False
         arrays.append(arr)
-        shms.append(seg)
 
     obj = _SegmentUnpickler(io.BytesIO(blob), arrays=arrays).load()
-    residents[name] = {"gen": gen, "obj": obj, "arrays": arrays, "shms": shms}
+    residents[name] = {"gen": gen, "obj": obj, "arrays": arrays}

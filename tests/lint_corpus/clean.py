@@ -58,4 +58,4 @@ def make_task(h, out, num_hosts):
         out[h] = result  # apply runs in the parent: captured writes are fine
         return result
 
-    return HostTask(h, body, label="clean", apply=install)
+    return HostTask(h, body, label="clean", apply=install, drains=("t",))

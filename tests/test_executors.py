@@ -10,7 +10,9 @@ crash-recovery replays.
 
 Also covers the comm-layer fixes that rode along: ``payload_nbytes`` on
 NumPy 2 scalars and 0-d arrays, explicit ``nbytes=`` on allreduce, and
-``partners`` counting retry-only peers.
+``partners`` counting retry-only peers; and what keeps the process pool
+shipping each barrier input once: declared inboxes (``HostTask.drains``),
+refresh-in-place ``publish`` and the ``sync_rounds`` scaling gate.
 """
 
 import os
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import CuSP, policy_names
 from repro.graph import erdos_renyi
+from repro.runtime import colfab, pool as pool_module
 from repro.runtime.comm import Communicator, payload_nbytes
 from repro.runtime.executor import (
     EXECUTOR_NAMES,
@@ -31,6 +34,7 @@ from repro.runtime.executor import (
     ParallelExecutor,
     ProcessExecutor,
     SerialExecutor,
+    UndeclaredDrainError,
     UnshippableTaskError,
     make_executor,
 )
@@ -42,6 +46,7 @@ from repro.runtime.faults import (
 )
 
 from repro.runtime.colfab import leaked_segments
+from repro.runtime.residency import SHM_THRESHOLD
 
 from .strategies import fault_plans, graphs
 
@@ -499,25 +504,217 @@ def _charge_then_fail_body(view, failing_host):
     view.send((view.host + 1) % 3, "after", tag="t")
 
 
+def _drain_body(view, tag):
+    return [(src, np.asarray(p).tolist()) for src, p in view.recv_all(tag)]
+
+
+def _resident_probe_body(view, arr):
+    return int(arr.sum()), bool(arr.flags.writeable)
+
+
+def _resident_range_body(view, arr):
+    return int(arr.min()), int(arr.max())
+
+
+class _RecvTally:
+    """A ``CommObserver`` that keeps the drain notifications."""
+
+    def __init__(self):
+        self.recvs = []
+
+    def on_send(self, src, dst, tag, nbytes):
+        pass
+
+    def on_merge(self, ledger):
+        pass
+
+    def on_recv(self, dst, tag, count):
+        self.recvs.append((dst, tag, count))
+
+
+def _stats_with_mail():
+    """Three hosts, each holding mail from both peers under two tags,
+    one block per tag large enough to cross a pool pipe as a segment."""
+    ph = _make_stats()
+    ph.comm.observer = _RecvTally()
+    big = SHM_THRESHOLD // 8
+    for src in range(3):
+        for dst in range(3):
+            if src != dst:
+                for tag in ("mail", "other"):
+                    ph.comm.send(src, dst, np.arange(4) + src, tag=tag)
+                    ph.comm.send(src, dst, np.arange(big) + dst, tag=tag)
+    return ph
+
+
+def _pending(ph):
+    return {
+        (h, tag): ph.comm.pending(h, tag)
+        for h in range(3) for tag in ("mail", "other")
+    }
+
+
+class TestDeclaredDrains:
+    """``HostTask.drains`` is the only inbox a body has: the pool ships
+    nothing else, so every executor refuses anything else."""
+
+    def test_undeclared_drain_raises(self, ledger_executor):
+        for executor in (SerialExecutor(), ledger_executor):
+            for hosts in (range(3), range(1)):  # barrier, direct path
+                ph = _stats_with_mail()
+                tasks = [
+                    HostTask(h, _drain_body, payload="mail", drains=("other",))
+                    for h in hosts
+                ]
+                with pytest.raises(UndeclaredDrainError, match="'mail'"):
+                    executor.run(ph, tasks)
+                assert set(_pending(ph).values()) == {4}  # nothing drained
+                assert ph.comm.observer.recvs == []
+
+    def test_declared_drain_replays_like_serial(self, pool):
+        def drain_mail(executor):
+            ph = _stats_with_mail()
+            tasks = [
+                HostTask(h, _drain_body, payload="mail", drains=("mail",))
+                for h in range(3)
+            ]
+            return executor.run(ph, tasks), _pending(ph), ph.comm.observer.recvs
+
+        expected = drain_mail(SerialExecutor())
+        assert drain_mail(pool) == expected
+        results, pending, recvs = expected
+        assert [len(r) for r in results] == [4, 4, 4]
+        assert pending == {
+            (h, tag): 0 if tag == "mail" else 4
+            for h in range(3) for tag in ("mail", "other")
+        }
+        assert recvs == [(h, "mail", 4) for h in range(3)]
+
+
+@pytest.fixture
+def parent_traffic(monkeypatch):
+    """Counts what this process puts on pool pipes (``bytes``, through
+    ``pool._write_frame``) and how many shared segments it creates
+    (``segments``); a forked worker counts into its own copy."""
+    counts = {"bytes": 0, "segments": 0}
+    write_frame = pool_module._write_frame
+    create_segment = colfab._create_shared_segment
+
+    def counting_write(fd, blob):
+        counts["bytes"] += len(blob)
+        write_frame(fd, blob)
+
+    def counting_create(raw, tracked=False):
+        counts["segments"] += 1
+        return create_segment(raw, tracked=tracked)
+
+    monkeypatch.setattr(pool_module, "_write_frame", counting_write)
+    monkeypatch.setattr(colfab, "_create_shared_segment", counting_create)
+    return counts
+
+
+class TestShipOnce:
+    """The pool ships a barrier input once: traffic follows new data,
+    not ``sync_rounds``."""
+
+    def test_svc_traffic_does_not_scale_with_sync_rounds(self, parent_traffic):
+        # 20 000 nodes: every per-host masters map (int32) is at or
+        # above SHM_THRESHOLD, so it would ride a segment per task and
+        # barrier if it shipped at all.
+        graph = erdos_renyi(20_000, 160_000, seed=11)
+        assert graph.num_nodes * 4 >= SHM_THRESHOLD
+        seen = {}
+        for sync_rounds in (5, 10, 20):
+            parent_traffic.update(bytes=0, segments=0)
+            CuSP(
+                4, "SVC", executor=ProcessExecutor(max_workers=2),
+                sync_rounds=sync_rounds,
+            ).partition(graph)
+            seen[sync_rounds] = dict(parent_traffic)
+        # Re-shipping the undrained inbox and the per-round maps made
+        # this ratio 2.0 on this graph (and the segment count 47 / 77 /
+        # 137); a round now costs its own small specs.
+        assert seen[20]["bytes"] <= 1.25 * seen[10]["bytes"], seen
+        assert (
+            seen[5]["segments"] == seen[10]["segments"] == seen[20]["segments"]
+        ), seen
+
+    def test_publish_refreshes_an_ndarray_in_place(self, pool, parent_traffic):
+        ph = _make_stats(num_hosts=2)
+        arr = np.arange(SHM_THRESHOLD // 8, dtype=np.int64)
+
+        def read_back(payload):
+            return pool.run(ph, [
+                HostTask(h, _resident_probe_body, payload=payload)
+                for h in range(2)
+            ])
+
+        pool.publish("state", arr)
+        # Read-only: the workers map the resident, no copy was shipped.
+        assert read_back(arr) == [(int(arr.sum()), False)] * 2
+        entry = pool._residents["state"]
+        home = (entry["gen"], list(entry["manifest"]))
+        parent_traffic.update(segments=0)
+        arr[::2] = -7
+        pool.publish("state", arr)  # same object, new values
+        assert read_back(arr) == [(int(arr.sum()), False)] * 2
+        other = arr[::-1].copy()
+        pool.publish("state", other)  # another object, same dtype and shape
+        assert read_back(other) == [(int(other.sum()), False)] * 2
+        entry = pool._residents["state"]
+        assert (entry["gen"], entry["manifest"]) == home
+        assert parent_traffic["segments"] == 0
+        # A dtype or a shape change is a new resident generation.
+        for changed in (other.astype(np.float64), np.append(other, 1)):
+            gen = pool._residents["state"]["gen"]
+            pool.publish("state", changed)
+            entry = pool._residents["state"]
+            assert entry["gen"] == gen + 1
+            assert entry["manifest"][0][0] != home[1][0][0]
+            assert read_back(changed) == [(int(changed.sum()), False)] * 2
+        pool.close()
+        assert leaked_segments() == []
+
+
+    def test_refreshed_values_are_never_torn(self):
+        """More workers than cores, a refresh before every barrier: a
+        worker that read while (or before) the parent wrote would see
+        two rounds' values in one array."""
+        ex = ProcessExecutor(max_workers=4)
+        try:
+            ph = _make_stats(num_hosts=4)
+            arr = np.zeros(SHM_THRESHOLD, dtype=np.int64)
+            for r in range(60):
+                arr[:] = r
+                ex.publish("round", arr)
+                assert ex.run(ph, [
+                    HostTask(h, _resident_range_body, payload=arr)
+                    for h in range(4)
+                ]) == [(r, r)] * 4
+        finally:
+            ex.close()
+
+
 class TestPoolCrashTeardown:
     """Killing a pool worker mid-phase must not leak a single segment,
     and the pool must respawn transparently on the next barrier."""
 
     def test_worker_killed_mid_phase_sweeps_all_segments(self):
         ph = _make_stats(num_hosts=2)
-        # Pending inbound traffic for the doomed host rides to its
-        # worker in borrowed shm segments the worker will never drain.
+        # Pending inbound traffic the doomed host declares rides to its
+        # worker in a spec segment the worker will never drain.
         ph.comm.send(0, 1, np.arange(1 << 15, dtype=np.int64), tag="pre")
         ex = ProcessExecutor(max_workers=2)
         try:
             tasks = [
                 HostTask(0, _pool_large_delta_body),  # ships a big delta
-                HostTask(1, _pool_suicide_body),      # SIGKILLs itself
+                HostTask(1, _pool_suicide_body,       # SIGKILLs itself
+                         drains=("pre",)),
             ]
             with pytest.raises(RuntimeError, match="died without shipping"):
                 ex.run(ph, tasks)
-            # Crash teardown swept everything: the borrowed preload
-            # segments, the surviving worker's decoded delta, and any
+            # Crash teardown swept everything: the preloaded inbox's
+            # segment, the surviving worker's decoded delta, and any
             # orphan the dead worker left in /dev/shm.
             assert leaked_segments() == []
             # The next barrier respawns the pool and runs normally.
