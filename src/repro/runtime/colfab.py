@@ -53,22 +53,12 @@ __all__ = [
 
 #: Wire-format framing for :meth:`MessageBatch.to_bytes`.
 WIRE_MAGIC = b"RBAT"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
-#: Column storage kinds in the wire format.
+#: The one column storage kind: raw bytes, in the frame.  A frame never
+#: names anything outside itself (how an array crosses a pool pipe is
+#: :mod:`repro.runtime.residency`'s business), so any other kind is refused.
 _STORE_INLINE = 0
-_STORE_SHM = 1
-#: Borrowed segment: the *encoder* keeps ownership (and the live
-#: mapping); the decoder maps it zero-copy but must never unlink it.
-#: This is how a parent re-ships a queued batch to a pool worker
-#: without copying the column or transferring the unlink obligation.
-_STORE_SHM_KEEP = 2
-
-#: Header flag: producer and consumer share this machine's memory (the
-#: executor's intra-box pipes), so the decoder may skip re-verifying the
-#: CRC — column bytes in segments never crossed the pipe at all.  The
-#: pickle/``__reduce__`` path never sets it.
-_FLAG_TRUSTED = 1
 
 #: Scalar kinds in the wire format (signed 64-bit int / IEEE double).
 _SCALAR_INT = 0
@@ -148,7 +138,7 @@ class MessageBatch:
     mutate arrays they do not own, exactly as with the scalar path.
     """
 
-    __slots__ = ("schema", "columns", "scalars", "rows", "_shm", "_shm_owner", "_crc")
+    __slots__ = ("schema", "columns", "scalars", "rows", "_crc")
 
     def __init__(
         self,
@@ -185,15 +175,6 @@ class MessageBatch:
         self.columns = cols
         self.scalars = scal
         self.rows = rows
-        #: ``(column_index, SharedMemory)`` pairs of *owned* segments this
-        #: batch must eventually unlink (populated by :meth:`from_bytes`
-        #: for ``_STORE_SHM`` columns and by borrow-mode
-        #: :meth:`to_bytes` for segments it creates).
-        self._shm: tuple[tuple[int, Any], ...] = ()
-        #: pid of the process that owns ``_shm``'s unlink obligation; a
-        #: forked child inheriting the batch must never unlink segments
-        #: its parent still serves to other workers.
-        self._shm_owner: int | None = None
         #: Memoized :meth:`checksum` (columns are immutable by contract).
         self._crc: int | None = None
 
@@ -257,68 +238,39 @@ class MessageBatch:
         )
 
     # ------------------------------------------------------------------
-    # Versioned wire format (process executor / cross-process shipping)
+    # Versioned wire format (the batch's one byte surface)
     # ------------------------------------------------------------------
-    def to_bytes(
-        self,
-        shm_threshold: int | None = None,
-        *,
-        borrow: bool = False,
-        trusted: bool = False,
-    ) -> bytes:
-        """Serialize to the versioned wire format.
+    def to_bytes(self) -> bytes:
+        """Serialize to the versioned, self-describing wire format.
 
-        Layout (little-endian, version 2): a fixed header (magic,
-        version, flags, rows, #columns, #scalars, CRC-32 of
-        :meth:`checksum`), the schema (length-prefixed UTF-8 column
-        names + dtype strings, then scalar names), the scalar values
-        (kind-tagged int64/float64 words), and finally each column as
-        either inline raw bytes or — when ``shm_threshold`` is given and
-        ``col.nbytes >= shm_threshold`` — a named POSIX shared-memory
-        segment holding the data, so a worker process can hand a large
-        column to its parent without copying it through the pipe.
+        Layout (little-endian, version 3): a fixed header (magic,
+        version, flags — always 0 —, rows, #columns, #scalars, CRC-32),
+        the schema section (length-prefixed UTF-8 column names + dtype
+        strings, then scalar names), the scalar values (kind-tagged
+        int64/float64 words), and each column as inline raw bytes.  The
+        header CRC is :meth:`checksum` continued over the schema
+        section's bytes, so a flipped dtype or scalar name is caught
+        like a flipped data bit.
 
-        Default mode: segments are owned by whoever decodes the buffer
-        (:meth:`from_bytes` maps them zero-copy; :meth:`release_shared`
-        unlinks).  The creator deliberately unregisters the segments
-        from the ``multiprocessing`` resource tracker — lifecycle is
-        explicit here, not process-exit-scoped.
-
-        ``borrow=True``: the *encoder* keeps segment ownership.  Columns
-        whose segments this batch already owns (a decoded batch being
-        re-shipped) are referenced **by name** — zero bytes copied;
-        columns needing a fresh segment get one that joins this batch's
-        owned set instead of transferring to the decoder.  Decoders map
-        borrowed columns zero-copy and never unlink them, so a wire blob
-        can be shipped to a worker that dies before decoding (or never
-        drains the tag) without leaking or double-freeing anything: the
-        encoder's own release is the single point of truth.
-
-        ``trusted=True`` (implied by ``borrow``) marks the blob as
-        intra-machine: the decoder skips the CRC re-verification pass
-        (segment bytes never crossed the pipe) and the CRC field is
-        only populated when already memoized.
+        This is the codec for bytes that leave the process's trust —
+        files, sockets, fuzzers.  It is *not* how a batch crosses a pool
+        pipe: pickling ships the parts (:meth:`__reduce__`) and
+        :mod:`repro.runtime.residency` decides per array what rides a
+        shared-memory segment.
         """
-        trusted = trusted or borrow
-        if trusted:
-            crc = self._crc if self._crc is not None else 0
-        else:
-            crc = self.checksum()
-        flags = _FLAG_TRUSTED if trusted else 0
+        schema_parts = []
+        for name, dt in self.schema.columns:
+            schema_parts += [_pack_str(name), _pack_str(dt.str)]
+        schema_parts += [_pack_str(sname) for sname in self.schema.scalars]
+        schema = b"".join(schema_parts)
         parts = [
             _HEADER.pack(
-                WIRE_MAGIC, WIRE_VERSION, flags, self.rows,
-                len(self.schema.columns), len(self.schema.scalars), crc,
-            )
+                WIRE_MAGIC, WIRE_VERSION, 0, self.rows,
+                len(self.schema.columns), len(self.schema.scalars),
+                zlib.crc32(schema, self.checksum()),
+            ),
+            schema,
         ]
-        for name, dt in self.schema.columns:
-            nb = name.encode()
-            db = dt.str.encode()
-            parts.append(struct.pack("<H", len(nb)) + nb)
-            parts.append(struct.pack("<H", len(db)) + db)
-        for sname in self.schema.scalars:
-            sb = sname.encode()
-            parts.append(struct.pack("<H", len(sb)) + sb)
         for value in self.scalars:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(
@@ -331,61 +283,23 @@ class MessageBatch:
                 parts.append(struct.pack("<Bq", _SCALAR_INT, value))
             else:
                 parts.append(struct.pack("<Bd", _SCALAR_FLOAT, value))
-        owned = {i: seg for i, seg in self._shm} if borrow else {}
-        fresh: list[tuple[int, Any]] = []
-        for i, col in enumerate(self.columns):
-            seg = owned.get(i)
-            if seg is not None:
-                # The column still lives in a segment this batch owns:
-                # re-ship it by name, zero bytes copied.
-                nm = seg.name.encode()
-                parts.append(
-                    struct.pack("<BH", _STORE_SHM_KEEP, len(nm)) + nm
-                    + struct.pack("<Q", col.nbytes)
-                )
-                continue
+        for col in self.columns:
             raw = np.ascontiguousarray(col)
-            if shm_threshold is not None and raw.nbytes >= shm_threshold:
-                if borrow:
-                    seg = _create_shared_segment(raw, tracked=True)
-                    fresh.append((i, seg))
-                    store = _STORE_SHM_KEEP
-                else:
-                    seg = _create_shared_segment(raw)
-                    store = _STORE_SHM
-                nm = seg.name.encode()
-                parts.append(
-                    struct.pack("<BH", store, len(nm)) + nm
-                    + struct.pack("<Q", raw.nbytes)
-                )
-                if not borrow:
-                    seg.close()
-            else:
-                parts.append(
-                    struct.pack("<BQ", _STORE_INLINE, raw.nbytes)
-                    + raw.tobytes()
-                )
-        if fresh:
-            self._shm = self._shm + tuple(fresh)
-            if self._shm_owner is None:
-                self._shm_owner = os.getpid()
+            parts.append(struct.pack("<BQ", _STORE_INLINE, raw.nbytes))
+            parts.append(raw.tobytes())
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "MessageBatch":
-        """Decode :meth:`to_bytes` output (zero-copy where possible).
+        """Decode :meth:`to_bytes` output; columns are read-only
+        zero-copy views over ``buf``.
 
-        Inline columns become read-only views over ``buf``;
-        shared-memory columns are mapped in place — *owned* ones stay
-        linked until :meth:`release_shared`, *borrowed* ones
-        (``borrow=True`` encodes) are mapped and immediately divorced
-        from their ``SharedMemory`` wrapper, so the view stays valid for
-        its own lifetime while the encoder keeps the only unlink
-        obligation.  The embedded CRC-32 is
-        recomputed over the decoded batch and a mismatch raises
-        ``ValueError`` — the same integrity check the reliable
-        transport performs per block — except for trusted intra-machine
-        blobs, whose column bytes never crossed a pipe.
+        Anything but a well-formed version-3 frame whose CRC-32 matches
+        the decoded schema section and content raises ``ValueError`` —
+        a set flag bit, a non-inline storage kind, a malformed or
+        object dtype, a name that is not UTF-8, a truncated or
+        over-long buffer included.  Decoding never touches anything
+        outside ``buf``.
         """
         view = memoryview(buf)
         if len(view) < _HEADER.size:
@@ -397,6 +311,8 @@ class MessageBatch:
             raise ValueError(f"bad wire magic {magic!r}")
         if version != WIRE_VERSION:
             raise ValueError(f"unsupported wire version {version}")
+        if flags:
+            raise ValueError(f"unsupported wire flags {flags:#06x}")
         off = _HEADER.size
 
         def take(n: int) -> memoryview:
@@ -409,13 +325,16 @@ class MessageBatch:
 
         def take_str() -> str:
             (n,) = struct.unpack("<H", take(2))
+            # A name that is not UTF-8 raises UnicodeDecodeError, which
+            # is a ValueError.
             return bytes(take(n)).decode()
 
         columns_spec = []
         for _ in range(ncols):
             name = take_str()
-            columns_spec.append((name, np.dtype(take_str())))
+            columns_spec.append((name, _wire_dtype(take_str())))
         scalar_names = tuple(take_str() for _ in range(nscalars))
+        schema_end = off
         schema = ColumnSchema(columns_spec, scalar_names)
         scalars: list[float] = []
         for _ in range(nscalars):
@@ -427,84 +346,43 @@ class MessageBatch:
             else:
                 raise ValueError(f"unknown scalar kind {kind}")
         columns: list[np.ndarray] = []
-        segments: list[tuple[int, Any]] = []
-        for i, (name, dt) in enumerate(schema.columns):
-            (store,) = struct.unpack("<B", take(1))
-            if store == _STORE_INLINE:
-                (nbytes,) = struct.unpack("<Q", take(8))
-                columns.append(np.frombuffer(take(nbytes), dtype=dt))
-            elif store in (_STORE_SHM, _STORE_SHM_KEEP):
-                (nm_len,) = struct.unpack("<H", take(2))
-                seg_name = bytes(take(nm_len)).decode()
-                (nbytes,) = struct.unpack("<Q", take(8))
-                seg = _attach_shared_segment(seg_name)
-                columns.append(
-                    np.frombuffer(seg.buf, dtype=dt, count=nbytes // dt.itemsize)
+        for _, dt in schema.columns:
+            store, nbytes = struct.unpack("<BQ", take(9))
+            if store != _STORE_INLINE:
+                raise ValueError(
+                    f"unsupported column storage {store}; frames carry "
+                    "inline columns only"
                 )
-                if store == _STORE_SHM:
-                    segments.append((i, seg))
-                else:
-                    # Borrowed: the encoder keeps the unlink obligation.
-                    # Divorce the mapping from its wrapper so the view
-                    # outlives the (encoder-unlinked) name on its own.
-                    _defuse_segment(seg)
-            else:
-                raise ValueError(f"unknown column storage {store}")
+            columns.append(np.frombuffer(take(nbytes), dtype=dt))
+        if off != len(view):
+            raise ValueError(
+                f"{len(view) - off} trailing byte(s) after the last column"
+            )
         batch = cls(schema, tuple(columns), tuple(scalars))
-        batch._shm = tuple(segments)
-        if segments:
-            batch._shm_owner = os.getpid()
         if batch.rows != rows:
             raise ValueError(
                 f"row count mismatch: header says {rows}, decoded {batch.rows}"
             )
-        if flags & _FLAG_TRUSTED:
-            # Intra-machine blob: segment bytes never crossed the pipe,
-            # so there is nothing the CRC pass would catch that the
-            # header parse did not.  Adopt the memoized value if the
-            # encoder had one.
-            if crc:
-                batch._crc = crc
-        else:
-            actual = batch.checksum()
-            if actual != crc:
-                raise ValueError(
-                    f"wire checksum mismatch: header {crc:#010x}, "
-                    f"recomputed {actual:#010x}"
-                )
+        actual = zlib.crc32(
+            view[_HEADER.size : schema_end], batch.checksum()
+        )
+        if actual != crc:
+            raise ValueError(
+                f"wire checksum mismatch: header {crc:#010x}, "
+                f"recomputed {actual:#010x}"
+            )
         return batch
 
-    def release_shared(self) -> None:
-        """Unlink owned segments **without** copying the columns private.
-
-        The mapped views stay valid (a mapping lives until its last
-        view dies); only the ``/dev/shm`` names are removed.  A no-op in
-        any process that is not the recorded owner — a forked child
-        inheriting this batch must never unlink segments its parent
-        still serves to workers.
-        Called automatically when the owning batch is garbage-collected,
-        so queue entries dropped on abort/recovery paths self-clean.
-        """
-        if not self._shm:
-            return
-        if self._shm_owner != os.getpid():
-            return
-        for _, seg in self._shm:
-            _release_segment(seg)
-        self._shm = ()
-        self._shm_owner = None
-
-    def __del__(self) -> None:
-        try:
-            self.release_shared()
-        # repro-lint: disable-next-line=swallowed-error -- GC/interpreter-teardown finalizer; release is best-effort and idempotent
-        except Exception:  # pragma: no cover
-            pass
-
     def __reduce__(self) -> tuple[Any, ...]:
-        # Pickle rides the wire format (inline columns only), so a batch
-        # crossing a process boundary keeps its exact checksum/nbytes.
-        return (_batch_from_wire, (self.to_bytes(),))
+        # By parts, not through the wire format: the columns stay
+        # ordinary ndarrays to whichever pickler carries the batch, so
+        # the pool's segment pickler moves the large ones by segment.
+        # A memoized CRC rides along as slot state; an unset one —
+        # every batch on a pool pipe — is not worth its bytes per block.
+        parts = (MessageBatch, (self.schema, self.columns, self.scalars))
+        if self._crc is None:
+            return parts
+        return (*parts, (None, {"_crc": self._crc}))
 
     def __len__(self) -> int:
         return self.rows
@@ -516,9 +394,20 @@ class MessageBatch:
         )
 
 
-def _batch_from_wire(buf: bytes) -> MessageBatch:
-    """Module-level unpickle hook for :meth:`MessageBatch.__reduce__`."""
-    return MessageBatch.from_bytes(buf)
+def _pack_str(text: str) -> bytes:
+    raw = text.encode()
+    return struct.pack("<H", len(raw)) + raw
+
+
+def _wire_dtype(text: str) -> np.dtype:
+    """The column dtype a frame names, or ``ValueError``."""
+    try:
+        dt = np.dtype(text)
+    except (TypeError, SyntaxError, ValueError) as exc:
+        raise ValueError(f"malformed wire dtype {text!r}") from exc
+    if dt.hasobject:
+        raise ValueError(f"wire dtype {text!r} holds Python objects")
+    return dt
 
 
 #: Name family for every segment this process (and its forked workers)
@@ -530,9 +419,9 @@ _SEGMENT_FAMILY = f"repro-{os.getpid():x}-"
 _segment_serial = itertools.count()
 
 #: Live registry of *resident* segments this process owns (name ->
-#: nbytes).  Ephemeral wire-format segments are intentionally absent:
-#: their ownership transfers to whoever decodes the batch, so only the
-#: long-lived graph-residency segments count toward the memory model
+#: nbytes).  Ephemeral segments are intentionally absent: their
+#: ownership transfers to whoever loads the pickle that names them, so
+#: only the long-lived graph-residency segments count toward the memory model
 #: (see :func:`repro.runtime.memory.shared_segment_overhead`).
 _resident_registry: dict[str, int] = {}
 
@@ -572,9 +461,9 @@ def _create_shared_segment(raw: np.ndarray, tracked: bool = False) -> Any:
     """A new shared-memory segment holding ``raw``'s bytes.
 
     By default the segment is unregistered from the ``multiprocessing``
-    resource tracker on purpose: the decoding side unlinks explicitly
-    (``release_shared``), and a fork-spawned creator calling ``os._exit``
-    must not leave a tracker entry behind to double-unlink.  Pass
+    resource tracker on purpose: the loading side unlinks explicitly,
+    and a fork-spawned creator calling ``os._exit`` must not leave a
+    tracker entry behind to double-unlink.  Pass
     ``tracked=True`` for resident segments whose attach/unlink pairing
     happens in this same process (the executor pool's graph residency):
     the registration stays so a hard-crashed parent still gets tracker
@@ -647,15 +536,15 @@ def _attach_shared_segment(name: str) -> Any:
     """Map an existing segment, leaving its tracker registration alone.
 
     Attaching registers with the resource tracker (CPython < 3.13 does
-    so unconditionally) and ``release_shared``'s ``unlink()`` unregisters
-    again internally — so the attach-side registration is already
-    balanced, and an explicit unregister here would make the tracker
-    daemon print a KeyError for every segment.
+    so unconditionally) and the owner's ``unlink()`` unregisters again
+    internally — so the attach-side registration is already balanced,
+    and an explicit unregister here would make the tracker daemon print
+    a KeyError for every segment.
 
-    A missing segment means its owner already unlinked it (each wire
-    batch must be decoded exactly once) or the producing worker died
-    before publishing — either way the receiver gets a clean,
-    diagnosable error rather than a raw ``FileNotFoundError``.
+    A missing segment means its owner already unlinked it (an ephemeral
+    segment is loaded exactly once) or the producing worker died before
+    publishing — either way the receiver gets a clean, diagnosable
+    error rather than a raw ``FileNotFoundError``.
     """
     from multiprocessing import shared_memory
 
@@ -663,9 +552,9 @@ def _attach_shared_segment(name: str) -> Any:
         return shared_memory.SharedMemory(name=name)
     except FileNotFoundError as exc:
         raise ValueError(
-            f"shared-memory segment {name!r} is gone; wire batches own "
-            "their segments and must be decoded exactly once, and a "
-            "worker that died mid-send leaves nothing to attach"
+            f"shared-memory segment {name!r} is gone; an ephemeral "
+            "segment is loaded exactly once, and a worker that died "
+            "mid-send leaves nothing to attach"
         ) from exc
 
 

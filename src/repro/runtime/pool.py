@@ -4,10 +4,9 @@
 forked worker processes: each barrier ships a dispatch spec (task refs,
 payloads, the declared part of each host's inbox, live fault state) to
 the workers, which record the same private ledger a thread would and
-ship a picklable
-delta (accounting vectors, queued payloads on the
-:mod:`~repro.runtime.colfab` wire format, fault-channel RNG state,
-isolation evidence) back over a pipe.  The parent adopts each delta
+ship a picklable delta (accounting vectors, queued payloads,
+fault-channel RNG state, isolation evidence) back over a pipe.  The
+parent adopts each delta
 into a ledger view and hands it to the barrier in
 :mod:`repro.runtime.executor` — the host-order merge is that module's,
 shared with the thread executor, and is not re-implemented here.  This
@@ -32,7 +31,7 @@ import numpy as np
 
 from ..analysis import isolation
 from . import residency
-from .colfab import ColumnSchema, MessageBatch, ReceivedBatch
+from .colfab import ColumnSchema, ReceivedBatch
 from .comm import Communicator
 from .executor import (
     HostTask,
@@ -43,7 +42,6 @@ from .executor import (
     _run_private,
 )
 from .faults import FaultInjector
-from .residency import SHM_THRESHOLD
 from .stats import PhaseStats
 
 __all__ = ["ProcessExecutor"]
@@ -112,10 +110,7 @@ class _ShippedHostView(LedgerHostView):
         return {
             "vectors": [getattr(ledger, name) for name in _LEDGER_VECTORS],
             "backoff_units": ledger.backoff_units,
-            "queued": [
-                (dst, tag, _encode_queued_payload(p))
-                for dst, tag, p in ledger.queued
-            ],
+            "queued": ledger.queued,
             "fault_events": ledger.fault_events,
             "channel": None if channel is None else channel.live_state(),
             "disk_bytes": self.disk_bytes,
@@ -124,23 +119,12 @@ class _ShippedHostView(LedgerHostView):
         }
 
     def adopt(self, delta: dict[str, Any]) -> None:
-        """Parent-side inverse of :meth:`export`.
-
-        Queued wire payloads are decoded here, for *every* delta and
-        before the barrier knows which ones it keeps: a delta discarded
-        on the failure path must still reclaim its shared-memory
-        segments, which the decoded batches do themselves
-        (``release_shared`` runs from their finalizer when the released
-        view is dropped).
-        """
+        """Parent-side inverse of :meth:`export`."""
         ledger = self.ledger
         for name, vector in zip(_LEDGER_VECTORS, delta["vectors"]):
             getattr(ledger, name)[:] = vector
         ledger.backoff_units = delta["backoff_units"]
-        ledger.queued = [
-            (dst, tag, _decode_queued_payload(p))
-            for dst, tag, p in delta["queued"]
-        ]
+        ledger.queued = delta["queued"]
         ledger.fault_events.extend(delta["fault_events"])
         self.disk_bytes = delta["disk_bytes"]
         self.compute_units = delta["compute_units"]
@@ -152,46 +136,6 @@ class _ShippedHostView(LedgerHostView):
         super().merge()
         for tag, count in self.recv_log:
             self._stats.comm.replay_recv(self.host, tag, count)
-
-
-def _encode_queued_payload(payload: Any, borrow: bool = False) -> tuple[str, Any]:
-    """Wire-encode one queued payload for an executor pipe.
-
-    Large columnar batches go through the shared-memory wire format so
-    their columns never cross the pipe; everything else rides pickle
-    (:class:`MessageBatch` itself pickles via the inline wire format).
-    Both directions are intra-box, so blobs are marked trusted (the
-    decoder skips the CRC re-verification pass).
-
-    ``borrow=True`` is the parent -> worker direction (queue-snapshot
-    shipping): the parent keeps segment ownership, already-mapped
-    segments of previously decoded batches are re-shipped by name with
-    zero bytes copied, and a worker can die — or simply never drain the
-    tag — without leaking anything.
-    """
-    if isinstance(payload, MessageBatch) and payload.nbytes >= SHM_THRESHOLD:
-        return (
-            "wire",
-            payload.to_bytes(
-                shm_threshold=SHM_THRESHOLD, borrow=borrow, trusted=True
-            ),
-        )
-    return ("obj", payload)
-
-
-def _decode_queued_payload(enc: tuple[str, Any]) -> Any:
-    kind, data = enc
-    if kind == "wire":
-        # Zero-copy: shared columns stay mapped in place.  Owned
-        # segments (worker -> parent deltas) are unlinked by the
-        # decoded batch itself — explicitly via ``release_shared`` on
-        # reclaim paths, or by its finalizer when a queue entry is
-        # drained/discarded — so a dropped delta can never leak one.
-        # Borrowed segments (parent -> worker snapshots) were divorced
-        # from their wrappers during decode and are never this side's
-        # to unlink.
-        return MessageBatch.from_bytes(data)
-    return data
 
 
 def _run_shipped_task(
@@ -260,12 +204,15 @@ def _fn_shippable(fn: Callable[..., Any]) -> bool:
     return module is not None and getattr(module, qual, None) is fn
 
 
-def _dump_delta(task: HostTask, delta: dict[str, Any]) -> bytes:
+def _dump_delta(task: HostTask, delta: dict[str, Any]) -> tuple[bytes, bytes]:
     """Worker-side: serialize one delta; a result that does not pickle
-    becomes the task's failure, with a diagnostic naming the task."""
+    becomes the task's failure, with a diagnostic naming the task.
+
+    The queued payloads ship as their own blob because the parent loads
+    them differently (:func:`_load_delta`)."""
+    queued, _segments = residency.dumps_with_segments(delta.pop("queued"))
     try:
         blob, _segments = residency.dumps_with_segments(delta)
-        return blob
     except Exception as perr:  # noqa: BLE001 — converted to task failure
         delta = dict(
             delta,
@@ -276,7 +223,22 @@ def _dump_delta(task: HostTask, delta: dict[str, Any]) -> bytes:
             ),
         )
         blob, _segments = residency.dumps_with_segments(delta)
-        return blob
+    return blob, queued
+
+
+def _load_delta(blobs: tuple[bytes, bytes]) -> dict[str, Any]:
+    """Parent-side inverse of :func:`_dump_delta`.
+
+    Queued payloads are loaded relayed: most are about to be shipped on
+    to the worker that drains them, and a relayed array goes by segment
+    name.  Everything else — task results above all, which outlive the
+    run — gives its segment names up at load, so nothing stays in
+    ``/dev/shm`` once the queues are drained.
+    """
+    blob, queued = blobs
+    delta = residency.loads_with_segments(blob)
+    delta["queued"] = residency.loads_with_segments(queued, relay=True)
+    return delta
 
 
 def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
@@ -294,16 +256,12 @@ def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
     stats = PhaseStats(
         name=spec["phase"], comm=comm, num_hosts=spec["num_hosts"]
     )
-    blobs: list[bytes] = []
+    blobs: list[tuple[bytes, bytes]] = []
     for tspec in spec["tasks"]:
         task = tspec["task"]
-        comm.preload_queues(
-            task.host,
-            {
-                tag: [(src, _decode_queued_payload(enc)) for src, enc in entries]
-                for tag, entries in tspec["queues"].items()
-            },
-        )
+        # Popped: once drained, an inbox block must not stay mapped
+        # (and resident) for the rest of the spec.
+        comm.preload_queues(task.host, tspec.pop("queues"))
         delta = _run_shipped_task(stats, task, spec["monitor"], spec["phase"])
         blobs.append(_dump_delta(task, delta))
     return ("ok", blobs)
@@ -348,8 +306,10 @@ class ProcessExecutor(_LedgerExecutor):
     never leaves the parent, round-invariant tables are published, and
     arrays that change between barriers are republished into the
     segment they already occupy.  Other payload arrays at or above the
-    wire threshold ride ephemeral segments, and results/ledger deltas
-    come back the same way.  The parent adopts each delta into a ledger
+    segment threshold ride ephemeral segments, and results/ledger deltas
+    come back the same way; a block one worker queued goes on to the
+    worker that drains it by segment name.  The parent adopts each
+    delta into a ledger
     view — accounting vectors, queued payloads, the fault channel's
     advanced RNG/op state, the drain log — folds in isolation evidence,
     and hands the views to the barrier it shares with the thread executor
@@ -584,7 +544,7 @@ class ProcessExecutor(_LedgerExecutor):
         comm = stats.comm
         injector = comm.injector
         inj_state = injector.export_live_state() if injector is not None else None
-        pids = residency.resident_pids(self._residents)
+        pids = residency.spec_pids(self._residents)
         spec_blobs: list[bytes] = []
         spec_segments: list[Any] = []
         try:
@@ -592,26 +552,13 @@ class ProcessExecutor(_LedgerExecutor):
                 task_specs = []
                 for i in chunk:
                     task = tasks[i]
-                    # Only the declared inbox ships; borrow=True: the
-                    # parent keeps ownership of every segment these
-                    # blobs reference, so an unshippable spec (below) or
-                    # a dead worker cannot leak or double-free — the
-                    # queue entries themselves release the segments
-                    # when they are drained or dropped.
-                    queues = {
-                        tag: [
-                            (src, _encode_queued_payload(payload, borrow=True))
-                            for src, payload in entries
-                        ]
-                        for tag, entries in comm.snapshot_queues(
-                            task.host, task.drains
-                        ).items()
-                    }
-                    # ``apply`` stays behind: it runs in the parent, at
-                    # the barrier, and is typically a closure.
-                    task_specs.append(
-                        {"task": replace(task, apply=None), "queues": queues}
-                    )
+                    # Only the declared inbox ships.  ``apply`` stays
+                    # behind: it runs in the parent, at the barrier, and
+                    # is typically a closure.
+                    task_specs.append({
+                        "task": replace(task, apply=None),
+                        "queues": comm.snapshot_queues(task.host, task.drains),
+                    })
                 spec = {
                     "phase": phase_name,
                     "num_hosts": comm.num_hosts,
@@ -627,9 +574,6 @@ class ProcessExecutor(_LedgerExecutor):
         except Exception as perr:  # noqa: BLE001 — reclaim, then re-raise typed
             for seg in spec_segments:
                 residency.discard_untracked_segment(seg)
-            # Queue entries already wire-encoded for this spec need no
-            # reclaim: borrow-mode encoding left every segment owned by
-            # the still-queued parent batches.
             raise UnshippableTaskError(
                 f"phase {phase_name!r}: dispatch spec does not pickle "
                 f"({perr}); task payloads must pickle"
@@ -651,30 +595,19 @@ class ProcessExecutor(_LedgerExecutor):
             frame = _read_frame(worker["reply_r"])
             replies.append(None if frame is None else pickle.loads(frame))
         replies.extend([None] * (len(workers) - sent))
-        # Chunks are contiguous and in task order, so are the deltas.
-        deltas: list[dict[str, Any]] = []
-        broken: list[tuple[list[int], dict[str, int]]] = []
-        errors: list[str] = []
-        for worker, chunk, reply in zip(workers, chunks, replies):
-            if reply is None:
-                broken.append((chunk, worker))
-            elif reply[0] == "error":
-                errors.append(reply[1])
-            else:
-                deltas.extend(map(residency.loads_with_segments, reply[1]))
+        broken = [
+            (chunk, worker)
+            for worker, chunk, reply in zip(workers, chunks, replies)
+            if reply is None
+        ]
+        errors = [r[1] for r in replies if r is not None and r[0] == "error"]
         if not broken and not errors:
-            return deltas
-        # Failure path: reclaim every in-flight segment before raising.
-        # Deltas already decoded adopted their reply segments (unlinked
-        # on load); decoding + releasing the queued wire payloads of
-        # surviving deltas reclaims those too; the family sweep below
-        # unlinks whatever a dead worker never consumed (spec segments,
-        # a half-shipped reply).
-        for delta in deltas:
-            for _dst, _tag, enc in delta["queued"]:
-                payload = _decode_queued_payload(enc)
-                if isinstance(payload, MessageBatch):
-                    payload.release_shared()
+            # Chunks are contiguous and in task order, so are the deltas.
+            return [_load_delta(blobs) for r in replies for blobs in r[1]]
+        # Failure path: no delta was loaded, so no segment a reply names
+        # has an owner here; the family sweep below unlinks them all,
+        # with whatever a dead worker never consumed (spec segments, a
+        # half-shipped reply).
         codes = self._destroy_pool()
         residency.sweep_family_segments()
         if errors:

@@ -1,5 +1,6 @@
-"""Shared-memory residency for the process pool: segment-exporting
-pickling, resident export/install, ephemeral arrays, the family sweep.
+"""Shared-memory residency for the process pool: the one place that
+knows how an array crosses a pool pipe — segment-exporting pickling,
+resident export/install, ephemeral and relayed arrays, the family sweep.
 
 No graph bytes cross a pool pipe.  A published input becomes a
 *resident*: its large arrays are copied into parent-owned named POSIX
@@ -7,18 +8,26 @@ segments that every worker maps as read-only zero-copy NumPy views, and
 the rest of the object crosses as a small pickle blob.  A resident
 ndarray that changes between barriers is refreshed inside its segment
 (:func:`refresh_resident`).  Dispatch specs and worker replies pickle
-through a segment-exporting pickler, so any other array at or above the wire
-threshold rides a one-shot *ephemeral* segment whose ownership
-transfers to the decoding side, while a reference to a resident shrinks
-to a persistent id.  Segments that never reach a consumer are reclaimed
-here too; ``colfab.leaked_segments() == []`` is the tested invariant.
+through a segment-exporting pickler, so any other array at or above
+:data:`SHM_THRESHOLD` — a :class:`~repro.runtime.colfab.MessageBatch`
+column is just such an array — rides a one-shot *ephemeral* segment
+whose ownership transfers to the loading side, while a reference to a
+resident shrinks to a persistent id.  A worker's queued payloads are
+loaded *relayed* (``loads_with_segments(..., relay=True)``): the
+segment keeps its name for as long as the loaded array lives, so the
+spec that later carries the array to the worker draining it names the
+segment instead of copying it.  Segments that never reach a consumer
+are reclaimed here too; ``colfab.leaked_segments() == []`` is the
+tested invariant.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import pickle
+import weakref
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -28,7 +37,7 @@ from . import colfab
 __all__ = [
     "SHM_THRESHOLD", "dumps_with_segments", "loads_with_segments",
     "discard_untracked_segment", "sweep_family_segments", "export_resident",
-    "refresh_resident", "unlink_resident", "resident_pids", "resident_frame",
+    "refresh_resident", "unlink_resident", "spec_pids", "resident_frame",
     "install_resident",
 ]
 
@@ -38,6 +47,10 @@ SHM_THRESHOLD = 64 * 1024
 
 #: One exported array: ``(segment name, dtype descr, shape)``.
 _SegmentRef = tuple[str, Any, tuple[int, ...]]
+
+#: Relayed arrays alive in this process: ``id(array) -> ("ndk", *ref)``,
+#: the persistent id a spec carrying that array ships instead of a copy.
+_relayed: dict[int, tuple] = {}
 
 
 def _array_to_segment(arr: np.ndarray, tracked: bool) -> tuple[Any, _SegmentRef]:
@@ -49,13 +62,41 @@ def _array_to_segment(arr: np.ndarray, tracked: bool) -> tuple[Any, _SegmentRef]
     return seg, (seg.name, np.lib.format.dtype_to_descr(raw.dtype), raw.shape)
 
 
-def _segment_to_array(ref: _SegmentRef) -> tuple[Any, np.ndarray]:
-    """Map one exported array zero-copy; return the handle and the view."""
+def _segment_to_array(ref: _SegmentRef, name_fate: str = "keep") -> np.ndarray:
+    """Map one exported array as a zero-copy view.
+
+    The returned array *is* the mapping: divorced from its wrapper, the
+    pages live until the array's last view dies — refcounting munmaps
+    them — so a multi-megabyte result or payload is never memcpy-ed
+    through private heap.  What becomes of the segment's *name* is the
+    caller's to say.  ``"keep"``: it is somebody else's (a resident, an
+    array the parent relays).  ``"unlink"``: an ephemeral segment,
+    consumed here and now — exactly-once, nothing to leak.  ``"relay"``:
+    an ephemeral segment whose name lives exactly as long as the
+    returned array, so that a later spec can ship the array by that
+    name (:data:`_relayed`).
+    """
     name, descr, shape = ref
     seg = colfab._attach_shared_segment(name)
     dtype = np.lib.format.descr_to_dtype(descr)
-    count = math.prod(shape)
-    return seg, np.frombuffer(seg.buf, dtype=dtype, count=count).reshape(shape)
+    arr = np.frombuffer(seg.buf, dtype=dtype, count=math.prod(shape)).reshape(shape)
+    colfab._defuse_segment(seg)
+    if name_fate == "relay":
+        key = id(arr)
+        _relayed[key] = ("ndk", *ref)
+        weakref.finalize(arr, _drop_relayed, key, seg, os.getpid())
+    elif name_fate == "unlink":
+        seg.unlink()
+    return arr
+
+
+def _drop_relayed(key: int, seg: Any, owner: int) -> None:
+    """A relayed array died: forget it and, in the process that loaded
+    it, unlink the name (a forked child inherits the array but never
+    the obligation — the parent may still be serving the segment)."""
+    _relayed.pop(key, None)
+    if owner == os.getpid():
+        colfab._release_segment(seg)
 
 
 def discard_untracked_segment(seg: Any) -> None:
@@ -140,27 +181,31 @@ class _SegmentPickler(pickle.Pickler):
 class _SegmentUnpickler(pickle.Unpickler):
     """Inverse of :class:`_SegmentPickler` (worker and parent side):
     ``residents`` resolves a spec's resident references, ``arrays`` the
-    manifest indices inside a resident's own blob."""
+    manifest indices inside a resident's own blob; ``relay`` keeps each
+    ephemeral segment's name alive with its array instead of unlinking
+    it at load."""
 
     def __init__(
         self,
         file: Any,
         residents: dict[str, dict] | None = None,
         arrays: Sequence[np.ndarray] = (),
+        relay: bool = False,
     ):
         super().__init__(file)
         self._residents = residents or {}
         self._arrays = arrays
+        self._nd_fate = "relay" if relay else "unlink"
         self._loaded: dict[str, np.ndarray] = {}
 
     def persistent_load(self, pid: tuple) -> Any:
         kind = pid[0]
-        if kind == "nd":
+        if kind in ("nd", "ndk"):
             name = pid[1]
             arr = self._loaded.get(name)
             if arr is None:
-                arr = _load_ephemeral_array(pid[1:])
-                self._loaded[name] = arr
+                fate = "keep" if kind == "ndk" else self._nd_fate
+                arr = self._loaded[name] = _segment_to_array(pid[1:], fate)
             return arr
         if kind == "rarr":
             return self._arrays[pid[1]]
@@ -181,30 +226,15 @@ class _SegmentUnpickler(pickle.Unpickler):
         return entry
 
 
-def _load_ephemeral_array(ref: _SegmentRef) -> np.ndarray:
-    """Adopt one ephemeral segment as a zero-copy array, unlinking it.
-
-    The returned array *is* the mapping: ``unlink`` drops the name
-    immediately (exactly-once consumption, nothing to leak), and
-    divorcing the mapping from its wrapper leaves the pages alive until
-    the array's last view dies — refcounting munmaps them.  This is the
-    difference between memcpy-ing every multi-megabyte result/payload
-    through private heap and just keeping the pages the producer already
-    wrote.
-    """
-    seg, arr = _segment_to_array(ref)
-    seg.unlink()
-    colfab._defuse_segment(seg)
-    return arr
-
-
 def dumps_with_segments(
-    obj: Any, resident_pids: dict[int, tuple] | None = None
+    obj: Any, known: dict[int, tuple] | None = None
 ) -> tuple[bytes, list[Any]]:
     """Pickle ``obj`` with large arrays in ephemeral segments, whose
-    ownership transfers to the decoding side.  Returns the blob and the
-    (creator-closed) segments, for the caller to unlink if the blob
-    never reaches a consumer; they are unlinked here if pickling fails."""
+    ownership transfers to the loading side; ``known`` (:func:`spec_pids`)
+    maps objects that need no copy to their persistent ids.  Returns the
+    blob and the (creator-closed) segments, for the caller to unlink if
+    the blob never reaches a consumer; they are unlinked here if
+    pickling fails."""
     segments: list[Any] = []
 
     def export(arr: np.ndarray) -> tuple:
@@ -214,7 +244,7 @@ def dumps_with_segments(
 
     buf = io.BytesIO()
     try:
-        _SegmentPickler(buf, export, resident_pids).dump(obj)
+        _SegmentPickler(buf, export, known).dump(obj)
     except Exception:
         for seg in segments:
             discard_untracked_segment(seg)
@@ -223,9 +253,9 @@ def dumps_with_segments(
 
 
 def loads_with_segments(
-    blob: bytes, residents: dict[str, dict] | None = None
+    blob: bytes, residents: dict[str, dict] | None = None, relay: bool = False
 ) -> Any:
-    return _SegmentUnpickler(io.BytesIO(blob), residents).load()
+    return _SegmentUnpickler(io.BytesIO(blob), residents, relay=relay).load()
 
 
 def export_resident(obj: Any, gen: int) -> dict[str, Any]:
@@ -292,9 +322,7 @@ def refresh_resident(entry: dict[str, Any], arr: np.ndarray) -> bool:
         return False
     live = entry.get("live")
     if live is None:
-        seg, live = _segment_to_array(manifest[0])
-        colfab._defuse_segment(seg)
-        entry["live"] = live
+        live = entry["live"] = _segment_to_array(manifest[0])
     live[...] = arr
     entry.update(obj=arr, arrays=[arr], array_ids={id(arr): 0})
     return True
@@ -315,9 +343,10 @@ def unlink_resident(entry: dict[str, Any]) -> None:
     entry.pop("live", None)
 
 
-def resident_pids(residents: dict[str, dict[str, Any]]) -> dict[int, tuple]:
-    """``id(object) -> persistent id`` map for the spec pickler."""
-    pids: dict[int, tuple] = {}
+def spec_pids(residents: dict[str, dict[str, Any]]) -> dict[int, tuple]:
+    """``id(object) -> persistent id`` map for the spec pickler: every
+    live relayed array, every exported resident and its arrays."""
+    pids = dict(_relayed)
     for name, entry in residents.items():
         if entry["blob"] is None:
             continue
@@ -350,8 +379,7 @@ def install_resident(
     """
     arrays: list[np.ndarray] = []
     for ref in manifest:
-        seg, arr = _segment_to_array(ref)
-        colfab._defuse_segment(seg)
+        arr = _segment_to_array(ref)
         # Residents are immutable to a task; a body that tries to write
         # through a zero-copy view fails loudly instead of corrupting
         # every sibling worker's view.

@@ -15,16 +15,18 @@ across ledger merges, ``pending`` with mixed direct/ledger sends) that
 the batch receiver builds on.
 """
 
-import os
+import inspect
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import CuSP, policy_names
+from repro.runtime import colfab
 from repro.runtime.colfab import (
     WIRE_MAGIC,
     BatchAccumulator,
@@ -173,8 +175,57 @@ def assert_batches_equal(a, b):
         assert type(sa) is type(sb)  # int stays int, float stays float
 
 
+@st.composite
+def hostile_frames(draw):
+    """A valid frame, then one mutation of it: ``(batch, bytes, refuse)``.
+
+    ``refuse`` is set for the two mutations that must *always* be
+    refused — a flag bit, a storage kind that names a shared-memory
+    segment — even though neither disturbs a single content byte.
+    """
+    batch = draw(wire_batches())
+    frame = batch.to_bytes()
+    kind = draw(st.sampled_from(
+        ("flip", "truncate", "splice", "extend", "flag", "storage")
+    ))
+    buf = bytearray(frame)
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            buf[draw(st.integers(0, len(buf) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del buf[draw(st.integers(0, len(buf) - 1)):]
+    elif kind == "splice":
+        other = draw(wire_batches()).to_bytes()
+        cut = draw(st.integers(0, len(buf)))
+        lo = draw(st.integers(0, len(other)))
+        hi = draw(st.integers(lo, len(other)))
+        tail = draw(st.integers(cut, len(buf)))
+        buf[cut:tail] = other[lo:hi]
+        if bytes(buf) == other:  # a whole valid frame is not hostile
+            buf = bytearray(frame)
+    elif kind == "extend":
+        buf += draw(st.binary(min_size=1, max_size=16))
+    elif kind == "flag":
+        buf[6 + draw(st.integers(0, 1))] |= 1 << draw(st.integers(0, 7))
+    else:
+        assume(batch.columns)
+        # The storage byte of the first column: what follows it to the
+        # end of the frame is every column's 9-byte prefix and bytes.
+        first = len(buf) - sum(9 + c.nbytes for c in batch.columns)
+        buf[first] = draw(st.integers(1, 2))
+    return batch, bytes(buf), kind in ("flag", "storage")
+
+
+def with_dtype(frame, old, new):
+    """``frame`` with one length-prefixed dtype string replaced."""
+    old, new = old.encode(), new.encode()
+    prefixed = len(old).to_bytes(2, "little") + old
+    assert frame.count(prefixed) == 1
+    return frame.replace(prefixed, len(new).to_bytes(2, "little") + new)
+
+
 class TestWireFormat:
-    """The versioned zero-copy wire format (`to_bytes`/`from_bytes`)."""
+    """The versioned, inline-only wire format (`to_bytes`/`from_bytes`)."""
 
     SCHEMA = ColumnSchema((("src", I64), ("dst", I32)), scalars=("count",))
 
@@ -185,9 +236,18 @@ class TestWireFormat:
         assert_batches_equal(batch, back)
 
     @settings(max_examples=60, deadline=None)
-    @given(batch=wire_batches())
-    def test_pickle_round_trips_via_wire(self, batch):
-        back = pickle.loads(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+    @given(batch=wire_batches(), memoized=st.booleans())
+    def test_pickle_round_trips(self, batch, memoized):
+        """Schema, values, ``nbytes`` and checksum survive pickling,
+        which ships the parts and never the wire format."""
+        if memoized:
+            batch.checksum()
+        with mock.patch.object(
+            MessageBatch, "to_bytes", side_effect=AssertionError
+        ):
+            blob = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
+        back = pickle.loads(blob)
+        assert back._crc == batch._crc  # the memoized CRC rides along
         assert_batches_equal(batch, back)
 
     @settings(max_examples=60, deadline=None)
@@ -227,131 +287,68 @@ class TestWireFormat:
         with pytest.raises(TypeError):
             batch.to_bytes()
 
-    def test_shared_memory_columns_round_trip(self):
-        src = np.arange(4096, dtype=np.int64)
-        dst = np.arange(4096, dtype=np.int32)
-        batch = MessageBatch(self.SCHEMA, (src, dst), (7,))
-        buf = batch.to_bytes(shm_threshold=1024)
-        assert len(buf) < batch.nbytes  # columns live in shm, not inline
-        back = MessageBatch.from_bytes(buf)
-        assert_batches_equal(batch, back)
-        back.release_shared()  # unlink the segments; views stay valid
-        assert_batches_equal(batch, back)
-
     def test_decode_is_zero_copy_for_inline_columns(self):
         batch = ids_batch(self.SCHEMA, [1, 2, 3], [4, 5, 6], scalars=(9,))
         buf = batch.to_bytes()
         back = MessageBatch.from_bytes(buf)
         assert not back.columns[0].flags.owndata  # view over the frame
 
+    def test_codec_takes_no_transport_options(self):
+        batch = ids_batch(self.SCHEMA, [1], [2], scalars=(3,))
+        assert list(inspect.signature(batch.to_bytes).parameters) == []
+        assert list(inspect.signature(MessageBatch.from_bytes).parameters) == [
+            "buf"
+        ]
 
-class TestWireShmAbnormalExit:
-    """Shared-memory column lifecycle when a worker exits abnormally.
+    # deprecated dtype aliases ("a4") warn before they are refused
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(case=hostile_frames())
+    def test_hostile_frames_are_refused_or_harmless(self, case):
+        """Flips, truncations, splices and padding of a valid frame
+        raise ``ValueError`` or decode to the original batch — nothing
+        else, and never by way of ``/dev/shm``; a flag bit or a
+        segment-naming storage kind is refused outright."""
+        batch, buf, refuse = case
+        before = leaked_segments()
+        with mock.patch.object(
+            colfab, "_attach_shared_segment", side_effect=AssertionError
+        ):
+            try:
+                back = MessageBatch.from_bytes(buf)
+            except ValueError:
+                back = None
+        assert leaked_segments() == before
+        if back is not None:
+            assert not refuse, "decoded a frame that must be refused"
+            assert_batches_equal(batch, back)
 
-    The process executor's crash sweeper unlinks whatever a dead worker
-    left behind; these tests pin the contracts that make that safe:
-    every segment is unlinked exactly once (a second release is a
-    no-op, a sweeper-raced release swallows ``FileNotFoundError``
-    without re-poking the resource tracker), a receiver attaching a
-    swept name gets a diagnosable ``ValueError`` instead of a raw
-    ``FileNotFoundError``, and a forked child inheriting a batch never
-    unlinks segments its parent still serves.
-    """
+    def test_equal_itemsize_dtype_swap_is_caught(self):
+        # The schema section is under the header CRC: an int64 column
+        # relabelled uint64 carries the same bytes and the same
+        # checksum(), and used to decode silently.
+        batch = ids_batch(self.SCHEMA, [1, -2], [3, 4], scalars=(5,))
+        with pytest.raises(ValueError, match="checksum"):
+            MessageBatch.from_bytes(with_dtype(batch.to_bytes(), "<i8", "<u8"))
 
-    SCHEMA = ColumnSchema((("src", I64), ("dst", I32)), scalars=("count",))
+    @pytest.mark.parametrize("dtype", [
+        "<_8",   # np.dtype raises TypeError
+        ",i",    # ... SyntaxError
+        "1<(f4", # ... ValueError
+        "|O8",   # parses, but a frame cannot hold Python objects
+    ])
+    def test_malformed_dtype_is_a_value_error(self, dtype):
+        frame = ids_batch(self.SCHEMA, [1], [2], scalars=(3,)).to_bytes()
+        with pytest.raises(ValueError, match="dtype"):
+            MessageBatch.from_bytes(with_dtype(frame, "<i8", dtype))
 
-    def _shm_batch(self, rows=4096):
-        src = np.arange(rows, dtype=np.int64)
-        dst = np.arange(rows, dtype=np.int32)
-        return MessageBatch(self.SCHEMA, (src, dst), (rows,))
-
-    def test_swept_segment_gives_clean_recv_error(self):
-        # Decoding the same wire blob twice models a receiver attaching
-        # a name the crash sweeper (or the first decoder) already
-        # unlinked: the second attach must fail with a diagnosable
-        # ValueError, not a raw FileNotFoundError.
-        buf = self._shm_batch().to_bytes(shm_threshold=1024)
-        first = MessageBatch.from_bytes(buf)
-        first.release_shared()
-        with pytest.raises(ValueError, match="is gone"):
-            MessageBatch.from_bytes(buf)
-        assert leaked_segments() == []
-
-    def test_release_unlinks_exactly_once_and_keeps_views_valid(self):
-        batch = self._shm_batch()
-        buf = batch.to_bytes(shm_threshold=1024)
-        back = MessageBatch.from_bytes(buf)
-        assert leaked_segments() != []  # decoder now owns live segments
-        view = back.column("src")
-        back.release_shared()
-        assert leaked_segments() == []
-        # The mapping outlives the unlink; only the /dev/shm name died.
-        assert np.array_equal(view, batch.column("src"))
-        # Second release (and the GC finalizer) must be a no-op.
-        back.release_shared()
-        del back
-        assert leaked_segments() == []
-
-    def test_release_after_external_sweep_does_not_double_unlink(self):
-        from multiprocessing import shared_memory
-
-        buf = self._shm_batch().to_bytes(shm_threshold=1024)
-        back = MessageBatch.from_bytes(buf)
-        names = list(leaked_segments())
-        assert names
-        # Simulate the crash sweeper getting there first: unlink the
-        # names out from under the owning batch.
-        for name in names:
-            seg = shared_memory.SharedMemory(name=name)
-            seg.close()
-            seg.unlink()
-        # The owner's release must tolerate the already-swept names
-        # (exactly-once unlink: no FileNotFoundError, and no second
-        # resource-tracker unregister for the tracker daemon to choke
-        # on) and still leave zero leaks.
-        back.release_shared()
-        assert leaked_segments() == []
-
-    def test_borrowed_segments_survive_decoder_death(self):
-        encoder = self._shm_batch()
-        buf = encoder.to_bytes(shm_threshold=1024, borrow=True)
-        # Borrow mode: the encoder keeps the unlink obligation...
-        assert encoder._shm and encoder._shm_owner == os.getpid()
-        back = MessageBatch.from_bytes(buf)
-        # ...so the decoder owns nothing and its death (or never
-        # decoding at all) cannot unlink or leak anything.
-        assert back._shm == ()
-        view = back.column("dst")
-        del back
-        assert leaked_segments() != []  # encoder's segments still live
-        # Re-shipping the same batch references the segments by name —
-        # still exactly one owner, no new segments.
-        again = MessageBatch.from_bytes(
-            encoder.to_bytes(shm_threshold=1024, borrow=True)
-        )
-        assert_batches_equal(encoder, again)
-        names_before = leaked_segments()
-        encoder.release_shared()
-        assert leaked_segments() == []
-        assert names_before  # the release above was the single unlink
-        assert np.array_equal(view, np.arange(4096, dtype=np.int32))
-
-    def test_forked_child_never_unlinks_parent_segments(self):
-        buf = self._shm_batch().to_bytes(shm_threshold=1024)
-        back = MessageBatch.from_bytes(buf)
-        assert leaked_segments() != []
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - asserted via the parent
-            # Child: abnormal exit path — the inherited batch's release
-            # (explicit or via GC at interpreter teardown) must be a
-            # no-op because the recorded owner pid is the parent's.
-            back.release_shared()
-            os._exit(0 if leaked_segments() else 1)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        assert leaked_segments() != []  # parent's segments untouched
-        back.release_shared()
-        assert leaked_segments() == []
+    def test_non_utf8_name_is_a_value_error(self):
+        frame = ids_batch(self.SCHEMA, [1], [2], scalars=(3,)).to_bytes()
+        assert frame.count(b"\x03\x00src") == 1
+        with pytest.raises(ValueError, match="utf-8"):
+            MessageBatch.from_bytes(
+                frame.replace(b"\x03\x00src", b"\x03\x00\xff\xfe\xfd")
+            )
 
 
 class TestConcatBatches:

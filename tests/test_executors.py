@@ -15,8 +15,11 @@ shipping each barrier input once: declared inboxes (``HostTask.drains``),
 refresh-in-place ``publish`` and the ``sync_rounds`` scaling gate.
 """
 
+import functools
+import gc
 import os
 import signal
+import sys
 import threading
 
 import numpy as np
@@ -26,7 +29,9 @@ from hypothesis import strategies as st
 
 from repro.core import CuSP, policy_names
 from repro.graph import erdos_renyi
-from repro.runtime import colfab, pool as pool_module
+from repro.core import construction_phase
+from repro.runtime import colfab, pool as pool_module, residency
+from repro.runtime.colfab import ColumnSchema, MessageBatch
 from repro.runtime.comm import Communicator, payload_nbytes
 from repro.runtime.executor import (
     EXECUTOR_NAMES,
@@ -55,8 +60,8 @@ from .strategies import fault_plans, graphs
 def _no_leaked_shm_segments():
     """Every test in this module — pooled process runs included — must
     leave ``/dev/shm`` clean: graph-residency segments are unlinked at
-    executor close, wire segments at decode/release, and crash teardown
-    sweeps whatever a killed worker abandoned."""
+    executor close, ephemeral segments at load, relayed ones with their
+    array, and crash teardown sweeps whatever a killed worker abandoned."""
     yield
     assert leaked_segments() == [], (
         "shared-memory segments leaked past executor teardown"
@@ -508,6 +513,25 @@ def _drain_body(view, tag):
     return [(src, np.asarray(p).tolist()) for src, p in view.recv_all(tag)]
 
 
+_BLOCKS = ColumnSchema((("src", np.int64), ("dst", np.int32)))
+
+
+def _block(rows=SHM_THRESHOLD // 4):
+    """A batch whose every column is at or above ``SHM_THRESHOLD``."""
+    return MessageBatch(
+        _BLOCKS, (np.arange(rows, dtype=np.int64), np.arange(rows, dtype=np.int32))
+    )
+
+
+def _send_block_body(view):
+    view.send_batch((view.host + 1) % 2, _block(), tag="blocks")
+
+
+def _drain_blocks_body(view):
+    got = view.recv_all_batch("blocks", _BLOCKS)
+    return got.rows, int(got.columns["src"].sum())
+
+
 def _resident_probe_body(view, arr):
     return int(arr.sum()), bool(arr.flags.writeable)
 
@@ -726,6 +750,168 @@ class TestPoolCrashTeardown:
         finally:
             ex.close()
         assert leaked_segments() == []
+
+
+@pytest.fixture
+def unraisable(monkeypatch):
+    """Exceptions raised where nobody can catch them (finalizers)."""
+    seen = []
+    monkeypatch.setattr(sys, "unraisablehook", seen.append)
+    return seen
+
+
+class TestSegmentLifecycle:
+    """Who unlinks a segment's name, and when: an ephemeral segment is
+    consumed by its one load; a *relayed* one (a delta's queued
+    payloads) keeps its name exactly as long as the loaded array, in
+    the process that loaded it."""
+
+    def _shipped(self):
+        batch = _block()
+        blob, _ = residency.dumps_with_segments({"block": batch})
+        assert len(blob) < batch.nbytes  # columns ride segments, not the blob
+        assert len(leaked_segments()) == 2
+        return batch, blob
+
+    def test_batch_columns_round_trip_through_segments(self):
+        batch, blob = self._shipped()
+        back = residency.loads_with_segments(blob)["block"]
+        assert leaked_segments() == []  # names die at load...
+        for got, want in zip(back.columns, batch.columns):
+            assert np.array_equal(got, want)  # ...the mappings do not
+        assert (back.schema, back.nbytes) == (batch.schema, batch.nbytes)
+        assert back.checksum() == batch.checksum()
+
+    def test_second_load_of_a_consumed_segment_is_diagnosable(self):
+        _, blob = self._shipped()
+        residency.loads_with_segments(blob)
+        with pytest.raises(ValueError, match="is gone"):
+            residency.loads_with_segments(blob)
+        assert leaked_segments() == []
+
+    def test_relayed_name_dies_once_with_its_array(self, monkeypatch, unraisable):
+        released = []
+        release = colfab._release_segment
+        monkeypatch.setattr(
+            colfab, "_release_segment",
+            lambda seg: (released.append(seg.name), release(seg)),
+        )
+        batch, blob = self._shipped()
+        back = residency.loads_with_segments(blob, relay=True)["block"]
+        names = leaked_segments()
+        assert len(names) == 2 and len(residency._relayed) == 2
+        view = back.column("src")[10:20]
+        del back
+        assert leaked_segments() == [] and residency._relayed == {}
+        assert sorted(released) == names
+        # The mapping outlives the unlink; only the /dev/shm name died.
+        assert np.array_equal(view, batch.column("src")[10:20])
+        del view
+        gc.collect()
+        assert sorted(released) == names and unraisable == []
+
+    def test_sweep_before_death_is_not_a_second_unregister(
+        self, monkeypatch, unraisable
+    ):
+        from multiprocessing import resource_tracker
+
+        _, blob = self._shipped()
+        unregistered = []
+        unregister = resource_tracker.unregister
+        monkeypatch.setattr(
+            resource_tracker, "unregister",
+            lambda name, rtype: (unregistered.append(name), unregister(name, rtype)),
+        )
+        back = residency.loads_with_segments(blob, relay=True)
+        names = leaked_segments()
+        # Crash teardown gets there first, as after a worker death.
+        residency.sweep_family_segments()
+        assert leaked_segments() == []
+        assert sorted(n.lstrip("/") for n in unregistered) == names
+        del back
+        # The arrays' own release tolerates the missing names and does
+        # not unregister them again (the tracker daemon would complain).
+        assert residency._relayed == {} and unraisable == []
+        assert sorted(n.lstrip("/") for n in unregistered) == names
+
+    def test_forked_child_never_unlinks_a_relayed_name(self):
+        _, blob = self._shipped()
+        back = residency.loads_with_segments(blob, relay=True)
+        names = leaked_segments()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - asserted via the parent
+            # The child inherits the arrays; dropping them there must
+            # leave the names for the parent, which may still serve them.
+            del back
+            os._exit(0 if leaked_segments() == names else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert leaked_segments() == names
+        del back
+        assert leaked_segments() == []
+
+    def test_queued_batch_reaches_its_drainer_by_name(self, pool, parent_traffic):
+        ph = _make_stats(num_hosts=2)
+        pool.run(ph, [HostTask(h, _send_block_body) for h in range(2)])
+        # Two blocks of two columns wait in the parent's queues, each
+        # column still under the name its worker gave it.
+        assert len(leaked_segments()) == 4
+        parent_traffic.update(bytes=0, segments=0)
+        rows = _block().rows
+        assert pool.run(ph, [
+            HostTask(h, _drain_blocks_body, drains=("blocks",)) for h in range(2)
+        ]) == [(rows, rows * (rows - 1) // 2)] * 2
+        assert parent_traffic["segments"] == 0
+        # Two small specs: not one column (>= SHM_THRESHOLD each) among them.
+        assert parent_traffic["bytes"] < SHM_THRESHOLD // 8
+        # Drained, so dropped, so unlinked.
+        assert leaked_segments() == []
+
+
+def _kill_host_one_in_worker(body):
+    @functools.wraps(body)
+    def doomed(view, payload):
+        if pool_module._IN_POOL_WORKER and view.host == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return body(view, payload)
+
+    return doomed
+
+
+class TestNamesDoNotOutliveTheQueue:
+    """Only queued payloads are relayed.  A task result gives its
+    segment names up at load, so a caller holding the returned
+    ``DistributedGraph`` holds nothing in ``/dev/shm``."""
+
+    # Large enough that results and edge blocks ride segments.
+    GRAPH = erdos_renyi(20_000, 160_000, seed=11)
+
+    @pytest.mark.parametrize("policy", ["CVC", "SVC"])
+    def test_result_alive_no_segment_left(self, policy):
+        dg = CuSP(
+            4, policy, executor=ProcessExecutor(max_workers=2), sync_rounds=5
+        ).partition(self.GRAPH)
+        assert leaked_segments() == []
+        assert dg.partitions[0].local_graph.indices.nbytes >= SHM_THRESHOLD
+
+    @pytest.mark.parametrize("policy", ["CVC", "SVC"])
+    def test_worker_killed_mid_run_no_segment_left(
+        self, policy, monkeypatch, unraisable
+    ):
+        # Host 1 dies building its partition, while the parent's queues
+        # still hold every relayed edge block of the assignment phase.
+        monkeypatch.setattr(
+            construction_phase, "_build_partition_body",
+            _kill_host_one_in_worker(construction_phase._build_partition_body),
+        )
+        cusp = CuSP(4, policy, executor=ProcessExecutor(max_workers=2),
+                    sync_rounds=5)
+        with pytest.raises(RuntimeError, match="died without shipping"):
+            cusp.partition(self.GRAPH)
+        assert leaked_segments() == []
+        del cusp
+        gc.collect()
+        assert leaked_segments() == [] and unraisable == []
 
 
 class TestCommRegressions:
