@@ -68,6 +68,11 @@ python -m repro partition "$tmp/g.gr" -k 4 -p CVC \
     --inject-faults "seed=42,send-fail=0.05,crash=1@2" \
     --checkpoint-dir "$tmp/ckpt" --validate --save "$tmp/parts" >/dev/null
 
+# The pooled stateful masters path at the paper's default round count,
+# under the sanitizer: no payload may sit on a queue nobody drains.
+python -m repro partition "$tmp/g.gr" -k 4 -p SVC --sync-rounds 100 \
+    --executor process --commsan >/dev/null
+
 # A clean saved directory validates.
 python -m repro validate "$tmp/parts" "$tmp/g.gr" >/dev/null
 

@@ -68,8 +68,8 @@ class ExtractedOp:
     detection) and ``"allreduce-any"`` (an allreduce whose blocking mode
     could not be resolved — it matches both blocking and async clauses).
     ``batch`` marks columnar-fabric traffic (``send_batch``,
-    ``recv_all_batch``, accumulator ``append``): such an op is only
-    legal on a contract clause declaring ``batched=True``.
+    ``recv_all_batch``): such an op is only legal on a contract clause
+    declaring ``batched=True``.
     """
 
     kind: str
@@ -248,11 +248,6 @@ def _scan_function(
                 emit("p2p", "default", node, batch=True)
             else:
                 emit("p2p", _constant_str(tag_node), node, batch=True)
-        elif attr == "append" and _keyword(node, "tag") is not None:
-            # BatchAccumulator.append: staged columnar p2p traffic (the
-            # flush is one transport send under the staged tag).  Plain
-            # list.append never carries a tag keyword.
-            emit("p2p", _constant_str(_keyword(node, "tag")), node, batch=True)
         elif attr in ("recv_all", "recv_all_batch"):
             tag_node = _keyword(node, "tag")
             tag = _constant_str(tag_node)

@@ -81,12 +81,13 @@ class OpSpec:
     run configuration — an op observed while its clause is inactive is a
     violation just like an undeclared op.  ``drained`` promises that
     receivers consume every message of this tag before the phase
-    barrier (via ``recv_all``); tags whose payloads are applied directly
-    at the merge barrier leave their queues populated and declare
-    ``drained=False``.  ``batched`` marks p2p channels carried by the
-    columnar fabric (:mod:`repro.runtime.colfab`): the static extractor
-    rejects ``send_batch``/``recv_all_batch``/accumulator traffic on a
-    clause that does not declare it.
+    barrier (via ``recv_all``); a ``drained=False`` tag has no reader,
+    so its sends must be accounting-only — the runtime sanitizer rejects
+    any payload but ``None`` left on such a queue.  ``batched`` marks
+    p2p channels carried by the columnar fabric
+    (:mod:`repro.runtime.colfab`): the static extractor rejects
+    ``send_batch``/``recv_all_batch`` traffic on a clause that does not
+    declare it.
     """
 
     kind: str

@@ -9,8 +9,8 @@ ledger's conservation laws.  Where the static extractor
 tag, a topology breach, a collective-round count that disagrees with
 the spec, bytes that appear in the accounting without a matching
 ``send``/``merge_ledger`` (or vice versa), queue entries that bypass
-``send``/``recv_all``, and fault-injector retries that are charged more
-or less than exactly once.
+``send``/``recv_all``, a payload left on a queue no task drains, and
+fault-injector retries that are charged more or less than exactly once.
 
 Attach one ``CommSan`` per run:
 
@@ -26,8 +26,9 @@ Attach one ``CommSan`` per run:
 
 Phases that abort (host crash mid-phase) are checked only for the
 invariants a truncated phase must still satisfy — op admission,
-topology, and byte/queue conservation — not for round counts, drains,
-or retry totals, which a replayed attempt legitimately cuts short.
+topology, byte/queue conservation and payload-free undrained queues —
+not for round counts, drains, or retry totals, which a replayed attempt
+legitimately cuts short.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ class CommSan:
         if contract is not None:
             self._check_p2p_admission(stats, comm, contract, new)
             self._check_collectives(stats, comm, contract, new)
+            self._check_unread_payloads(stats, comm, contract, new)
         self._check_queue_conservation(stats, comm, new)
         if contract is not None and not stats.failed:
             self._check_drains(stats, comm, contract, new)
@@ -322,6 +324,38 @@ class CommSan:
                             ),
                         )
                     )
+
+    def _check_unread_payloads(
+        self,
+        stats: "PhaseStats",
+        comm: "Communicator",
+        contract: PhaseContract,
+        out: list[ContractViolation],
+    ) -> None:
+        """A ``drained=False`` tag has no reader: whatever is still
+        queued under it must be an accounting-only ``None`` marker."""
+        for spec in contract.ops:
+            if spec.kind != "p2p" or spec.drained or not spec.active(self.context):
+                continue
+            assert spec.tag is not None  # p2p clauses always carry a tag
+            for dst in range(comm.num_hosts):
+                pending = comm.snapshot_queues(dst, (spec.tag,)).get(spec.tag, ())
+                for src, payload in pending:
+                    if payload is not None:
+                        out.append(
+                            ContractViolation(
+                                phase=stats.name,
+                                host=src,
+                                op=f"p2p tag {spec.tag!r}",
+                                message=(
+                                    f"{type(payload).__name__} payload left on "
+                                    f"a queue nobody drains (host {dst}'s); "
+                                    "send payload=None with nbytes=... and "
+                                    "return the data as the task's result"
+                                ),
+                            )
+                        )
+                        break  # one violation per queue names the pattern
 
     def _check_byte_conservation(
         self,

@@ -601,6 +601,12 @@ class LedgerBypassRule(LintRule):
                     )
 
 
+def _sends_none(call: ast.Call) -> bool:
+    """Whether a ``.send(...)`` call's payload is the literal ``None``
+    (hosts are never ``None``, so any such argument is the payload)."""
+    return any(isinstance(a, ast.Constant) and a.value is None for a in call.args)
+
+
 @register
 class UnaccountedSendRule(LintRule):
     """Every send must carry a real byte charge.
@@ -639,10 +645,7 @@ class UnaccountedSendRule(LintRule):
                     module, node,
                     "send with nbytes=0 carries unaccounted traffic",
                 )
-            elif nbytes is None and any(
-                isinstance(a, ast.Constant) and a.value is None
-                for a in node.args
-            ):
+            elif nbytes is None and _sends_none(node):
                 yield self.finding(
                     module, node,
                     "None payload sizes to 0 bytes; pass an explicit "
@@ -860,19 +863,19 @@ class ScalarSendInHotLoopRule(LintRule):
     A ``send`` issued once per peer (or worse, once per element) inside a
     ``for``/``while`` loop of a contract-governed phase module is the
     scalar message path: every call pays Python-level pack/charge
-    overhead that :meth:`~repro.runtime.executor.HostView.send_batch` or
-    a :class:`~repro.runtime.colfab.BatchAccumulator` amortizes over a
-    whole column batch.  Intentional per-payload sends — accounting-only
-    ablations, control traffic — must say so in a suppression
-    justification.
+    overhead that :meth:`~repro.runtime.executor.HostView.send_batch`
+    amortizes over a whole column batch.  A send whose payload is the
+    literal ``None`` is accounting-only — it carries nothing to batch —
+    and is not flagged; any other intentional per-payload send (control
+    traffic) must say so in a suppression justification.
     """
 
     name = "scalar-send-in-hot-loop"
     severity = WARNING
     description = (
         "per-element send inside a loop in a phase module; batch through "
-        "the columnar fabric (send_batch / BatchAccumulator) or justify "
-        "the per-payload send"
+        "the columnar fabric (send_batch) or justify the per-payload "
+        "send; payload=None (accounting-only) is exempt"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
@@ -888,13 +891,13 @@ class ScalarSendInHotLoopRule(LintRule):
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "send"
                     and id(node) not in seen
+                    and not _sends_none(node)
                 ):
                     seen.add(id(node))
                     yield self.finding(
                         module, node,
                         "scalar `.send` inside a loop; ship one "
-                        "MessageBatch via send_batch or accumulate "
-                        "per-peer batches instead",
+                        "MessageBatch per peer via send_batch instead",
                     )
 
 

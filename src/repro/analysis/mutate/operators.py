@@ -335,14 +335,6 @@ class DropLedgerMergeOperator(_DropCallOperator):
 
 
 @register_operator
-class SkipFlushOperator(_DropCallOperator):
-    name = "skip-flush"
-    fault_class = "accounting"
-    description = "delete a flush_accumulators() statement"
-    attrs = frozenset({"flush_accumulators"})
-
-
-@register_operator
 class SkipBarrierOperator(_DropCallOperator):
     name = "skip-barrier"
     fault_class = "protocol"
@@ -358,15 +350,13 @@ class SkipSyncRoundOperator(_DropCallOperator):
     attrs = frozenset({"sync_round"})
 
 
-_NUMPY_INTS = {"numpy.int64": "int64", "numpy.int32": "int32"}
+@register_operator
+class NarrowDtypeOperator(MutationOperator):
+    """Narrow an ``int64`` dtype token inside a ``ColumnSchema(...)``."""
 
-
-class _DtypeOperator(MutationOperator):
-    """Rewrite an integer dtype token inside a ``ColumnSchema(...)``."""
-
-    #: ``int64``/``int32``: the token to find and its replacement text.
-    find: str = ""
-    swap: str = ""
+    name = "narrow-dtype"
+    fault_class = "wire-format"
+    description = "narrow an int64 ColumnSchema column to int32"
 
     def sites(self, module: ModuleSource) -> Iterator[MutationSite]:
         for node in ast.walk(module.tree):
@@ -378,35 +368,15 @@ class _DtypeOperator(MutationOperator):
             for inner in ast.walk(node):
                 if not isinstance(inner, ast.Attribute):
                     continue
-                if _NUMPY_INTS.get(
-                    resolve_name(inner, module.aliases) or ""
-                ) != self.find:
+                if resolve_name(inner, module.aliases) != "numpy.int64":
                     continue
                 src = _source_of(module, inner)
                 yield self.site(
                     module,
                     inner,
-                    f"{self.name.replace('-', ' ')}: {src} in ColumnSchema",
-                    [_replace(inner, src.replace(self.find, self.swap))],
+                    f"narrow dtype: {src} in ColumnSchema",
+                    [_replace(inner, src.replace("int64", "int32"))],
                 )
-
-
-@register_operator
-class NarrowDtypeOperator(_DtypeOperator):
-    name = "narrow-dtype"
-    fault_class = "wire-format"
-    description = "narrow an int64 ColumnSchema column to int32"
-    find = "int64"
-    swap = "int32"
-
-
-@register_operator
-class WidenDtypeOperator(_DtypeOperator):
-    name = "widen-dtype"
-    fault_class = "wire-format"
-    description = "widen an int32 ColumnSchema column to int64"
-    find = "int32"
-    swap = "int64"
 
 
 class _ContractLambdaOperator(MutationOperator):

@@ -65,6 +65,12 @@ TRIAGE: dict[str, TriageEntry] = {
         " tests/test_prop_state.py calls sync_round directly and"
         " asserts exactly one barrier per round (tier-1, every CI leg).",
     ),
+    "unsort-iteration:runtime/colfab.py#0": TriageEntry(
+        "covered-elsewhere",
+        "leaked_segments() sorts an os.listdir() scan the fixture never"
+        " diverges; tests/test_executors.py pins the name order against"
+        " a shuffled listing (tier-1, every CI leg).",
+    ),
     # -- equivalent: no observable behaviour within any detector's (or
     #    the tier-1 suite's) purview changes.
     "skip-barrier:core/streaming_rules.py#0": TriageEntry(

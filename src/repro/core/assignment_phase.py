@@ -6,7 +6,9 @@ Each host scans the edges it read, calls ``getEdgeOwner`` on every edge
 * how many outgoing edges of each of its read nodes the peer will receive
   (a positional vector — no node ids on the wire, §IV-D2), and
 * which destination proxies the peer must create as *mirrors*, with their
-  master assignments (the "(Master/)Mirror Info" flow of Figure 2).
+  master assignments (the "(Master/)Mirror Info" flow of Figure 2): its
+  bytes are charged, the ids are not materialised — allocation derives
+  each host's proxies from the group cache.
 
 Hosts with nothing to send to a peer send a small "empty" message instead
 (§IV-D2).  The computed owner array is retained for the construction
@@ -15,9 +17,10 @@ equivalent because rules are required to be deterministic (§III-A) — we
 memoize rather than recompute, and charge the re-evaluation work to the
 construction phase as the paper's system would incur it.
 
-Messages are typed :class:`~repro.runtime.colfab.MessageBatch` blocks,
-and the mirror sets come out of the per-host :class:`HostGroups` cache
-that allocation and construction reuse.
+Messages are typed :class:`~repro.runtime.colfab.MessageBatch` blocks
+carrying the one field their reader uses (the edge count), and the mirror
+sets are sized from the per-host :class:`HostGroups` cache that
+allocation and construction reuse.
 """
 
 from __future__ import annotations
@@ -313,12 +316,8 @@ def assignment_from_owners(
     return result
 
 
-def mirror_info_schema(masters_dtype: np.dtype) -> ColumnSchema:
-    """The edge-counts channel type: mirror (id, master) rows + a count."""
-    return ColumnSchema(
-        (("ids", np.dtype(np.int64)), ("masters", masters_dtype)),
-        scalars=("count",),
-    )
+#: The edge-counts channel type: the count the tally reads, no rows.
+_EDGE_COUNTS_SCHEMA = ColumnSchema((), scalars=("count",))
 
 
 # -- Task bodies ---------------------------------------------------------
@@ -338,7 +337,7 @@ def _assign_edges_body(view: HostView, payload: tuple):
     them into the :class:`EdgeAssignment` at the barrier (task-payload
     seam).
     """
-    (rule, prop, masters, schema, estate, comm, num_hosts,
+    (rule, prop, masters, estate, comm, num_hosts,
      h, start, stop) = payload
     src, dst, _weights = host_edge_slice(prop.graph, start, stop)
     estate_view = estate.host_view(h) if estate is not None else None
@@ -365,39 +364,33 @@ def _assign_edges_body(view: HostView, payload: tuple):
             continue
         if counts[j] == 0:
             # Paper §IV-D2: "nothing to send" notification.
-            view.send_batch(j, MessageBatch.empty(schema),
+            view.send_batch(j, MessageBatch.empty(_EDGE_COUNTS_SCHEMA),
                             tag="edge-counts",
                             nbytes=_EMPTY_MESSAGE_BYTES)
             continue
         # Mirror info: destination proxies on j whose master is
         # elsewhere, plus source proxies on j whose master is
-        # elsewhere.  A presence mask + flatnonzero yields the
-        # sorted-unique endpoints (minus the j-mastered ones) without
-        # any per-peer sort.
+        # elsewhere.  A presence mask counts the distinct endpoints
+        # (minus the j-mastered ones) without any per-peer sort.
         mark[:] = False
         mark[groups.unique_src(j)] = True
         mark[groups.group_dst(j)] = True
-        mirror_ids = np.flatnonzero(mark & (masters != j))
-        payload_bytes = (
-            nodes_read * 8 + mirror_ids.size * _MIRROR_ENTRY_BYTES
-        )
+        mirrors = np.count_nonzero(mark & (masters != j))
         view.send_batch(
             j,
-            MessageBatch(
-                schema,
-                (mirror_ids, masters[mirror_ids]),
-                scalars=(int(counts[j]),),
-            ),
+            MessageBatch(_EDGE_COUNTS_SCHEMA, scalars=(int(counts[j]),)),
             tag="edge-counts",
-            nbytes=payload_bytes,
+            nbytes=nodes_read * 8 + mirrors * _MIRROR_ENTRY_BYTES,
         )
     _stash_groups(h, owner, groups)
     return owner, counts, groups
 
 
-def _tally_counts_body(view: HostView, schema: ColumnSchema) -> int:
+def _tally_counts_body(view: HostView) -> int:
     """Tally one host's incoming edge totals."""
-    incoming = view.recv_all_batch(tag="edge-counts", schema=schema)
+    incoming = view.recv_all_batch(
+        tag="edge-counts", schema=_EDGE_COUNTS_SCHEMA
+    )
     view.add_compute(float(incoming.num_blocks))
     return int(incoming.scalars["count"].sum())
 
@@ -414,7 +407,6 @@ def run_edge_assignment(
     num_hosts = len(ranges)
     k = prop.getNumPartitions()
     result = EdgeAssignment(num_hosts, prop=prop, ranges=ranges)
-    schema = mirror_info_schema(masters.dtype)
     estate = None
     if rule.stateful:
         try:
@@ -450,7 +442,7 @@ def run_edge_assignment(
             h, _assign_edges_body, label="assign-edges",
             # repro-lint: disable-next-line=deep-unshippable-payload -- comm_arg is None unless the rule is stateful, and stateful tasks go through chain(), which never pickles
             payload=(
-                rule, prop, masters, schema, estate, comm_arg,
+                rule, prop, masters, estate, comm_arg,
                 num_hosts, h, start, stop,
             ),
             apply=install_assignment(h, start, stop),
@@ -476,7 +468,7 @@ def run_edge_assignment(
     def tally_task(j: int) -> HostTask:
         return HostTask(
             j, _tally_counts_body, label="tally-counts",
-            payload=schema, apply=install_tally(j),
+            apply=install_tally(j),
             drains=("edge-counts",),
         )
 

@@ -217,14 +217,11 @@ def run_allocation(
 
 def edge_stream_schema(prop: GraphProp) -> ColumnSchema:
     """The edges channel type: (src, dst[, w]) columns in global ids."""
-    columns: list[tuple[str, np.dtype]] = [
-        ("src", np.dtype(np.int64)),
-        ("dst", np.dtype(np.int64)),
-    ]
+    weight: list[tuple[str, np.dtype]] = []
     if prop.graph.is_weighted:
         assert prop.graph.edge_data is not None
-        columns.append(("w", prop.graph.edge_data.dtype))
-    return ColumnSchema(columns)
+        weight.append(("w", prop.graph.edge_data.dtype))
+    return ColumnSchema([("src", np.int64), ("dst", np.int64), *weight])
 
 
 def run_construction(

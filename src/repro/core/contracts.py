@@ -60,8 +60,7 @@ MASTERS_CONTRACT = PhaseContract(
         OpSpec(
             "p2p",
             tag="master-requests",
-            payload="requested node ids (8 B/entry)",
-            batched=True,
+            payload="accounting-only, n × 8 B (requested node ids)",
             when=lambda ctx: not ctx.master_pure
             and ctx.elide_master_communication,
         ),
@@ -70,8 +69,7 @@ MASTERS_CONTRACT = PhaseContract(
         OpSpec(
             "p2p",
             tag="master-assignments",
-            payload="(node id, partition) pairs (12 B/entry)",
-            batched=True,
+            payload="accounting-only, n × 12 B ((node id, partition) pairs)",
             when=lambda ctx: not ctx.master_pure,
         ),
         # Ablation of §IV-D5 for *pure* rules: broadcast every local
@@ -96,8 +94,8 @@ MASTERS_CONTRACT = PhaseContract(
     description=(
         "Pure rules assign masters with zero communication (replicated "
         "computation); impure rules exchange requests/assignments and, "
-        "when stateful, reconcile loads every round.  Request/assignment "
-        "queues are applied at the merge barrier, not drained."
+        "when stateful, reconcile loads every round.  Every send is "
+        "accounting-only: the ids travel as task results."
     ),
 )
 
@@ -113,11 +111,12 @@ EDGES_CONTRACT = PhaseContract(
     entry_points=("run_edge_assignment",),
     ops=(
         # Per-host prefix metadata: edge counts per assigned node plus
-        # mirror ids (or an 8 B empty-slice notification).
+        # mirror info, charged by size; the block carries the edge total
+        # (or an 8 B empty-slice notification).
         OpSpec(
             "p2p",
             tag="edge-counts",
-            payload="per-node edge counts + mirror ids (8 B empty marker)",
+            payload="per-node edge counts + mirror info (8 B empty marker)",
             drained=True,
             batched=True,
         ),

@@ -22,17 +22,17 @@ real cluster (hosts don't block for slow peers).  The simulation is
 bulk-synchronous and therefore deterministic — a reproducibility-friendly
 member of the family of schedules the real system may produce.
 
-The request and shipping paths move typed
-:class:`~repro.runtime.colfab.MessageBatch` blocks; shipping goes through
-a per-host :class:`~repro.runtime.colfab.BatchAccumulator` that flushes
-at the executor's phase barrier, one coalesced send per requester.
+Every send of this phase is accounting-only (``payload=None``): the
+bytes, messages and fault draws of each request and shipment are charged
+on the wire, while the ids themselves take one path — the task's result,
+installed by its ``apply`` callback at the barrier.  Nothing is queued
+that no task drains.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
 from ..runtime.stats import PhaseStats
 from .assignment_phase import _mask_unique
@@ -46,12 +46,6 @@ __all__ = ["run_master_assignment", "MasterAssignment"]
 _ASSIGNMENT_ENTRY_BYTES = 12
 #: Serialized size of one requested node id.
 _REQUEST_ENTRY_BYTES = 8
-
-#: Columnar channel types for the request-driven exchange.
-_REQUEST_SCHEMA = ColumnSchema((("ids", np.int64),))
-_ASSIGNMENT_SCHEMA = ColumnSchema(
-    (("ids", np.int64), ("masters", np.int32))
-)
 
 
 class MasterAssignment:
@@ -71,9 +65,9 @@ class MasterAssignment:
 # Module-level so the pooled process executor can ship them by reference
 # (a pickled dotted name) instead of forking the whole parent per
 # barrier.  Everything a body needs travels in its payload tuple; the
-# big inputs (``prop``, the request table, the per-host and global
-# masters maps) resolve against the pool's shared-memory residents, so
-# neither graph bytes nor a round's unchanged state cross a pipe.
+# big inputs (``prop``, the request table, the per-host masters maps)
+# resolve against the pool's shared-memory residents, so neither graph
+# bytes nor a round's unchanged state cross a pipe.
 # Parent-side installs remain closures on ``run_master_assignment``'s
 # locals — apply callbacks never ship.
 
@@ -96,13 +90,10 @@ def _pure_assign_body(view: HostView, payload: tuple) -> np.ndarray | None:
             rule.compute_units(node_ids.size, 0, k) + neighbor_count
         )
     else:
-        # Ablation: naive broadcast of every assignment.  The payload
-        # is accounting-only (None body), so there is nothing to put in
-        # a batch; it stays on the plain ``send`` verb.
+        # Ablation: naive broadcast of every assignment.
         view.add_compute(rule.compute_units(node_ids.size, 0, k))
         for peer in range(num_hosts):
             if peer != h and node_ids.size:
-                # repro-lint: disable-next-line=scalar-send-in-hot-loop -- accounting-only ablation broadcast, no payload to batch
                 view.send(
                     peer, None, tag="master-broadcast",
                     nbytes=node_ids.size * _ASSIGNMENT_ENTRY_BYTES,
@@ -125,10 +116,8 @@ def _request_masters_body(view: HostView, payload: tuple) -> list[np.ndarray]:
         wanted = nbrs[cuts[assigner] : cuts[assigner + 1]]
         per_assigner.append(wanted)
         if assigner != j and wanted.size:
-            view.send_batch(
-                assigner,
-                MessageBatch(_REQUEST_SCHEMA, (wanted,)),
-                tag="master-requests",
+            view.send(
+                assigner, None, tag="master-requests",
                 nbytes=wanted.size * _REQUEST_ENTRY_BYTES,
                 coalesce=True,
             )
@@ -164,11 +153,10 @@ def _ship_assignments_body(
     view: HostView, payload: tuple
 ) -> list[tuple[int, np.ndarray]]:
     """Shipping pass: send this round's assignments to their requesters."""
-    requests, masters, num_hosts, h, fresh = payload
+    requests, num_hosts, h, fresh = payload
     if fresh.size == 0:
         return []
     lo, hi = fresh[0], fresh[-1]
-    acc = view.accumulator()
     shipped = []
     for j in range(num_hosts):
         if j == h:
@@ -176,12 +164,10 @@ def _ship_assignments_body(
         wanted = requests[h][j]
         ship = wanted[(wanted >= lo) & (wanted <= hi)]
         if ship.size:
-            # One staged block per requester; the accumulator flushes
-            # at the executor barrier as one coalesced send per peer.
-            acc.append(
-                j,
-                MessageBatch(_ASSIGNMENT_SCHEMA, (ship, masters[ship])),
-                tag="master-assignments",
+            # One coalesced charge per requester; the parent reads the
+            # assigned partitions off its own ``masters`` at the barrier.
+            view.send(
+                j, None, tag="master-assignments",
                 nbytes=ship.size * _ASSIGNMENT_ENTRY_BYTES,
                 coalesce=True,
             )
@@ -323,14 +309,13 @@ def run_master_assignment(
 
         return HostTask(
             h, _ship_assignments_body, label="ship-assignments",
-            payload=(requests, masters, num_hosts, h, fresh),
+            payload=(requests, num_hosts, h, fresh),
             apply=install,
         )
 
-    # ``known[h]`` and ``masters`` change every round, in the parent, at
-    # the barriers; republishing an array of unchanged dtype and shape
-    # refreshes its resident in place, so a round ships what it newly
-    # made, not the maps.
+    # ``known[h]`` changes every round, in the parent, at the barriers;
+    # republishing an array of unchanged dtype and shape refreshes its
+    # resident in place, so a round ships what it newly made, not the map.
     for r in range(sync_rounds):
         if rule.uses_masters:
             for h in range(num_hosts):
@@ -341,7 +326,6 @@ def run_master_assignment(
         # Round boundary: reconcile state, ship requested assignments.
         # Master-assignment rounds never block on peers (paper §IV-D5).
         state.sync_round(phase.comm, blocking=False)
-        phase.executor.publish("masters", masters)
         phase.executor.run(
             phase, [ship_task(h, newly[h]) for h in range(num_hosts)]
         )

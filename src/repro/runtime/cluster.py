@@ -129,6 +129,10 @@ class SimulatedCluster:
         else:
             if self.sanitizer is not None:
                 self.sanitizer.end_phase(stats)
+        finally:
+            # After the audit, on either exit: ``_phases`` keeps the
+            # stats for the breakdown, not an aborted attempt's blocks.
+            stats.comm.drop_pending()
 
     def hosts(self) -> range:
         return range(self.num_hosts)

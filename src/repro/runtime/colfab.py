@@ -18,13 +18,13 @@ algorithm.  This module is the data plane of the batch message path:
   per-column concatenations of every queued block, the per-block source
   hosts/lengths/scalars, and a lazily materialized per-row ``src``
   column — instead of a Python list of ``(src, payload)`` tuples.
-* :class:`BatchAccumulator` — sender-side staging: append batches into
-  per-``(dst, tag)`` buffers and flush them as contiguous blocks at
-  explicit points (or automatically at the executor's phase barrier).
-  Every flushed block is exactly one transport send, so byte/message
-  accounting, fault-injection draws, and CommSan's mirrored traffic
-  matrix all see one operation per staged block — one per peer, which
-  is how the phases use it.
+* :class:`BatchAccumulator` — stand-alone sender-side staging: append
+  batches into per-``(dst, tag)`` buffers and emit them as contiguous
+  blocks with an explicit ``flush``/``flush_all`` (no executor hooks
+  it; no phase uses it).  Every flushed block is exactly one transport
+  send, so byte/message accounting, fault-injection draws, and
+  CommSan's mirrored traffic matrix all see one operation per staged
+  block.
 
 The per-payload ``send``/``recv_all`` verbs remain for analytics,
 control and accounting-only traffic; a batch is charged exactly what a
@@ -694,8 +694,8 @@ class BatchAccumulator:
     the per-append charges (and is rejected otherwise, because the
     per-send ``ceil`` would not distribute over the sum).
 
-    Unflushed channels are flushed automatically when the owning task
-    completes (the executor's phase barrier), in append order.
+    Nothing flushes on the caller's behalf: rows still staged when the
+    accumulator is dropped were never sent.
     """
 
     def __init__(self, sender: "BatchSender", host: int | None = None):

@@ -331,6 +331,12 @@ class Communicator:
         """Number of undelivered messages for ``dst``."""
         return len(self._queues.get((dst, tag), ()))
 
+    def drop_pending(self) -> None:
+        """Forget every undelivered message (the cluster does, when the
+        phase closes): nothing can drain them any more, and a queued
+        block pins its columns and any ``/dev/shm`` name relaying it."""
+        self._queues.clear()
+
     def replay_recv(self, dst: int, tag: str, count: int) -> None:
         """Re-play a worker process's drain of ``dst``'s queue.
 

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..analysis import isolation
-from .colfab import BatchAccumulator, ColumnSchema, MessageBatch, ReceivedBatch
+from .colfab import ColumnSchema, MessageBatch, ReceivedBatch
 
 if TYPE_CHECKING:
     from .stats import PhaseStats
@@ -166,7 +166,6 @@ class HostView:
     host: int
     _stats: "PhaseStats"
     _drains: tuple[str, ...]
-    _accumulators: "list[BatchAccumulator] | None"
 
     def send(self, dst: int, payload: Any, tag: str = "default",
              logical_messages: int = 1, nbytes: int | None = None,
@@ -206,24 +205,6 @@ class HostView:
         self._check_drain(tag)
         return self._stats.comm.recv_all_batch(self.host, tag, schema)
 
-    def accumulator(self) -> BatchAccumulator:
-        """A batch accumulator owned by this host's task.
-
-        Channels left staged when the task body returns are flushed by
-        the executor at the phase barrier, in append order.
-        """
-        acc = BatchAccumulator(self, host=self.host)
-        if self._accumulators is None:
-            self._accumulators = []
-        self._accumulators.append(acc)
-        return acc
-
-    def flush_accumulators(self) -> None:
-        """Flush every accumulator handed out by :meth:`accumulator`."""
-        if self._accumulators:
-            for acc in self._accumulators:
-                acc.flush_all()
-
     def add_disk(self, nbytes: float) -> None:
         raise NotImplementedError
 
@@ -234,14 +215,13 @@ class HostView:
 class DirectHostView(HostView):
     """Charges land immediately on the shared ``PhaseStats``/``Communicator``."""
 
-    __slots__ = ("_stats", "host", "_drains", "_accumulators")
+    __slots__ = ("_stats", "host", "_drains")
 
     def __init__(self, stats: PhaseStats, host: int,
                  drains: tuple[str, ...] = ()):
         self._stats = stats
         self.host = int(host)
         self._drains = drains
-        self._accumulators = None
 
     def send(self, dst: int, payload: Any, tag: str = "default",
              logical_messages: int = 1, nbytes: int | None = None,
@@ -268,7 +248,7 @@ class LedgerHostView(HostView):
     """
 
     __slots__ = ("_stats", "_channel", "host", "_drains", "ledger",
-                 "disk_bytes", "compute_units", "_accumulators")
+                 "disk_bytes", "compute_units")
 
     def __init__(self, stats: PhaseStats, host: int,
                  drains: tuple[str, ...] = ()):
@@ -278,7 +258,6 @@ class LedgerHostView(HostView):
         self.ledger = stats.comm.ledger(host)
         self.disk_bytes = 0.0
         self.compute_units = 0.0
-        self._accumulators = None
         injector = stats.comm.injector
         self._channel = None
         if injector is not None:
@@ -323,7 +302,10 @@ class LedgerHostView(HostView):
             self._channel.events_out = injector.events
 
     def release(self) -> None:
-        """Discard this host's private charges (work serial never ran)."""
+        """Discard this host's private charges (work serial never ran),
+        its queued blocks first: the raised failure's traceback keeps
+        this view alive until the next cycle collection."""
+        self.ledger.queued = []
         injector = self._stats.comm.injector
         if injector is not None and self._channel is not None:
             self._channel.fired.clear()
@@ -385,12 +367,10 @@ def _invoke(task: HostTask, view: HostView) -> Any:
 
 
 def _run_direct(stats: PhaseStats, task: HostTask) -> Any:
-    """Run one task on the shared ledgers, flushing staged batches at
-    the end of the body (the serial phase barrier), then applying its
-    declared output."""
+    """Run one task on the shared ledgers, then apply its declared
+    output."""
     view = DirectHostView(stats, task.host, task.drains)
     result = _invoke(task, view)
-    view.flush_accumulators()
     if task.apply is not None:
         result = task.apply(result)
     return result
@@ -413,10 +393,10 @@ def _run_private(
 ) -> tuple[Any, Exception | None]:
     """Run one body against its private ledger view, off the barrier.
 
-    What a thread worker and a pool worker both execute: the body and
-    the end-of-task flush of its staged batches, under the isolation
-    monitor when one is attached.  A failure is captured, not raised —
-    the barrier decides, in host order, whose failure counts.
+    What a thread worker and a pool worker both execute: the body,
+    under the isolation monitor when one is attached.  A failure is
+    captured, not raised — the barrier decides, in host order, whose
+    failure counts.
     """
     guard = (
         monitor.task(view.host, phase_name, task.label)
@@ -426,7 +406,6 @@ def _run_private(
     try:
         with guard:
             result = _invoke(task, view)
-            view.flush_accumulators()
         return result, None
     except Exception as exc:  # noqa: BLE001 — re-raised at the barrier
         return None, exc

@@ -46,8 +46,7 @@ while delivery stays exactly-once, mirroring a reliable checksummed
 transport over a lossy fabric.
 
 The columnar fabric (:mod:`repro.runtime.colfab`) changes none of this:
-a ``send_batch`` — including each per-(peer, tag) block a
-:class:`~repro.runtime.colfab.BatchAccumulator` flushes — is exactly one
+a ``send_batch`` is exactly one
 send on the channel, so it draws one fault decision and, on failure, is
 retried and charged as one block, exactly as a per-payload ``send`` of
 the same ``nbytes`` would be.

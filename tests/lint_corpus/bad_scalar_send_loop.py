@@ -10,8 +10,8 @@ def ship(view, peers, ids, masters):
                   nbytes=12 * len(ids[j]))
 
 
-def drain(view, pending):
+def drain(view, pending, ids):
     while pending:
         j = pending.pop()
         # Loop shape does not matter; while-loops are flagged too.
-        view.send(j, None, tag="master-assignments", nbytes=12)
+        view.send(j, ids[j], tag="master-assignments", nbytes=12)

@@ -48,9 +48,15 @@ I32 = np.dtype(np.int32)
 
 def host_view(comm, host, cls=DirectHostView):
     """A host's view over a bare communicator — the one batch entry
-    point phase bodies use (``view.accumulator()`` / ``send_batch``)."""
+    point phase bodies use (``send_batch``)."""
     stats = PhaseStats(name="test", comm=comm, num_hosts=comm.num_hosts)
     return cls(stats, host)
+
+
+def accumulator(view):
+    """A stand-alone sender-side accumulator flushing through ``view``
+    (no executor hook: only explicit ``flush``/``flush_all`` send)."""
+    return BatchAccumulator(view, host=view.host)
 
 
 def ids_batch(schema, *cols, scalars=()):
@@ -405,7 +411,7 @@ class TestBatchAccumulator:
         batch_comm = Communicator(4, buffer_size=64)
         scalar_comm = Communicator(4, buffer_size=64)
         payload = np.arange(100, dtype=np.int64)
-        acc = host_view(batch_comm, 0).accumulator()
+        acc = accumulator(host_view(batch_comm, 0))
         acc.append(1, ids_batch(self.SCHEMA, payload), tag="t",
                    logical_messages=5, nbytes=320)
         acc.flush_all()
@@ -417,7 +423,7 @@ class TestBatchAccumulator:
         assert batch_comm.pending(1, "t") == scalar_comm.pending(1, "t") == 1
 
     def test_merging_appends_requires_coalesce(self):
-        acc = host_view(Communicator(4), 0).accumulator()
+        acc = accumulator(host_view(Communicator(4), 0))
         acc.append(1, ids_batch(self.SCHEMA, [1]), tag="t")
         with pytest.raises(ValueError):
             acc.append(1, ids_batch(self.SCHEMA, [2]), tag="t")
@@ -430,7 +436,7 @@ class TestBatchAccumulator:
         scalar_comm = Communicator(4, buffer_size=64)
         a = np.arange(5, dtype=np.int64)
         b = np.arange(7, dtype=np.int64)
-        acc = host_view(batch_comm, 0).accumulator()
+        acc = accumulator(host_view(batch_comm, 0))
         acc.append(1, ids_batch(self.SCHEMA, a), tag="t", coalesce=True)
         acc.append(1, ids_batch(self.SCHEMA, b), tag="t", coalesce=True)
         acc.flush_all()
@@ -447,7 +453,7 @@ class TestBatchAccumulator:
         assert rb.columns["x"].tolist() == a.tolist() + b.tolist()
 
     def test_coalesced_merge_rejects_schema_drift(self):
-        acc = host_view(Communicator(4), 0).accumulator()
+        acc = accumulator(host_view(Communicator(4), 0))
         acc.append(1, ids_batch(self.SCHEMA, [1]), tag="t", coalesce=True)
         other = ColumnSchema((("y", I64),))
         with pytest.raises(TypeError):
@@ -464,7 +470,7 @@ class TestBatchAccumulator:
             return orig(dst, batch, **kw)
 
         view.send = spy
-        acc = view.accumulator()
+        acc = accumulator(view)
         for dst, tag in [(3, "a"), (1, "b"), (2, "a")]:
             acc.append(dst, ids_batch(self.SCHEMA, [dst]), tag=tag)
         assert acc.staged_rows(3, "a") == 1
@@ -476,14 +482,14 @@ class TestBatchAccumulator:
         assert sent == [(3, "a"), (1, "b"), (2, "a")]
 
     def test_append_rejects_non_batches(self):
-        acc = host_view(Communicator(2), 0).accumulator()
+        acc = accumulator(host_view(Communicator(2), 0))
         with pytest.raises(TypeError):
             acc.append(1, np.arange(3), tag="t")
 
     def test_ledger_accumulator_stays_private_until_merge(self):
         comm = Communicator(3, buffer_size=0)
         view = host_view(comm, 0, LedgerHostView)
-        acc = view.accumulator()
+        acc = accumulator(view)
         acc.append(1, ids_batch(self.SCHEMA, [1, 2]), tag="t")
         acc.flush_all()
         assert comm.pending(1, "t") == 0  # buffered on the ledger

@@ -232,16 +232,12 @@ class TestStaticExtraction:
         assert finding.kind == "unbatched-op"
         assert "batched=True" in finding.message
 
-    def test_batched_clause_accepts_batch_and_accumulator_traffic(
-        self, tmp_path
-    ):
+    def test_batched_clause_accepts_batch_traffic(self, tmp_path):
         mod = tmp_path / "core"
         mod.mkdir()
         (mod / "phase.py").write_text(
             "def run(view, batch, schema):\n"
             "    view.send_batch(1, batch, tag='data', nbytes=8)\n"
-            "    acc = view.accumulator()\n"
-            "    acc.append(2, batch, tag='data', nbytes=8)\n"
             "    view.recv_all_batch(tag='data', schema=schema)\n"
         )
         contract = PhaseContract(
@@ -304,6 +300,15 @@ class TestCommSanCleanRuns:
         assert isinstance(cusp.sanitizer, CommSan)
         cusp.partition(small_graph())
         assert cusp.sanitizer.violations == []
+
+    @pytest.mark.parametrize("executor", ["serial", "parallel", "process"])
+    def test_history_sensitive_masters_queue_no_payload(self, executor):
+        """SVC runs the request/ship rounds; their two tags have no
+        reader, so anything but ``None`` left on them is a violation."""
+        cusp = CuSP(4, "SVC", sync_rounds=3, sanitizer=True, executor=executor)
+        cusp.partition(small_graph())
+        assert cusp.sanitizer.violations == []
+        assert cusp.sanitizer.phases_checked == 5
 
     def test_faulty_run_is_violation_free(self):
         plan = FaultPlan(
@@ -428,6 +433,25 @@ class TestCommSanViolations:
             with cluster.phase("Graph Construction") as ph:
                 ph.comm.send(0, 1, b"edges", tag="edges", nbytes=8)
         assert "undrained" in excinfo.value.violation.message
+
+    def test_payload_on_an_undrained_tag_detected(self):
+        """A ``drained=False`` tag has no reader: a payload queued under
+        it is moved for nothing (and pinned until the phase closes)."""
+        contracts = ContractSet([
+            PhaseContract(phase="toy", ops=(OpSpec("p2p", tag="note"),))
+        ])
+        san = CommSan(contracts=contracts)
+        cluster = SimulatedCluster(3, sanitizer=san)
+        with cluster.phase("toy") as ph:
+            ph.comm.send(0, 1, None, tag="note", nbytes=16)  # accounting-only
+        assert san.violations == []
+        with pytest.raises(ContractViolationError) as excinfo:
+            with cluster.phase("toy") as ph:
+                ph.comm.send(2, 1, (7, 8), tag="note", nbytes=16)
+        v = excinfo.value.violation
+        assert (v.host, v.op) == (2, "p2p tag 'note'")
+        assert "tuple payload left on a queue nobody drains" in v.message
+        assert "host 1" in v.message
 
     def test_retry_charge_tamper_detected(self):
         plan = FaultPlan(seed=1, duplicate_rate=0.9)

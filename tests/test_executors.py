@@ -27,9 +27,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CuSP, policy_names
+from repro.core import (
+    CuSP,
+    GraphProp,
+    compute_read_ranges,
+    construction_phase,
+    make_policy,
+    policy_names,
+)
+from repro.core.assignment_phase import run_edge_assignment
+from repro.core.masters_phase import run_master_assignment
 from repro.graph import erdos_renyi
-from repro.core import construction_phase
 from repro.runtime import colfab, pool as pool_module, residency
 from repro.runtime.colfab import ColumnSchema, MessageBatch
 from repro.runtime.comm import Communicator, payload_nbytes
@@ -789,6 +797,16 @@ class TestSegmentLifecycle:
             residency.loads_with_segments(blob)
         assert leaked_segments() == []
 
+    def test_leaked_segments_reports_its_family_in_name_order(self, monkeypatch):
+        """``os.listdir`` order is the filesystem's; leak reports and
+        the crash sweep walk the names sorted."""
+        family = colfab._SEGMENT_FAMILY
+        monkeypatch.setattr(
+            colfab.os, "listdir",
+            lambda base: [family + "b", "someone-elses", family + "a"],
+        )
+        assert leaked_segments() == [family + "a", family + "b"]
+
     def test_relayed_name_dies_once_with_its_array(self, monkeypatch, unraisable):
         released = []
         release = colfab._release_segment
@@ -866,6 +884,114 @@ class TestSegmentLifecycle:
         assert parent_traffic["bytes"] < SHM_THRESHOLD // 8
         # Drained, so dropped, so unlinked.
         assert leaked_segments() == []
+
+
+class TestOnePathPerDatum:
+    """Nothing rides a queue that nobody reads: the masters phase's
+    sends are accounting-only, ``edge-counts`` blocks carry the count
+    their tally reads, and a closed phase holds no block at all."""
+
+    def test_pooled_svc_queues_no_array_outside_edges(self, monkeypatch):
+        queued = []  # (tag, None | number of columns) per queued payload
+        load_delta = pool_module._load_delta
+
+        def recording_load(blobs):
+            delta = load_delta(blobs)
+            queued.extend(
+                (tag, None if payload is None else len(payload.columns))
+                for _dst, tag, payload in delta["queued"]
+            )
+            return delta
+
+        published = []
+        publish = ProcessExecutor.publish
+
+        def recording_publish(self, name, obj):
+            published.append(name)
+            return publish(self, name, obj)
+
+        monkeypatch.setattr(pool_module, "_load_delta", recording_load)
+        monkeypatch.setattr(ProcessExecutor, "publish", recording_publish)
+        CuSP(
+            4, "SVC", executor=ProcessExecutor(max_workers=2), sync_rounds=3
+        ).partition(erdos_renyi(300, 2400, seed=11))
+        shapes = {tag: {cols for t, cols in queued if t == tag}
+                  for tag, _ in queued}
+        assert shapes == {
+            "master-requests": {None},
+            "master-assignments": {None},
+            "edge-counts": {0},
+            "edges": {2},
+        }
+        # The rounds refresh each host's map; the global one is
+        # published once, by the framework, after the phase.
+        assert published.count("known-masters-0") == 3
+        assert published.count("masters") == 1
+
+    @pytest.mark.parametrize("policy", ["CVC", "SVC"])
+    def test_edge_counts_tally_is_unchanged(self, policy):
+        graph = erdos_renyi(300, 2400, seed=4)
+        prop, ranges = GraphProp(graph, 4), compute_read_ranges(graph, 4)
+        pol = make_policy(policy)
+        masters = run_master_assignment(
+            _make_stats(4), prop, pol, ranges, sync_rounds=3
+        ).masters
+        ph = _make_stats(4)
+        blocks = []
+        send = ph.comm.send
+
+        def recording_send(src, dst, payload, tag="default", **kw):
+            blocks.append((tag, payload))
+            send(src, dst, payload, tag=tag, **kw)
+
+        ph.comm.send = recording_send
+        ea = run_edge_assignment(ph, prop, pol, ranges, masters)
+        assert len(blocks) == 4 * 3
+        for tag, block in blocks:
+            assert tag == "edge-counts" and block.columns == ()
+        # to_receive[j] is tally j's return plus j's own edges.
+        own = ea.edges_to.diagonal()
+        assert np.array_equal(
+            ea.to_receive - own, ea.edges_to.sum(axis=0) - own
+        )
+        assert ea.edges_to.sum() == graph.num_edges
+
+    def test_aborted_construction_attempt_pins_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        """Host 2 dies on its second ``edges`` send: hosts 0 and 1 have
+        queued every block of theirs, on segments, for a barrier that
+        never runs.  The replay must not find them still referenced."""
+        from repro.core import framework
+
+        clusters = []
+
+        class RecordingCluster(framework.SimulatedCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        monkeypatch.setattr(framework, "SimulatedCluster", RecordingCluster)
+        graph = TestNamesDoNotOutliveTheQueue.GRAPH
+        plan = FaultPlan(seed=3, crashes=(HostCrash(host=2, phase=4, op_count=2),))
+        clean = CuSP(4, "CVC").partition(graph)
+        cusp = CuSP(
+            4, "CVC", fault_plan=plan, executor=ProcessExecutor(max_workers=2),
+            checkpoint_dir=str(tmp_path), sanitizer=True,
+        )
+        # Cycle collector off: the claim is about references, not about
+        # when a collection happens to break the crash's traceback cycle.
+        gc.disable()
+        try:
+            dg = cusp.partition(graph)
+            assert leaked_segments() == []
+        finally:
+            gc.enable()
+        assert_same_partition(clean, dg)
+        assert cusp.sanitizer.violations == []
+        phases = clusters[-1].phase_stats
+        assert [p.name for p in phases if p.failed] == ["Graph Construction"]
+        assert not any(q for p in phases for q in p.comm._queues.values())
 
 
 def _kill_host_one_in_worker(body):

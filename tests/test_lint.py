@@ -57,6 +57,23 @@ class TestCorpus:
         assert report.findings == [], report.render_text()
         assert report.files_checked == 1
 
+    @pytest.mark.parametrize("payload,flagged", [("None", False), ("ids[j]", True)])
+    def test_accounting_only_send_in_a_governed_loop(
+        self, tmp_path, payload, flagged
+    ):
+        """clean.py is not contract-governed, so the ``None``-payload
+        exemption of scalar-send-in-hot-loop is pinned in a module that is."""
+        path = tmp_path / "mod.py"
+        path.write_text(
+            '__phase_contract__ = "Master Assignment"\n'
+            "def ship(view, peers, ids):\n"
+            "    for j in peers:\n"
+            f"        view.send(j, {payload}, tag='master-assignments',\n"
+            "                  nbytes=12 * len(ids[j]), coalesce=True)\n"
+        )
+        rules = [f.rule for f in run_lint([path], root=tmp_path).findings]
+        assert rules == (["scalar-send-in-hot-loop"] if flagged else [])
+
     def test_whole_corpus_fires_every_rule(self):
         report = run_lint([CORPUS], root=CORPUS)
         assert not report.ok()

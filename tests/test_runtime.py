@@ -241,6 +241,28 @@ class TestCluster:
         c.reset()
         assert c.phase_stats == []
 
+    def test_closed_phase_releases_its_queues(self):
+        """``phase_stats`` keeps every phase for the breakdown; it must
+        not keep an aborted (or finished) phase's undelivered blocks."""
+        from repro.runtime.colfab import ColumnSchema, MessageBatch
+        from repro.runtime.faults import HostCrashError
+
+        block = MessageBatch(
+            ColumnSchema((("x", np.int64),)), (np.arange(100),)
+        )
+        c = SimulatedCluster(2)
+        with pytest.raises(HostCrashError):
+            with c.phase("aborted") as ph:
+                ph.comm.send(0, 1, block, tag="edges")
+                assert ph.comm.pending(1, "edges") == 1
+                raise HostCrashError(1, 0)
+        with c.phase("finished") as ph:
+            ph.comm.send(0, 1, block, tag="edges")
+        for stats in c.phase_stats:
+            assert stats.comm.pending(1, "edges") == 0
+            assert stats.comm.sent_bytes[0, 1] == 800  # accounting stays
+        assert c.phase_stats[0].failed and not c.phase_stats[1].failed
+
     def test_invalid_cluster(self):
         with pytest.raises(ValueError):
             SimulatedCluster(0)
