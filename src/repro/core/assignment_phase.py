@@ -7,8 +7,9 @@ Each host scans the edges it read, calls ``getEdgeOwner`` on every edge
   (a positional vector — no node ids on the wire, §IV-D2), and
 * which destination proxies the peer must create as *mirrors*, with their
   master assignments (the "(Master/)Mirror Info" flow of Figure 2): its
-  bytes are charged, the ids are not materialised — allocation derives
-  each host's proxies from the group cache.
+  bytes are charged here, the ids are not materialised — allocation
+  exchanges the same sets as presence bitmaps
+  (:meth:`HostGroups.endpoint_mask`).
 
 Hosts with nothing to send to a peer send a small "empty" message instead
 (§IV-D2).  The computed owner array is retained for the construction
@@ -20,7 +21,8 @@ construction phase as the paper's system would incur it.
 Messages are typed :class:`~repro.runtime.colfab.MessageBatch` blocks
 carrying the one field their reader uses (the edge count), and the mirror
 sets are sized from the per-host :class:`HostGroups` cache that
-allocation and construction reuse.
+allocation and construction reuse — within one process: a grouping never
+crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -91,15 +93,9 @@ class HostGroups:
         dst: np.ndarray,
         num_hosts: int,
     ):
-        self.order = stable_group_order(owner, num_hosts)
-        self.cuts = np.zeros(num_hosts + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=num_hosts), out=self.cuts[1:])
-        self._fill(src, dst)
-
-    def _fill(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Gather the sorted columns from the host's edge arrays."""
-        order = self.order
-        cuts = self.cuts
+        order = stable_group_order(owner, num_hosts)
+        cuts = np.zeros(num_hosts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=num_hosts), out=cuts[1:])
         s = src[order]
         n = s.size
         # A row opens a unique-source run when its source differs from
@@ -110,30 +106,19 @@ class HostGroups:
         starts = cuts[:-1]
         keep[starts[starts < n]] = True
         first = np.flatnonzero(keep)
+        self.order = order
+        self.cuts = cuts
         self.src_sorted = s
         self.dst_sorted = dst[order]
         self.usrc = s[first]
         self.usrc_cuts = np.searchsorted(first, cuts)
 
-    def __getstate__(self):
-        # Only the sort permutation and group boundaries cross process
-        # boundaries: the sorted columns are O(n) gathers of the host's
-        # edge arrays (themselves derived from the shared-memory
-        # resident graph) and are rehydrated on first use at the other
-        # side, so a pickled grouping is ~3x smaller than a live one.
-        return self.order, self.cuts
-
-    def __setstate__(self, state) -> None:
-        self.order, self.cuts = state
-        self.src_sorted = None
-        self.dst_sorted = None
-        self.usrc = None
-        self.usrc_cuts = None
-
-    def hydrate(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Rebuild the sorted columns after a skeleton unpickle."""
-        if self.src_sorted is None:
-            self._fill(src, dst)
+    def __reduce__(self):
+        # A grouping never crosses a process boundary: it is a pure
+        # function of the owner array and the (resident) graph, both of
+        # which the other side already holds, so it pickles to ``None``
+        # and whoever misses it regroups (:meth:`EdgeAssignment.host_groups`).
+        return (type(None), ())
 
     def group_dst(self, j: int) -> np.ndarray:
         """``dst`` restricted to host ``j``'s group (a zero-copy view)."""
@@ -143,14 +128,22 @@ class HostGroups:
         """Sorted distinct sources among host ``j``'s edges."""
         return self.usrc[self.usrc_cuts[j] : self.usrc_cuts[j + 1]]
 
+    def endpoint_mask(self, j: int, out: np.ndarray) -> np.ndarray:
+        """Presence mask of the distinct endpoints of host ``j``'s
+        edges, written into the node-indexed bool array ``out`` — the
+        "mirror info" of Figure 2 without any per-peer sort."""
+        out[:] = False
+        out[self.unique_src(j)] = True
+        out[self.group_dst(j)] = True
+        return out
 
-#: Worker-local carry-over of the full group caches built by
-#: ``_assign_edges_body``: a resident pool worker keeps the groupings it
-#: computed during edge assignment so later phases adopt them instead of
-#: regathering from the resident skeleton.  Guarded by a bitwise owner
-#: comparison (the grouping is a pure function of the owner array and
-#: the resident graph), populated only inside pool workers (the flag is
-#: set in ``_pool_worker_main``), and dies with the worker.
+
+#: Worker-local carry-over of the groupings ``_assign_edges_body`` built:
+#: a resident pool worker keeps them so the later phases' tasks for the
+#: same hosts take them instead of regrouping.  Guarded by a bitwise
+#: owner comparison (the grouping is a pure function of the owner array
+#: and the resident graph), populated only inside pool workers (the flag
+#: is set in ``_pool_worker_main``), and dies with the worker.
 _group_stash: dict[int, tuple[np.ndarray, HostGroups]] = {}
 
 
@@ -163,110 +156,52 @@ def _stash_groups(h: int, owner: np.ndarray, groups: HostGroups) -> None:
 class EdgeAssignment:
     """Result of the edge-assignment phase.
 
-    The per-host ``(src, dst, weight)`` edge arrays and the owner
-    grouping's sorted columns are pure functions of the graph, the read
-    ranges and the owner decisions, so neither ever crosses a process
-    boundary: consumers rebuild them lazily from the (shared-memory
-    resident) graph on first use.  Only the owner arrays, the sort
-    permutations and the count matrices are real state.
+    Only the owner arrays and the count matrices are real state.  A
+    host's ``(src, dst)`` edge arrays and its owner grouping are pure
+    functions of the graph, the read ranges and the owner decisions, so
+    neither ever crosses a process boundary: a :class:`HostGroups`
+    pickles to ``None`` and whoever misses one regroups from the
+    (shared-memory resident) graph and owners it already holds.  The
+    graph itself is the caller's to pass: an assignment that held it
+    would carry a second copy of it into every pool worker.
     """
 
-    def __init__(
-        self,
-        num_hosts: int,
-        prop: GraphProp | None = None,
-        ranges: list[tuple[int, int]] | None = None,
-    ) -> None:
+    def __init__(self, num_hosts: int, ranges: list[tuple[int, int]]) -> None:
         #: Per reading host: owner partition of each of its edges
         #: (``None`` until that host's task has run).
         self.owners: list[np.ndarray | None] = [None] * num_hosts
-        #: Per reading host: its (src, dst, weight) edge arrays, a lazy
-        #: cache over :func:`host_edge_slice` (see :meth:`host_edges`).
-        self.edges: list[
-            tuple[np.ndarray, np.ndarray, np.ndarray | None] | None
-        ] = [None] * num_hosts
         #: edges_to[h][j] = number of edges host h will send to host j.
         self.edges_to = np.zeros((num_hosts, num_hosts), dtype=np.int64)
         #: toReceive[j] = total edges host j expects (Algorithm 3 line 13).
         self.to_receive = np.zeros(num_hosts, dtype=np.int64)
-        #: Graph + read ranges backing the lazy edge rebuild.
-        self._prop = prop
-        self.ranges = list(ranges) if ranges is not None else None
-        # Lazy per-host owner-group cache shared by phases 3-5.  The
-        # assignment phase's barrier callback installs each host's
-        # grouping; a cache miss inside a task recomputes the (pure,
-        # deterministic) grouping without relying on the cached write
-        # surviving the task — it may run in a forked worker.
+        #: Read ranges backing the regroup on a cache miss.
+        self.ranges = list(ranges)
+        # Per-host owner-group cache shared by phases 3-5, process-local.
+        # The assignment phase's barrier callback installs each host's
+        # grouping where the body ran in this process; a miss inside a
+        # task recomputes the (pure, deterministic) grouping without
+        # relying on the cached write surviving the task — it may run
+        # in a forked worker.
         self._groups: list[HostGroups | None] = [None] * num_hosts
 
-    def host_edges(
-        self, h: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Host ``h``'s (src, dst, weights) arrays (rebuilt on miss)."""
-        edges = self.edges[h]
-        if edges is None:
-            if self._prop is None or self.ranges is None:
-                raise ValueError(f"host {h}: edge assignment not yet run")
-            start, stop = self.ranges[h]
-            edges = host_edge_slice(self._prop.graph, start, stop)
-            # repro-lint: disable-next-line=deep-unshippable-task-capture -- recompute-on-miss cache (see class docstring): a worker-local write that is lost with the fork is recomputed identically on the next miss
-            self.edges[h] = edges
-        return edges
-
-    def host_groups(self, h: int) -> HostGroups:
-        """The owner grouping of host ``h``'s edges (computed once)."""
+    def host_groups(self, h: int, graph: CSRGraph) -> HostGroups:
+        """The owner grouping of host ``h``'s edges of ``graph``
+        (computed once per process: a pool worker that ran this host's
+        assignment task still holds the grouping it built there)."""
         groups = self._groups[h]
         if groups is None:
             owner = self.owners[h]
             if owner is None:
                 raise ValueError(f"host {h}: edge assignment not yet run")
-            src, dst, _weights = self.host_edges(h)
-            groups = HostGroups(
-                owner, src, dst, self.edges_to.shape[0]
-            )
+            stashed = _group_stash.get(h)
+            if stashed is not None and np.array_equal(stashed[0], owner):
+                groups = stashed[1]
+            else:
+                src, dst, _weights = host_edge_slice(graph, *self.ranges[h])
+                groups = HostGroups(owner, src, dst, self.edges_to.shape[0])
             # repro-lint: disable-next-line=deep-unshippable-task-capture -- recompute-on-miss cache (see class docstring): a worker-local write that is lost with the fork is recomputed identically on the next miss
             self._groups[h] = groups
-        elif groups.src_sorted is None:
-            # Skeleton from a cross-process unpickle.  A resident pool
-            # worker that ran this host's assignment task still holds
-            # the full grouping it built there; adopt it when the owner
-            # array matches bitwise (the grouping is a pure function of
-            # the owner array and the resident graph).  Otherwise gather
-            # the sorted columns from the locally rebuilt edge arrays
-            # (pure and deterministic, so hydrating in-place is
-            # recompute-on-miss with the argsort skipped).
-            owner = self.owners[h]
-            stashed = _group_stash.get(h)
-            if (
-                stashed is not None
-                and owner is not None
-                and np.array_equal(stashed[0], owner)
-            ):
-                groups = stashed[1]
-                # repro-lint: disable-next-line=deep-unshippable-task-capture -- recompute-on-miss cache (see class docstring): a lost worker-local write is redone identically
-                self._groups[h] = groups
-            else:
-                src, dst, _weights = self.host_edges(h)
-                # repro-lint: disable-next-line=deep-unshippable-task-capture -- recompute-on-miss cache (see class docstring): hydration is a pure gather; a lost worker-local write is redone identically
-                groups.hydrate(src, dst)
         return groups
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        # The edge arrays are derivable from (graph, ranges); shipping
-        # them would roughly double the graph bytes on the wire.
-        state["edges"] = [None] * len(self.edges)
-        return state
-
-    def adopt_groups(self, other: "EdgeAssignment") -> None:
-        """Carry ``other``'s group cache onto this (rebuilt) assignment.
-
-        Used when the framework reconstructs the assignment from its
-        checkpoint: the grouping is a pure function of (owners, edges),
-        both of which round-trip bit-identically, so the cache computed
-        by the live phase remains valid for the rebuilt object.
-        """
-        self._groups = list(other._groups)
 
 
 def host_edge_slice(
@@ -287,18 +222,29 @@ def assignment_from_owners(
     prop: GraphProp,
     ranges: list[tuple[int, int]],
     owners: list[np.ndarray],
+    live: EdgeAssignment | None = None,
 ) -> EdgeAssignment:
     """Rebuild the edge-assignment result from checkpointed owner arrays.
 
     The per-host edge arrays are a pure function of the graph and the
     read ranges, so only the owner decisions need to be persisted; this
     reconstructs the same :class:`EdgeAssignment` the live phase
-    produced (used when replaying phases 4/5 from a checkpoint).  The
-    edge arrays themselves stay lazy — consumers rebuild them from the
-    graph on first use.
+    produced (used when replaying phases 4/5 from a checkpoint).
+
+    ``live`` is the assignment the phase just produced, when this
+    process ran it: the owners round-trip bit-identically through the
+    checkpoint, so its count matrices and group cache — pure functions
+    of (owners, edges) — carry over instead of being recounted.  A
+    resumed run has none and recounts from, and size-checks, what the
+    checkpoint holds.
     """
     num_hosts = len(ranges)
-    result = EdgeAssignment(num_hosts, prop=prop, ranges=ranges)
+    result = EdgeAssignment(num_hosts, ranges)
+    if live is not None:
+        result.owners = [np.asarray(owner) for owner in owners]
+        result.edges_to, result.to_receive = live.edges_to, live.to_receive
+        result._groups = list(live._groups)
+        return result
     graph = prop.graph
     for h, (start, stop) in enumerate(ranges):
         expected = int(graph.indptr[stop]) - int(graph.indptr[start])
@@ -370,12 +316,10 @@ def _assign_edges_body(view: HostView, payload: tuple):
             continue
         # Mirror info: destination proxies on j whose master is
         # elsewhere, plus source proxies on j whose master is
-        # elsewhere.  A presence mask counts the distinct endpoints
-        # (minus the j-mastered ones) without any per-peer sort.
-        mark[:] = False
-        mark[groups.unique_src(j)] = True
-        mark[groups.group_dst(j)] = True
-        mirrors = np.count_nonzero(mark & (masters != j))
+        # elsewhere — the distinct endpoints minus the j-mastered ones.
+        mirrors = np.count_nonzero(
+            groups.endpoint_mask(j, mark) & (masters != j)
+        )
         view.send_batch(
             j,
             MessageBatch(_EDGE_COUNTS_SCHEMA, scalars=(int(counts[j]),)),
@@ -406,7 +350,7 @@ def run_edge_assignment(
     rule = policy.edge_rule
     num_hosts = len(ranges)
     k = prop.getNumPartitions()
-    result = EdgeAssignment(num_hosts, prop=prop, ranges=ranges)
+    result = EdgeAssignment(num_hosts, ranges)
     estate = None
     if rule.stateful:
         try:
@@ -418,10 +362,9 @@ def run_edge_assignment(
     def install_assignment(h: int, start: int, stop: int):
         """Parent-side barrier callback installing one host's results.
 
-        The edge arrays are a pure function of (graph, range) and stay
-        lazy on the assignment; the grouping rides along by reference
-        on the serial/thread paths and as an order-only skeleton on the
-        process path, rehydrated by whoever touches it next.
+        The grouping rides along by reference on the serial/thread
+        paths and arrives as ``None`` from a pool worker, which keeps
+        its own (``_stash_groups``).
         """
         def install(outcome):
             owner, counts, groups = outcome

@@ -21,10 +21,11 @@ source counts), and edges travel as typed
 Task bodies live at module level so the pooled process executor can ship
 them by reference; the phase inputs they share (``assignment``,
 ``masters``, ``proxies``) are published as shared-memory residents so
-workers map them zero-copy.  The allocation pass's endpoint sets are
-pure index *descriptors* into the assignment's group cache (see
-``_group_endpoints_body``), so no endpoint arrays are published or
-shipped at all.
+workers map them zero-copy.  Allocation exchanges mirror info, not
+pointers into a peer: each reading host sends every owner a presence
+bitmap of the endpoints it contributes there (``n / 8`` bytes per
+(reader, owner) pair with edges, at most ``k² · n / 8`` per run), so no
+task reads a grouping of a host it did not itself group.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..graph.csr import CSRGraph
 from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
 from ..runtime.stats import PhaseStats
-from .assignment_phase import EdgeAssignment, _mask_unique
+from .assignment_phase import EdgeAssignment
 from .partition import LocalPartition
 from .policies import Policy
 from .prop import GraphProp
@@ -48,56 +49,45 @@ __all__ = ["run_allocation", "run_construction"]
 
 def _group_endpoints_body(
     view: HostView, payload: tuple
-) -> list[tuple[int, int, int, int, int, int]]:
-    """Endpoint grouping for one reading host.
-
-    Returns *descriptors* — ``(j, h, usrc_lo, usrc_hi, cut_lo, cut_hi)``
-    index ranges into host ``h``'s group cache — rather than the
-    endpoint arrays themselves.  The consumer (``_build_proxies_body``)
-    resolves them against its own view of the shared assignment, so no
-    endpoint bytes ever cross the process boundary.
-    """
-    assignment, num_hosts, h = payload
-    groups = assignment.host_groups(h)
-    pieces: list[tuple[int, int, int, int, int, int]] = []
-    for j in range(num_hosts):
-        if groups.cuts[j + 1] > groups.cuts[j]:
-            # Sources arrive already deduplicated from the group cache;
-            # destinations stay raw views — the owner dedups once over
-            # its whole union instead of per piece.
-            pieces.append((
-                j, h,
-                int(groups.usrc_cuts[j]), int(groups.usrc_cuts[j + 1]),
-                int(groups.cuts[j]), int(groups.cuts[j + 1]),
-            ))
-    return pieces
+) -> list[tuple[int, np.ndarray]]:
+    """Mirror info from one reading host: per owner ``j`` that receives
+    edges from it, ``(j, bitmap)`` — ``np.packbits`` of the presence
+    mask over ``[0, n)`` of that group's distinct endpoints."""
+    assignment, prop, h = payload
+    groups = assignment.host_groups(h, prop.graph)
+    mark = np.empty(prop.getNumNodes(), dtype=bool)
+    return [
+        (j, np.packbits(groups.endpoint_mask(j, mark)))
+        for j in range(groups.cuts.size - 1)
+        if groups.cuts[j + 1] > groups.cuts[j]
+    ]
 
 
 def _build_proxies_body(view: HostView, payload: tuple) -> np.ndarray:
-    """Proxy-table union for one owning host.
-
-    ``endpoint_refs`` holds the pass-1 descriptors for this owner; each
-    resolves to a zero-copy slice of the reading host's group cache on
-    the (shared) assignment.
-    """
-    assignment, masters, endpoint_refs, n, j = payload
-    pieces = []
-    for h, u_lo, u_hi, c_lo, c_hi in endpoint_refs:
-        groups = assignment.host_groups(h)
-        pieces.append(groups.usrc[u_lo:u_hi])
-        pieces.append(groups.dst_sorted[c_lo:c_hi])
-    gids = _mask_unique(n, np.flatnonzero(masters == j), *pieces)
+    """Proxy-table union for one owning host: what it masters, OR-ed
+    with the bitmap of every reader that sends it edges."""
+    masters, bitmaps, to_receive, n, j = payload
+    bits = np.packbits(masters == j)
+    for bitmap in bitmaps:
+        bits |= bitmap
+    # unpackbits yields 0/1 bytes; read as bool, flatnonzero takes its
+    # fast path (6x here) for the same ids.
+    gids = np.flatnonzero(np.unpackbits(bits, count=n).view(bool))
     # Allocation work: local arrays sized by proxies + expected edges,
     # plus the global-to-local map construction.
-    view.add_compute(float(gids.size) + float(assignment.to_receive[j]))
+    view.add_compute(float(gids.size) + float(to_receive))
     return gids
 
 
 def _ship_edges_body(view: HostView, payload: tuple) -> None:
     """Edge shipping for one reading host."""
-    assignment, schema, per_edge, num_hosts, h = payload
-    src, dst, w = assignment.host_edges(h)
-    groups = assignment.host_groups(h)
+    assignment, prop, schema, per_edge, num_hosts, h = payload
+    graph = prop.graph
+    groups = assignment.host_groups(h, graph)
+    w = None
+    if graph.is_weighted:
+        start, stop = assignment.ranges[h]
+        w = graph.edge_data[graph.indptr[start] : graph.indptr[stop]]
     for j in range(num_hosts):
         lo, hi = int(groups.cuts[j]), int(groups.cuts[j + 1])
         if hi == lo:
@@ -120,9 +110,9 @@ def _ship_edges_body(view: HostView, payload: tuple) -> None:
     # Re-evaluating getEdgeOwner costs one unit per edge; remote edges
     # additionally pay serialization.  Local edges are constructed in
     # place (Algorithm 4 line 5) and are charged at the receiver only.
+    total = int(groups.cuts[-1])
     local = int(groups.cuts[h + 1] - groups.cuts[h])
-    remote = int(src.size) - local
-    view.add_compute(float(src.size) + float(remote))
+    view.add_compute(float(total) + float(total - local))
 
 
 def _build_partition_body(view: HostView, payload: tuple) -> LocalPartition:
@@ -181,26 +171,22 @@ def run_allocation(
     num_hosts = len(assignment.owners)
     n = prop.getNumNodes()
 
-    # Pass 1: each reading host groups its edge endpoints by owner.
+    # Pass 1: each reading host tells every owner of its edges which
+    # endpoints they bring (mirror info, one bitmap per owner).
     grouped = phase.executor.run(
         phase,
         [
             HostTask(
                 h, _group_endpoints_body, label="group-endpoints",
-                payload=(assignment, num_hosts, h),
+                payload=(assignment, prop, h),
             )
             for h in range(num_hosts)
         ],
     )
-    # Pass 1 returned index descriptors into each reading host's group
-    # cache — a few ints per (reader, owner) pair.  They ride in pass
-    # 2's task payloads directly; the endpoint arrays are resolved
-    # inside the consumer against the shared assignment, so nothing
-    # endpoint-sized needs publishing or shipping.
-    endpoint_sets: list[list] = [[] for _ in range(num_hosts)]
+    bitmaps: list[list[np.ndarray]] = [[] for _ in range(num_hosts)]
     for pieces in grouped:
-        for piece in pieces:
-            endpoint_sets[piece[0]].append(piece[1:])
+        for j, bitmap in pieces:
+            bitmaps[j].append(bitmap)
 
     # Pass 2: each owner unions what lands on it with what it masters.
     return phase.executor.run(
@@ -208,7 +194,9 @@ def run_allocation(
         [
             HostTask(
                 j, _build_proxies_body, label="build-proxies",
-                payload=(assignment, masters, endpoint_sets[j], n, j),
+                payload=(
+                    masters, bitmaps[j], int(assignment.to_receive[j]), n, j,
+                ),
             )
             for j in range(num_hosts)
         ],
@@ -248,7 +236,7 @@ def run_construction(
         [
             HostTask(
                 h, _ship_edges_body, label="ship-edges",
-                payload=(assignment, schema, per_edge, num_hosts, h),
+                payload=(assignment, prop, schema, per_edge, num_hosts, h),
             )
             for h in range(num_hosts)
         ],

@@ -519,15 +519,16 @@ class CuSP:
                 "assignment",
                 **{f"owners_{h}": live_assignment.owners[h] for h in range(k)},
             )
+            # The count matrices and the owner grouping are pure
+            # functions of (owners, edges), both of which round-trip
+            # bit-identically through the checkpoint, so phases 4/5
+            # reuse what phase 3 already computed.  (A resumed run
+            # recomputes them from the same inputs, with the same
+            # result.)
             assignment = assignment_from_owners(
-                prop, ranges, [owner_blob[f"owners_{h}"] for h in range(k)]
+                prop, ranges, [owner_blob[f"owners_{h}"] for h in range(k)],
+                live=live_assignment,
             )
-            # The owner grouping is a pure function of (owners, edges),
-            # both of which round-trip bit-identically through the
-            # checkpoint, so phases 4/5 reuse the grouping phase 3
-            # already computed.  (A resumed run recomputes it from the
-            # same inputs, with the same result.)
-            assignment.adopt_groups(live_assignment)
         assignment = cluster.executor.publish("assignment", assignment)
 
         # Phase 4: graph allocation.  Partitioning state is reset so rule

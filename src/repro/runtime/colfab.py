@@ -34,6 +34,7 @@ See ``docs/PERFORMANCE.md`` for the design rationale.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import os
 import struct
@@ -426,6 +427,13 @@ _segment_serial = itertools.count()
 _resident_registry: dict[str, int] = {}
 
 
+#: What ``write(2)`` on a shared-memory descriptor fails with where the
+#: platform only lets such an object be mapped (tmpfs-backed Linux
+#: segments take writes; a full one fails with ``ENOSPC``, which is not
+#: in this set).
+_WRITE_REFUSED = frozenset({errno.ENXIO, errno.EINVAL, errno.ENOTSUP})
+
+
 def _next_segment_name() -> str:
     return f"{_SEGMENT_FAMILY}{os.getpid():x}-{next(_segment_serial)}"
 
@@ -468,6 +476,15 @@ def _create_shared_segment(raw: np.ndarray, tracked: bool = False) -> Any:
     happens in this same process (the executor pool's graph residency):
     the registration stays so a hard-crashed parent still gets tracker
     cleanup, and the owner's ``unlink()`` balances it.
+
+    The bytes go in by ``os.pwrite`` on the segment's descriptor: the
+    kernel allocates and copies the tmpfs pages in one pass, where a
+    store through the fresh mapping takes a page fault per 4 KiB (about
+    twice the time per byte), and a full ``/dev/shm`` is an ``OSError``
+    here instead of a SIGBUS there.  A failed write unlinks the
+    half-written segment and re-raises.  A descriptor that refuses
+    ``write(2)`` outright — :data:`_WRITE_REFUSED`, or a platform whose
+    segments have none — gets the mapping store.
     """
     from multiprocessing import resource_tracker, shared_memory
 
@@ -480,16 +497,26 @@ def _create_shared_segment(raw: np.ndarray, tracked: bool = False) -> Any:
         # repro-lint: disable-next-line=swallowed-error -- name collision with a sibling process in the same family; the serial counter advances and we retry
         except FileExistsError:  # pragma: no cover - racing forked creators
             continue
+    view = memoryview(raw).cast("B")
+    fd = getattr(seg, "_fd", -1)
+    written = 0
+    try:
+        while fd >= 0 and written < raw.nbytes:
+            written += os.pwrite(fd, view[written:], written)
+    except OSError as exc:
+        if exc.errno not in _WRITE_REFUSED:
+            # Still registered with the tracker, so this unlink balances.
+            seg.close()
+            seg.unlink()
+            raise
+    if written < raw.nbytes:
+        seg.buf[: raw.nbytes] = view
     if not tracked:
         try:
             resource_tracker.unregister(seg._name, "shared_memory")  # noqa: SLF001
         # repro-lint: disable-next-line=swallowed-error -- tracker API is CPython-internal; segment lifetime is managed explicitly either way
         except Exception:  # pragma: no cover
             pass
-    if raw.nbytes:
-        # One memcpy straight into the mapping — ``tobytes()`` would
-        # materialize a second full copy on the heap first.
-        seg.buf[: raw.nbytes] = memoryview(raw).cast("B")
     return seg
 
 

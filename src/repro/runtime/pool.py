@@ -205,21 +205,27 @@ def _fn_shippable(fn: Callable[..., Any]) -> bool:
 
 
 def _dump_delta(task: HostTask, delta: dict[str, Any]) -> tuple[bytes, bytes]:
-    """Worker-side: serialize one delta; a result that does not pickle
+    """Worker-side: serialize one delta; a result that does not pickle,
+    or an array whose segment cannot be written (a full ``/dev/shm``),
     becomes the task's failure, with a diagnostic naming the task.
 
     The queued payloads ship as their own blob because the parent loads
     them differently (:func:`_load_delta`)."""
-    queued, _segments = residency.dumps_with_segments(delta.pop("queued"))
+    payloads = delta.pop("queued")
+    queued = None
     try:
+        queued, _segments = residency.dumps_with_segments(payloads)
         blob, _segments = residency.dumps_with_segments(delta)
     except Exception as perr:  # noqa: BLE001 — converted to task failure
+        if queued is None:
+            queued, _segments = residency.dumps_with_segments([])
         delta = dict(
             delta,
             result=None,
             exc=RuntimeError(
                 f"host {task.host} task {task.label!r} returned an "
-                f"unshippable result ({perr}); task outputs must pickle"
+                f"unshippable result ({type(perr).__name__}: {perr}); task "
+                "outputs must pickle and their arrays fit in shared memory"
             ),
         )
         blob, _segments = residency.dumps_with_segments(delta)

@@ -15,6 +15,7 @@ shipping each barrier input once: declared inboxes (``HostTask.drains``),
 refresh-in-place ``publish`` and the ``sync_rounds`` scaling gate.
 """
 
+import errno
 import functools
 import gc
 import os
@@ -994,6 +995,95 @@ class TestOnePathPerDatum:
         assert not any(q for p in phases for q in p.comm._queues.values())
 
 
+def _arrays(obj):
+    """Every ndarray reachable through lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.values()))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+class TestGroupingsStayHome:
+    """A grouping never crosses a process boundary and allocation
+    exchanges mirror-info bitmaps: what the pool moves for phases 3 and
+    4 is the owner decisions, O(k²) counts and k² bitmaps of n/8 bytes."""
+
+    def test_pooled_svc_byte_budget(self, monkeypatch, parent_traffic):
+        k = 8
+        # Proxy tables (< n ids) stay under the segment threshold, every
+        # host's owner array is over it.
+        graph = erdos_renyi(8_000, 160_000, seed=11)
+        n, m = graph.num_nodes, graph.num_edges
+        per_host = [
+            int(graph.indptr[stop] - graph.indptr[start])
+            for start, stop in compute_read_ranges(graph, k)
+        ]
+        assert n * 8 < SHM_THRESHOLD <= min(per_host) * 4
+        barriers = {}  # label -> (pipe bytes, segments, result per reply)
+        dispatch = ProcessExecutor._pool_dispatch
+
+        def recording_dispatch(self, stats, tasks):
+            before = dict(parent_traffic)
+            deltas = dispatch(self, stats, tasks)
+            barriers[tasks[0].label] = (
+                parent_traffic["bytes"] - before["bytes"],
+                parent_traffic["segments"] - before["segments"],
+                [delta["result"] for delta in deltas],
+            )
+            return deltas
+
+        published = {}
+        publish = ProcessExecutor.publish
+
+        def recording_publish(self, name, obj):
+            out = publish(self, name, obj)
+            if name == "assignment":
+                published.update(self._residents[name])
+            return out
+
+        monkeypatch.setattr(ProcessExecutor, "_pool_dispatch", recording_dispatch)
+        monkeypatch.setattr(ProcessExecutor, "publish", recording_publish)
+        CuSP(
+            k, "SVC", executor=ProcessExecutor(max_workers=2), sync_rounds=3
+        ).partition(graph)
+
+        # Edge assignment replies: the owner decisions at 4 B per edge
+        # and one k-vector of counts per host.  No grouping, so no int64
+        # array of edge length.
+        def shapes(replies):
+            return [[(a.dtype, a.size) for a in _arrays(r)] for r in replies]
+
+        _, _, replies = barriers["assign-edges"]
+        assert shapes(replies) == [
+            [(np.dtype(np.int32), edges), (np.dtype(np.int64), k)]
+            for edges in per_host
+        ]
+        assert [groups for _owner, _counts, groups in replies] == [None] * k
+        # publish("assignment"): the same 4 B per edge on segments, the
+        # k x k and k counts (and the read ranges) in the blob.
+        assert [
+            (np.lib.format.descr_to_dtype(descr), shape)
+            for _name, descr, shape in published["manifest"]
+        ] == [(np.dtype(np.int32), (edges,)) for edges in per_host]
+        assert sum(per_host) == m
+        assert len(published["blob"]) < 8 * (k * k + k) + 2048
+        # Allocation: k² bitmaps of ceil(n / 8) bytes cross the pipe,
+        # twice (reply, then the owner's spec); no array in either
+        # direction is large enough to ride a segment.
+        bitmap = (n + 7) // 8
+        pipe, segments, replies = barriers["group-endpoints"]
+        assert segments == 0 and pipe < SHM_THRESHOLD // 8
+        # All-to-all: every reader has edges for every owner.
+        assert shapes(replies) == [[(np.dtype(np.uint8), bitmap)] * k] * k
+        pipe, segments, replies = barriers["build-proxies"]
+        assert segments == 0
+        assert k * k * bitmap <= pipe < k * k * bitmap + k * 2048
+        assert all(a.nbytes < SHM_THRESHOLD for a in _arrays(replies))
+
+
 def _kill_host_one_in_worker(body):
     @functools.wraps(body)
     def doomed(view, payload):
@@ -1038,6 +1128,102 @@ class TestNamesDoNotOutliveTheQueue:
         del cusp
         gc.collect()
         assert leaked_segments() == [] and unraisable == []
+
+
+def _patch_pwrite(monkeypatch, in_worker, behave):
+    """Route ``os.pwrite`` through ``behave(call_no, pwrite, *args)`` in
+    the parent or (``in_worker``) in pool workers forked from here on —
+    each process numbering its own calls from 1 — and leave the other
+    side alone."""
+    pwrite = os.pwrite
+    calls = [0]
+
+    def patched(fd, data, offset):
+        if pool_module._IN_POOL_WORKER != in_worker:
+            return pwrite(fd, data, offset)
+        calls[0] += 1
+        return behave(calls[0], pwrite, fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", patched)
+
+
+def _enospc():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestSharedMemoryFull:
+    """A segment is filled by ``pwrite``, so a full ``/dev/shm`` is an
+    ``OSError`` at the n-th export — not a SIGBUS on a mapping store —
+    whichever side of the pool hits it: the half-written segment is
+    unlinked, the call fails typed, and nothing is left behind."""
+
+    GRAPH = TestNamesDoNotOutliveTheQueue.GRAPH
+
+    @pytest.mark.parametrize("side,nth,raises", [
+        # publish(): prop, masters, assignment, proxies.
+        ("parent", 1, OSError), ("parent", 3, OSError),
+        ("parent", 6, OSError), ("parent", 9, OSError),
+        # Replies: assign-edges owners, build-proxies ids, queued edge
+        # blocks, build-partition results.
+        ("worker", 1, RuntimeError), ("worker", 3, RuntimeError),
+        ("worker", 6, RuntimeError), ("worker", 15, RuntimeError),
+    ])
+    def test_enospc_on_nth_export_fails_clean(
+        self, monkeypatch, unraisable, side, nth, raises
+    ):
+        def full_on_nth(call_no, pwrite, *args):
+            if call_no == nth:
+                raise _enospc()
+            return pwrite(*args)
+
+        cusp = CuSP(4, "CVC", executor=ProcessExecutor(max_workers=2))
+        with monkeypatch.context() as patch:
+            _patch_pwrite(patch, side == "worker", full_on_nth)
+            with pytest.raises(raises, match="No space left on device") as info:
+                cusp.partition(self.GRAPH)
+        if side == "worker":
+            # The reply side turned it into that task's failure.
+            assert "returned an unshippable result" in str(info.value)
+        assert leaked_segments() == []
+        # The pool serves the next call.
+        assert_same_partition(
+            cusp.partition(self.GRAPH), CuSP(4, "CVC").partition(self.GRAPH)
+        )
+        assert leaked_segments() == [] and unraisable == []
+
+    def test_enospc_in_a_dispatch_spec_is_unshippable(self, monkeypatch, pool):
+        def full(call_no, pwrite, *args):
+            raise _enospc()
+
+        ph = _make_stats(num_hosts=2)
+        big = np.arange(SHM_THRESHOLD // 8, dtype=np.int64)
+        tasks = [HostTask(h, _resident_probe_body, payload=big) for h in range(2)]
+        with monkeypatch.context() as patch:
+            _patch_pwrite(patch, False, full)
+            with pytest.raises(UnshippableTaskError, match="No space left"):
+                pool.run(ph, tasks)
+        assert pool._workers == [] and leaked_segments() == []
+        assert pool.run(ph, tasks) == [(int(big.sum()), True)] * 2
+
+    @pytest.mark.parametrize("behaviour", ["short-writes", "refused"])
+    def test_segment_holds_the_array_however_the_descriptor_behaves(
+        self, monkeypatch, behaviour
+    ):
+        """Short writes are resumed; a descriptor that refuses
+        ``write(2)`` outright (a platform fact, not a setting) gets the
+        mapping store — inside the same function, same result."""
+        def behave(call_no, pwrite, fd, data, offset):
+            if behaviour == "refused":
+                raise OSError(errno.ENXIO, os.strerror(errno.ENXIO))
+            return pwrite(fd, data[:4097], offset)
+
+        _patch_pwrite(monkeypatch, False, behave)
+        arr = np.arange(SHM_THRESHOLD // 4, dtype=np.int32)[::-1]
+        blob, _ = residency.dumps_with_segments(arr)
+        assert len(leaked_segments()) == 1
+        back = residency.loads_with_segments(blob)
+        assert back.dtype == arr.dtype and np.array_equal(back, arr)
+        assert leaked_segments() == []
 
 
 class TestCommRegressions:

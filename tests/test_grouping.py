@@ -1,10 +1,12 @@
 """The narrow-key group-by primitive and what is built on it.
 
 ``stable_group_order`` must be ``np.argsort(kind="stable")`` bit for bit
-(the permutation is what a pickled ``HostGroups`` skeleton ships to pool
-workers), ``HostGroups`` must produce the six slots its argsort +
-searchsorted + cumsum formulation produced, and ``CSRGraph.from_edges``
-must still be a (src, dst) lexsort of its input.
+(a grouping never crosses a process boundary, so every process that
+regroups must arrive at the same permutation), ``HostGroups`` must
+produce the six slots its argsort + searchsorted + cumsum formulation
+produced, and ``CSRGraph.from_edges`` must still be a (src, dst) lexsort
+of its input.  Allocation's mirror-info bitmaps must union to the proxy
+tables the descriptor-resolving formulation produced.
 """
 
 import pickle
@@ -14,8 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assignment_phase import HostGroups, host_edge_slice
+from repro.core import GraphProp, compute_read_ranges
+from repro.core.assignment_phase import (
+    EdgeAssignment,
+    HostGroups,
+    assignment_from_owners,
+    host_edge_slice,
+)
+from repro.core.construction_phase import run_allocation
 from repro.graph.csr import CSRGraph, stable_group_order
+from repro.runtime.comm import Communicator
+from repro.runtime.stats import PhaseStats
 
 from .strategies import graphs
 
@@ -130,7 +141,8 @@ def assert_slots_equal(groups: HostGroups, expected: dict) -> None:
 
 @st.composite
 def host_inputs(draw):
-    """(owner, src, dst, num_hosts) as one reading host sees them.
+    """(owner, src, dst, num_hosts) as one reading host sees them, and
+    the (graph, (start, stop)) its ``src``/``dst`` were read from.
 
     ``src``/``dst`` are a host's slice of a CSR walk (``src``
     non-decreasing); owners are drawn from a *subset* of the hosts so
@@ -150,14 +162,17 @@ def host_inputs(draw):
         st.sampled_from(live), min_size=src.size, max_size=src.size
     ))
     dtype = draw(st.sampled_from([np.int32, np.int64]))
-    return np.array(owner, dtype=dtype), src, dst, num_hosts
+    return (
+        np.array(owner, dtype=dtype), src, dst, num_hosts,
+        graph, (start, stop),
+    )
 
 
 class TestHostGroups:
     @settings(max_examples=200, deadline=None)
     @given(host_inputs())
     def test_slots_equal_argsort_formulation(self, inputs):
-        owner, src, dst, num_hosts = inputs
+        owner, src, dst, num_hosts = inputs[:4]
         assert_slots_equal(
             HostGroups(owner, src, dst, num_hosts),
             reference_host_groups(owner, src, dst, num_hosts),
@@ -165,16 +180,22 @@ class TestHostGroups:
 
     @settings(max_examples=100, deadline=None)
     @given(host_inputs())
-    def test_skeleton_roundtrip_hydrates_to_live_object(self, inputs):
-        owner, src, dst, num_hosts = inputs
+    def test_pickles_to_none_and_regroups_to_live_object(self, inputs):
+        owner, src, dst, num_hosts, graph, host_range = inputs
         live = HostGroups(owner, src, dst, num_hosts)
-        skeleton = pickle.loads(pickle.dumps(live))
-        assert skeleton.src_sorted is None and skeleton.usrc is None
-        np.testing.assert_array_equal(skeleton.order, live.order)
-        np.testing.assert_array_equal(skeleton.cuts, live.cuts)
-        skeleton.hydrate(src, dst)
+        assert pickle.loads(pickle.dumps(live)) is None
+        # The grouping installed where the body ran is lost on the way
+        # through a pickle; host 0 reads the slice.
+        assignment = EdgeAssignment(num_hosts, [host_range] * num_hosts)
+        assignment.owners[0] = owner
+        assignment._groups[0] = live
+        shipped = pickle.loads(pickle.dumps(assignment))
+        assert shipped._groups == [None] * num_hosts
+        regrouped = shipped.host_groups(0, graph)
+        assert regrouped is not live
+        assert shipped.host_groups(0, graph) is regrouped  # cached again
         assert_slots_equal(
-            skeleton, {s: getattr(live, s) for s in HostGroups.__slots__}
+            regrouped, {s: getattr(live, s) for s in HostGroups.__slots__}
         )
 
     @pytest.mark.parametrize("num_hosts", [8, 256, 300, 70_000])
@@ -200,6 +221,60 @@ class TestHostGroups:
         owner = np.array([0, 3, 2, 1], dtype=np.int32)
         with pytest.raises(ValueError, match=r"3 out of range \[0, 3\)"):
             HostGroups(owner, src, dst, 3)
+
+
+class TestMirrorInfoBitmaps:
+    """``run_allocation`` exchanges one packed presence bitmap per
+    (reader, owner) pair with edges; the reference is the formulation
+    it replaced — each owner resolving slices of every reader's group
+    cache and unioning them with what it masters by presence mask."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=graphs(), data=st.data())
+    def test_proxies_equal_descriptor_union(self, graph, data):
+        # graphs(): node counts off a multiple of 8, parallel edges,
+        # self-loops and edgeless graphs all occur; one host and owners
+        # drawn from a subset (empty groups) are drawn here.
+        k = data.draw(st.integers(1, 5))
+        n = graph.num_nodes
+        prop = GraphProp(graph, k)
+        ranges = compute_read_ranges(graph, k)
+        live = data.draw(st.lists(
+            st.integers(0, k - 1), min_size=1, max_size=k, unique=True
+        ))
+        owners = []
+        for start, stop in ranges:
+            size = int(graph.indptr[stop] - graph.indptr[start])
+            owners.append(np.array(
+                data.draw(st.lists(
+                    st.sampled_from(live), min_size=size, max_size=size
+                )),
+                dtype=np.int32,
+            ))
+        masters = np.array(
+            data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+            dtype=np.int32,
+        )
+        assignment = assignment_from_owners(prop, ranges, owners)
+        phase = PhaseStats(name="alloc", comm=Communicator(k), num_hosts=k)
+        proxies = run_allocation(phase, prop, assignment, masters)
+        assert len(proxies) == k
+        for j, gids in enumerate(proxies):
+            mark = np.zeros(n, dtype=bool)
+            mark[np.flatnonzero(masters == j)] = True
+            for h, (start, stop) in enumerate(ranges):
+                src, dst, _ = host_edge_slice(graph, start, stop)
+                ref = reference_host_groups(owners[h], src, dst, k)
+                lo, hi = ref["cuts"][j], ref["cuts"][j + 1]
+                u_lo, u_hi = ref["usrc_cuts"][j], ref["usrc_cuts"][j + 1]
+                mark[ref["usrc"][u_lo:u_hi]] = True
+                mark[ref["dst_sorted"][lo:hi]] = True
+            expected = np.flatnonzero(mark)
+            assert gids.dtype == expected.dtype
+            np.testing.assert_array_equal(gids, expected)
+            assert phase.compute_units[j] == float(gids.size) + float(
+                assignment.to_receive[j]
+            )
 
 
 class TestFromEdgesAgainstLexsort:
