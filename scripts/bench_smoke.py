@@ -67,9 +67,8 @@ def partition_digest(dg) -> str:
 
 
 def _partition(graph, policy: str, **kwargs):
-    return CuSP(
-        NUM_HOSTS, policy, sync_rounds=SYNC_ROUNDS, **kwargs
-    ).partition(graph)
+    with CuSP(NUM_HOSTS, policy, sync_rounds=SYNC_ROUNDS, **kwargs) as cusp:
+        return cusp.partition(graph)
 
 
 def run() -> dict[str, dict]:

@@ -7,7 +7,8 @@
 # digest), the bench smoke test (throughput floor +
 # partition digest), the perf-harness smoke run, and end-to-end CLI
 # exit-code checks (a corrupted partition directory must make `cusp
-# validate` exit non-zero).
+# validate` exit non-zero), and last an assertion that the pooled runs
+# above left nothing behind: no `repro-*` name in /dev/shm, no child.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -95,6 +96,18 @@ mkdir -p "$tmp/bogus"
 echo '{ not json' > "$tmp/bogus/meta.json"
 if python -m repro validate "$tmp/bogus" >/dev/null 2>&1; then
     echo "FAIL: validate accepted an unloadable directory" >&2
+    exit 1
+fi
+
+echo "== nothing left behind =="
+# Pools outlive a partition() call now, so say it out loud: every pooled
+# run above retired its workers and unlinked its segments.
+if compgen -G "/dev/shm/repro-*" >/dev/null; then
+    echo "FAIL: shared-memory segments left in /dev/shm:" /dev/shm/repro-* >&2
+    exit 1
+fi
+if pgrep -P $$ >/dev/null; then
+    echo "FAIL: the shell still has a child: $(pgrep -P $$ | tr '\n' ' ')" >&2
     exit 1
 fi
 

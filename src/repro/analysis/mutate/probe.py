@@ -175,14 +175,15 @@ def _dynamic_verdict(out: IO[str]) -> None:
         return None
 
     def run(policy: str, hosts: int, rounds: int, executor: str, **kw):
-        return CuSP(
+        with CuSP(
             hosts,
             policy,
             sync_rounds=rounds,
             executor=executor,
             sanitizer=True,
             **kw,
-        ).partition(graph)
+        ) as cusp:
+            return cusp.partition(graph)
 
     for index, (policy, hosts, rounds) in enumerate(FIXTURES):
         serial = attempt(

@@ -33,6 +33,7 @@ import numpy as np
 from .core import CuSP
 from .core.partition import DistributedGraph
 from .graph import CSRGraph, erdos_renyi
+from .runtime.executor import Executor, make_executor
 from .runtime.faults import FaultPlan, HostCrash, UnrecoverableClusterError
 
 __all__ = ["ChaosScenario", "ChaosResult", "ChaosReport", "derive_scenarios",
@@ -204,7 +205,7 @@ def _run_scenario(
     base: DistributedGraph,
     policy: str,
     k: int,
-    executor: str = "serial",
+    executor: "str | Executor" = "serial",
 ) -> ChaosResult:
     plan = scenario.plan
     kwargs: dict[str, Any] = {
@@ -258,8 +259,8 @@ def _run_scenario(
         with tempfile.TemporaryDirectory() as ckpt:
             # The uninterrupted reference for this plan (recovers
             # in-process with the normal retry budget).
-            ref = CuSP(k, policy, **kwargs)
-            ref_dg = ref.partition(graph)
+            with CuSP(k, policy, **kwargs) as ref:
+                ref_dg = ref.partition(graph)
             # kill -9: a zero retry budget makes the planned crash
             # fatal, leaving a partial durable checkpoint behind.
             victim = CuSP(
@@ -267,17 +268,18 @@ def _run_scenario(
                 checkpoint_dir=ckpt,
             )
             try:
-                victim.partition(graph)
+                with victim:
+                    victim.partition(graph)
                 return ChaosResult(
                     scenario, False, "victim run survived a fatal plan"
                 )
             # repro-lint: disable-next-line=swallowed-error -- the victim dying here is the scenario
             except UnrecoverableClusterError:
                 pass
-            resumed = CuSP(
+            with CuSP(
                 k, policy, checkpoint_dir=ckpt, resume=True, **kwargs
-            )
-            dg = resumed.partition(graph)
+            ) as resumed:
+                dg = resumed.partition(graph)
             if dg.breakdown.phases != ref_dg.breakdown.phases:
                 return ChaosResult(
                     scenario, False,
@@ -294,10 +296,10 @@ def _run_scenario(
 
     if scenario.durable:
         with tempfile.TemporaryDirectory() as ckpt:
-            cusp = CuSP(k, policy, checkpoint_dir=ckpt, **kwargs)
-            return finish(cusp, cusp.partition(graph))
-    cusp = CuSP(k, policy, **kwargs)
-    return finish(cusp, cusp.partition(graph))
+            with CuSP(k, policy, checkpoint_dir=ckpt, **kwargs) as cusp:
+                return finish(cusp, cusp.partition(graph))
+    with CuSP(k, policy, **kwargs) as cusp:
+        return finish(cusp, cusp.partition(graph))
 
 
 def run_campaign(
@@ -313,22 +315,29 @@ def run_campaign(
 
     ``executor`` selects the execution engine for every scenario run;
     the fault-free reference always runs serially, so a non-serial
-    campaign additionally proves executor equivalence under chaos.
+    campaign additionally proves executor equivalence under chaos.  The
+    campaign holds one engine for all its scenarios — each plan needs
+    its own ``CuSP``, and they share the worker pool.
     """
     if graph is None:
         graph = erdos_renyi(300, 2400, seed=11)
-    base = CuSP(num_hosts, policy).partition(graph)
+    with CuSP(num_hosts, policy) as reference:
+        base = reference.partition(graph)
     report = ChaosReport()
-    for scenario in derive_scenarios(plans, seed, num_hosts=num_hosts):
-        try:
-            result = _run_scenario(
-                scenario, graph, base, policy, num_hosts, executor=executor
-            )
-        except Exception as exc:
-            result = ChaosResult(
-                scenario, False, f"{type(exc).__name__}: {exc}"
-            )
-        report.results.append(result)
-        if verbose:
-            print(("ok   " if result.ok else "FAIL ") + scenario.describe())
+    engine = make_executor(executor)
+    try:
+        for scenario in derive_scenarios(plans, seed, num_hosts=num_hosts):
+            try:
+                result = _run_scenario(
+                    scenario, graph, base, policy, num_hosts, executor=engine
+                )
+            except Exception as exc:
+                result = ChaosResult(
+                    scenario, False, f"{type(exc).__name__}: {exc}"
+                )
+            report.results.append(result)
+            if verbose:
+                print(("ok   " if result.ok else "FAIL ") + scenario.describe())
+    finally:
+        engine.close()
     return report

@@ -397,7 +397,8 @@ def _run_partitioner(graph, args):
     except ValueError as exc:
         raise SystemExit(str(exc))
     try:
-        dg = cusp.partition(graph, output=args.output_format)
+        with cusp:
+            dg = cusp.partition(graph, output=args.output_format)
     except (ValueError, CheckpointCorruptionError) as exc:
         if args.resume:
             raise SystemExit(f"cannot resume from {args.resume!r}: {exc}")

@@ -143,8 +143,10 @@ class HostGroups:
 #: same hosts take them instead of regrouping.  Guarded by a bitwise
 #: owner comparison (the grouping is a pure function of the owner array
 #: and the resident graph), populated only inside pool workers (the flag
-#: is set in ``_pool_worker_main``), and dies with the worker.
-_group_stash: dict[int, tuple[np.ndarray, HostGroups]] = {}
+#: is set in ``_pool_worker_main``), and emptied when the run ends — the
+#: worker lives on, and the next run's graph may differ under equal
+#: owners.
+_group_stash: dict[int, tuple[np.ndarray, HostGroups]] = _pool.worker_cache()
 
 
 def _stash_groups(h: int, owner: np.ndarray, groups: HostGroups) -> None:

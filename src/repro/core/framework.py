@@ -36,7 +36,7 @@ from ..graph.csr import CSRGraph
 from ..graph.formats import read_gr
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.cost_model import STAMPEDE2, CostModel
-from ..runtime.executor import HostTask
+from ..runtime.executor import Executor, HostTask, make_executor
 from ..runtime.faults import (
     FaultInjector,
     FaultPlan,
@@ -138,7 +138,16 @@ class CuSP:
         columnar batches and ledger deltas back over pipes — same
         guarantees, true multi-core), their ``"-checked"`` variants
         (isolation monitoring), or an
-        :class:`~repro.runtime.executor.Executor`.
+        :class:`~repro.runtime.executor.Executor`.  The engine lives as
+        long as this object, not as long as a call: a name is resolved
+        once, here, and its pool (forked workers, threads) is started
+        by the first :meth:`partition` that needs it, kept warm across
+        calls and retired by :meth:`close` — ``with CuSP(...) as
+        cusp:`` — or when the object is collected.  Each call releases
+        only what belongs to the run (shared-memory segments, the
+        workers' mappings of them), so nothing is in ``/dev/shm``
+        between calls.  An ``Executor`` instance is used the same way
+        but stays the caller's to close.
     sanitizer:
         Phase-communication auditing: ``True`` attaches a fresh
         :class:`~repro.analysis.contracts.CommSan` (bound to this run's
@@ -213,7 +222,9 @@ class CuSP:
             supervise.validate()
         self.supervise = supervise
         self.max_retries = max_retries
-        self.executor = executor
+        #: The execution engine, held across :meth:`partition` calls.
+        self.executor = make_executor(executor)
+        self._owns_executor = not isinstance(executor, Executor)
         if fabric not in (None, "columnar"):
             raise ValueError(
                 f"unknown fabric {fabric!r}: the scalar fabric was removed, "
@@ -233,6 +244,20 @@ class CuSP:
         #: :class:`~repro.runtime.supervisor.RunSupervisor` of the most
         #: recent :meth:`partition` call (None unless ``supervise``).
         self.last_supervisor_report: RunSupervisor | None = None
+
+    def close(self) -> None:
+        """Retire the execution engine this object resolved from a name
+        (its worker pool); idempotent, and :meth:`partition` afterwards
+        starts a fresh one.  An executor instance passed in is left to
+        the caller."""
+        if self._owns_executor:
+            self.executor.close()
+
+    def __enter__(self) -> "CuSP":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _effective_host_speeds(self):
         """Merge the straggler knob with the fault plan's slow hosts."""
@@ -329,9 +354,10 @@ class CuSP:
                 checkpoint, supervisor,
             )
         finally:
-            # Retire the executor's worker pool and every resident
-            # shared-memory segment — including when a phase raises, so
-            # failed runs never leak segments or zombie workers.
+            # End the run — every resident shared-memory segment is
+            # unlinked, including when a phase raises, so failed runs
+            # never leak segments.  The worker pool stays for the next
+            # call (a barrier that did not complete has killed it).
             cluster.close()
 
     def _partition_with_cluster(

@@ -171,14 +171,14 @@ class ExperimentContext:
             if policy == "XtraPulp":
                 dg = XtraPulp(num_hosts, cost_model=self.cost_model).partition(g)
             else:
-                cusp = CuSP(
+                with CuSP(
                     num_hosts,
                     make_policy(policy, degree_threshold=self.degree_threshold),
                     cost_model=self.cost_model,
                     sync_rounds=rounds,
                     buffer_size=buffer_size,
-                )
-                dg = cusp.partition(g)
+                ) as cusp:
+                    dg = cusp.partition(g)
             self._partitions[key] = dg
         return self._partitions[key]
 

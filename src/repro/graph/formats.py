@@ -78,13 +78,26 @@ def write_gr(graph: CSRGraph, path: str | os.PathLike) -> None:
 
 
 def read_gr_header(f: io.BufferedReader) -> GRHeader:
+    """Parse the header at the start of ``f`` and hold its counts
+    against the file's size, so that no reader sizes a read or an
+    allocation by a count the file cannot back (a corrupt header may
+    claim 2**64 - 1 edges)."""
     raw = f.read(_HEADER_STRUCT.size)
     if len(raw) != _HEADER_STRUCT.size:
         raise FormatError("truncated gr header")
     magic, n, m, flags = _HEADER_STRUCT.unpack(raw)
     if magic != _GR_MAGIC:
         raise FormatError(f"bad magic {magic!r}; not a gr file")
-    return GRHeader(int(n), int(m), bool(flags & _FLAG_WEIGHTED))
+    weighted = bool(flags & _FLAG_WEIGHTED)
+    need = _HEADER_STRUCT.size + 8 * ((n + 1) + m * (2 if weighted else 1))
+    have = f.seek(0, os.SEEK_END)
+    f.seek(_HEADER_STRUCT.size)
+    if need > have:
+        raise FormatError(
+            f"truncated gr payload: the header's {n} nodes and {m} edges "
+            f"take {need} bytes, the file has {have}"
+        )
+    return GRHeader(n, m, weighted)
 
 
 def read_gr(path: str | os.PathLike) -> CSRGraph:
@@ -115,6 +128,11 @@ def read_gr_slice(
         indptr_slice = _read_array(f, node_stop - node_start + 1)
         edge_lo = int(indptr_slice[0])
         edge_hi = int(indptr_slice[-1])
+        if not (0 <= edge_lo <= edge_hi <= header.num_edges):
+            raise FormatError(
+                f"corrupt row pointers: rows [{node_start}, {node_stop}) span "
+                f"edges [{edge_lo}, {edge_hi}) of {header.num_edges}"
+            )
         indices_base = base + (header.num_nodes + 1) * 8
         f.seek(indices_base + edge_lo * 8)
         indices_slice = _read_array(f, edge_hi - edge_lo)
@@ -135,6 +153,8 @@ def gr_file_size(graph: CSRGraph) -> int:
 
 
 def _read_array(f, count: int) -> np.ndarray:
+    """``count`` int64s from ``f``; the caller has checked ``count``
+    against the file, so the read is bounded by the file's size."""
     raw = f.read(count * 8)
     if len(raw) != count * 8:
         raise FormatError("truncated gr payload")

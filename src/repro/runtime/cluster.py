@@ -138,12 +138,16 @@ class SimulatedCluster:
         return range(self.num_hosts)
 
     def close(self) -> None:
-        """Release the execution engine (worker pools, shared segments).
+        """End the run on the execution engine: every resident
+        shared-memory segment is unlinked and every pool worker told to
+        drop its mappings, while the engine itself — its workers and
+        their warm heaps — stays with whoever owns it (``CuSP.close``,
+        or the caller that passed an executor instance in).
 
         Idempotent, and safe while the executor is idle between phases;
-        a pooled executor respawns lazily if the cluster is used again.
+        the cluster can be used again.
         """
-        self.executor.close()
+        self.executor.end_run()
 
     def breakdown(self) -> TimeBreakdown:
         """Simulated time of every recorded phase under the cost model."""

@@ -503,8 +503,8 @@ def _create_shared_segment(raw: np.ndarray, tracked: bool = False) -> Any:
     try:
         while fd >= 0 and written < raw.nbytes:
             written += os.pwrite(fd, view[written:], written)
-    except OSError as exc:
-        if exc.errno not in _WRITE_REFUSED:
+    except BaseException as exc:  # an interrupt mid-copy leaks no name either
+        if not (isinstance(exc, OSError) and exc.errno in _WRITE_REFUSED):
             # Still registered with the tracker, so this unlink balances.
             seg.close()
             seg.unlink()

@@ -111,8 +111,11 @@ _NO_PAYLOAD = _NoPayload()
 class UnshippableTaskError(TypeError):
     """A barrier the process pool cannot ship to its resident workers:
     a body that is not a module-level function (workers resolve bodies
-    by name) or a dispatch spec — a ``payload`` — that does not pickle.
-    Raised in the parent before anything is dispatched."""
+    by name) or a dispatch spec — a ``payload`` — that does not pickle,
+    both raised in the parent before anything is dispatched; or a spec
+    that names a class or function defined since the workers forked,
+    which retires the pool so that the next barrier forks workers that
+    know it."""
 
 
 class UndeclaredDrainError(RuntimeError):
@@ -337,8 +340,17 @@ class Executor:
         """
         return obj
 
+    def end_run(self) -> None:
+        """End one run (a ``CuSP.partition`` call): forget everything
+        published during it, keep the engine.  Idempotent; call it
+        between barriers only.  Every executor has this lifecycle —
+        many runs, each ended here, then one :meth:`close` — and only
+        the process pool has anything to forget."""
+
     def close(self) -> None:
-        """Release executor-owned resources (pools, segments); idempotent."""
+        """Retire the engine (worker pool, threads) and whatever a run
+        left published; idempotent, and the next barrier starts a fresh
+        one."""
 
     def run(self, stats: PhaseStats, tasks: Sequence[HostTask]) -> list[Any]:
         """Run independent per-host tasks; return results in task order.
@@ -491,7 +503,8 @@ class ParallelExecutor(_LedgerExecutor):
     """Thread pool over private per-host ledgers, merged in host order.
 
     NumPy kernels release the GIL, so per-host work genuinely overlaps.
-    The pool is created lazily and reused across phases.
+    The pool is created lazily and reused across phases and runs, until
+    :meth:`close`.
     """
 
     name = "parallel"

@@ -24,6 +24,7 @@ import signal
 import struct
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from typing import Any, Callable
 
@@ -52,6 +53,29 @@ _CAN_FORK = hasattr(os, "fork")
 #: Phase code keys worker-local recompute caches off this flag so they
 #: never grow in the parent.
 _IN_POOL_WORKER = False
+
+#: Every :func:`worker_cache` of this process.  A worker empties them,
+#: with its resident mappings, when the parent ends a run.
+_worker_caches: list[dict] = []
+
+#: Every live pool of this process.  A fresh worker inherits the parent
+#: side of all of them and must hold none of it: a command pipe's write
+#: end kept open in another pool's worker withholds the EOF that tells
+#: the worker reading it that the parent died, for as long as that other
+#: worker lives.
+_live_pools: "weakref.WeakSet[ProcessExecutor]" = weakref.WeakSet()
+
+
+def worker_cache() -> dict:
+    """A dict for what a pool worker may keep from one barrier to the
+    next to save a recompute.  It lives as long as the run: a worker
+    outlives the ``partition()`` call, so whatever it keeps is dropped
+    when the parent ends the run (``ProcessExecutor.end_run``), with the
+    resident mappings the entries were computed from."""
+    cache: dict = {}
+    _worker_caches.append(cache)
+    return cache
+
 
 #: The per-destination accounting vectors of a
 #: :class:`~repro.runtime.comm.CommLedger`, in the order a delta ships
@@ -249,7 +273,12 @@ def _load_delta(blobs: tuple[bytes, bytes]) -> dict[str, Any]:
 
 def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
     """Worker-side: run one dispatch spec, return the reply envelope."""
-    spec = residency.loads_with_segments(spec_blob, residents)
+    try:
+        spec = residency.loads_with_segments(spec_blob, residents)
+    except (AttributeError, ImportError) as exc:
+        # The spec names a class or function this worker's heap
+        # snapshot — as old as the pool's first barrier — does not have.
+        return ("stale", f"{type(exc).__name__}: {exc}")
     injector = None
     if spec["injector"] is not None:
         injector = FaultInjector.from_live_state(spec["injector"])
@@ -289,6 +318,13 @@ def _pool_worker_main(cmd_r: int, reply_w: int) -> None:
         if kind == "resident":
             residency.install_resident(residents, *msg[1:])
             continue
+        if kind == "forget":
+            # End of a run: the parent unlinked every resident segment,
+            # so a mapping kept here would pin its pages for nobody.
+            residents.clear()
+            for cache in _worker_caches:
+                cache.clear()
+            continue
         try:
             reply: tuple[str, Any] = _run_spec(msg[1], residents)
         except BaseException as exc:  # noqa: BLE001 — worker must keep serving
@@ -300,11 +336,18 @@ class ProcessExecutor(_LedgerExecutor):
     """A persistent pool of forked workers over private per-host ledgers.
 
     The GIL-free engine.  Workers fork once (lazily, at the first
-    pooled barrier) and stay resident for the life of a
-    ``CuSP.partition`` run: immutable inputs — the CSR graph, master
+    pooled barrier) and stay resident, heap warm, for the life of the
+    executor — across the ``partition()`` calls of the ``CuSP`` that
+    holds it — until :meth:`close`.  What belongs to one run lives as
+    long as the run: immutable inputs — the CSR graph, master
     array, edge assignment, proxy tables — are published once into
     named POSIX shared-memory segments (:meth:`publish`) that workers
-    map as zero-copy NumPy views, and each barrier ships only a small
+    map as zero-copy NumPy views, and :meth:`end_run` unlinks them and
+    has every worker drop its mappings and recompute caches, so
+    between runs nothing is in ``/dev/shm`` and an idle worker holds
+    its heap only.  Nothing a run needs reaches a worker by fork
+    inheritance (the snapshot is as old as the first barrier): it
+    arrives by payload or resident.  Each barrier ships only a small
     dispatch spec (task refs, payload references, a snapshot of the
     queue tags each task declares in ``HostTask.drains``, live
     fault-channel state) over a framed pipe.  A barrier input ships
@@ -334,9 +377,13 @@ class ProcessExecutor(_LedgerExecutor):
 
     On platforms without ``os.fork`` the executor degrades to the
     serial direct path (still correct, no speedup).  :meth:`close`
-    retires the pool and unlinks every resident segment; an abnormal
-    worker death tears the pool down, reclaims every in-flight
-    segment, and lets the next barrier respawn cleanly.
+    retires the pool and unlinks every resident segment.  A pool is
+    reusable only after a barrier that completed: a worker's death, a
+    worker-side error or any exception raised in the parent mid-barrier
+    (an interrupt, a signal handler's timeout) kills the workers,
+    reclaims every in-flight segment, and lets the next barrier fork
+    fresh ones — a worker left holding an unread reply would answer the
+    next barrier with it.
     """
 
     name = "process"
@@ -354,6 +401,7 @@ class ProcessExecutor(_LedgerExecutor):
         #: Published residents by name: ``{"gen", "obj", "blob",
         #: "manifest", "segments", "arrays", "array_ids"}``.
         self._residents: dict[str, dict[str, Any]] = {}
+        _live_pools.add(self)
 
     # ------------------------------------------------------------------
     # Graph residency
@@ -385,22 +433,29 @@ class ProcessExecutor(_LedgerExecutor):
             residency.unlink_resident(entry)
         exported = residency.export_resident(obj, gen)
         self._residents[name] = exported
-        self._broadcast_resident(name, exported)
+        if self._workers:
+            self._broadcast(residency.resident_frame(name, exported))
         return obj
 
-    def _broadcast_resident(self, name: str, entry: dict[str, Any]) -> None:
-        if not self._workers:
-            return
-        msg = residency.resident_frame(name, entry)
+    def _broadcast(self, frame: bytes) -> None:
+        """Send one command to every (idle) worker."""
         for worker in self._workers:
             try:
-                _write_frame(worker["cmd_w"], msg)
+                _write_frame(worker["cmd_w"], frame)
             except OSError:
                 # A worker died idle; retire the pool (residents stay
                 # valid — the parent still owns their segments) and let
                 # the next barrier respawn and replay them.
                 self._destroy_pool()
                 return
+
+    def end_run(self) -> None:
+        """Unlink every resident segment and have every worker drop its
+        mappings and recompute caches; the workers stay."""
+        for entry in self._residents.values():
+            residency.unlink_resident(entry)
+        self._residents.clear()
+        self._broadcast(pickle.dumps(("forget",)))
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -424,12 +479,11 @@ class ProcessExecutor(_LedgerExecutor):
             try:
                 os.close(cmd_w)
                 os.close(reply_r)
-                # Drop inherited parent-side pipe ends of sibling
-                # workers, so a sibling's death yields EOF in the
-                # parent instead of a silent hang.
-                for sibling in self._workers:
-                    os.close(sibling["cmd_w"])
-                    os.close(sibling["reply_r"])
+                # Drop the inherited parent side of every pool: a
+                # worker's death must yield EOF in the parent, and the
+                # parent's in every worker, whichever pool forked later.
+                for pool in list(_live_pools):
+                    pool._disown()
                 _pool_worker_main(cmd_r, reply_w)
             except BaseException:  # noqa: BLE001 — worker must exit
                 status = 1
@@ -444,6 +498,16 @@ class ProcessExecutor(_LedgerExecutor):
                 entry = residency.export_resident(entry["obj"], entry["gen"] + 1)
                 self._residents[name] = entry
             _write_frame(worker["cmd_w"], residency.resident_frame(name, entry))
+
+    def _disown(self) -> None:
+        """In a freshly forked child: close the copied parent-side pipe
+        ends and forget the pool, whose workers and segments are the
+        parent's to retire and unlink."""
+        for worker in self._workers:
+            os.close(worker["cmd_w"])
+            os.close(worker["reply_r"])
+        self._workers = []
+        self._residents = {}
 
     def _destroy_pool(self, graceful: bool = False) -> dict[int, int]:
         """Retire every worker; returns ``pid -> exit code``.
@@ -482,9 +546,7 @@ class ProcessExecutor(_LedgerExecutor):
     def close(self) -> None:
         """Retire the pool and unlink every resident segment."""
         self._destroy_pool(graceful=True)
-        for entry in self._residents.values():
-            residency.unlink_resident(entry)
-        self._residents.clear()
+        self.end_run()
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:
@@ -529,8 +591,10 @@ class ProcessExecutor(_LedgerExecutor):
         Raises :class:`UnshippableTaskError` — before any worker forks,
         with every segment created so far reclaimed — when a body is
         not a module-level function or a dispatch spec does not pickle.
-        Worker death or a worker-side error tears the pool down,
-        reclaims every in-flight segment, and raises.
+        Any other way out than completion — worker death, a worker-side
+        error, an exception raised in the parent while the barrier is
+        in flight — kills the pool, reclaims every in-flight segment,
+        and raises.
         """
         for task in tasks:
             if not _fn_shippable(task.fn):
@@ -577,55 +641,84 @@ class ProcessExecutor(_LedgerExecutor):
                 blob, segments = residency.dumps_with_segments(spec, pids)
                 spec_blobs.append(blob)
                 spec_segments.extend(segments)
-        except Exception as perr:  # noqa: BLE001 — reclaim, then re-raise typed
+        except BaseException as perr:  # noqa: BLE001 — reclaim, then re-raise
             for seg in spec_segments:
                 residency.discard_untracked_segment(seg)
+            if not isinstance(perr, Exception):
+                raise  # an interrupt is not a verdict on the payload
             raise UnshippableTaskError(
                 f"phase {phase_name!r}: dispatch spec does not pickle "
                 f"({perr}); task payloads must pickle"
             ) from perr
-        self._ensure_pool(len(chunks))
-        workers = self._workers[: len(chunks)]
-        sent = 0
-        for worker, blob in zip(workers, spec_blobs):
-            try:
-                _write_frame(
-                    worker["cmd_w"],
-                    pickle.dumps(("run", blob), protocol=pickle.HIGHEST_PROTOCOL),
-                )
-                sent += 1
-            except OSError:
-                break
-        replies: list[tuple[str, Any] | None] = []
-        for worker in workers[:sent]:
-            frame = _read_frame(worker["reply_r"])
-            replies.append(None if frame is None else pickle.loads(frame))
-        replies.extend([None] * (len(workers) - sent))
-        broken = [
-            (chunk, worker)
-            for worker, chunk, reply in zip(workers, chunks, replies)
-            if reply is None
-        ]
-        errors = [r[1] for r in replies if r is not None and r[0] == "error"]
-        if not broken and not errors:
-            # Chunks are contiguous and in task order, so are the deltas.
-            return [_load_delta(blobs) for r in replies for blobs in r[1]]
-        # Failure path: no delta was loaded, so no segment a reply names
-        # has an owner here; the family sweep below unlinks them all,
-        # with whatever a dead worker never consumed (spec segments, a
-        # half-shipped reply).
+        # From the first spec write to the last delta load the barrier is
+        # in flight, and a pool is reusable only after one that
+        # completed.  Whatever leaves this block — a worker's death, a
+        # worker-side error, a KeyboardInterrupt or a signal handler's
+        # timeout in the parent — leaves no pool behind: a worker kept
+        # with an unread reply would answer the next barrier with it,
+        # and one blocked writing that reply would never take ``exit``.
+        try:
+            self._ensure_pool(len(chunks))
+            workers = self._workers[: len(chunks)]
+            sent = 0
+            for worker, blob in zip(workers, spec_blobs):
+                try:
+                    _write_frame(
+                        worker["cmd_w"],
+                        pickle.dumps(("run", blob), protocol=pickle.HIGHEST_PROTOCOL),
+                    )
+                    sent += 1
+                except OSError:
+                    break
+            replies: list[tuple[str, Any] | None] = []
+            for worker in workers[:sent]:
+                frame = _read_frame(worker["reply_r"])
+                replies.append(None if frame is None else pickle.loads(frame))
+            replies.extend([None] * (len(workers) - sent))
+            if all(r is not None and r[0] == "ok" for r in replies):
+                # Chunks are contiguous and in task order, so are the deltas.
+                return [_load_delta(blobs) for r in replies for blobs in r[1]]
+            raise self._barrier_failure(phase_name, tasks, chunks, workers, replies)
+        except BaseException:
+            # No delta that was loaded survives this frame, so no segment
+            # a reply names has an owner here; the family sweep unlinks
+            # them all, with whatever a dead worker never consumed (spec
+            # segments, a half-shipped reply).
+            self._destroy_pool()
+            residency.sweep_family_segments()
+            raise
+
+    def _barrier_failure(
+        self,
+        phase_name: str,
+        tasks: list[HostTask],
+        chunks: list[list[int]],
+        workers: list[dict[str, int]],
+        replies: "list[tuple[str, Any] | None]",
+    ) -> Exception:
+        """Retire the pool of a barrier that did not complete and say why."""
         codes = self._destroy_pool()
-        residency.sweep_family_segments()
+        stale = [r[1] for r in replies if r is not None and r[0] == "stale"]
+        if stale:
+            return UnshippableTaskError(
+                f"phase {phase_name!r}: dispatch spec does not load in a "
+                f"pool worker ({'; '.join(stale)}); a worker's heap is as old "
+                "as its pool's first barrier, so a class or function defined "
+                "since is unknown to it.  The pool has been retired; the next "
+                "barrier forks workers that know it"
+            )
+        errors = [r[1] for r in replies if r is not None and r[0] == "error"]
         if errors:
-            raise RuntimeError(
+            return RuntimeError(
                 f"process executor worker failed: {'; '.join(errors)}"
             )
         parts = [
             f"hosts {[tasks[i].host for i in chunk]} "
             f"(exit {codes.get(worker['pid'], -1)})"
-            for chunk, worker in broken
+            for chunk, worker, reply in zip(chunks, workers, replies)
+            if reply is None
         ]
-        raise RuntimeError(
+        return RuntimeError(
             "process executor worker(s) died without shipping their "
             f"deltas: {', '.join(parts)}"
         )

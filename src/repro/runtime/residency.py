@@ -245,7 +245,7 @@ def dumps_with_segments(
     buf = io.BytesIO()
     try:
         _SegmentPickler(buf, export, known).dump(obj)
-    except Exception:
+    except BaseException:
         for seg in segments:
             discard_untracked_segment(seg)
         raise
@@ -293,7 +293,7 @@ def export_resident(obj: Any, gen: int) -> dict[str, Any]:
     pickler = _SegmentPickler(buf, export)
     try:
         pickler.dump(obj)
-    except Exception:
+    except BaseException:
         unlink_resident(entry)
         raise
     entry["blob"] = buf.getvalue()

@@ -15,13 +15,16 @@ shipping each barrier input once: declared inboxes (``HostTask.drains``),
 refresh-in-place ``publish`` and the ``sync_rounds`` scaling gate.
 """
 
+import contextlib
 import errno
 import functools
 import gc
 import os
 import signal
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -539,6 +542,15 @@ def _send_block_body(view):
 def _drain_blocks_body(view):
     got = view.recv_all_batch("blocks", _BLOCKS)
     return got.rows, int(got.columns["src"].sum())
+
+
+_PROBE_CACHE = pool_module.worker_cache()
+
+
+def _cache_probe_body(view, value):
+    seen = _PROBE_CACHE.get(view.host)
+    _PROBE_CACHE[view.host] = value
+    return seen
 
 
 def _resident_probe_body(view, arr):
@@ -1224,6 +1236,488 @@ class TestSharedMemoryFull:
         back = residency.loads_with_segments(blob)
         assert back.dtype == arr.dtype and np.array_equal(back, arr)
         assert leaked_segments() == []
+
+
+def _children():
+    """Pids of this process's children, zombies included, the
+    ``multiprocessing`` resource tracker aside (the first tracked segment
+    starts it, and it stays for the life of the process)."""
+    from multiprocessing import resource_tracker
+
+    tracker = getattr(resource_tracker._resource_tracker, "_pid", None)
+    found = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit() or int(name) == tracker:
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue  # gone between the listing and the read
+        if ppid == os.getpid():
+            found.append(int(name))
+    return sorted(found)
+
+
+def _worker_pids(cusp):
+    return [w["pid"] for w in cusp.executor._workers]
+
+
+@contextlib.contextmanager
+def _pooled(k, policy, **kwargs):
+    """A ``CuSP`` over a two-worker pool whatever the core count (a
+    name would size the pool by it), retired with the block."""
+    ex = ProcessExecutor(max_workers=2)
+    try:
+        yield CuSP(k, policy, executor=ex, **kwargs)
+    finally:
+        ex.close()
+
+
+def _status_kb(pid, field):
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise KeyError(field)
+
+
+def _proc_state(pid):
+    """The process's state letter (``Z`` for a zombie); ``None`` once
+    it is gone altogether."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return None
+
+
+def _mapped_segments(pid):
+    """Names of this family's segments ``pid`` still maps."""
+    with open(f"/proc/{pid}/maps") as f:
+        return sorted({
+            line.split("/dev/shm/", 1)[1].split()[0]
+            for line in f if "/dev/shm/repro-" in line
+        })
+
+
+def _wait_until(predicate, seconds=2.0):
+    give_up = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > give_up:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class _HangGuard(Exception):
+    pass
+
+
+@pytest.fixture
+def hang_guard():
+    """Turn a hang into a failure: SIGALRM raises in the main thread
+    after ten seconds, which also gets a blocked ``waitpid`` or pipe
+    read out of the kernel."""
+    def fire(signum, frame):
+        raise _HangGuard("the call did not return within ten seconds")
+
+    before = signal.signal(signal.SIGALRM, fire)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+
+
+class _Injected(BaseException):
+    """What a handler raises mid-barrier.  Not an ``Exception``: a
+    ``KeyboardInterrupt`` is not one either."""
+
+
+class TestInterruptedBarrier:
+    """A pool is reusable only after a barrier that completed.  An
+    exception raised in the parent while a barrier is in flight — a
+    ``KeyboardInterrupt``, a handler's timeout — leaves no pool, no
+    segment and no zombie behind, and the next ``partition()`` on the
+    same ``CuSP`` forks fresh workers.  (At the parent commit the same
+    interruption either hung in ``close()``, which wrote ``exit`` to a
+    worker blocked writing a reply nobody read and then waited for it,
+    or left that reply's segments in ``/dev/shm``.)"""
+
+    # Large enough that replies ride segments and overflow a pipe buffer.
+    GRAPH = erdos_renyi(12_000, 240_000, seed=11)
+
+    @pytest.mark.parametrize("policy,after_frames", [
+        ("CVC", 1), ("CVC", 4), ("CVC", 7), ("CVC", 15),
+        ("SVC", 1), ("SVC", 12), ("SVC", 33), ("SVC", 55),
+    ])
+    def test_exception_after_nth_reply_frame(
+        self, policy, after_frames, monkeypatch, hang_guard
+    ):
+        gc.collect()
+        before = _children()
+        reference = CuSP(4, policy, sync_rounds=10).partition(self.GRAPH)
+        parent, read_frame, frames = os.getpid(), pool_module._read_frame, [0]
+
+        def interrupted(fd):
+            frame = read_frame(fd)
+            if os.getpid() == parent:  # workers read command frames with it
+                frames[0] += 1
+                if frames[0] == after_frames:
+                    # Sibling replies are unread; a worker may be blocked
+                    # writing one.
+                    raise _Injected(f"after frame {after_frames}")
+            return frame
+
+        monkeypatch.setattr(pool_module, "_read_frame", interrupted)
+        with _pooled(4, policy, sync_rounds=10) as cusp:
+            with pytest.raises(_Injected, match=f"after frame {after_frames}"):
+                cusp.partition(self.GRAPH)
+            assert cusp.executor._workers == []
+            assert leaked_segments() == []
+            assert _children() == before, "a worker outlived its broken barrier"
+            monkeypatch.setattr(pool_module, "_read_frame", read_frame)
+            dg = cusp.partition(self.GRAPH)
+            assert len(_worker_pids(cusp)) == 2
+            assert_same_partition(dg, reference)
+            assert_same_breakdown(dg.breakdown, reference.breakdown)
+
+    def test_exception_from_a_real_timer(self):
+        gc.collect()
+        before = _children()
+        graph = erdos_renyi(30_000, 600_000, seed=11)
+        reference = CuSP(8, "SVC", sync_rounds=10).partition(graph)
+        fired = []
+
+        def on_alarm(signum, frame):
+            fired.append(signum)
+            if len(fired) == 1:
+                raise _Injected("timer")
+            raise _HangGuard("partition() did not return after the interrupt")
+
+        was = signal.signal(signal.SIGALRM, on_alarm)
+        landed = 0
+        try:
+            with _pooled(8, "SVC", sync_rounds=10) as cusp:
+                start = time.perf_counter()
+                cusp.partition(graph)
+                warm = time.perf_counter() - start
+                for fraction in (0.3, 0.5, 0.7, 0.4, 0.6):
+                    del fired[:]
+                    # Fires once mid-call; a second firing, ten seconds
+                    # later, only if the call is still stuck.
+                    signal.setitimer(signal.ITIMER_REAL, warm * fraction, 10.0)
+                    try:
+                        cusp.partition(graph)
+                    except _Injected:
+                        landed += 1
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                    # Interrupted between barriers the pool is intact and
+                    # stays; mid-barrier it is gone.  Nothing else is left.
+                    assert leaked_segments() == []
+                    assert _children() == sorted(before + _worker_pids(cusp))
+                    dg = cusp.partition(graph)
+                    assert_same_partition(dg, reference)
+                    assert_same_breakdown(dg.breakdown, reference.breakdown)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, was)
+        assert landed, "no timer fired inside partition(); nothing was tested"
+        assert _children() == before
+
+
+def _late_owner(self, prop, src_id, dst_id, src_master, dst_master,
+                estate=None):
+    return (src_id + dst_id) % prop.getNumPartitions()
+
+
+_TWO_POOL_PARENT = """
+import sys, time
+sys.path[:0] = {path!r}
+from repro.core import CuSP
+from repro.graph import erdos_renyi
+graph = erdos_renyi(300, 2400, seed=11)
+a = CuSP(4, "CVC", executor="process")
+b = CuSP(4, "SVC", executor="process", sync_rounds=3)
+a.partition(graph); b.partition(graph); a.partition(graph)
+print(*[w["pid"] for c in (a, b) for w in c.executor._workers], flush=True)
+time.sleep(60)
+"""
+
+
+class TestPoolOutlivesCall:
+    """Workers fork once per ``CuSP`` and stay, heap warm, across its
+    ``partition()`` calls; a call ends by releasing what belonged to the
+    run (segments, the workers' mappings and recompute caches), and only
+    ``close()``, ``with`` or collection retire the pool."""
+
+    GRAPH = erdos_renyi(300, 2400, seed=11)
+    OTHER = erdos_renyi(260, 2400, seed=5)
+    # Large enough that residents, results and edge blocks ride segments.
+    LARGE = erdos_renyi(20_000, 160_000, seed=11)
+
+    @pytest.mark.parametrize("policy", ["CVC", "SVC"])
+    def test_five_calls_one_pair_of_workers(self, policy):
+        calls = [
+            (self.LARGE, "csr"), (self.GRAPH, "csr"), (self.LARGE, "csc"),
+            (self.OTHER, "csc"), (self.LARGE, "csr"),
+        ]
+        serial = CuSP(4, policy, sync_rounds=5)
+        with _pooled(4, policy, sync_rounds=5) as cusp:
+            pids = None
+            for graph, output in calls:
+                dg = cusp.partition(graph, output=output)
+                assert leaked_segments() == []
+                reference = serial.partition(graph, output=output)
+                assert_same_partition(dg, reference)
+                assert_same_breakdown(dg.breakdown, reference.breakdown)
+                assert pids in (None, _worker_pids(cusp))
+                pids = _worker_pids(cusp)
+            assert len(pids) == 2
+            # An idle worker maps nothing of the run that ended.
+            assert _wait_until(
+                lambda: not any(_mapped_segments(pid) for pid in pids)
+            ), [_mapped_segments(pid) for pid in pids]
+
+    def test_a_worker_cache_lasts_as_long_as_the_run(self, pool):
+        """What a worker keeps to save a recompute (the assignment
+        phase's grouping stash) is keyed by host: kept past the run, it
+        would pin the run's arrays and meet the next run's hosts."""
+        def barrier(value):
+            tasks = [HostTask(h, _cache_probe_body, payload=value)
+                     for h in range(2)]
+            return pool.run(_make_stats(), tasks)
+
+        assert barrier("first") == [None, None]
+        assert barrier("second") == ["first", "first"]  # between barriers
+        pool.end_run()
+        assert barrier("third") == [None, None]
+
+    def test_worker_killed_between_calls_is_replaced(self):
+        reference = CuSP(4, "SVC", sync_rounds=5).partition(self.GRAPH)
+        gc.collect()
+        before = _children()
+        with _pooled(4, "SVC", sync_rounds=5) as cusp:
+            cusp.partition(self.GRAPH)
+            pids = _worker_pids(cusp)
+            os.kill(pids[1], signal.SIGKILL)
+            # Once the kernel has torn it down, the next command written
+            # to its pipe fails, which is how an idle death is noticed.
+            assert _wait_until(lambda: _proc_state(pids[1]) == "Z")
+            dg = cusp.partition(self.GRAPH)
+            assert_same_partition(dg, reference)
+            assert_same_breakdown(dg.breakdown, reference.breakdown)
+            assert not set(pids) & set(_worker_pids(cusp))
+            assert _children() == sorted(before + _worker_pids(cusp))
+            assert leaked_segments() == []
+        assert _children() == before
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fault_plan": FaultPlan(
+            seed=2, send_failure_rate=0.05, drop_rate=0.03,
+            crashes=(HostCrash(host=1, phase=2, op_count=5),),
+        )},
+        {"sanitizer": True},
+        {"supervise": True,
+         "fault_plan": FaultPlan(seed=5, slow_hosts={1: 0.01})},
+        {"executor": "process-checked"},
+    ], ids=["crash-replay", "sanitizer", "supervise", "process-checked"])
+    def test_per_run_machinery_is_per_run(self, kwargs):
+        """Injector, sanitizer context and isolation evidence belong to
+        the run: three runs on one pooled object match three serial
+        runs, report for report."""
+        pooled_kwargs = dict({"executor": "process"}, **kwargs)
+        serial_kwargs = dict(kwargs, executor="serial")
+        evidence = []
+        with CuSP(4, "CVC", **pooled_kwargs) as pooled:
+            serial = CuSP(4, "CVC", **serial_kwargs)
+            for graph in (self.GRAPH, self.OTHER, self.GRAPH):
+                dg, reference = pooled.partition(graph), serial.partition(graph)
+                assert_same_partition(dg, reference)
+                assert_same_breakdown(dg.breakdown, reference.breakdown)
+                assert leaked_segments() == []
+                for report in ("last_fault_report", "last_supervisor_report"):
+                    got, want = getattr(pooled, report), getattr(serial, report)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.summary() == want.summary()
+                if pooled.sanitizer is not None:
+                    assert pooled.sanitizer.violations == []
+                    assert (pooled.sanitizer.phases_checked
+                            == serial.sanitizer.phases_checked)
+                monitor = pooled.executor.monitor
+                if monitor is not None:
+                    assert monitor.violations == []
+                    evidence.append(monitor.num_accesses)
+        if evidence:
+            first, second, third = evidence
+            # Runs one and three are the same run: the same evidence.
+            assert first > 0 and third - second == first
+
+    def test_two_pools_used_alternately(self):
+        graph = self.LARGE
+        want = {p: CuSP(4, p, sync_rounds=5).partition(graph)
+                for p in ("CVC", "SVC")}
+        with _pooled(4, "CVC") as cvc, \
+                _pooled(4, "SVC", sync_rounds=5) as svc:
+            pids = None
+            for _ in range(3):
+                for cusp in (cvc, svc):
+                    dg = cusp.partition(graph)
+                    assert_same_partition(dg, want[cusp.policy.name])
+                    assert leaked_segments() == []
+                now = _worker_pids(cvc) + _worker_pids(svc)
+                assert pids in (None, now) and len(set(now)) == 4
+                pids = now
+
+    def test_close_exit_and_collection_all_reap(self):
+        gc.collect()
+        before = _children()
+        cusp = CuSP(4, "CVC", executor="process")
+        cusp.partition(self.GRAPH)
+        first = _worker_pids(cusp)
+        assert first and _children() == sorted(before + first)
+        cusp.close()
+        cusp.close()  # idempotent
+        assert _children() == before
+        # partition() after close() forks again ...
+        assert_same_partition(
+            cusp.partition(self.GRAPH), CuSP(4, "CVC").partition(self.GRAPH)
+        )
+        second = _worker_pids(cusp)
+        assert second and not set(first) & set(second)
+        # ... __exit__ retires those ...
+        with cusp:
+            pass
+        assert _children() == before
+        # ... and so does dropping the last reference.
+        cusp.partition(self.GRAPH)
+        assert _children() != before
+        del cusp
+        gc.collect()
+        assert _children() == before
+        assert leaked_segments() == []
+
+    def test_a_callers_executor_is_ended_per_run_not_closed(self):
+        ex = ProcessExecutor(max_workers=2)
+        try:
+            with CuSP(4, "CVC", executor=ex) as cusp:
+                cusp.partition(self.LARGE)
+                pids = [w["pid"] for w in ex._workers]
+                assert len(pids) == 2 and ex._residents == {}
+                assert leaked_segments() == []
+            # Neither the call nor the with-block closed it under them.
+            assert [w["pid"] for w in ex._workers] == pids
+            other = CuSP(4, "SVC", executor=ex, sync_rounds=5)
+            assert_same_partition(
+                other.partition(self.GRAPH),
+                CuSP(4, "SVC", sync_rounds=5).partition(self.GRAPH),
+            )
+            assert [w["pid"] for w in ex._workers] == pids
+        finally:
+            ex.close()
+        assert ex._workers == []
+
+    def test_worker_rss_is_flat_over_twenty_calls(self):
+        with _pooled(4, "SVC", sync_rounds=5) as cusp:
+            rss = []
+            for _ in range(20):
+                cusp.partition(self.LARGE)
+                pids = _worker_pids(cusp)
+                # The workers take "forget" off their pipes on their own time.
+                assert _wait_until(
+                    lambda: not any(_mapped_segments(pid) for pid in pids)
+                )
+                rss.append(sum(_status_kb(pid, "VmRSS") for pid in pids))
+        assert rss[19] <= 1.10 * rss[1], rss
+
+    def test_a_class_defined_after_the_fork_retires_the_pool_and_says_so(self):
+        from repro.core.edge_rules import EdgeRule
+        from repro.core.master_rules import ContiguousEB
+        from repro.core.policies import Policy
+
+        ex = ProcessExecutor(max_workers=2)
+        try:
+            CuSP(4, "CVC", executor=ex).partition(self.GRAPH)  # forks here
+            name = "_RuleDefinedAfterTheFork"
+            late = type(name, (EdgeRule,), {
+                "name": "Late", "__module__": __name__,
+                "owner": _late_owner,
+            })
+            setattr(sys.modules[__name__], name, late)
+            try:
+                policy = Policy("late", ContiguousEB(), late())
+                cusp = CuSP(4, policy, executor=ex)
+                with pytest.raises(UnshippableTaskError, match="as old as"):
+                    cusp.partition(self.GRAPH)
+                assert ex._workers == [] and leaked_segments() == []
+                # The next call forks workers that know the class.
+                assert_same_partition(
+                    cusp.partition(self.GRAPH),
+                    CuSP(4, policy).partition(self.GRAPH),
+                )
+            finally:
+                delattr(sys.modules[__name__], name)
+        finally:
+            ex.close()
+
+    def test_a_worker_holds_no_pipe_end_but_its_own(self):
+        """Pools coexist now.  A worker forked while another pool is
+        alive inherits that pool's parent-side pipe ends; kept, they
+        would hide the parent's death from the other pool's workers."""
+        with _pooled(4, "CVC") as a, _pooled(4, "CVC") as b:
+            a.partition(self.GRAPH)
+            b.partition(self.GRAPH)
+            victim = _worker_pids(a)[0]
+            os.kill(victim, signal.SIGKILL)
+            assert _wait_until(lambda: _proc_state(victim) == "Z")
+            a.partition(self.GRAPH)  # a's workers now fork after b's
+            workers = a.executor._workers + b.executor._workers
+            assert len(workers) == 4
+
+            def pipes_of(pid):
+                inodes = set()
+                for fd in os.listdir(f"/proc/{pid}/fd"):
+                    target = os.readlink(f"/proc/{pid}/fd/{fd}")
+                    if target.startswith("pipe:"):
+                        inodes.add(target)
+                return inodes
+
+            def own(worker):
+                return {
+                    f"pipe:[{os.fstat(worker[end]).st_ino}]"
+                    for end in ("cmd_w", "reply_r")
+                }
+
+            every = set().union(*(own(w) for w in workers))
+            for worker in workers:
+                held = pipes_of(worker["pid"]) & every
+                assert held == own(worker), (worker, held)
+
+    def test_workers_of_two_pools_die_with_a_killed_parent(self, tmp_path):
+        script = tmp_path / "parent.py"
+        script.write_text(_TWO_POOL_PARENT.format(path=sys.path))
+        parent = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE, text=True
+        )
+        try:
+            pids = [int(p) for p in parent.stdout.readline().split()]
+            assert len(pids) >= 2
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+
+        assert _wait_until(
+            lambda: all(_proc_state(pid) in ("Z", None) for pid in pids)
+        ), (
+            "a pool worker outlived its SIGKILLed parent"
+        )
+        # The killed parent could not unlink anything; nothing was there.
+        assert not [n for n in os.listdir("/dev/shm")
+                    if n.startswith(f"repro-{parent.pid:x}-")]
 
 
 class TestCommRegressions:

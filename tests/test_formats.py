@@ -1,7 +1,13 @@
 """Tests for on-disk formats and converters."""
 
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     CSRGraph,
@@ -102,6 +108,100 @@ class TestBinaryGR:
         p.write_bytes(data[:-8])
         with pytest.raises(FormatError):
             read_gr(p)
+
+
+def _gr_bytes(weighted):
+    g = erdos_renyi(12, 40, seed=6)
+    if weighted:
+        g = g.with_random_weights(seed=6)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.gr")
+        write_gr(g, path)
+        with open(path, "rb") as f:
+            return g, f.read()
+
+
+_FIXTURES = {weighted: _gr_bytes(weighted) for weighted in (False, True)}
+
+
+@st.composite
+def _mangled_gr(draw):
+    """A valid ``.gr`` file after bit flips, a truncation, or a splice
+    with the other (weighted/unweighted) valid file."""
+    weighted = draw(st.booleans())
+    graph, blob = _FIXTURES[weighted]
+    data = bytearray(blob)
+    kind = draw(st.sampled_from(["flip", "truncate", "splice"]))
+    if kind == "flip":
+        # Biased towards the 32-byte header, where the counts live.
+        positions = st.one_of(st.integers(0, 31), st.integers(0, len(data) - 1))
+        for pos in draw(st.lists(positions, min_size=1, max_size=4)):
+            data[pos] ^= 1 << draw(st.integers(0, 7))
+    elif kind == "truncate":
+        del data[draw(st.integers(0, len(data))):]
+    else:
+        other = _FIXTURES[not weighted][1]
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + other[draw(st.integers(0, len(other))):]
+    return graph, blob, bytes(data)
+
+
+class TestHostileGR:
+    """A ``.gr`` file is outside input: whatever its bytes, a reader
+    returns a valid graph or raises ``FormatError``/``ValueError`` —
+    never ``OverflowError`` or ``MemoryError``, and never a read or an
+    allocation sized by a count the file cannot back."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "g.gr"
+
+    @pytest.mark.parametrize("offset,value", [
+        (8, 2**61), (8, 2**64 - 1), (16, 2**64 - 1), (16, 2**40),
+    ])
+    def test_absurd_header_counts(self, tmp_path, offset, value):
+        p = tmp_path / "g.gr"
+        write_gr(sample(), p)
+        data = bytearray(p.read_bytes())
+        struct.pack_into("<Q", data, offset, value)  # num_nodes / num_edges
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="truncated gr payload"):
+            read_gr(p)
+        with pytest.raises(FormatError, match="truncated gr payload"):
+            read_gr_slice(p, 0, 1)
+
+    def test_slice_with_corrupt_row_pointers(self, tmp_path):
+        g = erdos_renyi(40, 400, seed=3)
+        p = tmp_path / "g.gr"
+        write_gr(g, p)
+        data = bytearray(p.read_bytes())
+        # indptr[10] past the edge array, then past indptr[20].
+        for bad in (2**50, int(g.indptr[20]) + 1):
+            struct.pack_into("<q", data, 32 + 10 * 8, bad)
+            p.write_bytes(bytes(data))
+            with pytest.raises(FormatError, match="corrupt row pointers"):
+                read_gr_slice(p, 10, 20)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mangled_gr())
+    def test_fuzzed_file_reads_or_fails_typed(self, fuzz_path, case):
+        graph, original, mangled = case
+        fuzz_path.write_bytes(mangled)
+        try:
+            loaded = read_gr(fuzz_path)
+        except ValueError:  # FormatError is one; so is a CSRGraph refusal
+            loaded = None
+        if mangled[: len(original)] == original:
+            assert loaded == graph  # trailing bytes are not the graph's
+        try:
+            header, indptr, indices, data = read_gr_slice(fuzz_path, 2, 9)
+        except ValueError:
+            return
+        assert indptr.size == 8
+        assert indices.size == int(indptr[-1] - indptr[0])
+        assert (data is not None) == header.weighted
+        if data is not None:
+            assert data.size == indices.size
 
 
 class TestEdgeList:
