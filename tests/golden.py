@@ -6,8 +6,11 @@ The golden file holds, per case, every phase row of the run's
 ``assert_same_breakdown`` compares) and the fault-report counts.  It was
 recorded from ``fabric="scalar"`` in the commit before that fabric was
 deleted, so it carries the scalar path's byte, message, retry and time
-accounting forward as data.  It changes only with an intended change to
-the cost accounting: ``python -m tests.golden --write`` re-records it.
+accounting forward as data; ``transient-plan/SVC`` was added later, in
+the commit before the masters phase's shipping moved into the scoring
+task, to pin that phase's fault draws across the move.  The file
+changes only with an intended change to the cost accounting:
+``python -m tests.golden --write`` re-records it.
 """
 
 import json
@@ -42,6 +45,12 @@ CRASH_PLAN = FaultPlan(
              HostCrash(host=2, phase=4)),
 )
 CORRUPT_PLAN = FaultPlan(seed=21, corrupt_rate=0.3)
+#: Message faults only, no crash: on SVC nearly every draw lands on the
+#: masters rounds' accounting-only sends.
+TRANSIENT_PLAN = FaultPlan(
+    seed=5, send_failure_rate=0.05, drop_rate=0.05, duplicate_rate=0.03,
+    corrupt_rate=0.05,
+)
 
 #: case name -> (graph, policy, output, fault plan)
 CASES = {f"serial/{p}": (GRAPH, p, "csr", None) for p in policy_names()}
@@ -49,6 +58,7 @@ CASES["weighted-csc/HVC"] = (WEIGHTED, "HVC", "csc", None)
 CASES["crash-plan/CVC"] = (GRAPH, "CVC", "csr", CRASH_PLAN)
 CASES["corrupt-plan/CVC"] = (erdos_renyi(300, 2400, seed=11), "CVC", "csr",
                              CORRUPT_PLAN)
+CASES["transient-plan/SVC"] = (GRAPH, "SVC", "csr", TRANSIENT_PLAN)
 
 
 def run_case(name, **cusp_kwargs):

@@ -639,3 +639,13 @@ class TestFabricEquivalence:
         scalar recording operation for operation."""
         _, dg = check_case("crash-plan/CVC", executor=executor)
         assert dg.breakdown.failed_phases()  # the crashes actually fired
+
+    @pytest.mark.parametrize("executor", ["serial", "parallel", "process"])
+    def test_transient_faults_on_the_masters_rounds(self, executor):
+        """Drops, retries, duplicates and corrupt payloads on a
+        history-sensitive policy: the masters rounds draw them all."""
+        cusp, dg = check_case("transient-plan/SVC", executor=executor)
+        assert not dg.breakdown.failed_phases()
+        kinds = {e[0] for e in cusp.last_fault_report.events
+                 if e[1] == "Master Assignment"}
+        assert kinds == {"send-failure", "drop", "duplicate", "corrupt-payload"}
