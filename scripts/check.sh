@@ -2,7 +2,8 @@
 # Full correctness gate: strict SPMD-safety lint, strict phase-contract
 # diff, type check (when mypy is installed), tier-1 suite, the dedicated
 # fault/recovery suite, the chaos campaign (serial and pooled process
-# executor, the latter also under SVC's stateful master rule), the
+# executor, the latter also under SVC's and FEC's stateful master
+# rules), the
 # analyzer mutation campaign (detection rate + committed-matrix
 # digest), the bench smoke test (throughput floor +
 # partition digest), the perf-harness smoke run, and end-to-end CLI
@@ -45,8 +46,10 @@ echo "== chaos campaign: full fault family, bit-identity gate =="
 python -m repro chaos --plans 10 --seed 7 --quiet
 python -m repro chaos --plans 10 --seed 7 --executor process --quiet
 # A history-sensitive master rule: the pooled masters rounds (published
-# request table, refreshed masters maps) under every fault family.
+# request table, refreshed masters maps, one barrier per round that
+# scores and ships) under every fault family, for FennelEB and Fennel.
 python -m repro chaos --plans 10 --seed 7 --executor process -p SVC --quiet
+python -m repro chaos --plans 10 --seed 7 --executor process -p FEC --quiet
 
 echo "== analyzer mutation campaign: detection + matrix digest gate =="
 python -m repro mutate --budget 24 --seed 7 --strict --quiet \

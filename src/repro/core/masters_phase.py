@@ -13,9 +13,10 @@ The phase's communication depends on the rule's capabilities:
   host *requests* the assignments it will need — the masters of the
   neighbors of its own nodes — from the hosts that will assign them
   (§IV-D5's request-driven elision: assignments nobody asked for are never
-  sent).  At every round boundary the partitioning state is reconciled by
-  a global reduction and each host ships the round's newly-made
-  assignments to their requesters.
+  sent).  A round is one task per host and one barrier: the task scores
+  the host's chunk and ships the chunk's requested assignments to their
+  requesters; at the round boundary the partitioning state is reconciled
+  by a global reduction and the requesters learn what was shipped.
 
 The paper notes this exchange is deliberately *not* deterministic on a
 real cluster (hosts don't block for slow peers).  The simulation is
@@ -25,8 +26,8 @@ member of the family of schedules the real system may produce.
 Every send of this phase is accounting-only (``payload=None``): the
 bytes, messages and fault draws of each request and shipment are charged
 on the wire, while the ids themselves take one path — the task's result,
-installed by its ``apply`` callback at the barrier.  Nothing is queued
-that no task drains.
+installed by the parent at the barrier.  Nothing is queued that no task
+drains.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class MasterAssignment:
 # Module-level so the pooled process executor can ship them by reference
 # (a pickled dotted name) instead of forking the whole parent per
 # barrier.  Everything a body needs travels in its payload tuple; the
-# big inputs (``prop``, the request table, the per-host masters maps)
+# big inputs (``prop``, the request table, the hosts' masters maps)
 # resolve against the pool's shared-memory residents, so neither graph
 # bytes nor a round's unchanged state cross a pipe.
 # Parent-side installs remain closures on ``run_master_assignment``'s
@@ -102,42 +103,51 @@ def _pure_assign_body(view: HostView, payload: tuple) -> np.ndarray | None:
     return assigned
 
 
-def _request_masters_body(view: HostView, payload: tuple) -> list[np.ndarray]:
-    """Request pass: ask each assigner for the masters this host needs."""
+def _request_masters_body(
+    view: HostView, payload: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Request pass: ask each assigner for the masters this host needs.
+
+    Returns ``(nbrs, cuts)``: the sorted ids this host needs, of which
+    ``nbrs[cuts[a]:cuts[a+1]]`` are the ones host ``a`` reads, and
+    therefore assigns (a searchsorted against the host bounds).
+    """
     prop, bounds, num_hosts, j, start, stop = payload
     lo, hi = prop.graph.indptr[start], prop.graph.indptr[stop]
-    # ``nbrs`` is sorted, so the per-assigner split is a searchsorted
-    # against the host bounds: nbrs[cuts[a]:cuts[a+1]] are exactly the
-    # neighbours that host ``a`` reads, and therefore assigns.
     nbrs = _mask_unique(prop.getNumNodes(), prop.graph.indices[lo:hi])
     cuts = np.searchsorted(nbrs, bounds)
-    per_assigner = []
     for assigner in range(num_hosts):
-        wanted = nbrs[cuts[assigner] : cuts[assigner + 1]]
-        per_assigner.append(wanted)
-        if assigner != j and wanted.size:
+        wanted = int(cuts[assigner + 1] - cuts[assigner])
+        if assigner != j and wanted:
             view.send(
                 assigner, None, tag="master-requests",
-                nbytes=wanted.size * _REQUEST_ENTRY_BYTES,
+                nbytes=wanted * _REQUEST_ENTRY_BYTES,
                 coalesce=True,
             )
-    return per_assigner
+    return nbrs, cuts
 
 
 def _assign_chunk_body(view: HostView, payload: tuple):
-    """Score one round's chunk of a host's nodes against frozen state."""
-    rule, prop, k, state, masters_h, h, c0, c1 = payload
-    node_ids = np.arange(c0, c1, dtype=np.int64)
-    if node_ids.size == 0:
-        return node_ids, None, None
+    """Score one round's chunk of a host's nodes against frozen state,
+    then ship the chunk's requested assignments to their requesters.
+
+    Returns ``(assigned, delta, shipped)``; ``shipped`` holds one
+    ``(j, lo, hi)`` per requester ``j`` that was sent anything, an index
+    range into the request table's ``ids``.
+    """
+    rule, prop, k, state, known, requests, h, c0, c1 = payload
+    if c0 == c1:
+        return None, None, []
+    masters_h = None if known is None else known[h]
     if masters_h is not None and not masters_h.flags.writeable:
-        # A pool worker sees the host's map as a read-only resident;
-        # the rule scribbles on it, so it gets a private copy.
+        # A pool worker sees the maps as a read-only resident; the rule
+        # scribbles on its host's row, so it gets a private copy.
         masters_h = masters_h.copy()
     # Each host scores against the frozen snapshot plus its own pending
     # delta.  The rule's in-place updates (masters_h, state delta) are
     # scratch work in a worker; the body returns everything the parent
     # needs to install them.
+    node_ids = np.arange(c0, c1, dtype=np.int64)
     assigned = rule.assign_batch(prop, node_ids, state.host_view(h), masters_h)
     view.add_compute(
         rule.compute_units(
@@ -146,33 +156,23 @@ def _assign_chunk_body(view: HostView, payload: tuple):
             k,
         )
     )
-    return node_ids, assigned, state.export_host_delta(h)
-
-
-def _ship_assignments_body(
-    view: HostView, payload: tuple
-) -> list[tuple[int, np.ndarray]]:
-    """Shipping pass: send this round's assignments to their requesters."""
-    requests, num_hosts, h, fresh = payload
-    if fresh.size == 0:
-        return []
-    lo, hi = fresh[0], fresh[-1]
+    ids, cuts = requests
     shipped = []
-    for j in range(num_hosts):
+    for j in range(len(cuts)):
         if j == h:
             continue
-        wanted = requests[h][j]
-        ship = wanted[(wanted >= lo) & (wanted <= hi)]
-        if ship.size:
+        start, stop = cuts[j, h], cuts[j, h + 1]
+        lo, hi = start + np.searchsorted(ids[start:stop], (c0, c1))
+        if hi > lo:
             # One coalesced charge per requester; the parent reads the
-            # assigned partitions off its own ``masters`` at the barrier.
+            # assigned partitions off its own ``masters`` after the round.
             view.send(
                 j, None, tag="master-assignments",
-                nbytes=ship.size * _ASSIGNMENT_ENTRY_BYTES,
+                nbytes=int(hi - lo) * _ASSIGNMENT_ENTRY_BYTES,
                 coalesce=True,
             )
-            shipped.append((j, ship))
-    return shipped
+            shipped.append((j, int(lo), int(hi)))
+    return assigned, state.export_host_delta(h), shipped
 
 
 def run_master_assignment(
@@ -227,107 +227,74 @@ def run_master_assignment(
 
     # History-sensitive path: request-driven assignment exchange.
     bounds = np.array([r[0] for r in ranges] + [n], dtype=np.int64)
-    # requested_from[h] = node ids host j requested from host h, per j.
-    requests: list[list[np.ndarray]] = [
-        [np.empty(0, dtype=np.int64) for _ in range(num_hosts)]
-        for _ in range(num_hosts)
-    ]
-    # Each host's private view of the masters map (only synced entries).
-    known = [np.full(n, -1, dtype=np.int32) for _ in range(num_hosts)]
-
     if elide_master_communication:
         # Request-driven exchange (§IV-D5): each host asks only for the
-        # masters of its read-nodes' neighbors.  Task j computes column j
-        # of the request table; the parent installs it at the barrier.
-        def request_task(j: int, start: int, stop: int) -> HostTask:
-            def install(per_assigner: list[np.ndarray]) -> list[np.ndarray]:
-                # The parent fills column j of the request table at the
-                # barrier; bodies only compute and send.
-                for assigner, wanted in enumerate(per_assigner):
-                    requests[assigner][j] = wanted
-                return per_assigner
-
-            return HostTask(
+        # masters of its read-nodes' neighbors.
+        wanted = phase.executor.run(phase, [
+            HostTask(
                 j, _request_masters_body, label="request-masters",
                 payload=(prop, bounds, num_hosts, j, start, stop),
-                apply=install,
             )
-
-        phase.executor.run(
-            phase,
-            [request_task(j, start, stop) for j, (start, stop) in enumerate(ranges)],
-        )
+            for j, (start, stop) in enumerate(ranges)
+        ])
+        offsets = np.cumsum([0] + [nbrs.size for nbrs, _ in wanted[:-1]])
+        ids = np.concatenate([nbrs for nbrs, _ in wanted])
+        cuts = np.stack([off + c for off, (_, c) in zip(offsets, wanted)])
     else:
         # Ablation: every host "requests" everything, so each assignment
         # is shipped to all peers.
-        for h, (start, stop) in enumerate(ranges):
-            everything = np.arange(start, stop, dtype=np.int64)
-            for j in range(num_hosts):
-                requests[h][j] = everything
-    # The table is complete and round-invariant from here on: published
-    # once, every round's ship tasks reference it instead of re-sending
-    # their row of it.
-    phase.executor.publish("master-requests", requests)
+        ids = np.arange(n, dtype=np.int64)
+        cuts = np.tile(bounds, (num_hosts, 1))
+    # ids[cuts[j, a]:cuts[j, a + 1]] are the sorted node ids host j
+    # requested from host a.  Round-invariant from here on: published
+    # once, every round's tasks reference it.
+    requests = phase.executor.publish("master-requests", (ids, cuts))
+    # Row h is host h's private view of the masters map (only synced
+    # entries).
+    known = np.full((num_hosts, n), -1, dtype=np.int32)
+    known_arg = known if rule.uses_masters else None
 
     # Round-robin over sync_rounds chunks of each host's node range.
     chunk_bounds = [
         np.linspace(start, stop, sync_rounds + 1).astype(np.int64)
         for (start, stop) in ranges
     ]
-    masters_arg: list[np.ndarray | None]
-    if rule.uses_masters:
-        masters_arg = list(known)
-    else:
-        masters_arg = [None] * num_hosts
 
     def assign_task(h: int, r: int) -> HostTask:
         c0, c1 = int(chunk_bounds[h][r]), int(chunk_bounds[h][r + 1])
 
-        def install(result) -> np.ndarray:
-            node_ids, assigned, delta = result
+        def install(result) -> list[tuple[int, int, int]]:
+            assigned, delta, shipped = result
             if assigned is not None:
                 masters[c0:c1] = assigned
-                known[h][c0:c1] = assigned  # own assignments visible at once
+                known[h, c0:c1] = assigned  # own assignments visible at once
                 state.import_host_delta(h, delta)
-            return node_ids
-
-        return HostTask(
-            h, _assign_chunk_body, label="assign-chunk",
-            payload=(rule, prop, k, state, masters_arg[h], h, c0, c1),
-            apply=install,
-        )
-
-    def ship_task(h: int, fresh: np.ndarray) -> HostTask:
-        def install(
-            shipped: list[tuple[int, np.ndarray]],
-        ) -> list[tuple[int, np.ndarray]]:
-            # Requester j learns the shipped assignments at the barrier;
-            # ``masters`` is frozen for the shipped ranges this round.
-            for j, ship in shipped:
-                known[j][ship] = masters[ship]
             return shipped
 
         return HostTask(
-            h, _ship_assignments_body, label="ship-assignments",
-            payload=(requests, num_hosts, h, fresh),
+            h, _assign_chunk_body, label="assign-chunk",
+            payload=(rule, prop, k, state, known_arg, requests, h, c0, c1),
             apply=install,
         )
 
-    # ``known[h]`` changes every round, in the parent, at the barriers;
+    # ``known`` changes every round, in the parent, between barriers;
     # republishing an array of unchanged dtype and shape refreshes its
     # resident in place, so a round ships what it newly made, not the map.
     for r in range(sync_rounds):
         if rule.uses_masters:
-            for h in range(num_hosts):
-                phase.executor.publish(f"known-masters-{h}", known[h])
-        newly = phase.executor.run(
+            phase.executor.publish("known-masters", known)
+        shipped = phase.executor.run(
             phase, [assign_task(h, r) for h in range(num_hosts)]
         )
-        # Round boundary: reconcile state, ship requested assignments.
-        # Master-assignment rounds never block on peers (paper §IV-D5).
+        # Round boundary: reconcile state.  Master-assignment rounds
+        # never block on peers (paper §IV-D5).
         state.sync_round(phase.comm, blocking=False)
-        phase.executor.run(
-            phase, [ship_task(h, newly[h]) for h in range(num_hosts)]
-        )
+        # Requesters learn the round's shipments only now, not in
+        # ``apply``: the serial executor applies host h before it runs
+        # host h + 1, which must score against the frozen round.
+        for host_shipments in shipped:
+            for j, lo, hi in host_shipments:
+                got = ids[lo:hi]
+                known[j, got] = masters[got]
 
     return MasterAssignment(masters, state)

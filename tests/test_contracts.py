@@ -276,6 +276,17 @@ class TestStaticExtraction:
         assert "allreduce" not in kinds
         assert "barrier" not in kinds
 
+    def test_each_masters_send_is_found_in_its_task_body(self):
+        """A round's shipping rides its scoring task: the extractor
+        reaches ``_assign_chunk_body`` through ``HostTask`` by name."""
+        masters = PHASE_CONTRACTS.get("Master Assignment")
+        ops, _ = extract_phase_ops(SRC_ROOT, masters)
+        assert {(op.tag, op.via) for op in ops if op.kind == "p2p"} == {
+            ("master-requests", "_request_masters_body"),
+            ("master-assignments", "_assign_chunk_body"),
+            ("master-broadcast", "_pure_assign_body"),
+        }
+
 
 class TestCommSanCleanRuns:
     @pytest.mark.parametrize("policy", ["CVC", "HVC", "FEC", "GVC", "BVC"])

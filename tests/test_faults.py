@@ -186,6 +186,24 @@ class TestCrashRecovery:
         assert_same_partition(base, dg)
         assert cusp.last_fault_report.replays == 1
 
+    @pytest.mark.parametrize("ops", [4, 6, 8, 9])
+    @pytest.mark.parametrize("policy", ["SVC", "FEC"])
+    def test_mid_round_crash_same_on_every_executor(self, policy, ops):
+        """On this graph host 1's masters ops are three request sends,
+        then per round one scoring charge and three shipments: ops 4 and
+        8 crash it while scoring, 6 and 9 while shipping.  Every executor
+        charges the aborted attempt alike, and the replay converges."""
+        _, base = run(policy=policy, sync_rounds=5)
+        plan = FaultPlan(seed=3, crashes=(HostCrash(1, 1, ops),))
+        phases = []
+        for executor in ("serial", "parallel", "process"):
+            cusp, dg = run(plan, policy=policy, sync_rounds=5, executor=executor)
+            cusp.close()
+            assert_same_partition(base, dg)
+            assert [p.name for p in dg.breakdown.failed_phases()] == [PHASE_NAMES[1]]
+            phases.append([p.to_dict() for p in dg.breakdown.phases])
+        assert phases[0] == phases[1] == phases[2]
+
     def test_multiple_crashes_different_phases(self):
         _, base = run()
         plan = FaultPlan(seed=3, crashes=(HostCrash(1, 1), HostCrash(3, 3)))
