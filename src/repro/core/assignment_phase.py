@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import CSRGraph, stable_group_order
+from ..graph.csr import CSRGraph, narrow_group_keys, stable_group_order
 from ..runtime import pool as _pool
 from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
@@ -76,14 +76,17 @@ class HostGroups:
     instead of a ``np.unique`` per peer.  The same grouping serves edge
     assignment (mirror sets), allocation (endpoint sets) and
     construction (edge shipping), so it is computed once per host and
-    cached on :class:`EdgeAssignment`.
+    cached on :class:`EdgeAssignment`.  The permutation itself is
+    dropped once the gathers are made: a weighted host keeps its
+    weights gathered the same way (``w_sorted``), an unweighted one
+    keeps ``None`` there.
 
     Raises :class:`ValueError` naming the value when an owner is
     outside ``[0, num_hosts)``.
     """
 
     __slots__ = (
-        "order", "cuts", "src_sorted", "dst_sorted", "usrc", "usrc_cuts"
+        "cuts", "src_sorted", "dst_sorted", "w_sorted", "usrc", "usrc_cuts"
     )
 
     def __init__(
@@ -92,6 +95,7 @@ class HostGroups:
         src: np.ndarray,
         dst: np.ndarray,
         num_hosts: int,
+        weights: np.ndarray | None = None,
     ):
         order = stable_group_order(owner, num_hosts)
         cuts = np.zeros(num_hosts + 1, dtype=np.int64)
@@ -106,10 +110,10 @@ class HostGroups:
         starts = cuts[:-1]
         keep[starts[starts < n]] = True
         first = np.flatnonzero(keep)
-        self.order = order
         self.cuts = cuts
         self.src_sorted = s
         self.dst_sorted = dst[order]
+        self.w_sorted = None if weights is None else weights[order]
         self.usrc = s[first]
         self.usrc_cuts = np.searchsorted(first, cuts)
 
@@ -199,8 +203,10 @@ class EdgeAssignment:
             if stashed is not None and np.array_equal(stashed[0], owner):
                 groups = stashed[1]
             else:
-                src, dst, _weights = host_edge_slice(graph, *self.ranges[h])
-                groups = HostGroups(owner, src, dst, self.edges_to.shape[0])
+                src, dst, weights = host_edge_slice(graph, *self.ranges[h])
+                groups = HostGroups(
+                    owner, src, dst, self.edges_to.shape[0], weights
+                )
             # repro-lint: disable-next-line=deep-unshippable-task-capture -- recompute-on-miss cache (see class docstring): a worker-local write that is lost with the fork is recomputed identically on the next miss
             self._groups[h] = groups
         return groups
@@ -237,8 +243,10 @@ def assignment_from_owners(
     process ran it: the owners round-trip bit-identically through the
     checkpoint, so its count matrices and group cache — pure functions
     of (owners, edges) — carry over instead of being recounted.  A
-    resumed run has none and recounts from, and size-checks, what the
-    checkpoint holds.
+    resumed run has none and recounts from, and size- and range-checks,
+    what the checkpoint holds, narrowing the owners as the live phase
+    does: a checkpoint written with int32 owners resumes to the same
+    partition.
     """
     num_hosts = len(ranges)
     result = EdgeAssignment(num_hosts, ranges)
@@ -256,6 +264,7 @@ def assignment_from_owners(
                 f"host {h}: checkpointed {owner.size} owners for "
                 f"{expected} edges"
             )
+        owner = narrow_group_keys(owner, num_hosts)
         result.owners[h] = owner
         result.edges_to[h, :] = np.bincount(
             owner, minlength=num_hosts
@@ -287,10 +296,16 @@ def _assign_edges_body(view: HostView, payload: tuple):
     """
     (rule, prop, masters, estate, comm, num_hosts,
      h, start, stop) = payload
-    src, dst, _weights = host_edge_slice(prop.graph, start, stop)
+    src, dst, weights = host_edge_slice(prop.graph, start, stop)
     estate_view = estate.host_view(h) if estate is not None else None
-    owner = rule.owner_batch(
-        prop, src, dst, masters[src], masters[dst], estate_view
+    # The one place owners are narrowed: one byte per edge up to 256
+    # hosts, two up to 65 536, for everything downstream (the grouping,
+    # the checkpoint, the pool's resident of them).
+    owner = narrow_group_keys(
+        rule.owner_batch(
+            prop, src, dst, masters[src], masters[dst], estate_view
+        ),
+        num_hosts,
     )
     counts = np.bincount(owner, minlength=num_hosts).astype(np.int64)
     # Two abstract units per edge: owner evaluation + count update.
@@ -304,7 +319,7 @@ def _assign_edges_body(view: HostView, payload: tuple):
         # never executes inside a mapped task.
         # repro-lint: disable-next-line=comm-in-task,deep-comm-in-task -- chain()-only path, sequential by construction
         estate.sync_round(comm, blocking=False)
-    groups = HostGroups(owner, src, dst, num_hosts)
+    groups = HostGroups(owner, src, dst, num_hosts, weights)
     nodes_read = stop - start
     mark = np.empty(prop.getNumNodes(), dtype=bool)
     for j in range(num_hosts):

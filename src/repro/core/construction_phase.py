@@ -82,22 +82,15 @@ def _build_proxies_body(view: HostView, payload: tuple) -> np.ndarray:
 def _ship_edges_body(view: HostView, payload: tuple) -> None:
     """Edge shipping for one reading host."""
     assignment, prop, schema, per_edge, num_hosts, h = payload
-    graph = prop.graph
-    groups = assignment.host_groups(h, graph)
-    w = None
-    if graph.is_weighted:
-        start, stop = assignment.ranges[h]
-        w = graph.edge_data[graph.indptr[start] : graph.indptr[stop]]
+    groups = assignment.host_groups(h, prop.graph)
     for j in range(num_hosts):
         lo, hi = int(groups.cuts[j]), int(groups.cuts[j + 1])
         if hi == lo:
             continue
         s = groups.src_sorted[lo:hi]
-        d = groups.dst_sorted[lo:hi]
-        if w is not None:
-            cols = (s, d, w[groups.order[lo:hi]])
-        else:
-            cols = (s, d)
+        cols = (s, groups.dst_sorted[lo:hi])
+        if groups.w_sorted is not None:
+            cols += (groups.w_sorted[lo:hi],)
         # Serialized per source node: node id + its edge list (paper
         # §IV-C3); the per-peer unique source count falls out of the
         # group cache instead of an np.unique here.

@@ -539,21 +539,22 @@ class CuSP:
                 prop, ranges, [owner_blob[f"owners_{h}"] for h in range(k)]
             )
         else:
-            live_assignment = recoverable(PHASE_NAMES[2], phase_edges)
+            assignment = recoverable(PHASE_NAMES[2], phase_edges)
             snapshot_runtime("assignment")
             owner_blob = checkpoint.roundtrip(
                 "assignment",
-                **{f"owners_{h}": live_assignment.owners[h] for h in range(k)},
+                **{f"owners_{h}": assignment.owners[h] for h in range(k)},
             )
             # The count matrices and the owner grouping are pure
             # functions of (owners, edges), both of which round-trip
             # bit-identically through the checkpoint, so phases 4/5
             # reuse what phase 3 already computed.  (A resumed run
             # recomputes them from the same inputs, with the same
-            # result.)
+            # result.)  Rebinding drops the live assignment, so no
+            # owner array outlives its checkpointed twin.
             assignment = assignment_from_owners(
                 prop, ranges, [owner_blob[f"owners_{h}"] for h in range(k)],
-                live=live_assignment,
+                live=assignment,
             )
         assignment = cluster.executor.publish("assignment", assignment)
 
@@ -612,7 +613,9 @@ class CuSP:
         )
         return DistributedGraph(
             partitions=partitions,
-            masters=masters,
+            # The phases read a frozen (checkpointed) master map; the
+            # caller gets a writable one of its own.
+            masters=np.array(masters),
             num_global_nodes=original.num_nodes,
             num_global_edges=original.num_edges,
             policy_name=self.policy.name,

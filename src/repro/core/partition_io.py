@@ -87,6 +87,21 @@ def _array_digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, in place when that makes it immutable.
+
+    An array that owns its writable buffer is frozen where it is, so
+    the caller's reference turns read-only too.  A writable view is
+    copied first: freezing it would leave its base writable.  An array
+    already read-only is taken as it is.
+    """
+    if arr.flags.writeable:
+        if not arr.flags.owndata:
+            arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via tmp file + fsync + ``os.replace``.
 
@@ -212,8 +227,9 @@ class PartitionCheckpoint:
     stage.  With a ``directory`` the store is durable on disk (same
     numpy-blob layout family as :func:`save_partitions`) and every load
     round-trips through the files; without one it degrades to an
-    in-memory snapshot store (still copy-isolated, so a replay can never
-    observe mutations made after the save).
+    in-memory store of read-only arrays (:func:`_frozen`), so a replay
+    can never observe mutations made after the save — no write can
+    happen — and a stage costs no second copy of its arrays.
 
     Durable writes follow the corruption-proof protocol: atomic
     tmp+fsync+replace writes, SHA-256 file and per-array digests in the
@@ -432,7 +448,7 @@ class PartitionCheckpoint:
                 self._verify_durable(stage)
                 self.torn_repairs += 1
         else:
-            self._memory[stage] = {k: v.copy() for k, v in arrs.items()}
+            self._memory[stage] = {k: _frozen(v) for k, v in arrs.items()}
         if stage not in self._completed:
             self._completed.append(stage)
         if self.directory is not None:
@@ -489,11 +505,14 @@ class PartitionCheckpoint:
             self._verify_durable(stage, deep=deep)
 
     def load(self, stage: str) -> dict[str, np.ndarray]:
-        """The arrays saved for ``stage`` (copies; mutation-safe).
+        """The arrays saved for ``stage``, mutation-safe.
 
         Durable loads digest-verify the file first, so a corrupted
         checkpoint raises :class:`CheckpointCorruptionError` instead of
-        feeding damaged arrays into a replay.
+        feeding damaged arrays into a replay, and return fresh copies.
+        In-memory loads return the stored arrays themselves: they are
+        read-only, so a write raises :class:`ValueError` instead of
+        reaching the store.
         """
         if stage not in self._completed:
             raise KeyError(f"stage {stage!r} was never checkpointed")
@@ -501,14 +520,16 @@ class PartitionCheckpoint:
             self._verify_durable(stage)
             with np.load(self.directory / f"{stage}.npz") as blob:
                 return {k: blob[k].copy() for k in blob.files}
-        return {k: v.copy() for k, v in self._memory[stage].items()}
+        return dict(self._memory[stage])
 
     def roundtrip(self, stage: str, **arrays: np.ndarray) -> dict[str, np.ndarray]:
-        """Save ``stage`` and hand back the checkpointed copies.
+        """Save ``stage`` and hand back what :meth:`load` returns.
 
         The partitioner feeds every phase from the round-tripped arrays,
         so a crash replay reads exactly what recovery would read — the
         checkpoint layer is exercised on every run, not only on failure.
+        In memory that costs no copy: the phase's own arrays come back,
+        frozen.
         """
         self.save(stage, **arrays)
         return self.load(stage)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph", "stable_group_order"]
+__all__ = ["CSRGraph", "narrow_group_keys", "stable_group_order"]
 
 
 def _as_int64(a, name: str) -> np.ndarray:
@@ -63,16 +63,10 @@ def _edge_sort_order(
     return np.argsort(key, kind="stable")
 
 
-def stable_group_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for keys in ``[0, num_keys)``.
-
-    The group-by primitive behind every "bucket rows by owner" step:
-    entries sharing a key stay in input order.  NumPy's stable argsort
-    is an O(n) radix sort for integer keys of 16 bits or fewer and an
-    O(n log n) timsort for anything wider, whatever values the keys
-    hold, so a key that fits is narrowed to ``uint8``/``uint16`` first
-    (1-2 bytes per entry, dropped on return); a wider range takes the
-    plain argsort.  The permutation is identical either way.
+def narrow_group_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """``keys`` in ``[0, num_keys)`` in the narrowest dtype that holds
+    them: ``uint8`` up to 256 keys, ``uint16`` up to 65 536, the input
+    dtype beyond.  An array already that narrow is returned as is.
 
     Raises :class:`ValueError` naming the offending value when a key is
     negative or ``>= num_keys`` — a narrowed key would otherwise wrap
@@ -86,10 +80,25 @@ def stable_group_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
                 f"group key {bad} out of range [0, {num_keys})"
             )
     if num_keys <= 1 << 8:
-        keys = keys.astype(np.uint8)
-    elif num_keys <= 1 << 16:
-        keys = keys.astype(np.uint16)
-    return np.argsort(keys, kind="stable")
+        return keys.astype(np.uint8, copy=False)
+    if num_keys <= 1 << 16:
+        return keys.astype(np.uint16, copy=False)
+    return keys
+
+
+def stable_group_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, num_keys)``.
+
+    The group-by primitive behind every "bucket rows by owner" step:
+    entries sharing a key stay in input order.  NumPy's stable argsort
+    is an O(n) radix sort for integer keys of 16 bits or fewer and an
+    O(n log n) timsort for anything wider, whatever values the keys
+    hold, so the keys are narrowed by :func:`narrow_group_keys` first
+    (1-2 bytes per entry); a wider range takes the plain argsort.  The
+    permutation is identical either way, and a key out of range raises
+    :class:`ValueError`.
+    """
+    return np.argsort(narrow_group_keys(keys, num_keys), kind="stable")
 
 
 @dataclass

@@ -1075,14 +1075,14 @@ class TestGroupingsStayHome:
     def test_pooled_svc_byte_budget(self, monkeypatch, parent_traffic):
         k = 8
         # Proxy tables (< n ids) stay under the segment threshold, every
-        # host's owner array is over it.
-        graph = erdos_renyi(8_000, 160_000, seed=11)
+        # host's owner array (one byte per edge at k = 8) is over it.
+        graph = erdos_renyi(8_000, 600_000, seed=11)
         n, m = graph.num_nodes, graph.num_edges
         per_host = [
             int(graph.indptr[stop] - graph.indptr[start])
             for start, stop in compute_read_ranges(graph, k)
         ]
-        assert n * 8 < SHM_THRESHOLD <= min(per_host) * 4
+        assert n * 8 < SHM_THRESHOLD <= min(per_host)
         barriers = {}  # label -> (pipe bytes, segments, result per reply)
         dispatch = ProcessExecutor._pool_dispatch
 
@@ -1111,7 +1111,7 @@ class TestGroupingsStayHome:
             k, "SVC", executor=ProcessExecutor(max_workers=2), sync_rounds=3
         ).partition(graph)
 
-        # Edge assignment replies: the owner decisions at 4 B per edge
+        # Edge assignment replies: the owner decisions at 1 B per edge
         # and one k-vector of counts per host.  No grouping, so no int64
         # array of edge length.
         def shapes(replies):
@@ -1119,16 +1119,16 @@ class TestGroupingsStayHome:
 
         _, _, replies = barriers["assign-edges"]
         assert shapes(replies) == [
-            [(np.dtype(np.int32), edges), (np.dtype(np.int64), k)]
+            [(np.dtype(np.uint8), edges), (np.dtype(np.int64), k)]
             for edges in per_host
         ]
         assert [groups for _owner, _counts, groups in replies] == [None] * k
-        # publish("assignment"): the same 4 B per edge on segments, the
+        # publish("assignment"): the same 1 B per edge on segments, the
         # k x k and k counts (and the read ranges) in the blob.
         assert [
             (np.lib.format.descr_to_dtype(descr), shape)
             for _name, descr, shape in published["manifest"]
-        ] == [(np.dtype(np.int32), (edges,)) for edges in per_host]
+        ] == [(np.dtype(np.uint8), (edges,)) for edges in per_host]
         assert sum(per_host) == m
         assert len(published["blob"]) < 8 * (k * k + k) + 2048
         # Allocation: k² bitmaps of ceil(n / 8) bytes cross the pipe,
@@ -1220,10 +1220,27 @@ class TestSharedMemoryFull:
 
     GRAPH = TestNamesDoNotOutliveTheQueue.GRAPH
 
+    def _parent_exports(self, monkeypatch) -> int:
+        """How many segments the parent fills in a warm call (publish()
+        of prop, masters, assignment and proxies, and dispatch specs)."""
+        calls = []
+
+        def count(call_no, pwrite, *args):
+            calls.append(call_no)
+            return pwrite(*args)
+
+        with CuSP(4, "CVC", executor=ProcessExecutor(max_workers=2)) as counted:
+            counted.partition(self.GRAPH)
+            with monkeypatch.context() as patch:
+                _patch_pwrite(patch, False, count)
+                counted.partition(self.GRAPH)
+        return len(calls)
+
     @pytest.mark.parametrize("side,nth,raises", [
-        # publish(): prop, masters, assignment, proxies.
-        ("parent", 1, OSError), ("parent", 3, OSError),
-        ("parent", 6, OSError), ("parent", 9, OSError),
+        # The parent's first, middle and last export, as a warm call on
+        # another pool counted them.
+        ("parent", 1, OSError), ("parent", "middle", OSError),
+        ("parent", "last", OSError),
         # Replies: assign-edges owners, build-proxies ids, queued edge
         # blocks, build-partition results.
         ("worker", 1, RuntimeError), ("worker", 3, RuntimeError),
@@ -1232,6 +1249,10 @@ class TestSharedMemoryFull:
     def test_enospc_on_nth_export_fails_clean(
         self, monkeypatch, unraisable, side, nth, raises
     ):
+        if isinstance(nth, str):
+            total = self._parent_exports(monkeypatch)
+            nth = {"middle": (total + 1) // 2, "last": total}[nth]
+
         def full_on_nth(call_no, pwrite, *args):
             if call_no == nth:
                 raise _enospc()

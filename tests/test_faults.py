@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import CuSP, PHASE_NAMES, check_partition, save_partitions
+from repro.core import (
+    PHASE_NAMES,
+    CheckpointCorruptionError,
+    CuSP,
+    PartitionCheckpoint,
+    check_partition,
+    save_partitions,
+)
 from repro.graph import erdos_renyi, rmat, write_gr
 from repro.runtime.comm import Communicator
 from repro.runtime.faults import (
@@ -312,6 +319,48 @@ class TestCheckpoints:
         _, dg = run(FaultPlan(seed=1), policy="EEC", checkpoint_dir=ckpt)
         _, base = run(policy="EEC")
         assert_same_partition(base, dg)
+
+    def test_in_memory_stages_share_one_read_only_copy(self):
+        ckpt = PartitionCheckpoint()
+        owners = np.arange(64, dtype=np.uint8) % 4
+        back = ckpt.roundtrip("assignment", owners_0=owners)["owners_0"]
+        loaded = ckpt.load("assignment")["owners_0"]
+        stored = ckpt._memory["assignment"]["owners_0"]
+        for arr in (owners, back, loaded):
+            assert np.shares_memory(arr, stored)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 3
+        assert np.array_equal(loaded, np.arange(64) % 4)
+
+    def test_in_memory_save_copies_a_writable_view(self):
+        # Freezing a view would leave its base writable behind the
+        # store's back, so the store takes a copy of it instead.
+        base = np.arange(32, dtype=np.int64)
+        ckpt = PartitionCheckpoint()
+        ckpt.save("masters", masters=base[::2])
+        base[0] = 99
+        stored = ckpt.load("masters")["masters"]
+        assert not np.shares_memory(stored, base)
+        assert stored[0] == 0 and not stored.flags.writeable
+
+    def test_durable_load_copies_and_verifies(self, tmp_path):
+        ckpt = PartitionCheckpoint(tmp_path, meta={"graph": "t"})
+        masters = np.arange(50, dtype=np.int32) % 4
+        loaded = ckpt.roundtrip("masters", masters=masters)["masters"]
+        assert not np.shares_memory(loaded, masters)
+        assert masters.flags.writeable and loaded.flags.writeable
+        loaded[0] = 3  # a private copy: the next load is unaffected
+        assert ckpt.load("masters")["masters"][0] == 0
+        path = tmp_path / "masters.npz"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(CheckpointCorruptionError):
+            ckpt.load("masters")
+
+    def test_result_masters_are_the_callers(self):
+        # The phases read a frozen master map; the result gets its own.
+        _, dg = run()
+        assert dg.masters.flags.writeable
+        dg.masters[0] = dg.masters[0]
 
 
 class TestValidator:

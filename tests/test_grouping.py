@@ -3,10 +3,13 @@
 ``stable_group_order`` must be ``np.argsort(kind="stable")`` bit for bit
 (a grouping never crosses a process boundary, so every process that
 regroups must arrive at the same permutation), ``HostGroups`` must
-produce the six slots its argsort + searchsorted + cumsum formulation
-produced, and ``CSRGraph.from_edges`` must still be a (src, dst) lexsort
-of its input.  Allocation's mirror-info bitmaps must union to the proxy
-tables the descriptor-resolving formulation produced.
+produce the slots its argsort + searchsorted + cumsum formulation
+produced — the weights gathered by that formulation's permutation in
+place of the permutation itself — and ``CSRGraph.from_edges`` must
+still be a (src, dst) lexsort of its input.  Owners narrowed to
+``uint8``/``uint16`` must partition as int32 ones do.  Allocation's
+mirror-info bitmaps must union to the proxy tables the
+descriptor-resolving formulation produced.
 """
 
 import pickle
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GraphProp, compute_read_ranges
+from repro.core import CuSP, GraphProp, compute_read_ranges
+from repro.core import assignment_phase
 from repro.core.assignment_phase import (
     EdgeAssignment,
     HostGroups,
@@ -24,11 +28,13 @@ from repro.core.assignment_phase import (
     host_edge_slice,
 )
 from repro.core.construction_phase import run_allocation
-from repro.graph.csr import CSRGraph, stable_group_order
+from repro.graph import erdos_renyi
+from repro.graph.csr import CSRGraph, narrow_group_keys, stable_group_order
 from repro.runtime.comm import Communicator
 from repro.runtime.stats import PhaseStats
 
 from .strategies import graphs
+from .test_faults import assert_same_partition
 
 #: Both dtype boundaries (uint8 up to 256 keys, uint16 up to 65 536)
 #: from either side, and the plain-argsort fallback beyond.
@@ -109,8 +115,10 @@ class TestStableGroupOrder:
         )
 
 
-def reference_host_groups(owner, src, dst, num_hosts):
-    """The six ``HostGroups`` slots by the pre-counting-sort formulas."""
+def reference_host_groups(owner, src, dst, num_hosts, weights=None):
+    """The ``HostGroups`` slots by the pre-counting-sort formulas;
+    ``w_sorted`` is the weights the stable permutation gathers
+    (``None`` for an unweighted host)."""
     order = np.argsort(owner, kind="stable")
     cuts = np.searchsorted(owner[order], np.arange(num_hosts + 1))
     s = src[order]
@@ -127,32 +135,39 @@ def reference_host_groups(owner, src, dst, num_hosts):
         usrc = s
         usrc_cuts = np.zeros(cuts.size, dtype=np.int64)
     return {
-        "order": order, "cuts": cuts, "src_sorted": s,
-        "dst_sorted": dst[order], "usrc": usrc, "usrc_cuts": usrc_cuts,
+        "cuts": cuts, "src_sorted": s,
+        "dst_sorted": dst[order],
+        "w_sorted": None if weights is None else weights[order],
+        "usrc": usrc, "usrc_cuts": usrc_cuts,
     }
 
 
 def assert_slots_equal(groups: HostGroups, expected: dict) -> None:
+    # No slot beyond the reference's: the permutation is not kept.
+    assert set(HostGroups.__slots__) == set(expected)
     for slot in HostGroups.__slots__:
         got, want = getattr(groups, slot), expected[slot]
+        if want is None:
+            assert got is None, slot
+            continue
         assert got.dtype == want.dtype, slot
         np.testing.assert_array_equal(got, want, err_msg=slot)
 
 
 @st.composite
 def host_inputs(draw):
-    """(owner, src, dst, num_hosts) as one reading host sees them, and
-    the (graph, (start, stop)) its ``src``/``dst`` were read from.
+    """(owner, src, dst, num_hosts, weights) as one reading host sees
+    them, and the (graph, (start, stop)) its edges were read from.
 
     ``src``/``dst`` are a host's slice of a CSR walk (``src``
     non-decreasing); owners are drawn from a *subset* of the hosts so
     first, last and interior groups come out empty, and the node range
     may hold no edge at all.
     """
-    graph = draw(graphs())
+    graph = draw(graphs(weighted=draw(st.booleans())))
     start = draw(st.integers(0, graph.num_nodes))
     stop = draw(st.integers(start, graph.num_nodes))
-    src, dst, _ = host_edge_slice(graph, start, stop)
+    src, dst, weights = host_edge_slice(graph, start, stop)
     num_hosts = draw(st.integers(1, 9))
     live = draw(st.lists(
         st.integers(0, num_hosts - 1), min_size=1, max_size=num_hosts,
@@ -163,7 +178,7 @@ def host_inputs(draw):
     ))
     dtype = draw(st.sampled_from([np.int32, np.int64]))
     return (
-        np.array(owner, dtype=dtype), src, dst, num_hosts,
+        np.array(owner, dtype=dtype), src, dst, num_hosts, weights,
         graph, (start, stop),
     )
 
@@ -172,17 +187,17 @@ class TestHostGroups:
     @settings(max_examples=200, deadline=None)
     @given(host_inputs())
     def test_slots_equal_argsort_formulation(self, inputs):
-        owner, src, dst, num_hosts = inputs[:4]
+        owner, src, dst, num_hosts, weights = inputs[:5]
         assert_slots_equal(
-            HostGroups(owner, src, dst, num_hosts),
-            reference_host_groups(owner, src, dst, num_hosts),
+            HostGroups(owner, src, dst, num_hosts, weights),
+            reference_host_groups(owner, src, dst, num_hosts, weights),
         )
 
     @settings(max_examples=100, deadline=None)
     @given(host_inputs())
     def test_pickles_to_none_and_regroups_to_live_object(self, inputs):
-        owner, src, dst, num_hosts, graph, host_range = inputs
-        live = HostGroups(owner, src, dst, num_hosts)
+        owner, src, dst, num_hosts, weights, graph, host_range = inputs
+        live = HostGroups(owner, src, dst, num_hosts, weights)
         assert pickle.loads(pickle.dumps(live)) is None
         # The grouping installed where the body ran is lost on the way
         # through a pickle; host 0 reads the slice.
@@ -205,10 +220,14 @@ class TestHostGroups:
         dst = rng.integers(0, 500, size=3000)
         owner = rng.integers(0, num_hosts, size=3000).astype(np.int32)
         owner[:2] = (0, num_hosts - 1)
-        assert_slots_equal(
-            HostGroups(owner, src, dst, num_hosts),
-            reference_host_groups(owner, src, dst, num_hosts),
-        )
+        for weights in (None, rng.random(3000)):
+            # Narrowed owners (what the assignment phase holds) group
+            # the same as int32 ones.
+            for keys in (owner, narrow_group_keys(owner, num_hosts)):
+                assert_slots_equal(
+                    HostGroups(keys, src, dst, num_hosts, weights),
+                    reference_host_groups(owner, src, dst, num_hosts, weights),
+                )
 
     def test_negative_owner_raises(self):
         src = dst = np.arange(4, dtype=np.int64)
@@ -221,6 +240,36 @@ class TestHostGroups:
         owner = np.array([0, 3, 2, 1], dtype=np.int32)
         with pytest.raises(ValueError, match=r"3 out of range \[0, 3\)"):
             HostGroups(owner, src, dst, 3)
+
+
+class TestNarrowOwners:
+    """The assignment phase holds owners in the narrowest unsigned dtype
+    (one byte up to 256 hosts, two up to 65 536); either side of the
+    first boundary partitions exactly as int32 owners do."""
+
+    @pytest.mark.parametrize("k,dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_partition_equals_int32_owners(self, monkeypatch, k, dtype):
+        graph = erdos_renyi(600, 6000, seed=5)
+        narrow = assignment_phase.narrow_group_keys
+        held = []
+
+        def recording(keys, num_keys):
+            held.append(narrow(keys, num_keys))
+            return held[-1]
+
+        monkeypatch.setattr(assignment_phase, "narrow_group_keys", recording)
+        narrowed = CuSP(k, "DBH").partition(graph)
+        assert {owner.dtype for owner in held} == {np.dtype(dtype)}
+        # Degree hashing reaches the last host, so a wrapped narrowing
+        # would show.
+        assert max(int(owner.max(initial=0)) for owner in held) == k - 1
+
+        monkeypatch.setattr(
+            assignment_phase, "narrow_group_keys", lambda keys, _n: keys
+        )
+        wide = CuSP(k, "DBH").partition(graph)
+        assert_same_partition(narrowed, wide)
+        assert narrowed.breakdown.phases == wide.breakdown.phases
 
 
 class TestMirrorInfoBitmaps:

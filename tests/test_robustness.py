@@ -369,6 +369,36 @@ class TestResume:
         assert resumed.sanitizer.violations == []
         assert_same_partition(dg, ref_dg)
 
+    def test_resume_from_int32_owners_is_bit_exact(self, tmp_path):
+        """A version-2 checkpoint may hold int32 owner arrays (what it
+        held before owners were narrowed); a resume reads them to the
+        same partition."""
+        graph = small_graph()
+        _, ref_dg = run(None, graph=graph)
+        CuSP(4, "CVC", checkpoint_dir=tmp_path).partition(graph)
+        meta = {
+            "policy": "CVC", "num_partitions": 4,
+            "num_nodes": graph.num_nodes, "num_edges": graph.num_edges,
+        }
+        ckpt = PartitionCheckpoint(tmp_path, meta=meta, resume=True)
+        owners = ckpt.load("assignment")
+        assert {a.dtype for a in owners.values()} == {np.dtype(np.uint8)}
+        ckpt.save(
+            "assignment",
+            **{name: a.astype(np.int32) for name, a in owners.items()},
+        )
+        reopened = PartitionCheckpoint(tmp_path, meta=meta, resume=True)
+        assert reopened.completed()[-1] == "allocation"
+        assert {a.dtype for a in reopened.load("assignment").values()} == {
+            np.dtype(np.int32)
+        }
+        resumed = CuSP(4, "CVC", checkpoint_dir=tmp_path, resume=True,
+                       sanitizer=True)
+        dg = resumed.partition(graph)
+        assert resumed.sanitizer.violations == []
+        assert_same_partition(dg, ref_dg)
+        assert dg.breakdown.phases == ref_dg.breakdown.phases
+
     def test_resume_without_checkpoint_dir_is_rejected(self):
         with pytest.raises(ValueError, match="checkpoint"):
             CuSP(4, "CVC", resume=True)
