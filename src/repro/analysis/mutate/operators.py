@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from ..lint.base import ModuleSource, dotted_name, resolve_name
+from ..lint.base import ModuleSource, resolve_name
 
 __all__ = [
     "Splice",
@@ -352,30 +352,38 @@ class SkipSyncRoundOperator(_DropCallOperator):
 
 @register_operator
 class NarrowDtypeOperator(MutationOperator):
-    """Narrow an ``int64`` dtype token inside a ``ColumnSchema(...)``."""
+    """Narrow a node-id width tier one step: ids stored, grouped and
+    shipped in a dtype one tier too narrow wrap silently."""
 
     name = "narrow-dtype"
     fault_class = "wire-format"
-    description = "narrow an int64 ColumnSchema column to int32"
+    description = "narrow a node-id width tier by one dtype"
+    target_rels = ("graph/csr.py",)
+
+    #: The tier function and each unsigned tier's next narrower dtype.
+    tier_function = "node_id_dtype"
+    narrower = {"uint16": "uint8", "uint32": "uint16"}
 
     def sites(self, module: ModuleSource) -> Iterator[MutationSite]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+        for func in ast.walk(module.tree):
+            if (
+                not isinstance(func, ast.FunctionDef)
+                or func.name != self.tier_function
+            ):
                 continue
-            callee = dotted_name(node.func)
-            if callee is None or callee.split(".")[-1] != "ColumnSchema":
-                continue
-            for inner in ast.walk(node):
+            for inner in ast.walk(func):
                 if not isinstance(inner, ast.Attribute):
                     continue
-                if resolve_name(inner, module.aliases) != "numpy.int64":
+                target = resolve_name(inner, module.aliases) or ""
+                module_name, _, dtype = target.rpartition(".")
+                if module_name != "numpy" or dtype not in self.narrower:
                     continue
                 src = _source_of(module, inner)
                 yield self.site(
                     module,
                     inner,
-                    f"narrow dtype: {src} in ColumnSchema",
-                    [_replace(inner, src.replace("int64", "int32"))],
+                    f"narrow node-id tier: {src} -> {self.narrower[dtype]}",
+                    [_replace(inner, src.replace(dtype, self.narrower[dtype]))],
                 )
 
 

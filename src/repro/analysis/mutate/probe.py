@@ -22,7 +22,8 @@ Detectors, in emission order:
 * ``contracts`` — the static phase-contract diff (strict);
 * ``dynamic`` — fixture partitions under CommSan and the isolation
   monitor: run-to-run bit-identity, serial-vs-parallel bit-identity,
-  and the partition invariant checker.
+  and the partition invariant checker, on the fixture graph and on two
+  width fixtures whose ids fill a node-id tier.
 
 The module top level imports only the standard library, and the driver
 runs this file *by path* (not ``-m``): a mutant that breaks ``import
@@ -43,7 +44,10 @@ import sys
 from pathlib import Path
 from typing import Callable, IO
 
-__all__ = ["main", "partition_digest", "FIXTURES", "ABLATION_FIXTURE"]
+__all__ = [
+    "main", "partition_digest", "FIXTURES", "ABLATION_FIXTURE",
+    "WIDTH_FIXTURE_NODES",
+]
 
 #: (policy, num_hosts, sync_rounds): one stateful+impure master rule
 #: (GVC = FennelEB) exercising the request/assignment exchange and the
@@ -59,6 +63,12 @@ FIXTURE_GRAPH = (220, 1700, 11)
 #: master rule run with ``elide_master_communication=False``, the only
 #: configuration in which the master-broadcast contract op fires.
 ABLATION_FIXTURE: tuple[str, int, int] = ("CVC", 4, 3)
+
+#: Node counts of the width fixtures: the top of the uint16 node-id tier
+#: and one past it (``repro.graph.csr.node_id_dtype``).  Their edges
+#: leave the highest ids, so ids stored one tier too narrow wrap; the
+#: 220-node fixture graph never gets past 255.
+WIDTH_FIXTURE_NODES: tuple[int, ...] = (1 << 16, (1 << 16) + 1)
 
 
 def _emit(out: IO[str], record: dict) -> None:
@@ -144,10 +154,13 @@ def partition_digest(dg) -> str:
 
 def _dynamic_verdict(out: IO[str]) -> None:
     try:
+        import numpy as np
+
         from repro import CuSP
         from repro.analysis.contracts import ContractViolationError
         from repro.analysis.isolation import IsolationViolation
         from repro.core.validate import check_partition
+        from repro.graph.csr import CSRGraph
         from repro.graph.generators import erdos_renyi
     except Exception as exc:  # noqa: BLE001 — an unimportable mutant IS caught
         _emit(
@@ -174,7 +187,9 @@ def _dynamic_verdict(out: IO[str]) -> None:
             checks.append(f"crash:{type(exc).__name__}:{label}")
         return None
 
-    def run(policy: str, hosts: int, rounds: int, executor: str, **kw):
+    def run(
+        policy: str, hosts: int, rounds: int, executor: str, on=graph, **kw
+    ):
         with CuSP(
             hosts,
             policy,
@@ -183,7 +198,7 @@ def _dynamic_verdict(out: IO[str]) -> None:
             sanitizer=True,
             **kw,
         ) as cusp:
-            return cusp.partition(graph)
+            return cusp.partition(on)
 
     for index, (policy, hosts, rounds) in enumerate(FIXTURES):
         serial = attempt(
@@ -239,6 +254,17 @@ def _dynamic_verdict(out: IO[str]) -> None:
         report = check_partition(ablation, graph)
         if report.errors:
             checks.append("invariants:ablation:CVC")
+
+    # Width fixtures: CVC over graphs whose ids fill a node-id tier.
+    for n in WIDTH_FIXTURE_NODES:
+        src = np.arange(n - 600, n, dtype=np.int64)
+        wide = CSRGraph.from_edges(src, src * 7919 % n, num_nodes=n)
+        label = f"width:{n}"
+        dg = attempt(
+            label, lambda wide=wide: run(*ABLATION_FIXTURE, "serial", on=wide)
+        )
+        if dg is not None and check_partition(dg, wide).errors:
+            checks.append(f"invariants:{label}")
     _emit(
         out,
         {"detector": "dynamic", "caught": bool(checks), "findings": sorted(checks)},

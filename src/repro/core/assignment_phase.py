@@ -8,8 +8,8 @@ Each host scans the edges it read, calls ``getEdgeOwner`` on every edge
 * which destination proxies the peer must create as *mirrors*, with their
   master assignments (the "(Master/)Mirror Info" flow of Figure 2): its
   bytes are charged here, the ids are not materialised — allocation
-  exchanges the same sets as presence bitmaps
-  (:meth:`HostGroups.endpoint_mask`).
+  exchanges the same sets as presence bitmaps, which
+  :class:`HostGroups` packs from the masks it counts the mirrors with.
 
 Hosts with nothing to send to a peer send a small "empty" message instead
 (§IV-D2).  The computed owner array is retained for the construction
@@ -29,7 +29,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import CSRGraph, narrow_group_keys, stable_group_order
+from ..graph.csr import (
+    CSRGraph,
+    narrow_group_keys,
+    node_id_dtype,
+    stable_group_order,
+)
 from ..runtime import pool as _pool
 from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
@@ -63,7 +68,8 @@ def _mask_unique(num_nodes: int, *id_arrays: np.ndarray) -> np.ndarray:
 
 
 class HostGroups:
-    """One host's edges grouped by owner, with per-group unique sources.
+    """One host's edges grouped by owner, with per-group unique sources
+    and the mirror info of each group.
 
     A counting sort in NumPy calls: the permutation comes from
     :func:`~repro.graph.csr.stable_group_order` (an O(n) radix argsort
@@ -74,19 +80,34 @@ class HostGroups:
     non-decreasing *within* each owner group, so the per-group
     sorted-unique source lists fall out of one O(n) boundary scan
     instead of a ``np.unique`` per peer.  The same grouping serves edge
-    assignment (mirror sets), allocation (endpoint sets) and
+    assignment (mirror counts), allocation (endpoint bitmaps) and
     construction (edge shipping), so it is computed once per host and
     cached on :class:`EdgeAssignment`.  The permutation itself is
     dropped once the gathers are made: a weighted host keeps its
     weights gathered the same way (``w_sorted``), an unweighted one
     keeps ``None`` there.
 
+    Node ids are kept at node-id width
+    (:func:`~repro.graph.csr.node_id_dtype`, two bytes up to 65 536
+    nodes): ``src_sorted``/``dst_sorted`` are what ``ship-edges`` sends,
+    and its queued blocks pin them until ``build-partition`` drains
+    them.  What *indexes* with ids runs while the gathers are still
+    int64: one presence mask over ``[0, num_nodes)`` per owner group
+    with edges — the distinct endpoints that group brings, the "mirror
+    info" of Figure 2 — kept packed as ``bitmaps`` (``(j, packbits)``
+    pairs, which allocation exchanges) and, given the master map,
+    counted into ``mirrors[j]``: the endpoints not mastered on ``j``,
+    which edge assignment charges.  ``num_nodes`` defaults to the
+    largest id plus one; ``mirrors`` is ``None`` without ``masters``.
+    ``usrc`` stays int64.
+
     Raises :class:`ValueError` naming the value when an owner is
     outside ``[0, num_hosts)``.
     """
 
     __slots__ = (
-        "cuts", "src_sorted", "dst_sorted", "w_sorted", "usrc", "usrc_cuts"
+        "cuts", "src_sorted", "dst_sorted", "w_sorted", "usrc", "usrc_cuts",
+        "bitmaps", "mirrors",
     )
 
     def __init__(
@@ -96,11 +117,13 @@ class HostGroups:
         dst: np.ndarray,
         num_hosts: int,
         weights: np.ndarray | None = None,
+        num_nodes: int | None = None,
+        masters: np.ndarray | None = None,
     ):
         order = stable_group_order(owner, num_hosts)
         cuts = np.zeros(num_hosts + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner, minlength=num_hosts), out=cuts[1:])
-        s = src[order]
+        s, d = src[order], dst[order]
         n = s.size
         # A row opens a unique-source run when its source differs from
         # the row above or it is the first row of an owner group.
@@ -110,12 +133,26 @@ class HostGroups:
         starts = cuts[:-1]
         keep[starts[starts < n]] = True
         first = np.flatnonzero(keep)
+        usrc, usrc_cuts = s[first], np.searchsorted(first, cuts)
+        if num_nodes is None:
+            num_nodes = int(max(s.max(initial=-1), d.max(initial=-1))) + 1
+        bitmaps: list[tuple[int, np.ndarray]] = []
+        mirrors = None if masters is None else np.zeros(num_hosts, np.int64)
+        mark = np.empty(num_nodes, dtype=bool)
+        for j in np.flatnonzero(np.diff(cuts)).tolist():
+            mark[:] = False
+            mark[usrc[usrc_cuts[j] : usrc_cuts[j + 1]]] = True
+            mark[d[cuts[j] : cuts[j + 1]]] = True
+            bitmaps.append((j, np.packbits(mark)))
+            if mirrors is not None:
+                mirrors[j] = np.count_nonzero(mark & (masters != j))
+        ids = node_id_dtype(num_nodes)
         self.cuts = cuts
-        self.src_sorted = s
-        self.dst_sorted = dst[order]
+        self.src_sorted = s.astype(ids)
+        self.dst_sorted = d.astype(ids)
         self.w_sorted = None if weights is None else weights[order]
-        self.usrc = s[first]
-        self.usrc_cuts = np.searchsorted(first, cuts)
+        self.usrc, self.usrc_cuts = usrc, usrc_cuts
+        self.bitmaps, self.mirrors = bitmaps, mirrors
 
     def __reduce__(self):
         # A grouping never crosses a process boundary: it is a pure
@@ -123,23 +160,6 @@ class HostGroups:
         # which the other side already holds, so it pickles to ``None``
         # and whoever misses it regroups (:meth:`EdgeAssignment.host_groups`).
         return (type(None), ())
-
-    def group_dst(self, j: int) -> np.ndarray:
-        """``dst`` restricted to host ``j``'s group (a zero-copy view)."""
-        return self.dst_sorted[self.cuts[j] : self.cuts[j + 1]]
-
-    def unique_src(self, j: int) -> np.ndarray:
-        """Sorted distinct sources among host ``j``'s edges."""
-        return self.usrc[self.usrc_cuts[j] : self.usrc_cuts[j + 1]]
-
-    def endpoint_mask(self, j: int, out: np.ndarray) -> np.ndarray:
-        """Presence mask of the distinct endpoints of host ``j``'s
-        edges, written into the node-indexed bool array ``out`` — the
-        "mirror info" of Figure 2 without any per-peer sort."""
-        out[:] = False
-        out[self.unique_src(j)] = True
-        out[self.group_dst(j)] = True
-        return out
 
 
 #: Worker-local carry-over of the groupings ``_assign_edges_body`` built:
@@ -205,7 +225,8 @@ class EdgeAssignment:
             else:
                 src, dst, weights = host_edge_slice(graph, *self.ranges[h])
                 groups = HostGroups(
-                    owner, src, dst, self.edges_to.shape[0], weights
+                    owner, src, dst, self.edges_to.shape[0], weights,
+                    num_nodes=graph.num_nodes,
                 )
             # repro-lint: disable-next-line=deep-unshippable-task-capture -- recompute-on-miss cache (see class docstring): a worker-local write that is lost with the fork is recomputed identically on the next miss
             self._groups[h] = groups
@@ -319,9 +340,11 @@ def _assign_edges_body(view: HostView, payload: tuple):
         # never executes inside a mapped task.
         # repro-lint: disable-next-line=comm-in-task,deep-comm-in-task -- chain()-only path, sequential by construction
         estate.sync_round(comm, blocking=False)
-    groups = HostGroups(owner, src, dst, num_hosts, weights)
+    groups = HostGroups(
+        owner, src, dst, num_hosts, weights,
+        num_nodes=prop.getNumNodes(), masters=masters,
+    )
     nodes_read = stop - start
-    mark = np.empty(prop.getNumNodes(), dtype=bool)
     for j in range(num_hosts):
         if j == h:
             continue
@@ -334,9 +357,7 @@ def _assign_edges_body(view: HostView, payload: tuple):
         # Mirror info: destination proxies on j whose master is
         # elsewhere, plus source proxies on j whose master is
         # elsewhere — the distinct endpoints minus the j-mastered ones.
-        mirrors = np.count_nonzero(
-            groups.endpoint_mask(j, mark) & (masters != j)
-        )
+        mirrors = int(groups.mirrors[j])
         view.send_batch(
             j,
             MessageBatch(_EDGE_COUNTS_SCHEMA, scalars=(int(counts[j]),)),

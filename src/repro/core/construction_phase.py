@@ -14,25 +14,30 @@ in-memory transpose, which needs no communication (Algorithm 4 line 13).
 Both phases share the
 :class:`~repro.core.assignment_phase.HostGroups` owner grouping cached on
 the :class:`~repro.core.assignment_phase.EdgeAssignment` (one stable sort
-per host serves endpoint grouping, edge shipping and the per-peer unique
-source counts), and edges travel as typed
-:class:`~repro.runtime.colfab.MessageBatch` columns.
+per host serves the endpoint bitmaps, edge shipping and the per-peer
+unique source counts), and edges travel as typed
+:class:`~repro.runtime.colfab.MessageBatch` columns whose node ids are
+node-id width (two bytes up to 65 536 nodes); ``build-partition`` widens
+them to int64 once, as it maps them to local ids.  The bytes charged for
+an edge block stay the paper's wire format (§IV-C3): 8 per distinct
+source plus 8 (16 weighted) per edge, whatever the in-memory width.
 
 Task bodies live at module level so the pooled process executor can ship
 them by reference; the phase inputs they share (``assignment``,
 ``masters``, ``proxies``) are published as shared-memory residents so
 workers map them zero-copy.  Allocation exchanges mirror info, not
-pointers into a peer: each reading host sends every owner a presence
-bitmap of the endpoints it contributes there (``n / 8`` bytes per
-(reader, owner) pair with edges, at most ``k² · n / 8`` per run), so no
-task reads a grouping of a host it did not itself group.
+pointers into a peer: each reading host sends every owner the presence
+bitmap of the endpoints it contributes there, which its grouping packed
+during edge assignment (``n / 8`` bytes per (reader, owner) pair with
+edges, at most ``k² · n / 8`` per run), so no task reads a grouping of a
+host it did not itself group.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, node_id_dtype
 from ..runtime.colfab import ColumnSchema, MessageBatch
 from ..runtime.executor import HostTask, HostView
 from ..runtime.stats import PhaseStats
@@ -41,7 +46,24 @@ from .partition import LocalPartition
 from .policies import Policy
 from .prop import GraphProp
 
-__all__ = ["run_allocation", "run_construction"]
+__all__ = ["ReceivedEdgeCountError", "run_allocation", "run_construction"]
+
+
+class ReceivedEdgeCountError(RuntimeError):
+    """An owning host received a different number of edges than edge
+    assignment told it to expect (Algorithm 3's ``toReceive``)."""
+
+    def __init__(self, host: int, expected: int, received: int):
+        super().__init__(
+            f"host {host} received {received} edges; edge assignment "
+            f"told it to expect {expected}"
+        )
+        self.host, self.expected, self.received = host, expected, received
+
+    def __reduce__(self) -> tuple:
+        # Survive the pool's worker -> parent hop with its fields: the
+        # default replays __init__ with the message as its one argument.
+        return (type(self), (self.host, self.expected, self.received))
 
 
 # -- Task bodies ---------------------------------------------------------
@@ -52,15 +74,10 @@ def _group_endpoints_body(
 ) -> list[tuple[int, np.ndarray]]:
     """Mirror info from one reading host: per owner ``j`` that receives
     edges from it, ``(j, bitmap)`` — ``np.packbits`` of the presence
-    mask over ``[0, n)`` of that group's distinct endpoints."""
+    mask over ``[0, n)`` of that group's distinct endpoints, as the
+    grouping stored it."""
     assignment, prop, h = payload
-    groups = assignment.host_groups(h, prop.graph)
-    mark = np.empty(prop.getNumNodes(), dtype=bool)
-    return [
-        (j, np.packbits(groups.endpoint_mask(j, mark)))
-        for j in range(groups.cuts.size - 1)
-        if groups.cuts[j + 1] > groups.cuts[j]
-    ]
+    return assignment.host_groups(h, prop.graph).bitmaps
 
 
 def _build_proxies_body(view: HostView, payload: tuple) -> np.ndarray:
@@ -112,25 +129,25 @@ def _build_partition_body(view: HostView, payload: tuple) -> LocalPartition:
     """Partition assembly for one owning host."""
     proxies, masters, assignment, schema, weighted, n, output, j = payload
     rb = view.recv_all_batch(tag="edges", schema=schema)
-    all_src, all_dst = rb.columns["src"], rb.columns["dst"]
-    all_w = rb.columns["w"] if weighted else None
+    received, expected = rb.rows, int(assignment.to_receive[j])
+    if received != expected:
+        raise ReceivedEdgeCountError(j, expected, received)
     gids = proxies[j]
     lookup = np.full(n, -1, dtype=np.int64)
     mastered_mask = masters[gids] == j
     ordered = np.concatenate([gids[mastered_mask], gids[~mastered_mask]])
     num_masters = int(mastered_mask.sum())
     lookup[ordered] = np.arange(ordered.size, dtype=np.int64)
-    assert all_src.size == assignment.to_receive[j], (
-        "received edge count differs from edge-assignment metadata"
-    )
+    # The ids arrive at node-id width; they widen to int64 once, here,
+    # where they index the global-to-local map.
     local_graph = CSRGraph.from_edges(
-        lookup[all_src],
-        lookup[all_dst],
+        lookup[rb.columns["src"].astype(np.int64)],
+        lookup[rb.columns["dst"].astype(np.int64)],
         num_nodes=ordered.size,
-        edge_data=all_w,
+        edge_data=rb.columns["w"] if weighted else None,
     )
     # Deserialization + parallel insertion: ~2 units/edge.
-    view.add_compute(2.0 * all_src.size)
+    view.add_compute(2.0 * received)
     local_csc = None
     if output == "csc":
         local_csc = local_graph.transpose()
@@ -197,12 +214,14 @@ def run_allocation(
 
 
 def edge_stream_schema(prop: GraphProp) -> ColumnSchema:
-    """The edges channel type: (src, dst[, w]) columns in global ids."""
+    """The edges channel type: (src, dst[, w]) columns in global ids,
+    the ids at node-id width (:func:`~repro.graph.csr.node_id_dtype`)."""
+    ids = node_id_dtype(prop.getNumNodes())
     weight: list[tuple[str, np.dtype]] = []
     if prop.graph.is_weighted:
         assert prop.graph.edge_data is not None
         weight.append(("w", prop.graph.edge_data.dtype))
-    return ColumnSchema([("src", np.int64), ("dst", np.int64), *weight])
+    return ColumnSchema([("src", ids), ("dst", ids), *weight])
 
 
 def run_construction(

@@ -158,47 +158,23 @@ class DistributedGraph:
     # Validation (used heavily by the test suite)
     # ------------------------------------------------------------------
     def validate(self, original: CSRGraph | None = None) -> None:
-        """Check the partitioning invariants; raise AssertionError on any
-        violation.
+        """Check the partitioning invariants; raise AssertionError naming
+        every violation (explicitly raised, so ``python -O`` checks too).
+
+        The invariants are :func:`~repro.core.validate.check_partition`'s:
 
         * every vertex has exactly one master, on the partition the master
           map says;
         * mirrors never duplicate masters within a partition and proxies
           are unique;
-        * every local edge's endpoints have proxies on that partition;
+        * every local graph is well-formed CSR whose edge endpoints have
+          proxies on that partition;
         * if ``original`` is given, the union of the partitions' edges is
           exactly the original edge multiset.
         """
-        n = self.num_global_nodes
-        master_seen = np.zeros(n, dtype=np.int64)
-        for p in self.partitions:
-            gids = p.global_ids
-            assert gids.size == np.unique(gids).size, "duplicate proxies"
-            m = p.master_global_ids
-            master_seen[m] += 1
-            assert np.all(self.masters[m] == p.host), "master map mismatch"
-            mirrors = p.mirror_global_ids
-            if mirrors.size:
-                assert np.all(self.masters[mirrors] != p.host), (
-                    "mirror mastered locally"
-                )
-            assert np.array_equal(
-                p.master_host, self.masters[gids]
-            ), "stale master_host"
-            src, dst = p.local_graph.edges()
-            assert src.size == 0 or src.max() < gids.size, "edge endpoint out of range"
-            assert dst.size == 0 or dst.max() < gids.size, "edge endpoint out of range"
-        assert np.all(master_seen == 1), "each vertex needs exactly one master"
-        total_edges = int(sum(p.num_edges for p in self.partitions))
-        assert total_edges == self.num_global_edges, (
-            f"edge count mismatch: {total_edges} != {self.num_global_edges}"
-        )
-        if original is not None:
-            mine = self._global_edge_matrix()
-            theirs = np.stack(original.edges(), axis=1)
-            mine = mine[np.lexsort((mine[:, 1], mine[:, 0]))]
-            theirs = theirs[np.lexsort((theirs[:, 1], theirs[:, 0]))]
-            assert np.array_equal(mine, theirs), "edge multiset differs from original"
+        from .validate import check_partition
+
+        check_partition(self, original).raise_if_failed()
 
     def _global_edge_matrix(self) -> np.ndarray:
         parts = []

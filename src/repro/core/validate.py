@@ -1,10 +1,11 @@
 """End-to-end partition invariant checking.
 
-:meth:`~repro.core.partition.DistributedGraph.validate` asserts and is
-aimed at tests; this module is the *reporting* checker the CLI and the
-crash-recovery machinery use: it evaluates every invariant, collects
+This module is the one checker: it evaluates every invariant, collects
 human-readable violations instead of stopping at the first, and returns a
-:class:`ValidationReport` suitable for exit-code plumbing.
+:class:`ValidationReport` suitable for exit-code plumbing (the CLI and
+the crash-recovery machinery).
+:meth:`~repro.core.partition.DistributedGraph.validate` is the raising
+form tests use: :meth:`ValidationReport.raise_if_failed` of the report.
 
 Checked invariants (paper §II's definition of a partition):
 

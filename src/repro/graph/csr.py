@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph", "narrow_group_keys", "stable_group_order"]
+__all__ = [
+    "CSRGraph", "narrow_group_keys", "node_id_dtype", "stable_group_order"
+]
 
 
 def _as_int64(a, name: str) -> np.ndarray:
@@ -84,6 +86,22 @@ def narrow_group_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
     if num_keys <= 1 << 16:
         return keys.astype(np.uint16, copy=False)
     return keys
+
+
+def node_id_dtype(num_nodes: int) -> np.dtype:
+    """The narrowest dtype that holds every node id in ``[0, num_nodes)``:
+    ``uint16`` up to 65 536 nodes (the boundary :func:`narrow_group_keys`
+    uses), ``uint32`` up to 2**32, ``int64`` beyond.
+
+    For ids that are stored or shipped, not indexed with: NumPy converts
+    a non-``intp`` index array on every fancy-indexing use, so ids held
+    this narrow are widened to ``int64`` once, where they become indices.
+    """
+    if num_nodes <= 1 << 16:
+        return np.dtype(np.uint16)
+    if num_nodes <= 1 << 32:
+        return np.dtype(np.uint32)
+    return np.dtype(np.int64)
 
 
 def stable_group_order(keys: np.ndarray, num_keys: int) -> np.ndarray:

@@ -15,6 +15,7 @@ shipping each barrier input once: declared inboxes (``HostTask.drains``),
 refresh-in-place ``publish`` and the ``sync_rounds`` scaling gate.
 """
 
+import collections
 import contextlib
 import errno
 import functools
@@ -42,6 +43,7 @@ from repro.core import (
 from repro.core.assignment_phase import run_edge_assignment
 from repro.core.masters_phase import run_master_assignment
 from repro.graph import erdos_renyi
+from repro.graph.csr import node_id_dtype
 from repro.runtime import colfab, pool as pool_module, residency
 from repro.runtime.colfab import ColumnSchema, MessageBatch
 from repro.runtime.comm import Communicator, payload_nbytes
@@ -1083,7 +1085,8 @@ class TestGroupingsStayHome:
             for start, stop in compute_read_ranges(graph, k)
         ]
         assert n * 8 < SHM_THRESHOLD <= min(per_host)
-        barriers = {}  # label -> (pipe bytes, segments, result per reply)
+        # label -> (pipe bytes, segments, result per reply, queued sends)
+        barriers = {}
         dispatch = ProcessExecutor._pool_dispatch
 
         def recording_dispatch(self, stats, tasks):
@@ -1093,6 +1096,7 @@ class TestGroupingsStayHome:
                 parent_traffic["bytes"] - before["bytes"],
                 parent_traffic["segments"] - before["segments"],
                 [delta["result"] for delta in deltas],
+                [send for delta in deltas for send in delta["queued"]],
             )
             return deltas
 
@@ -1117,7 +1121,7 @@ class TestGroupingsStayHome:
         def shapes(replies):
             return [[(a.dtype, a.size) for a in _arrays(r)] for r in replies]
 
-        _, _, replies = barriers["assign-edges"]
+        _, _, replies, _ = barriers["assign-edges"]
         assert shapes(replies) == [
             [(np.dtype(np.uint8), edges), (np.dtype(np.int64), k)]
             for edges in per_host
@@ -1135,14 +1139,27 @@ class TestGroupingsStayHome:
         # twice (reply, then the owner's spec); no array in either
         # direction is large enough to ride a segment.
         bitmap = (n + 7) // 8
-        pipe, segments, replies = barriers["group-endpoints"]
+        pipe, segments, replies, _ = barriers["group-endpoints"]
         assert segments == 0 and pipe < SHM_THRESHOLD // 8
         # All-to-all: every reader has edges for every owner.
         assert shapes(replies) == [[(np.dtype(np.uint8), bitmap)] * k] * k
-        pipe, segments, replies = barriers["build-proxies"]
+        pipe, segments, replies, _ = barriers["build-proxies"]
         assert segments == 0
         assert k * k * bitmap <= pipe < k * k * bitmap + k * 2048
         assert all(a.nbytes < SHM_THRESHOLD for a in _arrays(replies))
+        # Construction: an edge block carries two node ids per edge at
+        # node-id width (two bytes each at n = 8 000), no int64 column.
+        width = node_id_dtype(n).itemsize
+        assert width == 2
+        blocks = [
+            block for _dst, tag, block in barriers["ship-edges"][3]
+            if tag == "edges"
+        ]
+        assert sum(block.rows for block in blocks) == m
+        for block in blocks:
+            assert sum(c.nbytes for c in block.columns) <= (
+                2 * width * block.rows
+            )
 
 
 def _kill_host_one_in_worker(body):
@@ -1236,22 +1253,53 @@ class TestSharedMemoryFull:
                 counted.partition(self.GRAPH)
         return len(calls)
 
+    def _worker_exports(self, monkeypatch, tmp_path) -> int:
+        """How many segments the busiest worker fills in a warm call (its
+        replies: assign-edges owners and build-partition results; edge
+        blocks of two-byte ids stay under the segment threshold here).
+        Workers count from their fork, so each logs its pid per export
+        to a shared append-only file and the cold call's lines are set
+        aside."""
+        log = tmp_path / "worker-exports"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def count(call_no, pwrite, *args):
+            os.write(fd, b"%d\n" % os.getpid())
+            return pwrite(*args)
+
+        try:
+            with monkeypatch.context() as patch:
+                _patch_pwrite(patch, True, count)
+                with CuSP(
+                    4, "CVC", executor=ProcessExecutor(max_workers=2)
+                ) as counted:
+                    counted.partition(self.GRAPH)
+                    cold = log.stat().st_size
+                    counted.partition(self.GRAPH)
+        finally:
+            os.close(fd)
+        per_worker = collections.Counter(log.read_bytes()[cold:].split())
+        return max(per_worker.values())
+
     @pytest.mark.parametrize("side,nth,raises", [
         # The parent's first, middle and last export, as a warm call on
         # another pool counted them.
         ("parent", 1, OSError), ("parent", "middle", OSError),
         ("parent", "last", OSError),
-        # Replies: assign-edges owners, build-proxies ids, queued edge
-        # blocks, build-partition results.
+        # A worker's replies: assign-edges owners first, build-partition
+        # results after, up to the last export of the busiest worker as
+        # a warm call on another pool counted it.
         ("worker", 1, RuntimeError), ("worker", 3, RuntimeError),
-        ("worker", 6, RuntimeError), ("worker", 15, RuntimeError),
+        ("worker", 6, RuntimeError), ("worker", "last", RuntimeError),
     ])
     def test_enospc_on_nth_export_fails_clean(
-        self, monkeypatch, unraisable, side, nth, raises
+        self, monkeypatch, tmp_path, unraisable, side, nth, raises
     ):
-        if isinstance(nth, str):
+        if side == "parent" and isinstance(nth, str):
             total = self._parent_exports(monkeypatch)
             nth = {"middle": (total + 1) // 2, "last": total}[nth]
+        elif nth == "last":
+            nth = self._worker_exports(monkeypatch, tmp_path)
 
         def full_on_nth(call_no, pwrite, *args):
             if call_no == nth:

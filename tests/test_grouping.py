@@ -19,17 +19,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CuSP, GraphProp, compute_read_ranges
+from repro.core import CuSP, GraphProp, compute_read_ranges, make_policy
 from repro.core import assignment_phase
 from repro.core.assignment_phase import (
     EdgeAssignment,
     HostGroups,
     assignment_from_owners,
     host_edge_slice,
+    run_edge_assignment,
 )
+from repro.core import construction_phase
 from repro.core.construction_phase import run_allocation
 from repro.graph import erdos_renyi
-from repro.graph.csr import CSRGraph, narrow_group_keys, stable_group_order
+from repro.graph.csr import (
+    CSRGraph,
+    narrow_group_keys,
+    node_id_dtype,
+    stable_group_order,
+)
 from repro.runtime.comm import Communicator
 from repro.runtime.stats import PhaseStats
 
@@ -115,13 +122,27 @@ class TestStableGroupOrder:
         )
 
 
-def reference_host_groups(owner, src, dst, num_hosts, weights=None):
+def reference_id_dtype(num_nodes):
+    """The first of uint16 / uint32 / int64 whose range holds the
+    largest node id."""
+    return next(
+        np.dtype(dt) for dt in (np.uint16, np.uint32, np.int64)
+        if num_nodes - 1 <= np.iinfo(dt).max
+    )
+
+
+def reference_host_groups(
+    owner, src, dst, num_hosts, weights=None, num_nodes=None, masters=None
+):
     """The ``HostGroups`` slots by the pre-counting-sort formulas;
     ``w_sorted`` is the weights the stable permutation gathers
-    (``None`` for an unweighted host)."""
+    (``None`` for an unweighted host).  The endpoint columns are held at
+    node-id width; each nonempty group's bitmap packs the ``union1d`` of
+    its sources and destinations, and ``mirrors[j]`` counts the members
+    of that union not mastered on ``j`` (``None`` without masters)."""
     order = np.argsort(owner, kind="stable")
     cuts = np.searchsorted(owner[order], np.arange(num_hosts + 1))
-    s = src[order]
+    s, d = src[order], dst[order]
     n = s.size
     if n:
         keep = np.empty(n, dtype=bool)
@@ -134,11 +155,27 @@ def reference_host_groups(owner, src, dst, num_hosts, weights=None):
     else:
         usrc = s
         usrc_cuts = np.zeros(cuts.size, dtype=np.int64)
+    if num_nodes is None:
+        num_nodes = int(max(s.max(initial=-1), d.max(initial=-1))) + 1
+    bitmaps = []
+    mirrors = None if masters is None else np.zeros(num_hosts, dtype=np.int64)
+    for j in range(num_hosts):
+        lo, hi = cuts[j], cuts[j + 1]
+        if lo == hi:
+            continue
+        ends = np.union1d(s[lo:hi], d[lo:hi])
+        mask = np.zeros(num_nodes, dtype=bool)
+        mask[ends] = True
+        bitmaps.append((j, np.packbits(mask)))
+        if masters is not None:
+            mirrors[j] = np.count_nonzero(masters[ends] != j)
+    ids = reference_id_dtype(num_nodes)
     return {
-        "cuts": cuts, "src_sorted": s,
-        "dst_sorted": dst[order],
+        "cuts": cuts, "src_sorted": s.astype(ids),
+        "dst_sorted": d.astype(ids),
         "w_sorted": None if weights is None else weights[order],
         "usrc": usrc, "usrc_cuts": usrc_cuts,
+        "bitmaps": bitmaps, "mirrors": mirrors,
     }
 
 
@@ -149,6 +186,12 @@ def assert_slots_equal(groups: HostGroups, expected: dict) -> None:
         got, want = getattr(groups, slot), expected[slot]
         if want is None:
             assert got is None, slot
+            continue
+        if slot == "bitmaps":
+            assert [j for j, _ in got] == [j for j, _ in want]
+            for (j, bits), (_, ref) in zip(got, want):
+                assert bits.dtype == ref.dtype == np.uint8
+                np.testing.assert_array_equal(bits, ref, err_msg=f"bitmap {j}")
             continue
         assert got.dtype == want.dtype, slot
         np.testing.assert_array_equal(got, want, err_msg=slot)
@@ -185,19 +228,32 @@ def host_inputs(draw):
 
 class TestHostGroups:
     @settings(max_examples=200, deadline=None)
-    @given(host_inputs())
-    def test_slots_equal_argsort_formulation(self, inputs):
-        owner, src, dst, num_hosts, weights = inputs[:5]
-        assert_slots_equal(
-            HostGroups(owner, src, dst, num_hosts, weights),
-            reference_host_groups(owner, src, dst, num_hosts, weights),
+    @given(host_inputs(), st.data())
+    def test_slots_equal_argsort_formulation(self, inputs, data):
+        owner, src, dst, num_hosts, weights, graph, _ = inputs
+        n = graph.num_nodes
+        masters = np.array(
+            data.draw(st.lists(
+                st.integers(0, num_hosts - 1), min_size=n, max_size=n
+            )),
+            dtype=np.int32,
         )
+        # Node range from the ids, then as the phases pass it.
+        for kwargs in ({}, {"num_nodes": n, "masters": masters}):
+            assert_slots_equal(
+                HostGroups(owner, src, dst, num_hosts, weights, **kwargs),
+                reference_host_groups(
+                    owner, src, dst, num_hosts, weights, **kwargs
+                ),
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(host_inputs())
     def test_pickles_to_none_and_regroups_to_live_object(self, inputs):
         owner, src, dst, num_hosts, weights, graph, host_range = inputs
-        live = HostGroups(owner, src, dst, num_hosts, weights)
+        live = HostGroups(
+            owner, src, dst, num_hosts, weights, num_nodes=graph.num_nodes
+        )
         assert pickle.loads(pickle.dumps(live)) is None
         # The grouping installed where the body ran is lost on the way
         # through a pickle; host 0 reads the slice.
@@ -272,11 +328,99 @@ class TestNarrowOwners:
         assert narrowed.breakdown.phases == wide.breakdown.phases
 
 
+def drawn_masters(data, k, n):
+    return np.array(
+        data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+        dtype=np.int32,
+    )
+
+
+class TestNodeIdWidth:
+    """Grouped endpoint columns and edge blocks hold node ids in the
+    narrowest of uint16 / uint32 / int64 that fits ``[0, n)``; a
+    partition built from them equals one built from int64 columns."""
+
+    @pytest.mark.parametrize("num_nodes,dtype", [
+        (0, np.uint16), (1, np.uint16), (65_536, np.uint16),
+        (65_537, np.uint32), (1 << 32, np.uint32), ((1 << 32) + 1, np.int64),
+    ])
+    def test_tiers(self, num_nodes, dtype):
+        got = node_id_dtype(num_nodes)
+        assert got == np.dtype(dtype) == reference_id_dtype(max(num_nodes, 1))
+        # The largest id of the tier's last node count still fits.
+        if num_nodes and got != np.int64:
+            top = np.array([num_nodes - 1], dtype=np.int64)
+            assert int(top.astype(got)[0]) == num_nodes - 1
+
+    @staticmethod
+    def top_heavy_graph(num_nodes: int) -> CSRGraph:
+        """Random edges, plus edges in and out of the largest id and of
+        ids that wrap to small ones one tier too narrow."""
+        src, dst = erdos_renyi(num_nodes, 20_000, seed=num_nodes).edges()
+        top = num_nodes - 1
+        extra_src = [top, top, 0, 256, 65_535, top]
+        extra_dst = [0, 256, top, top, top, 65_535]
+        return CSRGraph.from_edges(
+            np.concatenate([src, extra_src]),
+            np.concatenate([dst, extra_dst]),
+            num_nodes=num_nodes,
+        )
+
+    @pytest.mark.parametrize("num_nodes,dtype", [
+        (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    @pytest.mark.parametrize("policy", ["CVC", "SVC"])
+    def test_partition_equals_int64_columns(
+        self, monkeypatch, num_nodes, dtype, policy
+    ):
+        graph = self.top_heavy_graph(num_nodes)
+        held = []
+        groups_init = HostGroups.__init__
+
+        def recording(self, *args, **kwargs):
+            groups_init(self, *args, **kwargs)
+            held.append((self.src_sorted.dtype, self.dst_sorted.dtype))
+
+        monkeypatch.setattr(HostGroups, "__init__", recording)
+        narrowed = CuSP(4, policy, sync_rounds=3).partition(graph)
+        assert set(held) == {(np.dtype(dtype), np.dtype(dtype))}
+        narrowed.validate(graph)
+
+        def wide(_num_nodes):
+            return np.dtype(np.int64)
+
+        monkeypatch.setattr(assignment_phase, "node_id_dtype", wide)
+        monkeypatch.setattr(construction_phase, "node_id_dtype", wide)
+        held.clear()
+        int64 = CuSP(4, policy, sync_rounds=3).partition(graph)
+        assert set(held) == {(np.dtype(np.int64), np.dtype(np.int64))}
+        assert_same_partition(narrowed, int64)
+        assert narrowed.breakdown.phases == int64.breakdown.phases
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_owner_without_edges_keeps_an_empty_weight_column(self, executor):
+        # Every edge leaves node 0, so under an edge cut (owner = the
+        # source's master) hosts 1..3 receive nothing.
+        graph = CSRGraph.from_edges(
+            np.zeros(7, dtype=np.int64), np.arange(1, 8), num_nodes=8,
+            edge_data=np.arange(7, dtype=np.int32),
+        )
+        with CuSP(4, "EEC", executor=executor) as cusp:
+            dg = cusp.partition(graph)
+        assert [p.num_edges for p in dg.partitions] == [7, 0, 0, 0]
+        for p in dg.partitions:
+            assert p.local_graph.edge_data is not None
+            assert p.local_graph.edge_data.dtype == np.int32
+        dg.validate(graph)
+
+
 class TestMirrorInfoBitmaps:
-    """``run_allocation`` exchanges one packed presence bitmap per
-    (reader, owner) pair with edges; the reference is the formulation
-    it replaced — each owner resolving slices of every reader's group
-    cache and unioning them with what it masters by presence mask."""
+    """One presence mask per (reader, owner) pair with edges, built by
+    the grouping, yields both the packed bitmap ``run_allocation``
+    exchanges and the mirror count edge assignment charges.  The
+    references are the formulations they replaced: each owner resolving
+    slices of every reader's group cache and unioning them with what it
+    masters, and the per-peer mask ``& (masters != j)`` count."""
 
     @settings(max_examples=200, deadline=None)
     @given(graph=graphs(), data=st.data())
@@ -300,20 +444,25 @@ class TestMirrorInfoBitmaps:
                 )),
                 dtype=np.int32,
             ))
-        masters = np.array(
-            data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
-            dtype=np.int32,
-        )
+        masters = drawn_masters(data, k, n)
         assignment = assignment_from_owners(prop, ranges, owners)
         phase = PhaseStats(name="alloc", comm=Communicator(k), num_hosts=k)
         proxies = run_allocation(phase, prop, assignment, masters)
+        refs = [
+            reference_host_groups(
+                owners[h], *host_edge_slice(graph, start, stop)[:2], k,
+                num_nodes=n,
+            )
+            for h, (start, stop) in enumerate(ranges)
+        ]
+        # What group-endpoints shipped is what each grouping stored.
+        for h, ref in enumerate(refs):
+            assert_slots_equal(assignment.host_groups(h, graph), ref)
         assert len(proxies) == k
         for j, gids in enumerate(proxies):
             mark = np.zeros(n, dtype=bool)
             mark[np.flatnonzero(masters == j)] = True
-            for h, (start, stop) in enumerate(ranges):
-                src, dst, _ = host_edge_slice(graph, start, stop)
-                ref = reference_host_groups(owners[h], src, dst, k)
+            for ref in refs:
                 lo, hi = ref["cuts"][j], ref["cuts"][j + 1]
                 u_lo, u_hi = ref["usrc_cuts"][j], ref["usrc_cuts"][j + 1]
                 mark[ref["usrc"][u_lo:u_hi]] = True
@@ -324,6 +473,37 @@ class TestMirrorInfoBitmaps:
             assert phase.compute_units[j] == float(gids.size) + float(
                 assignment.to_receive[j]
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=graphs(), data=st.data())
+    def test_mirror_counts_and_charges(self, graph, data):
+        k = data.draw(st.integers(1, 5))
+        n = graph.num_nodes
+        prop = GraphProp(graph, k)
+        ranges = compute_read_ranges(graph, k)
+        masters = drawn_masters(data, k, n)
+        policy = make_policy(data.draw(st.sampled_from(["CVC", "DBH"])))
+        phase = PhaseStats(name="assign", comm=Communicator(k), num_hosts=k)
+        ea = run_edge_assignment(phase, prop, policy, ranges, masters)
+        for h, (start, stop) in enumerate(ranges):
+            src, dst, _ = host_edge_slice(graph, start, stop)
+            ref = reference_host_groups(
+                ea.owners[h], src, dst, k, num_nodes=n, masters=masters
+            )
+            assert_slots_equal(ea.host_groups(h, graph), ref)
+            # The edge-counts message: 8 B per node read plus one mirror
+            # entry per endpoint mastered elsewhere, or the empty one.
+            for j in range(k):
+                if j == h:
+                    continue
+                want = (
+                    (stop - start) * 8 + 12 * int(ref["mirrors"][j])
+                    if ea.edges_to[h, j] else 8
+                )
+                assert phase.comm.sent_bytes[h, j] == want, (h, j)
+            # Owner evaluation + count update per edge, then one unit
+            # per edge-counts block tallied.
+            assert phase.compute_units[h] == 2.0 * src.size + (k - 1)
 
 
 class TestFromEdgesAgainstLexsort:

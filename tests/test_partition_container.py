@@ -1,10 +1,18 @@
 """Focused tests for the partition containers and phase internals."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import CuSP, GraphProp, compute_read_ranges, make_policy
 from repro.core.assignment_phase import run_edge_assignment
+from repro.core.construction_phase import ReceivedEdgeCountError
 from repro.core.masters_phase import run_master_assignment
 from repro.graph import CSRGraph, erdos_renyi, get_dataset
 from repro.runtime import Communicator
@@ -143,3 +151,75 @@ class TestPhaseInternals:
         with pytest.raises(ValueError):
             run_master_assignment(phase, prop, make_policy("EEC"), ranges,
                                   sync_rounds=0)
+
+
+#: Run under ``python -O``, where ``assert`` statements are stripped:
+#: both checks must still fire.
+_OPTIMIZED_CHECKS = """
+import sys
+
+import numpy as np
+
+from repro.core import CuSP, GraphProp, compute_read_ranges, make_policy
+from repro.core.assignment_phase import run_edge_assignment
+from repro.core.construction_phase import (
+    ReceivedEdgeCountError, run_allocation, run_construction,
+)
+from repro.core.masters_phase import run_master_assignment
+from repro.graph import erdos_renyi
+from repro.runtime import Communicator
+from repro.runtime.stats import PhaseStats
+
+assert False, "asserts are live: not running under -O"
+print("optimize", sys.flags.optimize)
+g = erdos_renyi(200, 1600, seed=3)
+dg = CuSP(4, "CVC").partition(g)
+dg.masters = (dg.masters + 1) % 4
+try:
+    dg.validate(g)
+except AssertionError as exc:
+    print("validate raised:", exc)
+
+prop, ranges = GraphProp(g, 4), compute_read_ranges(g, 4)
+policy = make_policy("CVC")
+masters = run_master_assignment(
+    PhaseStats("m", 4, Communicator(4)), prop, policy, ranges
+).masters
+ea = run_edge_assignment(
+    PhaseStats("e", 4, Communicator(4)), prop, policy, ranges, masters
+)
+proxies = run_allocation(PhaseStats("a", 4, Communicator(4)), prop, ea, masters)
+ea.to_receive[2] += 1
+try:
+    run_construction(
+        PhaseStats("c", 4, Communicator(4)), prop, policy, ea, masters, proxies
+    )
+except ReceivedEdgeCountError as exc:
+    print("build raised:", exc.host, exc.expected, exc.received)
+"""
+
+
+class TestChecksSurviveOptimize:
+    def test_validate_and_received_count_raise_under_dash_o(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "optimize 1"
+        assert lines[1].startswith("validate raised: ")
+        assert "master" in lines[1]
+        # Host 2 received what it owns, one fewer than it was told.
+        owned = CuSP(4, "CVC").partition(erdos_renyi(200, 1600, seed=3))
+        received = owned.partitions[2].num_edges
+        assert lines[2] == f"build raised: 2 {received + 1} {received}"
+
+    def test_received_count_error_pickles_with_its_fields(self):
+        err = pickle.loads(pickle.dumps(ReceivedEdgeCountError(3, 10, 9)))
+        assert (err.host, err.expected, err.received) == (3, 10, 9)
+        assert str(err) == (
+            "host 3 received 9 edges; edge assignment told it to expect 10"
+        )
