@@ -52,39 +52,85 @@ def _as_int64(a, name: str) -> np.ndarray:
 _MAX_COMPOSITE_NODES = 3_037_000_499
 
 
+def _edge_key(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """The fused key ``src * num_nodes + dst`` of every edge, a fresh
+    array, for ``num_nodes`` below :data:`_MAX_COMPOSITE_NODES`.
+
+    The key is injective over (src, dst) pairs, so ordering it orders
+    the edges by (src, dst), and ``key % num_nodes`` is the destination.
+    Up to 65 536 nodes every key is below 2**32 and is held as
+    ``uint32``: half the bytes to sort and move.  Columns narrower than
+    int64 (ids validated to ``[0, num_nodes)``) build that key in place,
+    with no int64 temporary; int64 columns build it as they always have,
+    since glibc's mmap threshold follows the sizes freed and the
+    in-place order raises the peak RSS of a caller that generates a
+    graph.
+    """
+    if num_nodes <= 65536 and src.itemsize < 8:
+        key = src.astype(np.uint32)
+        np.multiply(key, num_nodes, out=key, casting="unsafe")
+        np.add(key, dst, out=key, casting="unsafe")
+        return key
+    key = src.astype(np.int64, copy=False) * num_nodes + dst
+    if num_nodes <= 65536:
+        key = key.astype(np.uint32)
+    return key
+
+
 def _edge_sort_order(
     src: np.ndarray, dst: np.ndarray, num_nodes: int
 ) -> np.ndarray:
     """Indices sorting edges by (src, dst), duplicates in input order.
 
-    ``np.lexsort`` runs one comparison sort per key; when the composite
-    key ``src * num_nodes + dst`` fits an integer word, a single stable
-    argsort of the fused key yields the identical permutation — the key
-    is injective over (src, dst) pairs and stability preserves duplicate
-    order — at 2-3x the speed.  Both are comparison sorts: NumPy's
-    stable argsort is a radix sort only for keys of 16 bits or fewer
-    (see :func:`stable_group_order`) and timsort for anything wider.
-    Graphs too large for the fused key fall back to lexsort.
-
-    Up to 65 536 nodes every key is below 2**32 and is sorted as
-    ``uint32``: still timsort, but its merges move and compare half the
-    bytes of an int64 key.  Columns narrower than int64 (ids validated
-    to ``[0, num_nodes)``) build that key in place, with no int64
-    temporary; int64 columns build it as they always have, since
-    glibc's mmap threshold follows the sizes freed and the in-place
-    order raises the peak RSS of a caller that generates a graph.
+    The permutation is what carries a payload (edge weights) along with
+    its edge; :meth:`CSRGraph.from_edges` sorts payload-free edges by
+    key value instead and never builds it.  ``np.lexsort`` runs one
+    comparison sort per key; when the composite key (:func:`_edge_key`)
+    fits an integer word, a single stable argsort of it yields the
+    identical permutation — the key is injective and stability
+    preserves duplicate order — at 2-3x the speed.  Both are comparison
+    sorts: NumPy's stable argsort is a radix sort only for keys of 16
+    bits or fewer (see :func:`stable_group_order`) and timsort for
+    anything wider.  Graphs too large for the fused key fall back to
+    lexsort.
     """
     if num_nodes >= _MAX_COMPOSITE_NODES:
         return np.lexsort((dst, src))
-    if num_nodes <= 65536 and src.itemsize < 8:
-        key = src.astype(np.uint32)
-        np.multiply(key, num_nodes, out=key, casting="unsafe")
-        np.add(key, dst, out=key, casting="unsafe")
-    else:
-        key = src.astype(np.int64, copy=False) * num_nodes + dst
-        if num_nodes <= 65536:
-            key = key.astype(np.uint32)
-    return np.argsort(key, kind="stable")
+    return np.argsort(_edge_key(src, dst, num_nodes), kind="stable")
+
+
+def _sorted_destinations(
+    src: np.ndarray,
+    dst: np.ndarray,
+    num_nodes: int,
+    dedup: bool,
+    indptr: np.ndarray,
+) -> np.ndarray:
+    """The int64 destinations of payload-free edges in (src, dst) order,
+    from the sorted values of the fused key; with ``dedup`` the rows of
+    the kept edges are counted into ``indptr``.
+
+    The key is sorted in place and its remainders mod ``num_nodes``
+    are taken in place at its width, as ``key - (key // num_nodes) *
+    num_nodes``: NumPy divides by a scalar through a precomputed
+    multiplier, about 3x faster than ``np.remainder``.  The quotients
+    (the sources) are freed before the int64 result is made, so at most
+    the key and one array of its width, or the key and the result, are
+    live at once; the key is freed on return.
+    """
+    key = _edge_key(src, dst, num_nodes)
+    key.sort()
+    if dedup:
+        keep = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    rows = key // num_nodes
+    if dedup:
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    np.multiply(rows, num_nodes, out=rows)
+    np.subtract(key, rows, out=key)
+    del rows
+    return key.astype(np.int64, copy=False)
 
 
 def narrow_group_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
@@ -258,8 +304,16 @@ class CSRGraph:
 
         Edges are sorted by (source, destination).  With ``dedup=True``
         duplicate (src, dst) pairs are removed (keeping the first payload).
-        Integer columns keep their width until the constructor widens
-        the sorted destinations to int64, once.
+        Integer columns keep their width until the sorted destinations
+        are widened to int64, once.
+
+        Without a payload, equal (src, dst) pairs are identical edges,
+        so the sorted values of the fused key (:func:`_edge_key`) fix
+        the graph: the key is sorted in place (NumPy's unstable value
+        sort, no permutation) and the destinations are its remainders
+        mod ``num_nodes``.  Weighted edges, and graphs too large for the
+        fused key, are ordered by the stable permutation of
+        :func:`_edge_sort_order`, which the payload follows.
         """
         src = _as_integer(src, "src")
         dst = _as_integer(dst, "dst")
@@ -282,6 +336,9 @@ class CSRGraph:
             # is counted as it came (one gather saved), before the sort
             # key and permutation exist.
             np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+        if data is None and num_nodes < _MAX_COMPOSITE_NODES:
+            indices = _sorted_destinations(src, dst, num_nodes, dedup, indptr)
+            return cls(indptr=indptr, indices=indices)
         order = _edge_sort_order(src, dst, num_nodes)
         dst = dst[order]
         if data is not None:

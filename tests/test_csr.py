@@ -1,9 +1,13 @@
 """Unit tests for the CSR graph structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import CSRGraph
+from repro.graph import csr
 
 
 def small():
@@ -134,6 +138,155 @@ class TestFromEdgesWidths:
         cols[column][1] = -1
         with pytest.raises(ValueError, match=f"^{message}$"):
             CSRGraph.from_edges(*cols, num_nodes=3)
+
+
+def reference_csr(src, dst, num_nodes, edge_data=None, dedup=False):
+    """``(indptr, indices, edge_data)`` by ``np.lexsort`` and a gather,
+    written apart from ``from_edges``: lexsort is stable, so duplicate
+    edges keep their input order and ``dedup`` keeps the first payload;
+    row bounds come from a binary search of the sorted sources."""
+    src = np.asarray(src).astype(np.int64)
+    dst = np.asarray(dst).astype(np.int64)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    data = None if edge_data is None else np.asarray(edge_data)[order]
+    if dedup:
+        first = np.ones(src.size, dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst = src[first], dst[first]
+        data = None if data is None else data[first]
+    indptr = np.searchsorted(src, np.arange(num_nodes + 1))
+    return indptr, dst, data
+
+
+def assert_matches_reference(src, dst, num_nodes, edge_data=None, dedup=False):
+    g = CSRGraph.from_edges(
+        src, dst, num_nodes=num_nodes, edge_data=edge_data, dedup=dedup
+    )
+    indptr, indices, data = reference_csr(src, dst, num_nodes, edge_data, dedup)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    np.testing.assert_array_equal(g.indptr, indptr)
+    np.testing.assert_array_equal(g.indices, indices)
+    if edge_data is None:
+        assert g.edge_data is None
+    else:
+        np.testing.assert_array_equal(g.edge_data, data)
+
+
+class TestFromEdgesReference:
+    """``from_edges`` against :func:`reference_csr` on both of its sorts:
+    the in-place value sort of the fused key (no payload) and the stable
+    permutation a payload follows, on both key tiers (``uint32`` up to
+    65 536 nodes, int64 above)."""
+
+    @staticmethod
+    def edges(num_nodes, dtype):
+        """Unsorted edges with duplicates and the extremes of the id
+        range, arriving as a few sorted runs (as a host receives them)
+        followed by a shuffled tail."""
+        rng = np.random.default_rng(num_nodes)
+        src = rng.integers(0, num_nodes, size=4000)
+        dst = rng.integers(0, num_nodes, size=4000)
+        top = num_nodes - 1
+        src = np.concatenate([src, src[:400], [top, top, 0, top, 0]])
+        dst = np.concatenate([dst, dst[:400], [0, top, top, top, 0]])
+        runs = np.array_split(rng.permutation(src.size), 5)
+        order = np.concatenate(
+            [run[np.lexsort((dst[run], src[run]))] for run in runs]
+        )
+        order[3000:] = rng.permutation(order[3000:])
+        return src[order].astype(dtype), dst[order].astype(dtype)
+
+    @pytest.mark.parametrize("num_nodes,dtype", [
+        (7, np.uint16), (7, np.int64),
+        (65_536, np.uint16), (65_536, np.int32), (65_536, np.uint32),
+        (65_536, np.int64),
+        (65_537, np.int32), (65_537, np.uint32), (65_537, np.int64),
+    ])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_matches_lexsort_reference(self, num_nodes, dtype, weighted, dedup):
+        src, dst = self.edges(num_nodes, dtype)
+        data = np.arange(src.size, dtype=np.float64) if weighted else None
+        assert_matches_reference(src, dst, num_nodes, data, dedup)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.uint32, np.int64])
+    @pytest.mark.parametrize("num_nodes", [0, 1, 5, 65_537])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_empty_edge_lists(self, dtype, num_nodes, weighted, dedup):
+        empty = np.empty(0, dtype=dtype)
+        data = np.empty(0, dtype=np.float32) if weighted else None
+        assert_matches_reference(empty, empty, num_nodes, data, dedup)
+
+    def test_duplicates_keep_input_order_and_dedup_keeps_the_first(self):
+        src, dst = [1, 0, 1, 1, 0], [2, 1, 2, 2, 1]
+        weights = [10, 20, 30, 40, 50]
+        g = CSRGraph.from_edges(src, dst, num_nodes=3, edge_data=weights)
+        assert g.indices.tolist() == [1, 1, 2, 2, 2]
+        assert g.edge_data.tolist() == [20, 50, 10, 30, 40]
+        g = CSRGraph.from_edges(
+            src, dst, num_nodes=3, edge_data=weights, dedup=True
+        )
+        assert g.indptr.tolist() == [0, 1, 2, 2]
+        assert g.indices.tolist() == [1, 2]
+        assert g.edge_data.tolist() == [20, 10]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_past_the_composite_limit(self, monkeypatch, weighted, dedup):
+        """Graphs too large for the fused key take the lexsort order,
+        with or without a payload."""
+        monkeypatch.setattr(csr, "_MAX_COMPOSITE_NODES", 50)
+        src, dst = self.edges(60, np.int32)
+        data = np.arange(src.size) if weighted else None
+        assert_matches_reference(src, dst, 60, data, dedup)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_reference(self, data):
+        dtype = data.draw(
+            st.sampled_from([np.uint16, np.int32, np.uint32, np.int64])
+        )
+        num_nodes = data.draw(st.one_of(
+            st.integers(0, 40), st.sampled_from([65_535, 65_536, 65_537])
+        ))
+        if dtype is np.uint16:
+            num_nodes = min(num_nodes, 65_536)
+        m = data.draw(st.integers(0, 60)) if num_nodes else 0
+        ids = st.lists(
+            st.integers(0, max(num_nodes - 1, 0)), min_size=m, max_size=m
+        )
+        src = np.array(data.draw(ids), dtype=dtype)
+        dst = np.array(data.draw(ids), dtype=dtype)
+        weights = None
+        if data.draw(st.booleans()):
+            weights = np.array(
+                data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)),
+                dtype=np.int64,
+            )
+        assert_matches_reference(
+            src, dst, num_nodes, weights, data.draw(st.booleans())
+        )
+
+    def test_payload_free_peak_bytes_per_edge(self):
+        """Sorting key values leaves two per-edge arrays live at once, the
+        ``uint32`` key and the int64 destinations: about 13 B/edge here
+        with the row pointers (22.8 while a stable permutation and its
+        gather were built)."""
+        rng = np.random.default_rng(5)
+        num_edges = 400_000
+        src = rng.integers(0, 65_536, size=num_edges).astype(np.int32)
+        dst = rng.integers(0, 65_536, size=num_edges).astype(np.int32)
+        CSRGraph.from_edges(src, dst, num_nodes=65_536)
+        tracemalloc.start()
+        try:
+            g = CSRGraph.from_edges(src, dst, num_nodes=65_536)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == num_edges
+        assert peak / num_edges < 16.0, f"{peak / num_edges:.1f} B/edge traced"
 
 
 class TestAccessors:

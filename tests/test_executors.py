@@ -42,7 +42,7 @@ from repro.core import (
 )
 from repro.core.assignment_phase import run_edge_assignment
 from repro.core.masters_phase import run_master_assignment
-from repro.graph import erdos_renyi
+from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.csr import node_id_dtype
 from repro.runtime import colfab, pool as pool_module, residency
 from repro.runtime.colfab import ColumnSchema, MessageBatch
@@ -1221,6 +1221,40 @@ class TestEdgeBlockLifetime:
             # Four at assignment, four more when the replay's ship-edges
             # misses the dropped groupings.
             assert groupings[0] == 8
+
+
+class TestDegenerateGraphs:
+    """Inputs at the edge of the graph space on the pool: no edges, one
+    node, more hosts than nodes, self-loops with duplicate edges.  Empty
+    or tiny hosts build their local CSR from empty or repeated edge
+    keys; serial and process must still agree on every master, local id
+    and counter, the partition must validate, and nothing may be left
+    in ``/dev/shm``."""
+
+    GRAPHS = {
+        "no-edges": CSRGraph.empty(6),
+        "single-node": CSRGraph.from_edges([0], [0], num_nodes=1),
+        "k-above-n": CSRGraph.from_edges([0, 1, 2], [1, 2, 0], num_nodes=3),
+        "loops-and-duplicates": CSRGraph.from_edges(
+            [0, 0, 0, 1, 1, 3, 3, 3, 4], [0, 0, 2, 1, 1, 3, 3, 0, 2],
+            num_nodes=5,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("policy", ["CVC", "SVC", "EEC"])
+    def test_serial_and_process_agree(self, policy, k, name):
+        graph = self.GRAPHS[name]
+        with CuSP(k, policy, executor="serial") as serial, \
+                CuSP(k, policy, executor="process") as proc:
+            dg_s, dg_p = serial.partition(graph), proc.partition(graph)
+        assert_same_partition(dg_s, dg_p)
+        assert_same_breakdown(dg_s.breakdown, dg_p.breakdown)
+        for dg in (dg_s, dg_p):
+            assert dg.num_global_edges == graph.num_edges
+            dg.validate(graph)
+        assert leaked_segments() == []
 
 
 def _kill_host_one_in_worker(body):
