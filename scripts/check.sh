@@ -14,17 +14,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== SPMD-safety lint (strict) =="
-python -m repro lint src/repro --strict
-
-echo "== whole-program analysis (deep lint, strict) =="
+echo "== SPMD-safety lint (strict, per-module + whole-program rules) =="
 # Run twice so the gate also demonstrates the incremental cache: the
 # second run must replay everything from per-file SHA-256 cache hits.
-deep_cache="$(mktemp -u)"
-python -m repro lint src/repro --deep --strict --cache "$deep_cache"
+lint_cache="$(mktemp -u)"
+python -m repro lint src/repro --strict --cache "$lint_cache"
 echo "-- warm re-run (everything cached):"
-time python -m repro lint src/repro --deep --strict --cache "$deep_cache"
-rm -f "$deep_cache"
+time python -m repro lint src/repro --strict --cache "$lint_cache"
+rm -f "$lint_cache"
 
 echo "== phase-contract diff (strict) =="
 python -m repro contracts src/repro --strict

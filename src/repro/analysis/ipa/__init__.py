@@ -1,9 +1,10 @@
-"""Whole-program interprocedural analysis (``repro lint --deep``).
+"""Whole-program interprocedural analysis: the ``deep-*`` rules of ``repro lint``.
 
-The per-module lint (:mod:`repro.analysis.lint`) and the per-phase
-contract extractor (:mod:`repro.analysis.contracts`) both stop at
-module (or call-closure-within-module) boundaries.  This package
-analyzes the *whole program*:
+The per-module rules (:mod:`repro.analysis.lint.rules`) and the
+per-phase contract extractor (:mod:`repro.analysis.contracts`) both
+stop at module (or call-closure-within-module) boundaries.  This
+package analyzes the *whole program*, and its engine drives every
+``repro lint`` run:
 
 * :mod:`~repro.analysis.ipa.summary` — one cacheable
   :class:`ModuleSummary` per file: symbols, classes, alias tables,
@@ -13,31 +14,28 @@ analyzes the *whole program*:
   project-wide symbol table and call graph (module-level name
   resolution plus method dispatch on statically-typed receivers such
   as ``Communicator``, ``CommLedger``, ``LedgerHostView``).
-* :mod:`~repro.analysis.ipa.analyses` — the interprocedural passes:
-  determinism taint, payload shippability, and the deep re-hosts of
-  the three evasion-prone shallow rules (``comm-in-task``,
-  ``unseeded-rng``, ``unshippable-task-capture``), each reporting a
-  call-chain witness naming every hop.
+* :mod:`~repro.analysis.ipa.analyses` — the interprocedural rules:
+  determinism taint, payload shippability, unseeded RNG, and the
+  Communicator and captured state reached from a HostTask body (in
+  the body or through helpers), each reporting a call-chain witness
+  naming every hop.
 * :mod:`~repro.analysis.ipa.cache` — the per-file SHA-256-keyed
   incremental cache that keeps warm full-repo runs fast.
-* :mod:`~repro.analysis.ipa.engine` — the driver ``run_lint(...,
-  deep=True)`` delegates to.
+* :mod:`~repro.analysis.ipa.engine` — the one driver ``run_lint``
+  delegates to.
 
 See the "Whole-program analysis" section of ``docs/ANALYSIS.md``.
 """
 
-from .analyses import DEEP_RULES, all_deep_rules
 from .cache import DeepCache
 from .engine import run_deep_lint
 from .program import Program
 from .summary import ModuleSummary, summarize_module
 
 __all__ = [
-    "DEEP_RULES",
     "DeepCache",
     "ModuleSummary",
     "Program",
-    "all_deep_rules",
     "run_deep_lint",
     "summarize_module",
 ]

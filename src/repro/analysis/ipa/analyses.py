@@ -1,27 +1,28 @@
-"""The whole-program analyses behind ``repro lint --deep``.
+"""The whole-program rules of ``repro lint``.
 
-Each deep rule mirrors the contract of a shallow rule (or adds a new
-one) but reasons over the linked :class:`~repro.analysis.ipa.program.
-Program` instead of one module at a time, so helper indirection no
-longer hides a violation.  Every finding carries a **call-chain
-witness** naming each hop from the entry point to the offending
-operation — a deep finding the reader cannot retrace is a deep finding
+These rules reason over the linked :class:`~repro.analysis.ipa.program.
+Program` instead of one module at a time, so helper indirection does
+not hide a violation.  Each owns its property at every call depth, the
+HostTask body itself included.  A finding reached through calls carries
+a **call-chain witness** naming each hop from the entry point to the
+offending operation — a finding the reader cannot retrace is a finding
 nobody trusts.
 
 Rules:
 
 * ``deep-comm-in-task`` — the shared Communicator (``.comm`` access or
-  a phase-global collective) reached from a HostTask body *through
-  helpers*, any call depth.  The comm layer itself
+  a phase-global collective) reached from a HostTask body, in the body
+  or through helpers at any call depth.  The comm layer itself
   (``runtime/comm.py``, ``runtime/executor.py``, ``runtime/pool.py``,
   ``runtime/colfab.py``) is the sanctioned boundary: traversal stops
   there.
-* ``deep-unseeded-rng`` — a seed parameter threaded through wrappers
-  (``def fresh(seed=None): return default_rng(seed)``) that a call
-  site leaves unbound or binds to ``None``.
-* ``deep-unshippable-task-capture`` — a helper reached from a HostTask
-  body that writes closure/global state, or mutates a parameter bound
-  to captured state, which a forked worker cannot ship back.
+* ``deep-unseeded-rng`` — a global or unseeded RNG draw or
+  construction anywhere, and a seed parameter threaded through
+  wrappers (``def fresh(seed=None): return default_rng(seed)``) that a
+  call site leaves unbound or binds to ``None``.
+* ``deep-unshippable-task-capture`` — a HostTask body, or a helper it
+  reaches, that writes closure/global state, or mutates a parameter
+  bound to captured state, which a forked worker cannot ship back.
 * ``deep-determinism-taint`` — a nondeterminism source (wall-clock,
   unseeded RNG, set iteration order, ``id()``) whose value flows
   through returns and calls into partition state, a ledger
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..lint.base import ERROR, WARNING, Finding
+from ..lint.base import ERROR, WARNING, Finding, register
 from .program import COMM_TYPE_LEAFS, Program, Target
 from .summary import FunctionSummary, ModuleSummary, taints_from_json
 
-__all__ = ["DEEP_RULES", "DeepRule", "all_deep_rules"]
+__all__ = ["DeepRule"]
 
 #: Modules that *are* the comm layer: reaching them from a task body is
 #: how charges are supposed to flow (via the HostView), so traversal
@@ -98,7 +99,8 @@ def _chain(hops: list[str]) -> str:
 
 
 class DeepRule:
-    """Base class for whole-program rules (mirrors ``LintRule``)."""
+    """Base class for whole-program rules (the per-module ones are
+    ``LintRule``\\ s; both live in one registry, ``all_rules()``)."""
 
     name: str = ""
     severity: str = ERROR
@@ -122,11 +124,11 @@ class DeepRule:
 
 def _body_reachable(
     program: Program, msum: ModuleSummary, task: dict
-) -> Iterator[tuple[Target, list[str], int]]:
+) -> Iterator[tuple[Target, list[str]]]:
     """BFS over the call graph from a HostTask body.
 
-    Yields ``(target, hops, depth)`` — depth 0 is the body itself.
-    Stops at the trusted comm layer and at ``_MAX_DEPTH``.
+    Yields ``(target, hops)``, the body itself first.  Stops at the
+    trusted comm layer and at ``_MAX_DEPTH``.
     """
     body = program.resolve_body(msum, task)
     if body is None:
@@ -136,9 +138,8 @@ def _body_reachable(
     visited = {body.key}
     while queue:
         target, hops = queue.pop(0)
-        depth = len(hops) - 1
-        yield target, hops, depth
-        if depth >= _MAX_DEPTH:
+        yield target, hops
+        if len(hops) > _MAX_DEPTH:
             continue
         for atom, callee in program.callees(target.module, target.fn):
             if callee.key in visited or _trusted(callee.module.rel):
@@ -149,12 +150,13 @@ def _body_reachable(
             )
 
 
+@register
 class DeepCommInTaskRule(DeepRule):
     name = "deep-comm-in-task"
     severity = ERROR
     description = (
-        "shared Communicator reached from a HostTask body through a "
-        "helper call chain; route charges through the HostView"
+        "shared Communicator reached from a HostTask body, directly or "
+        "through a helper call chain; route charges through the HostView"
     )
 
     def check(self, program: Program) -> Iterator[Finding]:
@@ -163,9 +165,7 @@ class DeepCommInTaskRule(DeepRule):
         # matter how many task bodies reach it.
         seen: set[tuple] = set()
         for msum, task in program.host_tasks():
-            for target, hops, depth in _body_reachable(program, msum, task):
-                if depth == 0 or not target.fn.comm:
-                    continue  # depth 0 is the shallow rule's territory
+            for target, hops in _body_reachable(program, msum, task):
                 for access in target.fn.comm:
                     key = (target.module.rel, access["line"], access["what"])
                     if key in seen:
@@ -184,20 +184,27 @@ class DeepCommInTaskRule(DeepRule):
                     )
 
 
+@register
 class DeepUnseededRngRule(DeepRule):
     name = "deep-unseeded-rng"
     severity = ERROR
     description = (
-        "a seed parameter threaded through RNG wrapper functions is "
-        "left unbound or bound to None at a call site"
+        "global or unseeded RNG, or a seed parameter threaded through "
+        "RNG wrappers left unbound or None at a call site; inject a "
+        "seeded np.random.Generator (np.random.default_rng(seed))"
     )
 
     def check(self, program: Program) -> Iterator[Finding]:
         # rng_params[(rel, qual)][param] = witness chain down to the
-        # default_rng/Random construction the parameter seeds.
+        # seedable construction the parameter seeds.
         rng_params: dict[tuple[str, str], dict[str, list[str]]] = {}
         for msum, fn in program.functions():
             for intro in fn.rng:
+                if intro["why"]:
+                    yield self.finding(
+                        msum.rel, intro["line"], intro["col"], intro["why"]
+                    )
+                    continue
                 rng_params.setdefault((msum.rel, fn.qual), {}).setdefault(
                     intro["seed_param"],
                     [
@@ -250,13 +257,15 @@ class DeepUnseededRngRule(DeepRule):
         yield from findings.values()
 
 
+@register
 class DeepUnshippableTaskCaptureRule(DeepRule):
     name = "deep-unshippable-task-capture"
     severity = WARNING
     description = (
-        "a helper reached from a HostTask body writes captured or "
+        "a HostTask body, or a helper it reaches, writes captured or "
         "global state (or mutates a captured argument), which a forked "
-        "worker cannot ship back"
+        "worker cannot ship back; return the value and install it via "
+        "the task's apply callback"
     )
 
     #: param -> (origin rel, origin line, chain to the write)
@@ -341,26 +350,23 @@ class DeepUnshippableTaskCaptureRule(DeepRule):
         mutates = self._mutated_params(program)
         seen: set[tuple] = set()
         for msum, task in program.host_tasks():
-            for target, hops, depth in _body_reachable(program, msum, task):
-                if depth >= 1:
-                    for write in target.fn.writes:
-                        if write["kind"] not in ("closure", "global"):
-                            continue
-                        if write["is_import"]:
-                            continue
-                        key = ("write", target.key, write["root"],
-                               write["line"])
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        yield self.finding(
-                            target.module.rel, write["line"], 0,
-                            f"write to {write['kind']} `{write['root']}` "
-                            f"is reached from the HostTask body "
-                            f"registered at {msum.rel}:{task['line']}; a "
-                            f"forked worker cannot ship it back; call "
-                            f"chain: {_chain(hops)}",
-                        )
+            for target, hops in _body_reachable(program, msum, task):
+                for write in target.fn.writes:
+                    if write["kind"] not in ("closure", "global"):
+                        continue
+                    if write["is_import"]:
+                        continue
+                    key = ("write", target.key, write["root"], write["line"])
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    yield self.finding(
+                        target.module.rel, write["line"], 0,
+                        f"write to {write['kind']} `{write['root']}` is "
+                        f"reached from the HostTask body registered at "
+                        f"{msum.rel}:{task['line']}; a forked worker "
+                        f"cannot ship it back; call chain: {_chain(hops)}",
+                    )
                 # Captured state handed into a callee that (transitively)
                 # mutates the bound parameter — including the receiver of
                 # a bound-method call.
@@ -392,6 +398,7 @@ class DeepUnshippableTaskCaptureRule(DeepRule):
                         )
 
 
+@register
 class DeepDeterminismTaintRule(DeepRule):
     name = "deep-determinism-taint"
     severity = ERROR
@@ -518,6 +525,7 @@ class DeepDeterminismTaintRule(DeepRule):
             )
 
 
+@register
 class DeepUnshippablePayloadRule(DeepRule):
     name = "deep-unshippable-payload"
     severity = ERROR
@@ -680,17 +688,3 @@ class DeepUnshippablePayloadRule(DeepRule):
                     f"HostTask payload is not process-safe: {reason}; "
                     f"via {_chain(hops)}",
                 )
-
-
-#: The deep rule set, in reporting order.
-DEEP_RULES: list[DeepRule] = [
-    DeepCommInTaskRule(),
-    DeepUnseededRngRule(),
-    DeepUnshippableTaskCaptureRule(),
-    DeepDeterminismTaintRule(),
-    DeepUnshippablePayloadRule(),
-]
-
-
-def all_deep_rules() -> dict[str, DeepRule]:
-    return {rule.name: rule for rule in DEEP_RULES}

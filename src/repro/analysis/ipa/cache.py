@@ -1,16 +1,16 @@
-"""The deep-lint incremental cache.
+"""The ``repro lint`` incremental cache.
 
 Whole-program findings depend on *transitive callees*, so caching the
 findings per file would be unsound: an edit to ``helper.py`` can
 change what ``phase.py`` is guilty of.  What **is** per-file is the
-expensive part — parsing, the shallow rule pass, and summary
+expensive part — parsing, the per-module rule pass, and summary
 extraction.  The cache therefore stores, keyed by the file's relative
 path and guarded by its SHA-256:
 
 * the :class:`~repro.analysis.ipa.summary.ModuleSummary` (as JSON),
-* the file's shallow findings and suppressed-count,
-* its suppression tables (so cached files can still suppress deep
-  findings without being re-read).
+* the file's per-module findings and suppressed-count,
+* its suppression tables (so cached files can still suppress
+  whole-program findings without being re-read).
 
 The link-and-analyze phase re-runs on every invocation over the full
 summary set — it is pure Python over small dicts, no AST — which keeps

@@ -1,18 +1,19 @@
-"""The ``repro lint --deep`` driver.
+"""The ``repro lint`` driver.
 
-One pass over the file set produces everything both lint layers need:
+One pass over the file set produces everything the rules need:
 
 * **cache hit** (same SHA-256, same rule set) — the file is *not even
-  parsed*; its recorded shallow findings, suppression tables, and
+  parsed*; its recorded per-module findings, suppression tables, and
   module summary are replayed from the cache.
 * **cache miss** — the file is parsed exactly once into a
-  :class:`~repro.analysis.lint.base.ModuleSource`; the shallow rules
+  :class:`~repro.analysis.lint.base.ModuleSource`; the per-module rules
   and the summary extractor share that single AST.
 
 The link phase then builds the :class:`~repro.analysis.ipa.program.
 Program` over *all* summaries (cached and fresh alike) and runs the
-deep rules — whole-program soundness with per-file incrementality.
-Deep findings honour the same suppression comments as shallow ones.
+whole-program rules — whole-program soundness with per-file
+incrementality.  Both kinds of finding honour the same suppression
+comments.
 """
 
 from __future__ import annotations
@@ -23,33 +24,30 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..lint.base import (
+    ERROR,
+    Finding,
     LintReport,
     LintRule,
     ModuleSource,
-    check_module,
     finding_sort_key,
-    Finding,
-    parse_error_finding,
+    suppressed,
 )
-from .analyses import DEEP_RULES, DeepRule
+from .analyses import DeepRule
 from .cache import DeepCache
 from .program import Program
 from .summary import SUMMARY_VERSION, ModuleSummary, summarize_module
 
 __all__ = ["run_deep_lint", "rules_key", "module_name"]
 
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 
-def rules_key(
-    shallow: Iterable[LintRule], deep: Iterable[DeepRule]
-) -> str:
+def rules_key(rules: Iterable[LintRule | DeepRule]) -> str:
     """Cache invalidation key: engine + summary versions + rule set."""
     doc = json.dumps([
         ENGINE_VERSION,
         SUMMARY_VERSION,
-        sorted(r.name for r in shallow),
-        sorted(r.name for r in deep),
+        sorted(r.name for r in rules),
     ])
     return hashlib.sha256(doc.encode()).hexdigest()
 
@@ -74,25 +72,48 @@ def module_name(root: Path, rel: str) -> str:
     return ".".join(prefix + parts) if (prefix or parts) else root.name
 
 
-def _suppressed(table: dict, line: int, rule: str) -> bool:
-    for rules in (table.get("file", ()), table.get("lines", {}).get(str(line), ())):
-        if rule in rules or "all" in rules:
-            return True
-    return False
+def _analyze(
+    path: Path, rel: str, text: str, rules: list[LintRule], root: Path
+) -> dict:
+    """One file's cache entry: its per-module findings (unsuppressed),
+    suppression table and summary, from one parse."""
+    try:
+        module = ModuleSource(path, rel, text)
+    except SyntaxError as exc:
+        finding = Finding(
+            rule="parse-error", severity=ERROR, path=rel,
+            line=exc.lineno or 1, col=exc.offset or 0,
+            message=f"cannot parse: {exc.msg}",
+        )
+        return {
+            "findings": [finding.as_dict()],
+            "suppressions": {"file": [], "lines": {}},
+            "summary": None,
+        }
+    return {
+        "findings": [
+            f.as_dict()
+            for rule in rules if rule.applies_to(module)
+            for f in rule.check(module)
+        ],
+        "suppressions": module.suppressions,
+        "summary": summarize_module(module, module_name(root, rel)).to_dict(),
+    }
 
 
 def run_deep_lint(
     files: Sequence[Path],
     root: Path,
-    shallow_rules: Iterable[LintRule],
+    rules: Iterable[LintRule | DeepRule],
     cache_path: str | Path | None = None,
-    deep_rules: Iterable[DeepRule] | None = None,
 ) -> LintReport:
-    """Shallow + whole-program lint over ``files`` with one parse each."""
-    shallow = list(shallow_rules)
-    deep = list(DEEP_RULES) if deep_rules is None else list(deep_rules)
-    cache = DeepCache.load(cache_path, rules_key(shallow, deep))
-    report = LintReport(cache_hits=0, cache_misses=0)
+    """Per-module + whole-program lint over ``files`` with one parse each."""
+    rules = list(rules)
+    per_module = [r for r in rules if isinstance(r, LintRule)]
+    deep = [r for r in rules if isinstance(r, DeepRule)]
+    cache = DeepCache.load(cache_path, rules_key(rules))
+    report = LintReport()
+    findings: list[Finding] = []
     summaries: dict[str, ModuleSummary] = {}
     suppressions: dict[str, dict] = {}
 
@@ -105,8 +126,8 @@ def run_deep_lint(
         try:
             text = path.read_text()
         except OSError as exc:
-            report.findings.append(Finding(
-                rule="parse-error", severity="error", path=rel,
+            findings.append(Finding(
+                rule="parse-error", severity=ERROR, path=rel,
                 line=1, col=0, message=f"cannot read: {exc}",
             ))
             continue
@@ -114,57 +135,25 @@ def run_deep_lint(
         entry = cache.get(rel, sha)
         if entry is not None:
             report.cache_hits += 1
-            report.findings.extend(
-                Finding(**f) for f in entry["findings"]
-            )
-            report.suppressed += entry["suppressed"]
-            suppressions[rel] = entry["suppressions"]
-            if entry["summary"] is not None:
-                summaries[rel] = ModuleSummary.from_dict(entry["summary"])
-            continue
-        report.cache_misses += 1
-        try:
-            module = ModuleSource(path, rel, text)
-        except SyntaxError as exc:
-            finding = parse_error_finding(path, exc)
-            report.findings.append(finding)
-            cache.put(rel, {
-                "sha": sha,
-                "findings": [finding.as_dict()],
-                "suppressed": 0,
-                "suppressions": {"file": [], "lines": {}},
-                "summary": None,
-            })
-            continue
-        local = LintReport()
-        check_module(module, shallow, local)
-        summary = summarize_module(module, module_name(root, rel))
-        report.findings.extend(local.findings)
-        report.suppressed += local.suppressed
-        suppressions[rel] = module.suppression_table()
-        summaries[rel] = summary
-        cache.put(rel, {
-            "sha": sha,
-            "findings": [f.as_dict() for f in local.findings],
-            "suppressed": local.suppressed,
-            "suppressions": suppressions[rel],
-            "summary": summary.to_dict(),
-        })
+        else:
+            report.cache_misses += 1
+            entry = {"sha": sha, **_analyze(path, rel, text, per_module, root)}
+            cache.put(rel, entry)
+        findings.extend(Finding(**f) for f in entry["findings"])
+        suppressions[rel] = entry["suppressions"]
+        if entry["summary"] is not None:
+            summaries[rel] = ModuleSummary.from_dict(entry["summary"])
 
-    cache.prune({
-        (p.relative_to(root).as_posix()
-         if p.is_relative_to(root) else p.as_posix())
-        for p in files
-    })
+    cache.prune(set(suppressions))
     cache.save()
 
     program = Program(summaries)
     for rule in deep:
-        for finding in rule.check(program):
-            table = suppressions.get(finding.path, {})
-            if _suppressed(table, finding.line, finding.rule):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
+        findings.extend(rule.check(program))
+    for finding in findings:
+        if suppressed(suppressions.get(finding.path, {}), finding.line, finding.rule):
+            report.suppressed += 1
+        else:
+            report.findings.append(finding)
     report.findings.sort(key=finding_sort_key)
     return report

@@ -226,6 +226,9 @@ class Program:
         self, msum: ModuleSummary, task: dict
     ) -> Target | None:
         """The function summary registered as a HostTask's body."""
+        if task["fn_kind"] == "lambda":
+            fn = msum.functions.get(task["fn"])
+            return Target(msum, fn, "func") if fn is not None else None
         if task["fn_kind"] == "name":
             targets = self.resolve_local_name(
                 msum, task["enclosing"], task["fn"]

@@ -19,15 +19,19 @@ for top-level code):
   assignments propagating nondeterminism sources (wall-clock reads,
   unseeded RNG, unordered set iteration, ``id()``) into variables,
   call arguments, state writes, and return values.  ``sorted(...)``
-  sanitizes set-order taint, mirroring the shallow rule's contract;
+  sanitizes set-order taint, mirroring the ``unordered-iteration`` rule;
 * **shippability trees** — a symbolic value tree (:term:`ship node`)
   for every returned expression and every ``self.attr = ...`` in an
   ``__init__``, so the payload analysis can later prove a
   ``HostTask(payload=...)`` transitively process-safe;
 * **state writes** to parameter / closure / global roots, **``.comm``
-  accesses and phase-global collectives**, and **seed-parameter RNG
-  constructions** (``default_rng(seed)`` wrappers) that power the deep
-  re-hosts of the evasion-prone shallow rules.
+  accesses and phase-global collectives**, and **RNG introductions** —
+  unseeded draws and constructions (:func:`unseeded_rng`) and
+  seed-parameter constructions (``default_rng(seed)`` wrappers) — that
+  the host-isolation and RNG rules check at every call depth.
+
+A lambda is a pseudo-function of its own (``<lambda:LINE:COL>``), so a
+lambda ``HostTask`` body resolves like a named one.
 
 Taint atoms are plain tuples — ``("src", family, line, detail)`` for a
 source, ``("call", index, line)`` for a value returned by call atom
@@ -50,14 +54,15 @@ __all__ = [
     "summarize_module",
     "taints_from_json",
     "taints_to_json",
+    "unseeded_rng",
 ]
 
 #: Bump when the summary schema or extraction semantics change; part of
 #: the cache key so stale summaries are never reused across versions.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
-#: Phase-global collective calls (shared with the shallow
-#: ``comm-in-task`` rule's dispatch hints and the contracts extractor).
+#: Phase-global collective calls: issuing one from a task body is a
+#: ``deep-comm-in-task`` finding.
 PHASE_GLOBAL_CALLS = {
     "allreduce_sum", "allreduce_max", "allgather", "barrier",
     "merge_ledger", "sync_round",
@@ -65,9 +70,61 @@ PHASE_GLOBAL_CALLS = {
 
 _CLOCKS = WallClockRule._CLOCKS
 _SET_RULE = UnorderedIterationRule()
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+#: Class bodies are not scopes of their own here: their statements
+#: belong to the enclosing scope, their methods are scopes.
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+#: RNG constructors whose first argument (positional or keyword) is the
+#: seed: unseeded when it is missing or a literal ``None``.
+_SEEDABLE = {"random.Random", "numpy.random.default_rng"} | {
+    f"numpy.random.{leaf}"
+    for leaf in (
+        "Generator", "SeedSequence", "BitGenerator",
+        "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
+    )
+}
 
 Taint = tuple  # ("src", family, line, detail) | ("call", idx, line)
+
+
+def _seed_arg(node: ast.Call) -> ast.AST | None:
+    if node.args:
+        return node.args[0]
+    return node.keywords[0].value if node.keywords else None
+
+
+def unseeded_rng(resolved: str, node: ast.Call) -> str | None:
+    """Why a call to ``resolved`` is unreproducible randomness, else None.
+
+    The one RNG classifier: ``deep-unseeded-rng`` reports what it
+    flags, and the taint pass treats the same calls as sources.  The
+    stdlib ``random`` module and NumPy's legacy ``np.random.*``
+    functions draw from hidden global state; a seedable constructor
+    without a seed is seeded from OS entropy.
+    """
+    if resolved in _SEEDABLE:
+        seed = _seed_arg(node)
+        if seed is None or (
+            isinstance(seed, ast.Constant) and seed.value is None
+        ):
+            return (
+                f"{resolved}() without a seed is entropy-seeded; derive "
+                "the seed from (host, op)"
+            )
+        return None
+    if resolved.startswith("random.SystemRandom"):
+        return "random.SystemRandom is OS entropy; never reproducible"
+    if resolved.startswith("random."):
+        return (
+            f"{resolved}() draws from the global stdlib RNG; use an "
+            "injected seeded Generator"
+        )
+    if resolved.startswith("numpy.random."):
+        return (
+            f"legacy {resolved} uses hidden global state; use "
+            "numpy.random.default_rng(seed)"
+        )
+    return None
 
 
 def taints_to_json(taints: set[Taint]) -> list[list]:
@@ -148,7 +205,6 @@ class FunctionSummary:
     return_params: list[str] = field(default_factory=list)
     return_ship: dict | None = None
     has_yield: bool = False
-    is_nested: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -159,7 +215,6 @@ class FunctionSummary:
             "writes": self.writes, "return_taints": self.return_taints,
             "return_params": self.return_params,
             "return_ship": self.return_ship, "has_yield": self.has_yield,
-            "is_nested": self.is_nested,
         }
 
     @classmethod
@@ -235,7 +290,9 @@ class _Scope:
         self.call_index: dict[int, int] = {}
         self.nested_defs: dict[str, str] = {}  # name -> child qual
         self.has_yield = False
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.Lambda):
+            self.returns.append(node.body)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             self._bind_params(node.args)
 
     def _bind_params(self, args: ast.arguments) -> None:
@@ -299,6 +356,7 @@ class _Extractor:
         self.summary = ModuleSummary(
             rel=ms.rel, module=module_name, aliases=self.aliases
         )
+        self._lambda_quals: dict[int, str] = {}
 
     def _add_relative_aliases(self) -> None:
         """Resolve ``from ..pkg import name`` against the module's package."""
@@ -368,7 +426,17 @@ class _Extractor:
                 # Class bodies are not independent closures: methods see
                 # the scope *enclosing* the class, so thread parent_scope.
                 self._discover(child, qual_prefix, cqual, parent_scope, scopes)
-            elif not isinstance(child, ast.Lambda):
+            elif isinstance(child, ast.Lambda):
+                name = f"<lambda:{child.lineno}:{child.col_offset}>"
+                qual = (
+                    name if parent_scope.qual == "<module>"
+                    else f"{parent_scope.qual}.<locals>.{name}"
+                )
+                self._lambda_quals[id(child)] = qual
+                scope = _Scope(child, qual, "", parent_scope, self.aliases)
+                scopes.append(scope)
+                self._discover(child, qual, "", scope, scopes)
+            else:
                 self._discover(
                     child, qual_prefix, cls_qual, parent_scope, scopes
                 )
@@ -381,13 +449,15 @@ class _Extractor:
         penv = self._param_fixpoint(scope)
         fn = FunctionSummary(
             qual=scope.qual,
-            name=getattr(scope.node, "name", "<module>"),
+            name=(
+                "<lambda>" if isinstance(scope.node, ast.Lambda)
+                else getattr(scope.node, "name", "<module>")
+            ),
             line=getattr(scope.node, "lineno", 1),
             cls=scope.cls_qual,
             params=list(scope.params),
             none_defaults=sorted(scope.none_defaults),
             has_yield=scope.has_yield,
-            is_nested="<locals>" in scope.qual,
         )
         self._emit_calls(scope, env, penv, fn)
         self._emit_effects(scope, env, fn)
@@ -498,22 +568,8 @@ class _Extractor:
             return ("src", "wall-clock", line, resolved)
         if resolved == "id":
             return ("src", "id", line, "id() is an address, not a value")
-        if resolved.startswith("random.") and resolved.count(".") == 1:
-            leaf = resolved.rsplit(".", 1)[-1]
-            if leaf not in ("Random", "seed"):
-                return ("src", "unseeded-rng", line, resolved)
-        if resolved == "numpy.random.default_rng":
-            unseeded = not node.args and not node.keywords or (
-                node.args
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            )
-            if unseeded:
-                return ("src", "unseeded-rng", line, "default_rng()")
-        elif resolved.startswith("numpy.random."):
-            leaf = resolved.rsplit(".", 1)[-1]
-            if leaf.islower():  # legacy global-state draw (rand, shuffle...)
-                return ("src", "unseeded-rng", line, resolved)
+        if unseeded_rng(resolved, node) is not None:
+            return ("src", "unseeded-rng", line, resolved)
         return None
 
     def _expr_taints(self, expr: ast.AST, scope: _Scope, env: dict) -> set:
@@ -684,28 +740,32 @@ class _Extractor:
                 "targs": taints_to_json(targs),
             }
             fn.calls.append(atom)
-            self._maybe_rng_intro(node, resolved, scope, fn)
             self._maybe_host_task(node, raw, scope)
             if method in PHASE_GLOBAL_CALLS:
                 fn.comm.append(
                     {"line": node.lineno, "what": f"call:{method}"}
                 )
 
-    def _maybe_rng_intro(
-        self, node: ast.Call, resolved: str, scope: _Scope, fn: FunctionSummary
+    def _emit_rng(
+        self, node: ast.Call, scope: _Scope, fn: FunctionSummary
     ) -> None:
-        if resolved not in ("numpy.random.default_rng", "random.Random"):
+        """Record an unseeded draw (``why``) or a seed-parameter
+        construction (``seed_param``) — the two RNG introductions."""
+        resolved = resolve_name(node.func, self.aliases)
+        if resolved is None:
             return
-        seed: ast.AST | None = node.args[0] if node.args else None
-        if seed is None:
-            for kw in node.keywords:
-                if kw.arg == "seed":
-                    seed = kw.value
+        seed = _seed_arg(node) if resolved in _SEEDABLE else None
         if isinstance(seed, ast.Name) and seed.id in scope.params:
+            why, param = "", seed.id
+        else:
+            why, param = unseeded_rng(resolved, node) or "", ""
+        if why or param:
             fn.rng.append({
                 "line": node.lineno,
+                "col": node.col_offset,
                 "callee": resolved,
-                "seed_param": seed.id,
+                "seed_param": param,
+                "why": why,
             })
 
     def _maybe_host_task(
@@ -723,7 +783,7 @@ class _Extractor:
         if isinstance(fn_arg, ast.Name):
             body, kind = fn_arg.id, "name"
         elif isinstance(fn_arg, ast.Lambda):
-            body, kind = "<lambda>", "lambda"
+            body, kind = self._lambda_quals[id(fn_arg)], "lambda"
         elif fn_arg is not None and dotted_name(fn_arg):
             body, kind = dotted_name(fn_arg) or "", "attr"
         else:
@@ -747,9 +807,9 @@ class _Extractor:
     ) -> None:
         for node in _walk_scope(scope.node):
             if isinstance(node, ast.Attribute) and node.attr == "comm":
-                parent = getattr(node, "_repro_parent", None)
-                if not isinstance(parent, ast.Attribute):
-                    fn.comm.append({"line": node.lineno, "what": "attr:comm"})
+                fn.comm.append({"line": node.lineno, "what": "attr:comm"})
+            if isinstance(node, ast.Call):
+                self._emit_rng(node, scope, fn)
             targets: list[ast.AST] = []
             value: ast.AST | None = None
             if isinstance(node, ast.Assign):

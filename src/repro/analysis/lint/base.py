@@ -1,10 +1,12 @@
 """Framework for the SPMD-safety lint: rules, findings, suppression, reports.
 
 A :class:`LintRule` is a pluggable AST checker.  It receives one parsed
-:class:`ModuleSource` at a time and yields :class:`Finding`\\ s; the
-driver (:func:`run_lint`) walks a file tree, applies every registered
-rule, honours suppression comments, and assembles a :class:`LintReport`
-with text and machine-readable JSON renderings.
+:class:`ModuleSource` at a time and yields :class:`Finding`\\ s.  The
+whole-program rules (``deep-*``, :mod:`repro.analysis.ipa.analyses`)
+sit in the same registry.  The driver (:func:`run_lint`) walks a file
+tree, applies every registered rule, honours suppression comments, and
+assembles a :class:`LintReport` with text and machine-readable JSON
+renderings.
 
 Suppression comments
 --------------------
@@ -22,12 +24,14 @@ is ignored by the parser (but please write one).
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from ..ipa.analyses import DeepRule
 
 __all__ = [
     "Severity",
@@ -38,9 +42,8 @@ __all__ = [
     "register",
     "all_rules",
     "run_lint",
-    "check_module",
+    "suppressed",
     "finding_sort_key",
-    "parse_error_finding",
     "dotted_name",
     "resolve_name",
 ]
@@ -145,8 +148,8 @@ class ModuleSource:
         self._aliases: dict[str, str] | None = None
         self._defs: dict[str, list[ast.FunctionDef | ast.AsyncFunctionDef]] | None = None
         self._host_task_bodies: list[tuple[ast.AST, ast.Call]] | None = None
-        self._line_rules: dict[int, set[str]] = {}
-        self._file_rules: set[str] = set()
+        file_rules: set[str] = set()
+        line_rules: dict[int, set[str]] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             m = _SUPPRESS_RE.search(line)
             if not m:
@@ -154,11 +157,20 @@ class ModuleSource:
             kind = m.group(1)
             rules = {r.strip() for r in m.group(2).split(",") if r.strip()}
             if kind == "disable-file":
-                self._file_rules |= rules
+                file_rules |= rules
             elif kind == "disable-next-line":
-                self._line_rules.setdefault(lineno + 1, set()).update(rules)
+                line_rules.setdefault(lineno + 1, set()).update(rules)
             else:
-                self._line_rules.setdefault(lineno, set()).update(rules)
+                line_rules.setdefault(lineno, set()).update(rules)
+        #: JSON-serializable suppression table (cached with the module),
+        #: read by :func:`suppressed`.
+        self.suppressions = {
+            "file": sorted(file_rules),
+            "lines": {
+                str(line): sorted(rules)
+                for line, rules in sorted(line_rules.items())
+            },
+        }
 
     @classmethod
     def load(cls, path: Path, root: Path) -> "ModuleSource":
@@ -167,27 +179,6 @@ class ModuleSource:
         except ValueError:
             rel = path.as_posix()
         return cls(path, rel, path.read_text())
-
-    def suppressed(self, line: int, rule: str) -> bool:
-        for rules in (self._file_rules, self._line_rules.get(line, ())):
-            if rule in rules or "all" in rules:
-                return True
-        return False
-
-    def suppression_table(self) -> dict:
-        """JSON-serializable suppression tables (for the deep-lint cache)."""
-        return {
-            "file": sorted(self._file_rules),
-            "lines": {
-                str(line): sorted(rules)
-                for line, rules in sorted(self._line_rules.items())
-            },
-        }
-
-    @property
-    def sha(self) -> str:
-        """SHA-256 of the file text (the deep-lint cache key)."""
-        return hashlib.sha256(self.text.encode()).hexdigest()
 
     @property
     def aliases(self) -> dict[str, str]:
@@ -282,11 +273,12 @@ class LintRule:
         )
 
 
-_REGISTRY: dict[str, LintRule] = {}
+_REGISTRY: dict[str, LintRule | DeepRule] = {}
 
 
 def register(rule_cls: type) -> type:
-    """Class decorator: instantiate and register a rule by its name."""
+    """Class decorator: instantiate and register a rule by its name
+    (a per-module ``LintRule`` or a whole-program ``DeepRule``)."""
     rule = rule_cls()
     if not rule.name:
         raise ValueError(f"{rule_cls.__name__} has no rule name")
@@ -296,8 +288,9 @@ def register(rule_cls: type) -> type:
     return rule_cls
 
 
-def all_rules() -> dict[str, LintRule]:
-    """All registered rules, by name (importing the bundled rule set)."""
+def all_rules() -> dict[str, LintRule | DeepRule]:
+    """All registered rules, by name (importing the bundled rule sets)."""
+    from ..ipa import analyses as _deep  # noqa: F401 — registration side effect
     from . import rules as _rules  # noqa: F401 — registration side effect
 
     return dict(_REGISTRY)
@@ -319,9 +312,9 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Deep-lint incremental cache counters (None outside ``--deep``).
-    cache_hits: int | None = None
-    cache_misses: int | None = None
+    #: Incremental cache counters: files replayed / files analyzed.
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     @property
     def errors(self) -> list[Finding]:
@@ -338,17 +331,11 @@ class LintReport:
         return not (strict and self.warnings)
 
     def summary(self) -> str:
-        cache = ""
-        if self.cache_hits is not None:
-            cache = (
-                f" [deep: {self.cache_hits} cached, "
-                f"{self.cache_misses} analyzed]"
-            )
         return (
             f"{len(self.errors)} error(s), {len(self.warnings)} warning(s) "
             f"in {self.files_checked} file(s)"
             + (f", {self.suppressed} suppressed" if self.suppressed else "")
-            + cache
+            + f" [{self.cache_hits} cached, {self.cache_misses} analyzed]"
         )
 
     def render_text(self) -> str:
@@ -360,17 +347,14 @@ class LintReport:
         counts: dict[str, int] = {}
         for f in self.findings:
             counts[f.severity] = counts.get(f.severity, 0) + 1
-        doc: dict = {
+        doc = {
             "version": 2,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
             "counts": counts,
             "findings": [f.as_dict() for f in self.findings],
+            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
         }
-        if self.cache_hits is not None:
-            doc["cache"] = {
-                "hits": self.cache_hits, "misses": self.cache_misses,
-            }
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -382,77 +366,39 @@ def _iter_py_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield path
 
 
-def check_module(
-    module: ModuleSource, active: Iterable[LintRule], report: LintReport
-) -> None:
-    """Apply every rule in ``active`` to one parsed module."""
-    for rule in active:
-        if not rule.applies_to(module):
-            continue
-        for finding in rule.check(module):
-            if module.suppressed(finding.line, finding.rule):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
-
-
-def parse_error_finding(path: Path, exc: SyntaxError) -> Finding:
-    return Finding(
-        rule="parse-error",
-        severity=ERROR,
-        path=path.as_posix(),
-        line=exc.lineno or 1,
-        col=exc.offset or 0,
-        message=f"cannot parse: {exc.msg}",
-    )
+def suppressed(table: dict, line: int, rule: str) -> bool:
+    """Whether a module's suppression table silences ``rule`` at ``line``."""
+    for rules in (table.get("file", ()), table.get("lines", {}).get(str(line), ())):
+        if rule in rules or "all" in rules:
+            return True
+    return False
 
 
 def run_lint(
     paths: Sequence[str | Path],
-    rules: Iterable[LintRule] | None = None,
+    rules: Iterable[LintRule | DeepRule] | None = None,
     root: str | Path | None = None,
-    deep: bool = False,
     cache: str | Path | None = None,
-    deep_rules: Iterable[object] | None = None,
 ) -> LintReport:
-    """Lint ``paths`` (files or directories) with ``rules``.
+    """Lint ``paths`` (files or directories) with ``rules`` (default: all).
 
     ``root`` anchors the relative paths used in findings and
     ``exempt_paths`` matching; it defaults to the first directory in
-    ``paths`` (or the file's parent).
-
-    ``deep=True`` additionally runs the whole-program interprocedural
-    analyses of :mod:`repro.analysis.ipa` over the same single-parse
-    module set (call graph, determinism taint, payload shippability,
-    and the interprocedural re-hosts of the evasion-prone rules).
+    ``paths`` (or the file's parent).  One engine pass
+    (:func:`repro.analysis.ipa.engine.run_deep_lint`) parses each file
+    once for the per-module and the whole-program rules alike.
     ``cache`` names the incremental cache file (per-file SHA-256 keyed);
     ``None`` analyzes everything from scratch in memory.
     """
+    from ..ipa.engine import run_deep_lint
+
     path_objs = [Path(p) for p in paths]
     if root is None:
         root = next(
             (p for p in path_objs if p.is_dir()),
             path_objs[0].parent if path_objs else Path("."),
         )
-    root = Path(root)
-    active = list(all_rules().values()) if rules is None else list(rules)
-    files = list(_iter_py_files(path_objs))
-    if deep:
-        # One engine drives both layers: shallow rules run on exactly
-        # the modules the deep pass has to (re-)parse, cached files
-        # contribute their recorded findings without being re-read.
-        from ..ipa.engine import run_deep_lint
-
-        return run_deep_lint(files, root, active, cache, deep_rules)  # type: ignore[arg-type]
-    report = LintReport()
-    for path in files:
-        try:
-            module = ModuleSource.load(path, root)
-        except SyntaxError as exc:
-            report.findings.append(parse_error_finding(path, exc))
-            report.files_checked += 1
-            continue
-        report.files_checked += 1
-        check_module(module, active, report)
-    report.findings.sort(key=finding_sort_key)
-    return report
+    active = all_rules().values() if rules is None else rules
+    return run_deep_lint(
+        list(_iter_py_files(path_objs)), Path(root), active, cache
+    )

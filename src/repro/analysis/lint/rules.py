@@ -1,9 +1,12 @@
 """The bundled SPMD-safety rules.
 
 Each rule enforces one clause of the determinism contract (see
-``docs/ANALYSIS.md``).  Rules are heuristic by design — they must never
-crash on valid Python, and anything they over-flag can be suppressed
-with a justified ``# repro-lint: disable=<rule>`` comment.
+``docs/ANALYSIS.md``), one module at a time; the properties that need
+the whole program (unseeded RNG, the shared Communicator and captured
+state reached from a task body) are the ``deep-*`` rules of
+:mod:`repro.analysis.ipa.analyses`.  Rules are heuristic by design —
+they must never crash on valid Python, and anything they over-flag can
+be suppressed with a justified ``# repro-lint: disable=<rule>`` comment.
 """
 
 from __future__ import annotations
@@ -23,15 +26,12 @@ from .base import (
 )
 
 __all__ = [
-    "UnseededRngRule",
     "WallClockRule",
     "UnorderedIterationRule",
     "UnorderedDictSendRule",
-    "CommInTaskRule",
     "LedgerBypassRule",
     "UnaccountedSendRule",
     "CrossHostWriteRule",
-    "UnshippableTaskCaptureRule",
     "ScalarSendInHotLoopRule",
     "ContractUndeclaredOpRule",
     "SwallowedErrorRule",
@@ -55,90 +55,9 @@ def _root_name(node: ast.AST) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _iter_host_task_bodies(
-    module: ModuleSource,
-) -> Iterator[tuple[ast.AST, ast.Call]]:
-    """(body, HostTask call) pairs — one shared computation per module."""
-    yield from module.host_task_bodies()
-
-
 # ----------------------------------------------------------------------
 # Nondeterminism sources
 # ----------------------------------------------------------------------
-@register
-class UnseededRngRule(LintRule):
-    """Randomness must come from an explicitly seeded Generator.
-
-    The stdlib ``random`` module and NumPy's legacy ``np.random.*``
-    functions draw from hidden global state: any draw order change —
-    a reordered loop, a new thread — silently changes the partition.
-    """
-
-    name = "unseeded-rng"
-    severity = ERROR
-    description = (
-        "global or unseeded RNG; inject a seeded np.random.Generator "
-        "(np.random.default_rng(seed)) instead"
-    )
-
-    _SEEDED_CONSTRUCTORS = {
-        "Generator", "SeedSequence", "BitGenerator",
-        "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
-    }
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = module.aliases
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = _resolve(node.func, aliases)
-            if target is None:
-                continue
-            if target == "random.Random":
-                if not node.args:
-                    yield self.finding(
-                        module, node, "random.Random() without a seed"
-                    )
-            elif target == "random.SystemRandom" or target.startswith(
-                "random.SystemRandom."
-            ):
-                yield self.finding(
-                    module, node,
-                    "SystemRandom is OS entropy; never reproducible",
-                )
-            elif target.startswith("random."):
-                yield self.finding(
-                    module, node,
-                    f"{target}() draws from the global stdlib RNG; "
-                    "use an injected seeded Generator",
-                )
-            elif target.startswith("numpy.random."):
-                leaf = target.rsplit(".", 1)[-1]
-                if leaf == "default_rng":
-                    unseeded = not node.args or (
-                        isinstance(node.args[0], ast.Constant)
-                        and node.args[0].value is None
-                    )
-                    if unseeded:
-                        yield self.finding(
-                            module, node,
-                            "default_rng() without a seed is entropy-"
-                            "seeded; derive the seed from (host, op)",
-                        )
-                elif leaf in self._SEEDED_CONSTRUCTORS:
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            module, node,
-                            f"np.random.{leaf}() without a seed",
-                        )
-                else:
-                    yield self.finding(
-                        module, node,
-                        f"legacy np.random.{leaf} uses hidden global "
-                        "state; use np.random.default_rng(seed)",
-                    )
-
-
 @register
 class WallClockRule(LintRule):
     """No wall-clock reads outside the cost model and benchmarks.
@@ -490,51 +409,6 @@ class UnorderedDictSendRule(LintRule):
 # Host-isolation hazards
 # ----------------------------------------------------------------------
 @register
-class CommInTaskRule(LintRule):
-    """HostTask bodies must not touch the shared Communicator.
-
-    A mapped task runs concurrently under ``ParallelExecutor``; every
-    charge must go through its :class:`HostView` so it lands on the
-    host's private ledger.  Reaching ``phase.comm`` (or issuing a
-    collective) from inside a body bypasses the ledger and races the
-    merge barrier.
-    """
-
-    name = "comm-in-task"
-    severity = ERROR
-    description = (
-        "shared Communicator accessed inside a HostTask body; route "
-        "charges through the HostView"
-    )
-
-    _PHASE_GLOBAL_CALLS = {
-        "allreduce_sum", "allreduce_max", "allgather", "barrier",
-        "merge_ledger", "sync_round",
-    }
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for body, _call in _iter_host_task_bodies(module):
-            for node in ast.walk(body):
-                if isinstance(node, ast.Attribute) and node.attr == "comm":
-                    yield self.finding(
-                        module, node,
-                        "`.comm` reached from a HostTask body bypasses "
-                        "the per-host ledger",
-                    )
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self._PHASE_GLOBAL_CALLS
-                ):
-                    yield self.finding(
-                        module, node,
-                        f"phase-global `{node.func.attr}` issued inside "
-                        "a HostTask body; collectives belong between "
-                        "task submissions",
-                    )
-
-
-@register
 class LedgerBypassRule(LintRule):
     """Communicator accounting state is written only by the comm layer.
 
@@ -672,7 +546,7 @@ class CrossHostWriteRule(LintRule):
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for body, _call in _iter_host_task_bodies(module):
+        for body, _call in module.host_task_bodies():
             if isinstance(body, ast.Lambda):
                 continue
             local_names: set[str] = {a.arg for a in body.args.args}
@@ -726,93 +600,6 @@ class CrossHostWriteRule(LintRule):
             indices.append(node.slice)
             node = node.value  # type: ignore[assignment]
         return indices
-
-
-def _flatten_store_targets(node: ast.AST) -> Iterator[ast.AST]:
-    """Leaf assignment targets under tuple/list/star unpacking."""
-    if isinstance(node, (ast.Tuple, ast.List)):
-        for elt in node.elts:
-            yield from _flatten_store_targets(elt)
-    elif isinstance(node, ast.Starred):
-        yield from _flatten_store_targets(node.value)
-    else:
-        yield node
-
-
-@register
-class UnshippableTaskCaptureRule(LintRule):
-    """A HostTask body must not mutate state captured from its closure.
-
-    Task bodies may run in a forked worker process (``--executor
-    process``): a write to captured shared state lands in the worker's
-    copy-on-write snapshot and dies with the worker, silently diverging
-    from the serial schedule.  Bodies must *return* their results — the
-    parent installs them through the task's ``apply`` callback at the
-    merge barrier — and take per-host inputs through the declared
-    ``payload``.  A mutation that is provably worker-local (recomputed
-    scratch, idempotent caches) must say so in a suppression
-    justification.
-    """
-
-    name = "unshippable-task-capture"
-    severity = WARNING
-    description = (
-        "HostTask body writes captured shared state, which a forked "
-        "worker cannot ship back; return the value and install it via "
-        "the task's apply callback"
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for body, _call in _iter_host_task_bodies(module):
-            if isinstance(body, ast.Lambda):
-                # A lambda body is a single expression: it can only
-                # mutate through calls, which this rule does not model.
-                continue
-            args = body.args
-            local_names: set[str] = {
-                a.arg for a in (
-                    *args.posonlyargs, *args.args, *args.kwonlyargs
-                )
-            }
-            for extra in (args.vararg, args.kwarg):
-                if extra is not None:
-                    local_names.add(extra.arg)
-            # Any name the body (or a function nested in it) binds is
-            # treated as local — an over-approximation that errs toward
-            # silence, the right direction for a lint.
-            for node in ast.walk(body):
-                if isinstance(node, ast.Name) and isinstance(
-                    node.ctx, ast.Store
-                ):
-                    local_names.add(node.id)
-                elif isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    local_names.add(node.name)
-            for node in ast.walk(body):
-                targets: list[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [node.target]
-                elif isinstance(node, ast.Delete):
-                    targets = list(node.targets)
-                for target in targets:
-                    for leaf in _flatten_store_targets(target):
-                        if not isinstance(
-                            leaf, (ast.Subscript, ast.Attribute)
-                        ):
-                            continue
-                        root = _root_name(leaf)
-                        if root is None or root in local_names:
-                            continue
-                        yield self.finding(
-                            module, leaf,
-                            f"write to captured `{root}` inside a task "
-                            "body dies with a forked worker; return the "
-                            "value and install it in the task's apply "
-                            "callback",
-                        )
 
 
 def _explicit_phase(module: ModuleSource) -> str | None:

@@ -1,7 +1,7 @@
 """Mutation-based soundness harness for the analysis stack.
 
-PRs 3, 4, and 8 built a tower of detectors — the shallow SPMD-safety
-lint, the whole-program ``--deep`` interprocedural analysis, the phase
+PRs 3, 4, and 8 built a tower of detectors — the SPMD-safety lint
+(per-module rules plus the whole-program ``deep-*`` rules), the phase
 contracts with their static extractor and the CommSan runtime
 sanitizer, and the host-isolation monitor.  This package measures what
 that tower actually catches: it *injects* the bug classes the
@@ -20,7 +20,7 @@ caught/missed/equivalent``) as byte-stable JSON.
   one mutant at a time, runs the detectors through :mod:`.probe` in a
   subprocess whose ``PYTHONPATH`` points at the shadow tree, and
   assembles the :class:`CampaignReport`.
-* :mod:`.probe` — the in-shadow detector harness (shallow+deep lint,
+* :mod:`.probe` — the in-shadow detector harness (per-module and deep lint,
   contract extraction, and the dynamic tier: CommSan, the isolation
   monitor, serial-vs-parallel bit-identity, run-to-run determinism and
   the partition invariant checker on a fixture graph).

@@ -6,7 +6,7 @@ each), and runs :mod:`.probe` as a subprocess whose ``PYTHONPATH``
 leads with the shadow — so every detector, static and dynamic, sees
 the mutated package exactly as an install would.  A baseline probe on
 the *unmutated* shadow must come back completely quiet (it also warms
-the deep-lint cache all later probes share); a noisy baseline aborts
+the lint cache all later probes share); a noisy baseline aborts
 the campaign, because detection counts against a dirty background are
 meaningless.
 
@@ -386,7 +386,7 @@ def run_campaign(
             shadow_pkg,
             ignore=shutil.ignore_patterns("__pycache__"),
         )
-        cache_path = workdir / "deep-cache.json"
+        cache_path = workdir / "lint-cache.json"
 
         baseline, timed_out = _run_probe(
             shadow_root,
@@ -410,7 +410,7 @@ def run_campaign(
                 + (" (timed out)" if timed_out else "")
                 + f": {detail}"
             )
-        say("baseline probe clean; deep cache warm")
+        say("baseline probe clean; lint cache warm")
 
         for index, mutant in enumerate(selected):
             path = shadow_pkg / mutant.rel

@@ -452,8 +452,8 @@ class LaunderCommOperator(MutationOperator):
 
     Behaviourally equivalent (the helper still calls ``add_compute``),
     but the comm-plane access now lives outside any ``HostTask`` body —
-    exactly the evasion the ``--deep`` interprocedural re-host of the
-    comm-in-task rule exists to catch, and the shallow rule cannot.
+    exactly the helper-chain evasion ``deep-comm-in-task`` follows
+    through the call graph.
     """
 
     name = "launder-comm"

@@ -15,10 +15,10 @@ because they feed the byte-stable detection matrix.
 
 Detectors, in emission order:
 
-* ``lint`` — the shallow SPMD-safety rules over the whole package
+* ``lint`` — the per-module SPMD-safety rules over the whole package
   (strict: unsuppressed warnings count);
-* ``deep`` — the whole-program interprocedural analyses (same single
-  engine pass as ``lint``, split by the ``deep-`` rule prefix);
+* ``deep`` — the whole-program rules (same single ``repro lint`` pass
+  as ``lint``, split by the ``deep-`` rule prefix);
 * ``contracts`` — the static phase-contract diff (strict);
 * ``dynamic`` — fixture partitions under CommSan and the isolation
   monitor: run-to-run bit-identity, serial-vs-parallel bit-identity,
@@ -99,10 +99,10 @@ def _anchor(rule: str, path: str, line: int) -> str:
 def _static_verdicts(out: IO[str], pkg_dir: Path, cache: str | None) -> None:
     from repro.analysis.lint.base import run_lint
 
-    report = run_lint([pkg_dir], root=pkg_dir, deep=True, cache=cache)
-    shallow = [f for f in report.findings if not f.rule.startswith("deep-")]
+    report = run_lint([pkg_dir], root=pkg_dir, cache=cache)
+    per_module = [f for f in report.findings if not f.rule.startswith("deep-")]
     deep = [f for f in report.findings if f.rule.startswith("deep-")]
-    for name, findings in (("lint", shallow), ("deep", deep)):
+    for name, findings in (("lint", per_module), ("deep", deep)):
         _emit(
             out,
             {
@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         "--out", required=True, help="JSONL verdict file (one line/detector)"
     )
     parser.add_argument(
-        "--cache", default=None, help="deep-lint cache file (shared across probes)"
+        "--cache", default=None, help="lint cache file (shared across probes)"
     )
     parser.add_argument(
         "--static-only",

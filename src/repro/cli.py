@@ -204,24 +204,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-rules", action="store_true",
                    help="print the available rules and exit")
     p.add_argument(
-        "--deep", action="store_true",
-        help=(
-            "additionally run the whole-program interprocedural "
-            "analyses (call graph, determinism taint, payload "
-            "shippability; see the 'Whole-program analysis' section of "
-            "docs/ANALYSIS.md)"
-        ),
-    )
-    p.add_argument(
         "--cache", metavar="FILE",
         help=(
-            "incremental cache file for --deep (default: a per-tree "
-            "file under $XDG_CACHE_HOME/repro-lint)"
+            "incremental cache file (default: a per-tree file under "
+            "$XDG_CACHE_HOME/repro-lint)"
         ),
     )
     p.add_argument(
         "--no-cache", action="store_true",
-        help="run --deep without reading or writing any cache",
+        help="lint without reading or writing any cache",
     )
 
     p = sub.add_parser(
@@ -290,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "skipped flushes, laundered communication, mutated contract "
             "clauses, ...) against the repro package, splice each into "
             "an isolated shadow copy, and run the full detector stack — "
-            "shallow lint, --deep analyses, the contract diff, and a "
+            "per-module and whole-program lint, the contract diff, and a "
             "dynamic fixture tier — against every mutant.  Fails on any "
             "surviving mutant without a triage verdict, and on matrix "
             "drift when --reference is given.  See the 'Mutation "
@@ -460,7 +451,7 @@ def _report_exit(report, args, strict_note: str) -> int:
     )
 
 
-def _default_deep_cache(paths: list) -> str:
+def _default_cache(paths: list) -> str:
     """Per-tree default cache file under the user's cache directory."""
     import hashlib
 
@@ -470,50 +461,32 @@ def _default_deep_cache(paths: list) -> str:
     key = hashlib.sha256(
         "\x00".join(os.path.abspath(str(p)) for p in paths).encode()
     ).hexdigest()[:16]
-    return os.path.join(base, "repro-lint", f"deep-{key}.json")
+    return os.path.join(base, "repro-lint", f"lint-{key}.json")
 
 
 def _run_lint_command(args) -> int:
     """The ``lint`` subcommand: drive :func:`repro.analysis.lint.run_lint`."""
-    from .analysis.ipa import all_deep_rules
     from .analysis.lint import all_rules, run_lint
 
     registry = all_rules()
-    deep_registry = all_deep_rules()
     if args.list_rules:
-        names = list(registry) + list(deep_registry)
-        width = max(len(name) for name in names)
+        width = max(len(name) for name in registry)
         for name in sorted(registry):
             rule = registry[name]
             print(f"{name:<{width}}  [{rule.severity}] {rule.description}")
-        for name in sorted(deep_registry):
-            deep_rule = deep_registry[name]
-            print(
-                f"{name:<{width}}  [{deep_rule.severity}] "
-                f"(--deep) {deep_rule.description}"
-            )
         return 0
     rules = None
-    deep_rules = None
     if args.rule:
-        known = set(registry) | (set(deep_registry) if args.deep else set())
-        unknown = sorted(set(args.rule) - known)
+        unknown = sorted(set(args.rule) - set(registry))
         if unknown:
             raise SystemExit(
                 f"unknown rule(s): {', '.join(unknown)} "
-                "(see 'lint --list-rules'; deep-* rules need --deep)"
+                "(see 'lint --list-rules')"
             )
-        wanted = dict.fromkeys(args.rule)
-        rules = [registry[n] for n in wanted if n in registry]
-        deep_rules = [deep_registry[n] for n in wanted if n in deep_registry]
+        rules = [registry[n] for n in dict.fromkeys(args.rule)]
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
-    cache = None
-    if args.deep and not args.no_cache:
-        cache = args.cache or _default_deep_cache(paths)
-    report = run_lint(
-        paths, rules=rules, deep=args.deep, cache=cache,
-        deep_rules=deep_rules,
-    )
+    cache = None if args.no_cache else args.cache or _default_cache(paths)
+    report = run_lint(paths, rules=rules, cache=cache)
     return _report_exit(report, args, " (strict: warnings are errors)")
 
 

@@ -364,7 +364,7 @@ def _assign_edges_body(view: HostView, payload: tuple):
         # dispatched through chain(), which runs hosts sequentially
         # on the main thread (no task context), so this collective
         # never executes inside a mapped task.
-        # repro-lint: disable-next-line=comm-in-task,deep-comm-in-task -- chain()-only path, sequential by construction
+        # repro-lint: disable-next-line=deep-comm-in-task -- chain()-only path, sequential by construction
         estate.sync_round(comm, blocking=False)
     nodes_read = stop - start
     for j in range(num_hosts):

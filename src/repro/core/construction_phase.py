@@ -22,8 +22,8 @@ node-id width (two bytes up to 65 536 nodes).  ``ship-edges`` is a
 grouping's last reader, so the groupings are dropped at its barrier and
 an owner's blocks live from their gather until that owner drains them.
 ``build-partition`` maps the ids to int32 local ids one bounded slice at
-a time, and ``CSRGraph.from_edges`` keeps that width until the
-constructor widens the sorted column once.  The bytes charged for an
+a time; payload-free ``CSRGraph.from_edges`` value-sorts the fused key
+and takes ``dst`` as its remainder.  The bytes charged for an
 edge block stay the paper's wire format (§IV-C3): 8 per distinct source
 plus 8 (16 weighted) per edge, whatever the in-memory width.
 

@@ -373,7 +373,8 @@ class ProcessExecutor(_LedgerExecutor):
     Bodies must not write shared structures (worker writes die with
     the worker); declared outputs go through ``HostTask.apply``, which
     runs in the parent at the barrier.  The
-    ``unshippable-task-capture`` lint rule enforces this statically.
+    ``deep-unshippable-task-capture`` lint rule enforces this
+    statically, in the body and in every helper it calls.
 
     On platforms without ``os.fork`` the executor degrades to the
     serial direct path (still correct, no speedup).  :meth:`close`

@@ -140,6 +140,12 @@ def sweep_family_segments() -> None:
         # repro-lint: disable-next-line=swallowed-error -- segment vanished between listing and attach; nothing left to clean
         except FileNotFoundError:  # pragma: no cover
             continue
+        except ValueError:
+            # Empty: its creator died between creating the name and
+            # sizing it (a worker killed mid-export), so there is nothing
+            # to map and no tracker entry, only the name to free.
+            os.unlink(os.path.join("/dev/shm", name))
+            continue
         seg.close()
         seg.unlink()
 

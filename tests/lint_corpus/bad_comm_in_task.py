@@ -1,4 +1,4 @@
-"""Corpus: shared Communicator use inside a HostTask body (rule: comm-in-task)."""
+"""Corpus: shared Communicator use inside a HostTask body (rule: deep-comm-in-task)."""
 
 from repro.runtime.executor import HostTask
 
@@ -11,3 +11,8 @@ def make_tasks(phase, num_hosts):
         phase.comm.barrier()
 
     return [HostTask(h, body) for h in range(num_hosts)]
+
+
+def make_lambda_tasks(phase, hosts):
+    # A lambda body is a body too.
+    return [HostTask(h, lambda v: phase.comm.barrier()) for h in hosts]

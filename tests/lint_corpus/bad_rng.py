@@ -1,4 +1,4 @@
-"""Corpus: unseeded randomness (rule: unseeded-rng)."""
+"""Corpus: unseeded randomness (rule: deep-unseeded-rng)."""
 
 import random
 

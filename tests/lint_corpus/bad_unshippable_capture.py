@@ -1,4 +1,4 @@
-"""Corpus: task bodies mutating captured state (rule: unshippable-task-capture)."""
+"""Corpus: task bodies mutating captured state (rule: deep-unshippable-task-capture)."""
 
 from repro.runtime.executor import HostTask
 

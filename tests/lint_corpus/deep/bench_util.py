@@ -1,6 +1,6 @@
 """Benchmark-flavoured helper module (evasion accomplice).
 
-The wall-clock read lives *here* because the shallow ``wall-clock``
+The wall-clock read lives *here* because the per-module ``wall-clock``
 rule exempts ``bench*`` paths — a file-level blind spot.  The deep
 taint analysis does not care where the read happens: it follows the
 returned value across module boundaries into whatever consumes it

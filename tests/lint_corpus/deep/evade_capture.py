@@ -1,13 +1,11 @@
 """Captured-state mutation laundered through a helper.
 
-Shallow false negative by construction: the shallow
-``unshippable-task-capture`` rule only sees writes *in the body*, and
-the body below writes nothing — it hands the captured ``tallies``
-dict to ``record_result``, which performs the write through its
-parameter.  Under a forked process executor that write lands in the
-worker's copy and silently dies with it.  The deep
-``deep-unshippable-task-capture`` pass must follow the argument into
-the helper and flag the write with the full chain.
+No per-module rule sees it: the body below writes nothing — it hands
+the captured ``tallies`` dict to ``record_result``, which performs the
+write through its parameter.  Under a forked process executor that
+write lands in the worker's copy and silently dies with it.
+``deep-unshippable-task-capture`` must follow the argument into the
+helper and flag the write with the full chain.
 """
 
 from repro.runtime.executor import HostTask

@@ -1,8 +1,8 @@
 """Wall-clock nondeterminism laundered through a helper chain.
 
-Shallow false negative by construction: this file contains no clock
-call — the read hides in ``bench_util.now_ms`` (a path the shallow
-``wall-clock`` rule exempts wholesale), and only the *value* travels
+No per-module rule sees it: this file contains no clock call — the
+read hides in ``bench_util.now_ms`` (a path the ``wall-clock`` rule
+exempts wholesale), and only the *value* travels
 back through ``elapsed_stamp`` into a HostTask result.  The deep
 ``deep-determinism-taint`` pass must flag the task registration with
 a value path naming every hop.

@@ -1,11 +1,10 @@
 """Communicator access laundered through a helper call.
 
-Shallow false negative by construction: the shallow ``comm-in-task``
-rule only inspects the HostTask body itself, and the body below is
-squeaky clean — it merely calls ``poke_peers``, which is where the
-``.comm`` access and the phase-global collective actually live.  The
-deep ``deep-comm-in-task`` pass must follow the call edge and flag
-the access with a chain naming body and helper.
+No per-module rule sees it: the HostTask body below is squeaky clean
+— it merely calls ``poke_peers``, which is where the ``.comm`` access
+and the phase-global collective actually live.  ``deep-comm-in-task``
+must follow the call edge and flag the access with a chain naming body
+and helper.
 """
 
 from repro.runtime.executor import HostTask

@@ -1,7 +1,6 @@
 """An unshippable HostTask payload hidden behind a constructor.
 
-Shallow false negative by construction: no shallow rule reasons about
-payload values at all, and nothing here *looks* wrong at the call
+No per-module rule reasons about payload values at all, and nothing here *looks* wrong at the call
 site — the payload is just ``make_channel()``.  But the factory
 returns a ``Channel`` whose ``__init__`` stores a ``threading.Lock``,
 which cannot cross the process boundary to a forked worker.  The deep

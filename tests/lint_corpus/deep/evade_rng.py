@@ -1,12 +1,11 @@
 """Unseeded RNG laundered through a seed-forwarding wrapper stack.
 
-Shallow false negative by construction: every ``default_rng(seed)``
-call in this file passes a variable, which the shallow
-``unseeded-rng`` rule accepts.  But the seed parameter defaults to
-``None`` at each layer, and the top call site omits it — so the
-generator is entropy-seeded after all.  The deep
-``deep-unseeded-rng`` pass threads the parameter interprocedurally
-and must flag the deciding call with the full wrapper chain.
+No direct draw to flag: every ``default_rng(seed)`` call in this file
+passes a variable.  But the seed parameter defaults to ``None`` at
+each layer, and the top call site omits it — so the generator is
+entropy-seeded after all.  ``deep-unseeded-rng`` threads the parameter
+interprocedurally and must flag the deciding call with the full
+wrapper chain.
 """
 
 from numpy.random import default_rng

@@ -868,6 +868,15 @@ class TestSegmentLifecycle:
         assert residency._relayed == {} and unraisable == []
         assert sorted(n.lstrip("/") for n in unregistered) == names
 
+    def test_sweep_frees_a_name_its_creator_never_sized(self):
+        # A worker killed between shm_open and ftruncate leaves an empty
+        # name behind; mapping it fails, and the sweep must still free it.
+        name = f"{colfab._SEGMENT_FAMILY}{os.getpid():x}-empty"
+        os.close(os.open(os.path.join("/dev/shm", name), os.O_CREAT | os.O_RDWR))
+        assert leaked_segments() == [name]
+        residency.sweep_family_segments()
+        assert leaked_segments() == []
+
     def test_forked_child_never_unlinks_a_relayed_name(self):
         _, blob = self._shipped()
         back = residency.loads_with_segments(blob, relay=True)

@@ -1,10 +1,11 @@
 """The SPMD-safety lint (``repro.analysis.lint``).
 
-Each rule is exercised against ``tests/lint_corpus`` — one ``bad_*.py``
-fixture per rule that must be flagged, and one ``clean.py`` of
-near-misses that must not be.  The corpus files are parsed as data,
-never imported.  Also covers suppression comments, severity/strict
-semantics, JSON output, and the ``repro lint`` CLI's exit codes.
+Each rule — per-module and whole-program (``deep-*``) alike — is
+exercised against ``tests/lint_corpus``: one ``bad_*.py`` fixture per
+rule that must be flagged, and one ``clean.py`` of near-misses that
+must not be.  The corpus files are parsed as data, never imported.
+Also covers suppression comments, severity/strict semantics, JSON
+output, and the ``repro lint`` CLI's exit codes and default cache.
 """
 
 import json
@@ -12,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.ipa.analyses import DeepRule
 from repro.analysis.lint import (
     ERROR,
     WARNING,
     Finding,
     LintReport,
+    LintRule,
     ModuleSource,
     all_rules,
     run_lint,
@@ -27,24 +30,47 @@ CORPUS = Path(__file__).parent / "lint_corpus"
 
 #: rule name -> corpus fixture that must trigger it.
 RULE_FIXTURES = {
-    "unseeded-rng": "bad_rng.py",
+    "deep-unseeded-rng": "bad_rng.py",
     "wall-clock": "bad_clock.py",
     "unordered-iteration": "bad_set_iteration.py",
     "unordered-dict-send": "bad_dict_send_iteration.py",
-    "comm-in-task": "bad_comm_in_task.py",
+    "deep-comm-in-task": "bad_comm_in_task.py",
     "ledger-bypass": "bad_ledger_bypass.py",
     "unaccounted-send": "bad_unaccounted_send.py",
     "cross-host-write": "bad_cross_host_write.py",
-    "unshippable-task-capture": "bad_unshippable_capture.py",
+    "deep-unshippable-task-capture": "bad_unshippable_capture.py",
     "scalar-send-in-hot-loop": "bad_scalar_send_loop.py",
     "contract-undeclared-op": "bad_undeclared_op.py",
     "swallowed-error": "bad_swallowed_error.py",
+    "deep-determinism-taint": "bad_determinism_taint.py",
+    "deep-unshippable-payload": "bad_unshippable_payload.py",
+}
+
+#: The lines the per-module ``unseeded-rng``, ``comm-in-task`` and
+#: ``unshippable-task-capture`` rules flagged before their ``deep-*``
+#: twins took them over at every call depth: the twin must flag each
+#: (line 18 of ``bad_comm_in_task.py`` is a lambda body).
+FOLDED_LINES = {
+    ("deep-unseeded-rng", "bad_rng.py"): [9, 14, 15, 16, 20],
+    ("deep-comm-in-task", "bad_comm_in_task.py"): [10, 11, 18],
+    ("deep-unshippable-task-capture", "bad_unshippable_capture.py"): [10, 11],
 }
 
 
 class TestCorpus:
     def test_every_rule_has_a_fixture(self):
-        assert set(RULE_FIXTURES) == set(all_rules())
+        rules = all_rules()
+        assert set(RULE_FIXTURES) == set(rules)
+        # One registry holds both kinds: per-module and whole-program.
+        deep = {n for n, r in rules.items() if isinstance(r, DeepRule)}
+        assert deep == {n for n in rules if n.startswith("deep-")}
+        assert all(isinstance(rules[n], LintRule) for n in set(rules) - deep)
+
+    @pytest.mark.parametrize("rule,filename", sorted(FOLDED_LINES))
+    def test_folded_rule_flags_every_line(self, rule, filename):
+        report = run_lint([CORPUS / filename], root=CORPUS)
+        lines = sorted({f.line for f in report.findings if f.rule == rule})
+        assert lines == FOLDED_LINES[rule, filename], report.render_text()
 
     @pytest.mark.parametrize("rule,filename", sorted(RULE_FIXTURES.items()))
     def test_bad_snippet_is_flagged_by_its_rule(self, rule, filename):
@@ -101,7 +127,7 @@ class TestSuppression:
         report = self.lint_text(
             tmp_path,
             "import random\n"
-            "x = random.random()  # repro-lint: disable=unseeded-rng -- test\n",
+            "x = random.random()  # repro-lint: disable=deep-unseeded-rng -- test\n",
         )
         assert report.findings == []
         assert report.suppressed == 1
@@ -110,7 +136,7 @@ class TestSuppression:
         report = self.lint_text(
             tmp_path,
             "import random\n"
-            "# repro-lint: disable-next-line=unseeded-rng -- test\n"
+            "# repro-lint: disable-next-line=deep-unseeded-rng -- test\n"
             "x = random.random()\n",
         )
         assert report.findings == []
@@ -133,7 +159,7 @@ class TestSuppression:
             "import random\n"
             "x = random.random()  # repro-lint: disable=wall-clock\n",
         )
-        assert [f.rule for f in report.findings] == ["unseeded-rng"]
+        assert [f.rule for f in report.findings] == ["deep-unseeded-rng"]
         assert report.suppressed == 0
 
 
@@ -192,6 +218,11 @@ class TestReport:
 
 
 class TestCLI:
+    @pytest.fixture(autouse=True)
+    def _cache_home(self, tmp_path, monkeypatch):
+        """The default lint cache lands under tmp, not the user's home."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
     def test_exit_codes(self, capsys):
         assert main(["lint", str(CORPUS / "clean.py")]) == 0
         assert "OK:" in capsys.readouterr().out
@@ -213,9 +244,24 @@ class TestCLI:
     def test_rule_filter(self, capsys):
         target = str(CORPUS / "bad_rng.py")
         assert main(["lint", target, "--rule", "wall-clock"]) == 0
+        assert main(["lint", target, "--rule", "deep-unseeded-rng"]) == 1
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(["lint", target, "--rule", "no-such-rule"])
+
+    def test_one_pass_has_no_deep_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["lint", "--deep"])
+
+    def test_cache_is_on_by_default(self, tmp_path, capsys):
+        target = str(CORPUS / "clean.py")
+        assert main(["lint", target]) == 0
+        assert "[0 cached, 1 analyzed]" in capsys.readouterr().out
+        assert main(["lint", target]) == 0
+        assert "[1 cached, 0 analyzed]" in capsys.readouterr().out
+        assert list((tmp_path / "repro-lint").glob("*.json"))
+        assert main(["lint", target, "--no-cache"]) == 0
+        assert "[0 cached, 1 analyzed]" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
