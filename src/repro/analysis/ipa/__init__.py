@@ -13,7 +13,7 @@ package analyzes the *whole program*, and its engine drives every
 * :mod:`~repro.analysis.ipa.program` — links summaries into a
   project-wide symbol table and call graph (module-level name
   resolution plus method dispatch on statically-typed receivers such
-  as ``Communicator``, ``CommLedger``, ``LedgerHostView``).
+  as ``Communicator``, ``CommLedger``, ``HostView``).
 * :mod:`~repro.analysis.ipa.analyses` — the interprocedural rules:
   determinism taint, payload shippability, unseeded RNG, and the
   Communicator and captured state reached from a HostTask body (in

@@ -36,7 +36,7 @@ __all__ = ["Program", "Target"]
 #: from) a forked worker: they hold the parent process's sockets,
 #: ledgers, pools, or locks.
 COMM_TYPE_LEAFS = {
-    "Communicator", "CommLedger", "LedgerHostView", "DirectHostView",
+    "Communicator", "CommLedger", "HostView",
     "Executor", "SerialExecutor", "ParallelExecutor", "ProcessExecutor",
     "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool",
 }

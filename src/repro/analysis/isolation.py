@@ -22,7 +22,7 @@ objects carry cheap guard hooks that consult that context:
 * ``Communicator.recv_all(dst)`` is allowed only for ``dst == ctx.host``
   (a host may drain its own queue; queues are appended to only at merge
   barriers);
-* ``CommLedger`` operations and ``LedgerHostView`` charges raise when
+* ``CommLedger`` operations and ``HostView`` charges raise when
   the executing thread's context names a different host — a task that
   somehow reached another host's ledger is a data race in waiting;
 * ``PhaseStats.add_disk`` / ``add_compute`` raise inside a mapped task

@@ -54,9 +54,10 @@ TRIAGE: dict[str, TriageEntry] = {
     #    suite against each mutant in place.
     "reverse-merge-order:runtime/executor.py#0": TriageEntry(
         "covered-elsewhere",
-        "Reversing the host merge order of the barrier the thread and"
-        " process executors share breaks the serial-vs-parallel and"
-        " serial-vs-process bit-identity assertions in"
+        "Reversing the host merge order of the one barrier every"
+        " executor shares, serial included, keeps serial-vs-parallel"
+        " bit-identity but breaks the hand-charged reference, the"
+        " one-host-in-flight order and the failed-barrier pins in"
         " tests/test_executors.py (tier-1, every CI leg).",
     ),
     "skip-barrier:core/state.py#0": TriageEntry(

@@ -489,14 +489,20 @@ def _create_shared_segment(raw: np.ndarray, tracked: bool = False) -> Any:
     from multiprocessing import resource_tracker, shared_memory
 
     while True:
+        name = _next_segment_name()
         try:
             seg = shared_memory.SharedMemory(
-                name=_next_segment_name(), create=True, size=max(1, raw.nbytes)
+                name=name, create=True, size=max(1, raw.nbytes)
             )
             break
         # repro-lint: disable-next-line=swallowed-error -- name collision with a sibling process in the same family; the serial counter advances and we retry
         except FileExistsError:  # pragma: no cover - racing forked creators
             continue
+        except BaseException:
+            # An interrupt inside the constructor can land after
+            # ``shm_open`` made the name, which nothing else knows.
+            _discard_segment_name(name)
+            raise
     view = memoryview(raw).cast("B")
     fd = getattr(seg, "_fd", -1)
     written = 0
@@ -518,6 +524,26 @@ def _create_shared_segment(raw: np.ndarray, tracked: bool = False) -> Any:
         except Exception:  # pragma: no cover
             pass
     return seg
+
+
+def _discard_segment_name(name: str) -> None:
+    """Unlink a family segment by name, leaving the tracker balanced.
+
+    A name whose creator died or was interrupted before sizing it is
+    empty: nothing to map and no tracker entry, only the name to free.
+    """
+    from multiprocessing import shared_memory
+
+    try:
+        seg = shared_memory.SharedMemory(name=name)
+    # repro-lint: disable-next-line=swallowed-error -- the name is already gone; nothing left to clean
+    except FileNotFoundError:
+        return
+    except ValueError:
+        os.unlink(os.path.join("/dev/shm", name))
+        return
+    seg.close()
+    seg.unlink()
 
 
 def _defuse_segment(seg: Any) -> None:

@@ -21,14 +21,14 @@ charged to dedicated retry counters — extra bytes, extra messages, and
 exponential-backoff stalls — so recovery overhead is visible in the
 simulated breakdown.
 
-For the pluggable execution engine (:mod:`repro.runtime.executor`), a
-host's traffic can be recorded on a *private* :class:`CommLedger`
-instead of the shared matrices: :meth:`Communicator.ledger` hands out a
+Under the execution engine (:mod:`repro.runtime.executor`), a host
+task's traffic is recorded on a *private* :class:`CommLedger` instead
+of the shared matrices: :meth:`Communicator.ledger` hands out a
 per-host recording view, and :meth:`Communicator.merge_ledger` folds
 ledgers back in.  Merging in host order reproduces, bit for bit, the
-accounting and message-queue order a serial host-by-host execution
-would have produced — which is what lets a thread pool run the hosts
-concurrently without perturbing a single counter.
+accounting and message-queue order of hand calls to :meth:`send` made
+host by host — which is what lets the hosts run concurrently without
+perturbing a single counter.
 """
 
 from __future__ import annotations

@@ -8,34 +8,34 @@ computes* from *how the hosts are driven*:
 * :class:`HostTask` — one host's closure over a phase's per-host work,
   expressed against a :class:`HostView` (send / recv / disk / compute
   charges);
-* :class:`Executor` — the driving strategy.  :class:`SerialExecutor`
-  runs tasks host-by-host against the shared ledgers (the deterministic
-  reference, exactly the old inline-loop semantics).
+* :class:`Executor` — the driving strategy.  Wherever a body runs, it
+  records onto a *private* :class:`~repro.runtime.comm.CommLedger`
+  (plus private disk/compute accumulators and a redirected fault-event
+  sink), and the barrier that folds the views back in **host order**
+  is one piece of code, :meth:`Executor.run`.  Executors differ only in
+  how the bodies run (``_outcomes``).  :class:`SerialExecutor` — the
+  deterministic reference — keeps one host in flight: host ``h+1``'s
+  body starts only after host ``h`` has merged and applied, which is
+  the old inline-loop semantics by construction.
   :class:`ParallelExecutor` (threads, here) and
   :class:`~repro.runtime.pool.ProcessExecutor` (a resident pool of
-  forked workers, :mod:`repro.runtime.pool`) run hosts concurrently,
-  each host recording onto a *private*
-  :class:`~repro.runtime.comm.CommLedger` (plus private disk/compute
-  accumulators and a redirected fault-event sink).  They differ only in
-  where the body runs; the barrier that folds the private ledgers back
-  in **host order** is one piece of code, :meth:`_LedgerExecutor.run`.
+  forked workers, :mod:`repro.runtime.pool`) run hosts concurrently.
 
 The task-payload seam: because a worker's writes die with the worker,
 task bodies must not mutate shared structures.  A :class:`HostTask` may
 therefore declare a picklable per-host ``payload`` (passed to ``fn`` as
 a second argument) and an ``apply`` callback that the executor runs *in
 the parent, at the barrier, in host order* with the body's result —
-that is where shared-state writes go.  The serial path runs ``apply``
-immediately after each body, which is the same order (phases submit
-tasks in host order), so the seam changes nothing observably.  The
-process pool resolves bodies by name, so there a body must be a
-module-level function with every input in ``payload``; anything else
-raises :class:`UnshippableTaskError` before dispatch.  The queue tags a
-body drains are declared the same way (``drains``): a worker receives
-that part of its host's inbox only, and a view refuses any other tag
-with :class:`UndeclaredDrainError` under every executor.
+that is where shared-state writes go.  Under serial that is right
+after each body, before the next one starts.  The process pool
+resolves bodies by name, so there a body must be a module-level
+function with every input in ``payload``; anything else raises
+:class:`UnshippableTaskError` before dispatch.  The queue tags a body
+drains are declared the same way (``drains``): a worker receives that
+part of its host's inbox only, and a view refuses any other tag with
+:class:`UndeclaredDrainError` under every executor.
 
-Determinism argument (why parallel is bit-identical to serial):
+Determinism argument (why concurrent hosts are bit-identical to serial):
 
 1. *Accounting*: merge adds each host's private vectors into its own row
    of the shared matrices — addition order across rows is irrelevant,
@@ -50,16 +50,16 @@ Determinism argument (why parallel is bit-identical to serial):
    buffered per ledger and concatenated in host order.
 4. *Failures*: if hosts raise, the executor keeps the outcome of the
    first raising host in host order — ledgers of earlier hosts merge
-   fully, the raising host's partial ledger merges as-is (serial charges
-   everything up to the raise), later hosts' ledgers are discarded along
-   with any crash they fired (serial would never have run them) — and
-   re-raises.  Phase bodies are replay-safe (fresh state per attempt),
-   so the discarded extra work of concurrent hosts is unobservable.
+   fully, the raising host's partial ledger merges as-is, later hosts'
+   ledgers are discarded along with any crash they fired (serial never
+   runs them) — and re-raises.  Phase bodies are replay-safe (fresh
+   state per attempt), so the discarded extra work of concurrent hosts
+   is unobservable.
 
 Work whose *algorithm* is cross-host sequential — a stateful edge rule
 where host ``h+1`` must score against the state host ``h`` just updated —
-goes through :meth:`Executor.chain`, which every executor runs
-sequentially against the shared ledgers: bit-identity forbids
+goes through :meth:`Executor.chain`, which every executor runs with one
+host in flight, as serial runs a barrier: bit-identity forbids
 parallelism there, and pretending otherwise would change the partition.
 
 Collectives (``allreduce_*``/``allgather``/``barrier``) are phase-global
@@ -70,9 +70,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 from ..analysis import isolation
 from .colfab import ColumnSchema, MessageBatch, ReceivedBatch
@@ -83,8 +83,6 @@ if TYPE_CHECKING:
 __all__ = [
     "HostTask",
     "HostView",
-    "DirectHostView",
-    "LedgerHostView",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
@@ -158,100 +156,17 @@ class HostTask:
 
 
 class HostView:
-    """What one host's task sees of the cluster (interface).
+    """What one host's task sees of the cluster.
 
-    Concrete views route every charge either straight to the shared
-    phase ledgers (:class:`DirectHostView`) or to private per-host
-    ledgers merged at the barrier (:class:`LedgerHostView`).  Phase code
-    is written against this interface only.
-    """
-
-    host: int
-    _stats: "PhaseStats"
-    _drains: tuple[str, ...]
-
-    def send(self, dst: int, payload: Any, tag: str = "default",
-             logical_messages: int = 1, nbytes: int | None = None,
-             coalesce: bool = False) -> None:
-        raise NotImplementedError
-
-    def _check_drain(self, tag: str) -> None:
-        if tag not in self._drains:
-            raise UndeclaredDrainError(
-                f"host {self.host} drained tag {tag!r}, which its task "
-                f"does not declare (HostTask.drains={self._drains!r})"
-            )
-
-    def recv_all(self, tag: str = "default") -> list[tuple[int, Any]]:
-        """Drain this host's own queue for ``tag``, which the task must
-        have declared in ``HostTask.drains``.  Every view reads the
-        shared communicator: queues are only ever appended to at merge
-        barriers, and each host drains only its own."""
-        self._check_drain(tag)
-        return self._stats.comm.recv_all(self.host, tag)
-
-    def send_batch(self, dst: int, batch: MessageBatch,
-                   tag: str = "default", logical_messages: int = 1,
-                   nbytes: int | None = None,
-                   coalesce: bool = False) -> None:
-        """One columnar block = one transport send (same cost model)."""
-        if not isinstance(batch, MessageBatch):
-            raise TypeError(
-                f"send_batch wants a MessageBatch, got {type(batch).__name__}"
-            )
-        self.send(
-            dst, batch, tag=tag, logical_messages=logical_messages,
-            nbytes=nbytes, coalesce=coalesce,
-        )
-
-    def recv_all_batch(self, tag: str, schema: ColumnSchema) -> ReceivedBatch:
-        self._check_drain(tag)
-        return self._stats.comm.recv_all_batch(self.host, tag, schema)
-
-    def add_disk(self, nbytes: float) -> None:
-        raise NotImplementedError
-
-    def add_compute(self, units: float) -> None:
-        raise NotImplementedError
-
-
-class DirectHostView(HostView):
-    """Charges land immediately on the shared ``PhaseStats``/``Communicator``."""
-
-    __slots__ = ("_stats", "host", "_drains")
-
-    def __init__(self, stats: PhaseStats, host: int,
-                 drains: tuple[str, ...] = ()):
-        self._stats = stats
-        self.host = int(host)
-        self._drains = drains
-
-    def send(self, dst: int, payload: Any, tag: str = "default",
-             logical_messages: int = 1, nbytes: int | None = None,
-             coalesce: bool = False) -> None:
-        self._stats.comm.send(
-            self.host, dst, payload, tag=tag,
-            logical_messages=logical_messages, nbytes=nbytes,
-            coalesce=coalesce,
-        )
-
-    def add_disk(self, nbytes: float) -> None:
-        self._stats.add_disk(self.host, nbytes)
-
-    def add_compute(self, units: float) -> None:
-        self._stats.add_compute(self.host, units)
-
-
-class LedgerHostView(HostView):
-    """Charges accumulate privately; :meth:`merge` folds them in.
+    Every charge accumulates privately — sends on a
+    :class:`~repro.runtime.comm.CommLedger`, disk and compute in two
+    scalars — and :meth:`merge` folds them into the shared state at the
+    barrier.  Phase code is written against this class only.
 
     Creating the view redirects the host's fault channel to the private
     ledger so events drawn by a concurrently-running host can be merged
     (or discarded) deterministically.
     """
-
-    __slots__ = ("_stats", "_channel", "host", "_drains", "ledger",
-                 "disk_bytes", "compute_units")
 
     def __init__(self, stats: PhaseStats, host: int,
                  drains: tuple[str, ...] = ()):
@@ -274,6 +189,39 @@ class LedgerHostView(HostView):
             dst, payload, tag=tag, logical_messages=logical_messages,
             nbytes=nbytes, coalesce=coalesce,
         )
+
+    def _check_drain(self, tag: str) -> None:
+        if tag not in self._drains:
+            raise UndeclaredDrainError(
+                f"host {self.host} drained tag {tag!r}, which its task "
+                f"does not declare (HostTask.drains={self._drains!r})"
+            )
+
+    def recv_all(self, tag: str = "default") -> list[tuple[int, Any]]:
+        """Drain this host's own queue for ``tag``, which the task must
+        have declared in ``HostTask.drains``.  The view reads the shared
+        communicator: queues are only ever appended to at merge
+        barriers, and each host drains only its own."""
+        self._check_drain(tag)
+        return self._stats.comm.recv_all(self.host, tag)
+
+    def send_batch(self, dst: int, batch: MessageBatch,
+                   tag: str = "default", logical_messages: int = 1,
+                   nbytes: int | None = None,
+                   coalesce: bool = False) -> None:
+        """One columnar block = one transport send (same cost model)."""
+        if not isinstance(batch, MessageBatch):
+            raise TypeError(
+                f"send_batch wants a MessageBatch, got {type(batch).__name__}"
+            )
+        self.send(
+            dst, batch, tag=tag, logical_messages=logical_messages,
+            nbytes=nbytes, coalesce=coalesce,
+        )
+
+    def recv_all_batch(self, tag: str, schema: ColumnSchema) -> ReceivedBatch:
+        self._check_drain(tag)
+        return self._stats.comm.recv_all_batch(self.host, tag, schema)
 
     def add_disk(self, nbytes: float) -> None:
         if isolation._depth:
@@ -315,10 +263,120 @@ class LedgerHostView(HostView):
             self._channel.events_out = injector.events
 
 
+def _invoke(task: HostTask, view: HostView) -> Any:
+    """Call a task body, passing its declared payload when it has one."""
+    if task.payload is _NO_PAYLOAD:
+        return task.fn(view)
+    return task.fn(view, task.payload)
+
+
+def _run_private(
+    task: HostTask,
+    view: HostView,
+    monitor: isolation.IsolationMonitor | None,
+    phase_name: str,
+) -> tuple[Any, Exception | None]:
+    """Run one body against its private view, off the barrier.
+
+    What every executor runs, wherever the body runs: the body, under
+    the isolation monitor when one is attached.  A failure is captured,
+    not raised — the barrier decides, in host order, whose failure
+    counts.
+    """
+    guard = (
+        monitor.task(view.host, phase_name, task.label)
+        if monitor is not None
+        else nullcontext()
+    )
+    try:
+        with guard:
+            result = _invoke(task, view)
+        return result, None
+    except Exception as exc:  # noqa: BLE001 — re-raised at the barrier
+        return None, exc
+
+
+#: One host's ``(view, result, exception)`` as the barrier receives it.
+_Outcome = tuple[HostView, Any, "Exception | None"]
+
+
+def _in_turn(
+    stats: PhaseStats, tasks: Sequence[HostTask]
+) -> Generator[_Outcome, None, None]:
+    """One host in flight: a body runs only when the barrier asks for
+    its outcome, which is after every earlier host has merged and
+    applied.  Closing the generator runs no further body."""
+    for task in tasks:
+        view = HostView(stats, task.host, task.drains)
+        yield (view, *_run_private(task, view, None, ""))
+
+
+def _handed_over(outcomes: list[_Outcome]) -> Generator[_Outcome, None, None]:
+    """Hand finished outcomes to the barrier one at a time; once it
+    stops taking them, release the views it never took (work serial
+    would not have run)."""
+    taken = 0
+    try:
+        for outcome in outcomes:
+            taken += 1
+            yield outcome
+    finally:
+        for view, _, _ in outcomes[taken:]:
+            view.release()
+
+
+def _merge_in_order(
+    tasks: Sequence[HostTask], outcomes: Generator[_Outcome, None, None]
+) -> list[Any]:
+    """Fold each task's view into the shared state in ``tasks`` order:
+    ``view.merge()``, then the task's ``apply``, so applied outputs land
+    in the order a host-by-host sweep writes them.  The first failure
+    wins: its partial ledger merges as-is and it is re-raised; closing
+    ``outcomes`` discards everything after it."""
+    results: list[Any] = []
+    with closing(outcomes):
+        for task, (view, result, exc) in zip(tasks, outcomes):
+            view.merge()
+            if exc is not None:
+                raise exc
+            if task.apply is not None:
+                result = task.apply(result)
+            results.append(result)
+    return results
+
+
 class Executor:
-    """Strategy for driving a phase's per-host tasks."""
+    """Strategy for driving a phase's per-host tasks.
+
+    The base class is the whole barrier; an executor only says how a
+    barrier's bodies run (:meth:`_outcomes`).  Here they run one at a
+    time, in the parent.
+    """
 
     name = "abstract"
+
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        check_isolation: bool = False,
+        monitor: "isolation.IsolationMonitor | None" = None,
+    ):
+        """``max_workers`` caps how many hosts run at once.
+        ``check_isolation=True`` attaches a fresh
+        :class:`~repro.analysis.isolation.IsolationMonitor` (or pass
+        your own via ``monitor=``): every task a barrier overlaps then
+        runs under a thread-local ownership context, any cross-host
+        access raises
+        :class:`~repro.analysis.isolation.IsolationViolation`, and the
+        monitor logs each sanctioned (host, phase, op, attribute)
+        access.  Off by default — the guards cost a few percent on
+        charge-heavy phases."""
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
+        self._max_workers = max_workers
+        if monitor is None and check_isolation:
+            monitor = isolation.IsolationMonitor()
+        self.monitor = monitor
 
     def publish(self, name: str, obj: Any) -> Any:
         """Register a barrier input under ``name`` for zero-copy reuse.
@@ -352,154 +410,63 @@ class Executor:
         left published; idempotent, and the next barrier starts a fresh
         one."""
 
+    def _outcomes(
+        self, stats: PhaseStats, tasks: list[HostTask]
+    ) -> Generator[_Outcome, None, None]:
+        """Produce each task's ``(view, result, exception)``, tasks
+        given and outcomes yielded in host order.  Nothing has merged
+        before the barrier takes an outcome; whatever it does not take
+        when closed must leave no trace."""
+        return _in_turn(stats, tasks)
+
     def run(self, stats: PhaseStats, tasks: Sequence[HostTask]) -> list[Any]:
         """Run independent per-host tasks; return results in task order.
 
-        A barrier: every task has completed (and, for the ledger
-        executors, every surviving ledger has merged) before this returns.
-        Raises the first raising host's exception, in host order.
+        The one barrier: every host records on a private
+        :class:`HostView` and the views merge in host order
+        (:func:`_merge_in_order`).  Raises the first raising host's
+        exception, in host order.
         """
-        raise NotImplementedError
-
-    def chain(self, stats: PhaseStats, tasks: Sequence[HostTask]) -> list[Any]:
-        """Run cross-host-*dependent* tasks sequentially in task order.
-
-        Used when host h+1's algorithm reads state host h wrote (e.g.
-        stateful streaming edge rules): identical under every executor
-        by construction.
-        """
-        return [_run_direct(stats, task) for task in tasks]
-
-
-def _invoke(task: HostTask, view: HostView) -> Any:
-    """Call a task body, passing its declared payload when it has one."""
-    if task.payload is _NO_PAYLOAD:
-        return task.fn(view)
-    return task.fn(view, task.payload)
-
-
-def _run_direct(stats: PhaseStats, task: HostTask) -> Any:
-    """Run one task on the shared ledgers, then apply its declared
-    output."""
-    view = DirectHostView(stats, task.host, task.drains)
-    result = _invoke(task, view)
-    if task.apply is not None:
-        result = task.apply(result)
-    return result
-
-
-class SerialExecutor(Executor):
-    """Deterministic reference: host-by-host over the shared ledgers."""
-
-    name = "serial"
-
-    def run(self, stats: PhaseStats, tasks: Sequence[HostTask]) -> list[Any]:
-        return [_run_direct(stats, task) for task in tasks]
-
-
-def _run_private(
-    task: HostTask,
-    view: LedgerHostView,
-    monitor: isolation.IsolationMonitor | None,
-    phase_name: str,
-) -> tuple[Any, Exception | None]:
-    """Run one body against its private ledger view, off the barrier.
-
-    What a thread worker and a pool worker both execute: the body,
-    under the isolation monitor when one is attached.  A failure is
-    captured, not raised — the barrier decides, in host order, whose
-    failure counts.
-    """
-    guard = (
-        monitor.task(view.host, phase_name, task.label)
-        if monitor is not None
-        else nullcontext()
-    )
-    try:
-        with guard:
-            result = _invoke(task, view)
-        return result, None
-    except Exception as exc:  # noqa: BLE001 — re-raised at the barrier
-        return None, exc
-
-
-#: One host's ``(view, result, exception)`` as the barrier receives it.
-_Outcome = tuple[LedgerHostView, Any, "Exception | None"]
-
-
-class _LedgerExecutor(Executor):
-    """The barrier shared by the executors that run hosts concurrently.
-
-    Every host records onto a private :class:`LedgerHostView`, wherever
-    its body runs, and :meth:`run` folds the views back into the shared
-    state; a subclass only says how the outcomes are produced
-    (:meth:`_outcomes`).
-    """
-
-    #: False when hosts cannot run concurrently at all (no ``os.fork``
-    #: for the process pool): every barrier takes the direct path.
-    _overlaps = True
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        check_isolation: bool = False,
-        monitor: "isolation.IsolationMonitor | None" = None,
-    ):
-        """``check_isolation=True`` attaches a fresh
-        :class:`~repro.analysis.isolation.IsolationMonitor` (or pass
-        your own via ``monitor=``): every mapped task then runs under a
-        thread-local ownership context, any cross-host access raises
-        :class:`~repro.analysis.isolation.IsolationViolation`, and the
-        monitor logs each sanctioned (host, phase, op, attribute)
-        access.  Off by default — the guards cost a few percent on
-        charge-heavy phases."""
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self._max_workers = max_workers
-        if monitor is None and check_isolation:
-            monitor = isolation.IsolationMonitor()
-        self.monitor = monitor
-
-    def _outcomes(self, stats: PhaseStats, tasks: list[HostTask]) -> list[_Outcome]:
-        """Run ``tasks`` (given in host order) concurrently; return each
-        one's ``(view, result, exception)`` in the same order.  Every
-        body has finished, and nothing has merged, when this returns."""
-        raise NotImplementedError
-
-    def run(self, stats: PhaseStats, tasks: Sequence[HostTask]) -> list[Any]:
         tasks = list(tasks)
-        if not tasks:
-            return []
         hosts = [t.host for t in tasks]
         if len(set(hosts)) != len(hosts):
             raise ValueError("one task per host required in run()")
-        if len(tasks) == 1 or not self._overlaps:
-            # Single task: no concurrency to gain; keep the direct
-            # (zero-copy) path.  No way to overlap: degrade to the
-            # reference semantics rather than fail.
-            return [_run_direct(stats, t) for t in tasks]
         order = sorted(range(len(tasks)), key=lambda i: tasks[i].host)
-        outcomes = self._outcomes(stats, [tasks[i] for i in order])
-        # Barrier: merge in host order; keep the first failure in host
-        # order and discard everything a serial sweep would not have run.
-        # Applied outputs run right after each host's merge, so their
-        # shared-state writes land in the same order serial produced.
+        ordered = [tasks[i] for i in order]
+        # A single task has nothing to overlap with: it runs in turn,
+        # in the parent, with no dispatch.
+        outcomes = (
+            self._outcomes(stats, ordered)
+            if len(ordered) > 1
+            else _in_turn(stats, ordered)
+        )
         results: list[Any] = [None] * len(tasks)
-        for pos, i in enumerate(order):
-            view, result, exc = outcomes[pos]
-            view.merge()
-            if exc is not None:
-                for later, _, _ in outcomes[pos + 1:]:
-                    later.release()
-                raise exc
-            if tasks[i].apply is not None:
-                result = tasks[i].apply(result)
+        for i, result in zip(order, _merge_in_order(ordered, outcomes)):
             results[i] = result
         return results
 
+    def chain(self, stats: PhaseStats, tasks: Sequence[HostTask]) -> list[Any]:
+        """Run cross-host-*dependent* tasks in turn, in task order.
 
-class ParallelExecutor(_LedgerExecutor):
+        Used when host h+1's algorithm reads state host h wrote (e.g.
+        stateful streaming edge rules): host h+1's body starts after
+        host h has merged and applied, under every executor by
+        construction.  Not a barrier — it never enters :meth:`run`.
+        """
+        tasks = list(tasks)
+        return _merge_in_order(tasks, _in_turn(stats, tasks))
+
+
+class SerialExecutor(Executor):
+    """Deterministic reference: every barrier with one host in flight."""
+
+    name = "serial"
+
+    def __init__(self) -> None:
+        super().__init__()
+
+
+class ParallelExecutor(Executor):
     """Thread pool over private per-host ledgers, merged in host order.
 
     NumPy kernels release the GIL, so per-host work genuinely overlaps.
@@ -531,15 +498,17 @@ class ParallelExecutor(_LedgerExecutor):
             self._pool = None
             self._pool_width = 0
 
-    def _outcomes(self, stats: PhaseStats, tasks: list[HostTask]) -> list[_Outcome]:
-        views = [LedgerHostView(stats, t.host, t.drains) for t in tasks]
+    def _outcomes(
+        self, stats: PhaseStats, tasks: list[HostTask]
+    ) -> Generator[_Outcome, None, None]:
+        views = [HostView(stats, t.host, t.drains) for t in tasks]
         pool = self._ensure_pool(len(tasks))
         phase_name = getattr(stats, "name", "")
         futures = [
             pool.submit(_run_private, t, v, self.monitor, phase_name)
             for t, v in zip(tasks, views)
         ]
-        return [(v, *f.result()) for v, f in zip(views, futures)]
+        return _handed_over([(v, *f.result()) for v, f in zip(views, futures)])
 
 
 # ProcessExecutor is built on the classes above, so its module imports

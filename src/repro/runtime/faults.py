@@ -373,9 +373,9 @@ class HostFaultChannel:
     main thread between tasks).
 
     :attr:`events_out` is the list injected faults are appended to.  It
-    defaults to the injector's global chronological log; the parallel
-    executor redirects it to the host's private ledger for the duration
-    of a task so the log can be merged deterministically in host order.
+    defaults to the injector's global chronological log; a task's host
+    view redirects it to the host's private ledger for the duration of
+    the task so the log can be merged deterministically in host order.
     """
 
     def __init__(self, injector: "FaultInjector", host: int):

@@ -6,13 +6,12 @@ payloads, the declared part of each host's inbox, live fault state) to
 the workers, which record the same private ledger a thread would and
 ship a picklable delta (accounting vectors, queued payloads,
 fault-channel RNG state, isolation evidence) back over a pipe.  The
-parent adopts each delta
-into a ledger view and hands it to the barrier in
-:mod:`repro.runtime.executor` — the host-order merge is that module's,
-shared with the thread executor, and is not re-implemented here.  This
-module is everything between that barrier and the body: the spec and
-its reply, the view both ends of the pipe agree on, pipe framing, and
-the workers' spawn/retire/teardown lifecycle.  How large arrays cross
+parent adopts each delta into a host view and hands it to the barrier
+in :mod:`repro.runtime.executor` — the host-order merge is that
+module's, shared with every executor, and is not re-implemented here.
+This module is everything between that barrier and the body: the spec
+and its reply, the view both ends of the pipe agree on, pipe framing,
+and the workers' spawn/retire/teardown lifecycle.  How large arrays cross
 without touching a pipe is :mod:`repro.runtime.residency`.
 """
 
@@ -26,7 +25,7 @@ import sys
 import warnings
 import weakref
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 import numpy as np
 
@@ -35,10 +34,12 @@ from . import residency
 from .colfab import ColumnSchema, ReceivedBatch
 from .comm import Communicator
 from .executor import (
+    Executor,
     HostTask,
-    LedgerHostView,
+    HostView,
     UnshippableTaskError,
-    _LedgerExecutor,
+    _handed_over,
+    _in_turn,
     _Outcome,
     _run_private,
 )
@@ -86,11 +87,11 @@ _LEDGER_VECTORS = (
 )
 
 
-class _ShippedHostView(LedgerHostView):
+class _ShippedHostView(HostView):
     """One host's ledger view on either side of a pool pipe.
 
     In the worker it is the view the task runs against: identical to
-    :class:`LedgerHostView` except every queue drain is logged, because
+    :class:`HostView` except every queue drain is logged, because
     the worker drains the queue snapshot shipped in its dispatch spec
     and the parent must re-play the same drains against the real
     communicator (:meth:`Communicator.replay_recv`).  :meth:`export`
@@ -100,8 +101,6 @@ class _ShippedHostView(LedgerHostView):
     from then on is the view a thread would have recorded on: the
     shared barrier merges or releases it the same way.
     """
-
-    __slots__ = ("recv_log",)
 
     def __init__(self, stats: PhaseStats, host: int,
                  drains: tuple[str, ...] = ()):
@@ -332,7 +331,7 @@ def _pool_worker_main(cmd_r: int, reply_w: int) -> None:
         _write_frame(reply_w, pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-class ProcessExecutor(_LedgerExecutor):
+class ProcessExecutor(Executor):
     """A persistent pool of forked workers over private per-host ledgers.
 
     The GIL-free engine.  Workers fork once (lazily, at the first
@@ -361,8 +360,8 @@ class ProcessExecutor(_LedgerExecutor):
     delta into a ledger
     view — accounting vectors, queued payloads, the fault channel's
     advanced RNG/op state, the drain log — folds in isolation evidence,
-    and hands the views to the barrier it shares with the thread executor
-    (:meth:`_LedgerExecutor.run`), so fault plans, crash recovery,
+    and hands the views to the barrier every executor shares
+    (:meth:`Executor.run`), so fault plans, crash recovery,
     sanitizer audits, and every accounting counter stay bit-identical
     to serial.
 
@@ -376,19 +375,18 @@ class ProcessExecutor(_LedgerExecutor):
     ``deep-unshippable-task-capture`` lint rule enforces this
     statically, in the body and in every helper it calls.
 
-    On platforms without ``os.fork`` the executor degrades to the
-    serial direct path (still correct, no speedup).  :meth:`close`
-    retires the pool and unlinks every resident segment.  A pool is
-    reusable only after a barrier that completed: a worker's death, a
-    worker-side error or any exception raised in the parent mid-barrier
-    (an interrupt, a signal handler's timeout) kills the workers,
-    reclaims every in-flight segment, and lets the next barrier fork
-    fresh ones — a worker left holding an unread reply would answer the
-    next barrier with it.
+    On platforms without ``os.fork`` every barrier runs its hosts in
+    turn in the parent, as serial does (still correct, no speedup).
+    :meth:`close` retires the pool and unlinks every resident segment.
+    A pool is reusable only after a barrier that completed: a worker's
+    death, a worker-side error or any exception raised in the parent
+    mid-barrier (an interrupt, a signal handler's timeout) kills the
+    workers, reclaims every in-flight segment, and lets the next barrier
+    fork fresh ones — a worker left holding an unread reply would answer
+    the next barrier with it.
     """
 
     name = "process"
-    _overlaps = _CAN_FORK
 
     def __init__(
         self,
@@ -572,7 +570,11 @@ class ProcessExecutor(_LedgerExecutor):
             workers = min(num_tasks, cpus)
         return max(1, min(workers, num_tasks))
 
-    def _outcomes(self, stats: PhaseStats, tasks: list[HostTask]) -> list[_Outcome]:
+    def _outcomes(
+        self, stats: PhaseStats, tasks: list[HostTask]
+    ) -> Generator[_Outcome, None, None]:
+        if not _CAN_FORK:
+            return _in_turn(stats, tasks)
         outcomes: list[_Outcome] = []
         for task, delta in zip(tasks, self._pool_dispatch(stats, tasks)):
             # All workers ran (as with threads), so all evidence counts,
@@ -582,7 +584,7 @@ class ProcessExecutor(_LedgerExecutor):
             view = _ShippedHostView(stats, task.host)
             view.adopt(delta)
             outcomes.append((view, delta["result"], delta["exc"]))
-        return outcomes
+        return _handed_over(outcomes)
 
     def _pool_dispatch(
         self, stats: PhaseStats, tasks: list[HostTask]

@@ -130,24 +130,9 @@ def sweep_family_segments() -> None:
     restarts) are exempt; everything else under this process family's
     prefix is, at teardown time, an orphan of the aborted dispatch.
     """
-    from multiprocessing import shared_memory
-
     for name in colfab.leaked_segments():
-        if name in colfab._resident_registry:
-            continue
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-        # repro-lint: disable-next-line=swallowed-error -- segment vanished between listing and attach; nothing left to clean
-        except FileNotFoundError:  # pragma: no cover
-            continue
-        except ValueError:
-            # Empty: its creator died between creating the name and
-            # sizing it (a worker killed mid-export), so there is nothing
-            # to map and no tracker entry, only the name to free.
-            os.unlink(os.path.join("/dev/shm", name))
-            continue
-        seg.close()
-        seg.unlink()
+        if name not in colfab._resident_registry:
+            colfab._discard_segment_name(name)
 
 
 class _SegmentPickler(pickle.Pickler):

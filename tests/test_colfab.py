@@ -37,7 +37,7 @@ from repro.runtime.colfab import (
 )
 from repro.runtime.colfab import concat_batches
 from repro.runtime.comm import Communicator
-from repro.runtime.executor import DirectHostView, LedgerHostView
+from repro.runtime.executor import HostView
 from repro.runtime.stats import PhaseStats
 
 from .golden import check_case
@@ -46,11 +46,12 @@ I64 = np.dtype(np.int64)
 I32 = np.dtype(np.int32)
 
 
-def host_view(comm, host, cls=DirectHostView):
+def host_view(comm, host):
     """A host's view over a bare communicator — the one batch entry
-    point phase bodies use (``send_batch``)."""
+    point phase bodies use (``send_batch``).  Its charges reach
+    ``comm`` when the view merges, as at a barrier."""
     stats = PhaseStats(name="test", comm=comm, num_hosts=comm.num_hosts)
-    return cls(stats, host)
+    return HostView(stats, host)
 
 
 def accumulator(view):
@@ -411,10 +412,12 @@ class TestBatchAccumulator:
         batch_comm = Communicator(4, buffer_size=64)
         scalar_comm = Communicator(4, buffer_size=64)
         payload = np.arange(100, dtype=np.int64)
-        acc = accumulator(host_view(batch_comm, 0))
+        view = host_view(batch_comm, 0)
+        acc = accumulator(view)
         acc.append(1, ids_batch(self.SCHEMA, payload), tag="t",
                    logical_messages=5, nbytes=320)
         acc.flush_all()
+        view.merge()
         scalar_comm.send(0, 1, payload, tag="t", logical_messages=5,
                          nbytes=320)
         assert np.array_equal(batch_comm.sent_bytes, scalar_comm.sent_bytes)
@@ -436,10 +439,12 @@ class TestBatchAccumulator:
         scalar_comm = Communicator(4, buffer_size=64)
         a = np.arange(5, dtype=np.int64)
         b = np.arange(7, dtype=np.int64)
-        acc = accumulator(host_view(batch_comm, 0))
+        view = host_view(batch_comm, 0)
+        acc = accumulator(view)
         acc.append(1, ids_batch(self.SCHEMA, a), tag="t", coalesce=True)
         acc.append(1, ids_batch(self.SCHEMA, b), tag="t", coalesce=True)
         acc.flush_all()
+        view.merge()
         scalar_comm.send(0, 1, a, tag="t", coalesce=True)
         scalar_comm.send(0, 1, b, tag="t", coalesce=True)
         assert np.array_equal(batch_comm.sent_bytes, scalar_comm.sent_bytes)
@@ -488,7 +493,7 @@ class TestBatchAccumulator:
 
     def test_ledger_accumulator_stays_private_until_merge(self):
         comm = Communicator(3, buffer_size=0)
-        view = host_view(comm, 0, LedgerHostView)
+        view = host_view(comm, 0)
         acc = accumulator(view)
         acc.append(1, ids_batch(self.SCHEMA, [1, 2]), tag="t")
         acc.flush_all()
@@ -506,8 +511,9 @@ class TestCommBatchPath:
         batch_comm = Communicator(3, buffer_size=10)
         scalar_comm = Communicator(3, buffer_size=10)
         payload = np.arange(9, dtype=np.int64)  # 72 bytes -> ceil = 8 msgs
-        host_view(batch_comm, 0).send_batch(
-            1, ids_batch(self.SCHEMA, payload), tag="t")
+        view = host_view(batch_comm, 0)
+        view.send_batch(1, ids_batch(self.SCHEMA, payload), tag="t")
+        view.merge()
         scalar_comm.send(0, 1, payload, tag="t")
         assert np.array_equal(batch_comm.sent_bytes, scalar_comm.sent_bytes)
         assert np.array_equal(batch_comm.sent_messages,
@@ -515,9 +521,8 @@ class TestCommBatchPath:
 
     def test_send_batch_rejects_raw_payloads(self):
         comm = Communicator(2)
-        for cls in (DirectHostView, LedgerHostView):
-            with pytest.raises(TypeError, match="wants a MessageBatch"):
-                host_view(comm, 0, cls).send_batch(1, np.arange(3), tag="t")
+        with pytest.raises(TypeError, match="wants a MessageBatch"):
+            host_view(comm, 0).send_batch(1, np.arange(3), tag="t")
 
     def test_recv_all_batch_matches_recv_all_concatenation(self):
         comm = Communicator(3, buffer_size=0)
@@ -525,8 +530,9 @@ class TestCommBatchPath:
         rng = np.random.default_rng(7)
         for src, rows in [(0, 3), (2, 5), (0, 0), (1, 4)]:
             col = rng.integers(0, 100, size=rows)
-            host_view(comm, src).send_batch(
-                1, ids_batch(self.SCHEMA, col), tag="t")
+            view = host_view(comm, src)
+            view.send_batch(1, ids_batch(self.SCHEMA, col), tag="t")
+            view.merge()
             shadow.send(src, 1, (np.asarray(col, dtype=np.int64),), tag="t")
         rb = comm.recv_all_batch(1, "t", self.SCHEMA)
         manual = np.concatenate(

@@ -46,9 +46,10 @@ from repro.graph import CSRGraph, erdos_renyi
 from repro.graph.csr import node_id_dtype
 from repro.runtime import colfab, pool as pool_module, residency
 from repro.runtime.colfab import ColumnSchema, MessageBatch
-from repro.runtime.comm import Communicator, payload_nbytes
+from repro.runtime.comm import CommLedger, Communicator, payload_nbytes
 from repro.runtime.executor import (
     EXECUTOR_NAMES,
+    Executor,
     HostTask,
     ParallelExecutor,
     ProcessExecutor,
@@ -259,7 +260,7 @@ class TestExecutorMechanics:
         assert SerialExecutor().run(_make_stats(), tasks) == [20, 0, 10]
 
     def test_task_exception_propagates(self, ledger_executor):
-        # One task takes the direct path, two take the barrier.
+        # One task runs in turn in the parent, two run concurrently.
         with pytest.raises(RuntimeError, match="task failed in worker"):
             ledger_executor.run(_make_stats(), [HostTask(0, _pool_boom_body)])
         with pytest.raises(RuntimeError, match="task failed in worker"):
@@ -317,35 +318,119 @@ class TestExecutorMechanics:
         assert results == [True, True]
 
     def test_ledger_merge_matches_direct(self):
-        """The ledger path charges the same matrices as direct sends."""
-        def workload(view, peers):
-            for dst in peers:
-                view.send(dst, np.arange(50), tag="t")
-            view.add_disk(100.0)
-            view.add_compute(7.0)
+        """Every executor's barrier charges the same matrices, and
+        queues the same payloads, as hand calls on the shared
+        ``Communicator`` and ``PhaseStats``."""
+        def peers(h):
+            return [j for j in range(3) if j != h]
 
-        def totals(ph):
+        def state(ph):
             c = ph.comm
             return (
-                c.sent_bytes.copy(), c.sent_messages.copy(),
-                ph.disk_bytes.copy(), ph.compute_units.copy(),
+                c.sent_bytes.tolist(), c.sent_messages.tolist(),
+                ph.disk_bytes.tolist(), ph.compute_units.tolist(),
+                [[(src, p.tolist()) for src, p in c.recv_all(j, tag="t")]
+                 for j in range(3)],
             )
 
-        ph_s, ph_p = _make_stats(), _make_stats()
-        tasks = lambda: [
-            HostTask(h, (lambda h: lambda v: workload(v, [
-                j for j in range(3) if j != h]))(h))
-            for h in range(3)
+        direct = _make_stats()
+        for h in range(3):
+            for dst in peers(h):
+                direct.comm.send(h, dst, np.arange(50) + h, tag="t")
+            direct.add_disk(h, 100.0)
+            direct.add_compute(h, 7.0)
+        expected = state(direct)
+        assert expected[4][0] == [
+            (1, list(range(1, 51))), (2, list(range(2, 52))),
         ]
-        SerialExecutor().run(ph_s, tasks())
-        ParallelExecutor().run(ph_p, tasks())
-        for a, b in zip(totals(ph_s), totals(ph_p)):
-            assert np.array_equal(a, b)
-        # Queued payloads drain identically (host order).
-        for j in range(3):
-            recv_s = ph_s.comm.recv_all(j, tag="t")
-            recv_p = ph_p.comm.recv_all(j, tag="t")
-            assert [src for src, _ in recv_s] == [src for src, _ in recv_p]
+        executors = (
+            SerialExecutor(), ParallelExecutor(max_workers=2),
+            ProcessExecutor(max_workers=2),
+        )
+        try:
+            for executor in executors:
+                ph = _make_stats()
+                executor.run(ph, [
+                    HostTask(h, _send_to_peers_body, payload=peers(h))
+                    for h in range(3)
+                ])
+                assert state(ph) == expected, executor.name
+        finally:
+            for executor in executors:
+                executor.close()
+
+
+def _relay_tasks(ph, log, fail_at=None):
+    """Host h logs what it sees of the shared state and of its inbox,
+    charges one compute unit, and relays its id to host h + 1; every
+    apply logs too.  A body sees host h - 1's relay only when host
+    h - 1 merged before it started."""
+    def body(view):
+        h = view.host
+        seen = [src for src, _ in view.recv_all("relay")]
+        log.append(("body", h, ph.compute_units.tolist(), seen))
+        view.add_compute(1.0)
+        if h == fail_at:
+            raise RuntimeError(f"host {h} failed")
+        view.send((h + 1) % 3, h, tag="relay")
+        return h
+
+    def apply(h):
+        log.append(("apply", h))
+        return h
+
+    return [HostTask(h, body, apply=apply, drains=("relay",))
+            for h in range(3)]
+
+
+#: The log of a relay sweep with one host in flight.
+_IN_TURN_LOG = [
+    ("body", 0, [0.0, 0.0, 0.0], []), ("apply", 0),
+    ("body", 1, [1.0, 0.0, 0.0], [0]), ("apply", 1),
+    ("body", 2, [1.0, 1.0, 0.0], [1]), ("apply", 2),
+]
+
+
+class TestOneHostInFlight:
+    """Serial is the shared barrier with one host in flight: host h+1's
+    body starts only after host h has merged and applied, and the first
+    failure ends the sweep — no later body runs.  ``chain()`` runs that
+    way under every executor, without entering the barrier."""
+
+    def test_serial_barrier_runs_hosts_in_turn(self):
+        ph, log = _make_stats(), []
+        assert SerialExecutor().run(ph, _relay_tasks(ph, log)) == [0, 1, 2]
+        assert log == _IN_TURN_LOG
+        assert ph.comm.recv_all(0, "relay") == [(2, 2)]
+
+    def test_serial_failure_runs_no_later_body(self):
+        ph, log = _make_stats(), []
+        with pytest.raises(RuntimeError, match="host 1 failed"):
+            SerialExecutor().run(ph, _relay_tasks(ph, log, fail_at=1))
+        assert log == _IN_TURN_LOG[:3]
+        # Host 1's partial ledger merged; host 2 never ran, so nothing
+        # of it (and no relay to host 0) reached the shared state.
+        assert ph.compute_units.tolist() == [1.0, 1.0, 0.0]
+        assert [ph.comm.pending(h, "relay") for h in range(3)] == [0, 0, 0]
+
+    @pytest.mark.parametrize("name", ["serial", "parallel", "process"])
+    def test_chain_runs_hosts_in_turn(self, name, monkeypatch):
+        def no_barrier(*args, **kwargs):
+            raise AssertionError("chain() entered Executor.run")
+
+        executor = make_executor(name)
+        try:
+            monkeypatch.setattr(Executor, "run", no_barrier)
+            ph, log = _make_stats(), []
+            assert executor.chain(ph, _relay_tasks(ph, log)) == [0, 1, 2]
+            assert log == _IN_TURN_LOG
+            ph, log = _make_stats(), []
+            with pytest.raises(RuntimeError, match="host 1 failed"):
+                executor.chain(ph, _relay_tasks(ph, log, fail_at=1))
+            assert log == _IN_TURN_LOG[:3]
+            assert ph.compute_units.tolist() == [1.0, 1.0, 0.0]
+        finally:
+            executor.close()
 
 
 def run_serial_and_process(graph, policy, k=4, plan=None, **kw):
@@ -527,6 +612,13 @@ def _drain_body(view, tag):
     return [(src, np.asarray(p).tolist()) for src, p in view.recv_all(tag)]
 
 
+def _send_to_peers_body(view, peers):
+    for dst in peers:
+        view.send(dst, np.arange(50) + view.host, tag="t")
+    view.add_disk(100.0)
+    view.add_compute(7.0)
+
+
 _BLOCKS = ColumnSchema((("src", np.int64), ("dst", np.int32)))
 
 
@@ -607,7 +699,7 @@ class TestDeclaredDrains:
 
     def test_undeclared_drain_raises(self, ledger_executor):
         for executor in (SerialExecutor(), ledger_executor):
-            for hosts in (range(3), range(1)):  # barrier, direct path
+            for hosts in (range(3), range(1)):  # concurrent, in turn
                 ph = _stats_with_mail()
                 tasks = [
                     HostTask(h, _drain_body, payload="mail", drains=("other",))
@@ -1002,7 +1094,7 @@ class TestOnePathPerDatum:
         assert published.count("masters") == 1
 
     @pytest.mark.parametrize("policy", ["CVC", "SVC"])
-    def test_edge_counts_tally_is_unchanged(self, policy):
+    def test_edge_counts_tally_is_unchanged(self, policy, monkeypatch):
         graph = erdos_renyi(300, 2400, seed=4)
         prop, ranges = GraphProp(graph, 4), compute_read_ranges(graph, 4)
         pol = make_policy(policy)
@@ -1011,13 +1103,14 @@ class TestOnePathPerDatum:
         ).masters
         ph = _make_stats(4)
         blocks = []
-        send = ph.comm.send
+        send = CommLedger.send
 
-        def recording_send(src, dst, payload, tag="default", **kw):
+        def recording_send(ledger, dst, payload, tag="default", **kw):
             blocks.append((tag, payload))
-            send(src, dst, payload, tag=tag, **kw)
+            send(ledger, dst, payload, tag=tag, **kw)
 
-        ph.comm.send = recording_send
+        # Every executor records a host's sends on its ledger.
+        monkeypatch.setattr(CommLedger, "send", recording_send)
         ea = run_edge_assignment(ph, prop, pol, ranges, masters)
         assert len(blocks) == 4 * 3
         for tag, block in blocks:

@@ -205,8 +205,8 @@ class TestSanctionedPaths:
         assert ph.compute_units.sum() == 3.0
 
     def test_single_task_runs_direct(self):
-        # One task has no concurrency: the executor keeps the direct
-        # (shared-state) path, so no context and no recorded accesses.
+        # One task has no concurrency: it runs in turn in the parent,
+        # as under serial, so no context and no recorded accesses.
         ph = make_stats(num_hosts=1)
         executor = ParallelExecutor(check_isolation=True)
 
