@@ -3,7 +3,7 @@
 # diff, type check (when mypy is installed), tier-1 suite, the dedicated
 # fault/recovery suite, the chaos campaign (serial and pooled process
 # executor, the latter also under SVC's and FEC's stateful master
-# rules), the
+# rules, and SVC under the isolation monitor), the
 # analyzer mutation campaign (detection rate + committed-matrix
 # digest), the bench smoke test (throughput floor +
 # partition digest), the perf-harness smoke run, and end-to-end CLI
@@ -47,6 +47,9 @@ python -m repro chaos --plans 10 --seed 7 --executor process --quiet
 # scores and ships) under every fault family, for FennelEB and Fennel.
 python -m repro chaos --plans 10 --seed 7 --executor process -p SVC --quiet
 python -m repro chaos --plans 10 --seed 7 --executor process -p FEC --quiet
+# The parent's lane runs pooled bodies in this process: the same rounds
+# under the isolation monitor, in the parent and in the workers.
+python -m repro chaos --plans 10 --seed 7 --executor process-checked -p SVC --quiet
 
 echo "== analyzer mutation campaign: detection + matrix digest gate =="
 python -m repro mutate --budget 24 --seed 7 --strict --quiet \

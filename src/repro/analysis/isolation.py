@@ -34,9 +34,11 @@ assert that the detector really observed the run.  Outside a monitored
 run the hooks are a single module-attribute check
 (``isolation._depth``), so the default path stays effectively free.
 
-The main thread (executor barrier, ``chain()`` for cross-host
-sequential work, serial execution) never carries a task context, which
-is exactly what makes the merge path sanctioned.
+The barrier itself (the merge, ``chain()`` for cross-host sequential
+work, serial execution) never runs under a task context, which is
+exactly what makes the merge path sanctioned.  The process pool's
+parent lane installs one on the main thread only while each of its
+bodies runs, as a worker thread does.
 """
 
 from __future__ import annotations

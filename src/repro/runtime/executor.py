@@ -18,8 +18,10 @@ computes* from *how the hosts are driven*:
   body starts only after host ``h`` has merged and applied, which is
   the old inline-loop semantics by construction.
   :class:`ParallelExecutor` (threads, here) and
-  :class:`~repro.runtime.pool.ProcessExecutor` (a resident pool of
-  forked workers, :mod:`repro.runtime.pool`) run hosts concurrently.
+  :class:`~repro.runtime.pool.ProcessExecutor` (:mod:`repro.runtime.pool`:
+  the calling process runs the first chunk of a barrier's hosts
+  itself, a resident pool of forked workers the other chunks) run
+  hosts concurrently.
 
 The task-payload seam: because a worker's writes die with the worker,
 task bodies must not mutate shared structures.  A :class:`HostTask` may
@@ -30,7 +32,8 @@ that is where shared-state writes go.  Under serial that is right
 after each body, before the next one starts.  The process pool
 resolves bodies by name, so there a body must be a module-level
 function with every input in ``payload``; anything else raises
-:class:`UnshippableTaskError` before dispatch.  The queue tags a body
+:class:`UnshippableTaskError` before any body runs, even one the
+parent's own lane would have run.  The queue tags a body
 drains are declared the same way (``drains``): a worker receives that
 part of its host's inbox only, and a view refuses any other tag with
 :class:`UndeclaredDrainError` under every executor.

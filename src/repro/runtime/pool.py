@@ -1,14 +1,17 @@
 """The process pool behind :class:`ProcessExecutor` — the GIL-free engine.
 
-:class:`ProcessExecutor` runs a phase's host tasks on a resident pool of
-forked worker processes: each barrier ships a dispatch spec (task refs,
-payloads, the declared part of each host's inbox, live fault state) to
-the workers, which record the same private ledger a thread would and
-ship a picklable delta (accounting vectors, queued payloads,
-fault-channel RNG state, isolation evidence) back over a pipe.  The
-parent adopts each delta into a host view and hands it to the barrier
-in :mod:`repro.runtime.executor` — the host-order merge is that
-module's, shared with every executor, and is not re-implemented here.
+:class:`ProcessExecutor` runs a phase's host tasks in lanes: the calling
+process is the first lane of every barrier, and a resident pool of
+forked worker processes the others.  Each barrier ships a dispatch spec
+(task refs, payloads, the declared part of each host's inbox, live fault
+state) to the workers, which record the same private ledger a thread
+would and ship a picklable delta (accounting vectors, queued payloads,
+fault-channel RNG state, isolation evidence) back over a pipe; the
+parent runs its own chunk of hosts meanwhile, as a thread would.  The
+parent adopts each delta into a host view and hands it, behind its own
+lane's views, to the barrier in :mod:`repro.runtime.executor` — the
+host-order merge is that module's, shared with every executor, and is
+not re-implemented here.
 This module is everything between that barrier and the body: the spec
 and its reply, the view both ends of the pipe agree on, pipe framing,
 and the workers' spawn/retire/teardown lifecycle.  How large arrays cross
@@ -56,7 +59,8 @@ _CAN_FORK = hasattr(os, "fork")
 _IN_POOL_WORKER = False
 
 #: Every :func:`worker_cache` of this process.  A worker empties them,
-#: with its resident mappings, when the parent ends a run.
+#: with its resident mappings, when the parent ends a run; the parent,
+#: whose lane runs bodies too, empties its own.
 _worker_caches: list[dict] = []
 
 #: Every live pool of this process.  A fresh worker inherits the parent
@@ -332,9 +336,20 @@ def _pool_worker_main(cmd_r: int, reply_w: int) -> None:
 
 
 class ProcessExecutor(Executor):
-    """A persistent pool of forked workers over private per-host ledgers.
+    """The calling process plus a persistent pool of forked workers,
+    over private per-host ledgers.
 
-    The GIL-free engine.  Workers fork once (lazily, at the first
+    The GIL-free engine.  A barrier of ``n`` hosts splits into
+    ``width`` contiguous chunks, one per lane, ``width`` being
+    ``max_workers`` — how many hosts run at once — or else
+    ``min(n, cpus)``.  The parent is the first lane: it writes the
+    workers' specs, runs chunk 0 itself on plain :class:`HostView`
+    objects (under the isolation monitor when one is attached, as
+    threads run theirs), then reads the replies.  Its lane ships nothing — no spec,
+    no delta, no segment for its results or for the blocks its hosts
+    queue to one another — and ``width - 1`` workers run the other
+    chunks; a single lane forks nothing and runs the hosts in turn.
+    Workers fork once (lazily, at the first
     pooled barrier) and stay resident, heap warm, for the life of the
     executor — across the ``partition()`` calls of the ``CuSP`` that
     holds it — until :meth:`close`.  What belongs to one run lives as
@@ -368,22 +383,24 @@ class ProcessExecutor(Executor):
     Task bodies must be module-level functions (workers resolve them
     by name) taking their inputs through ``HostTask.payload``; a
     closure body or an unpicklable payload raises
-    :class:`UnshippableTaskError` before anything is dispatched.
+    :class:`UnshippableTaskError` before any body runs — whichever lane
+    its host falls in, and however many lanes there are.
     Bodies must not write shared structures (worker writes die with
     the worker); declared outputs go through ``HostTask.apply``, which
     runs in the parent at the barrier.  The
     ``deep-unshippable-task-capture`` lint rule enforces this
     statically, in the body and in every helper it calls.
 
-    On platforms without ``os.fork`` every barrier runs its hosts in
-    turn in the parent, as serial does (still correct, no speedup).
+    On platforms without ``os.fork`` there is one lane, so every
+    barrier runs its hosts in turn in the parent, as serial does (still
+    correct, no speedup).
     :meth:`close` retires the pool and unlinks every resident segment.
     A pool is reusable only after a barrier that completed: a worker's
     death, a worker-side error or any exception raised in the parent
-    mid-barrier (an interrupt, a signal handler's timeout) kills the
-    workers, reclaims every in-flight segment, and lets the next barrier
-    fork fresh ones — a worker left holding an unread reply would answer
-    the next barrier with it.
+    mid-barrier (an interrupt, a signal handler's timeout, in its own
+    lane's bodies too) kills the workers, reclaims every in-flight
+    segment, and lets the next barrier fork fresh ones — a worker left
+    holding an unread reply would answer the next barrier with it.
     """
 
     name = "process"
@@ -418,7 +435,8 @@ class ProcessExecutor(Executor):
         (crash replays rebuild phase outputs, so names are stable but
         objects are not).
         """
-        if not _CAN_FORK:  # pragma: no cover - non-POSIX platform
+        if self._width(2) == 1:
+            # One lane at most: no worker will ever map a segment.
             return obj
         entry = self._residents.get(name)
         if entry is not None and entry["blob"] is not None:
@@ -449,11 +467,14 @@ class ProcessExecutor(Executor):
                 return
 
     def end_run(self) -> None:
-        """Unlink every resident segment and have every worker drop its
-        mappings and recompute caches; the workers stay."""
+        """Unlink every resident segment and have every lane drop its
+        recompute caches — the parent's included — and every worker its
+        mappings; the workers stay."""
         for entry in self._residents.values():
             residency.unlink_resident(entry)
         self._residents.clear()
+        for cache in _worker_caches:
+            cache.clear()
         self._broadcast(pickle.dumps(("forget",)))
 
     # ------------------------------------------------------------------
@@ -555,49 +576,121 @@ class ProcessExecutor(Executor):
             pass
 
     def _width(self, num_tasks: int) -> int:
-        workers = self._max_workers
-        if workers is None:
-            # One worker per core this process may run on (affinity and
-            # cgroup pinning shrink that below ``os.cpu_count()``): on a
-            # single-core box a second worker only adds
-            # context-switching and duplicate group-cache hydration
-            # (measurably slower); pass max_workers explicitly to
-            # exercise multi-worker paths regardless of core count.
+        """How many lanes a barrier of ``num_tasks`` hosts runs on: the
+        parent, plus one resident worker per further lane."""
+        if not _CAN_FORK:  # pragma: no cover - non-POSIX platform
+            return 1
+        lanes = self._max_workers
+        if lanes is None:
+            # One lane per core this process may run on (affinity and
+            # cgroup pinning shrink that below ``os.cpu_count()``), the
+            # parent's included: it runs the first chunk itself rather
+            # than wait on a worker, so on a single-core box nothing
+            # forks at all.  Pass max_workers explicitly to exercise
+            # multi-worker paths regardless of core count.
             if hasattr(os, "sched_getaffinity"):
                 cpus = len(os.sched_getaffinity(0))
             else:  # pragma: no cover - platform without an affinity API
                 cpus = os.cpu_count() or 1
-            workers = min(num_tasks, cpus)
-        return max(1, min(workers, num_tasks))
+            lanes = min(num_tasks, cpus)
+        return max(1, min(lanes, num_tasks))
 
     def _outcomes(
         self, stats: PhaseStats, tasks: list[HostTask]
     ) -> Generator[_Outcome, None, None]:
-        if not _CAN_FORK:
+        # Contiguous runs of task indices, one per lane: the parent runs
+        # the first, a resident worker each of the others.
+        chunks = [
+            chunk.tolist()
+            for chunk in np.array_split(
+                np.arange(len(tasks)), self._width(len(tasks))
+            )
+        ]
+        phase_name = getattr(stats, "name", "")
+        specs = self._specs(stats, tasks, chunks, phase_name)
+        if not specs:
+            # One lane: nothing forks, and the hosts run in turn.
             return _in_turn(stats, tasks)
+        head = [tasks[i] for i in chunks[0]]
         outcomes: list[_Outcome] = []
-        for task, delta in zip(tasks, self._pool_dispatch(stats, tasks)):
-            # All workers ran (as with threads), so all evidence counts,
-            # a later-discarded host's included; tasks arrive in host
-            # order, which keeps the merged log deterministic.
+        # From the first spec write to the last delta load the barrier is
+        # in flight, and a pool is reusable only after one that
+        # completed.  Whatever leaves this block — a worker's death, a
+        # worker-side error, a KeyboardInterrupt or a signal handler's
+        # timeout in the parent, in its own lane's bodies too — leaves no
+        # pool behind: a worker kept with an unread reply would answer
+        # the next barrier with it, and one blocked writing that reply
+        # would never take ``exit``.
+        try:
+            self._ensure_pool(len(specs))
+            workers = self._workers[: len(specs)]
+            sent = 0
+            for worker, blob in zip(workers, specs):
+                try:
+                    _write_frame(
+                        worker["cmd_w"],
+                        pickle.dumps(("run", blob), protocol=pickle.HIGHEST_PROTOCOL),
+                    )
+                    sent += 1
+                except OSError:
+                    break
+            if sent == len(workers):
+                # The parent's lane, while the workers run theirs: plain
+                # views on the shared communicator, as threads run them.
+                for task in head:
+                    view = HostView(stats, task.host, task.drains)
+                    outcomes.append(
+                        (view, *_run_private(task, view, self.monitor, phase_name))
+                    )
+            replies: list[tuple[str, Any] | None] = []
+            for worker in workers[:sent]:
+                frame = _read_frame(worker["reply_r"])
+                replies.append(None if frame is None else pickle.loads(frame))
+            replies.extend([None] * (len(workers) - sent))
+            if not all(r is not None and r[0] == "ok" for r in replies):
+                raise self._barrier_failure(
+                    phase_name, tasks, chunks[1:], workers, replies
+                )
+            # Chunks are contiguous and in task order, so are the deltas.
+            deltas = [_load_delta(blobs) for r in replies for blobs in r[1]]
+        except BaseException:
+            # No delta that was loaded survives this frame, so no segment
+            # a reply names has an owner here; the family sweep unlinks
+            # them all, with whatever a dead worker never consumed (spec
+            # segments, a half-shipped reply).
+            for view, _, _ in outcomes:
+                view.release()
+            self._destroy_pool()
+            residency.sweep_family_segments()
+            raise
+        for task, delta in zip(tasks[len(head):], deltas):
+            # All lanes ran (as with threads), so all evidence counts, a
+            # later-discarded host's included; the parent's lane recorded
+            # its own first, and deltas arrive in host order, which keeps
+            # the merged log deterministic.
             self._merge_evidence(delta["monitor"])
             view = _ShippedHostView(stats, task.host)
             view.adopt(delta)
             outcomes.append((view, delta["result"], delta["exc"]))
         return _handed_over(outcomes)
 
-    def _pool_dispatch(
-        self, stats: PhaseStats, tasks: list[HostTask]
-    ) -> list[dict[str, Any]]:
-        """Run one barrier on the resident pool; collect every delta.
+    def _specs(
+        self,
+        stats: PhaseStats,
+        tasks: list[HostTask],
+        chunks: list[list[int]],
+        phase_name: str,
+    ) -> list[bytes]:
+        """Check every task of a barrier; return the dispatch spec of
+        each worker's chunk (``chunks[1:]``; none for a single lane).
 
-        Raises :class:`UnshippableTaskError` — before any worker forks,
-        with every segment created so far reclaimed — when a body is
-        not a module-level function or a dispatch spec does not pickle.
-        Any other way out than completion — worker death, a worker-side
-        error, an exception raised in the parent while the barrier is
-        in flight — kills the pool, reclaims every in-flight segment,
-        and raises.
+        Raises :class:`UnshippableTaskError` — before any body runs and
+        any worker forks, with every segment created so far reclaimed —
+        when a body is not a module-level function or a payload does not
+        pickle.  The parent's own chunk ships nothing, so its payloads
+        pickle into a null sink (:func:`residency.check_pickles`): a
+        barrier that runs on one core is refused where it would be on
+        many.
         """
         for task in tasks:
             if not _fn_shippable(task.fn):
@@ -606,14 +699,6 @@ class ProcessExecutor(Executor):
                     "is not a module-level function (pool workers resolve "
                     "bodies by name); pass its inputs through payload="
                 )
-        # Contiguous runs of task indices, one per worker.
-        chunks = [
-            chunk.tolist()
-            for chunk in np.array_split(
-                np.arange(len(tasks)), self._width(len(tasks))
-            )
-        ]
-        phase_name = getattr(stats, "name", "")
         comm = stats.comm
         injector = comm.injector
         inj_state = injector.export_live_state() if injector is not None else None
@@ -621,7 +706,8 @@ class ProcessExecutor(Executor):
         spec_blobs: list[bytes] = []
         spec_segments: list[Any] = []
         try:
-            for chunk in chunks:
+            residency.check_pickles([tasks[i].payload for i in chunks[0]], pids)
+            for chunk in chunks[1:]:
                 task_specs = []
                 for i in chunk:
                     task = tasks[i]
@@ -653,43 +739,7 @@ class ProcessExecutor(Executor):
                 f"phase {phase_name!r}: dispatch spec does not pickle "
                 f"({perr}); task payloads must pickle"
             ) from perr
-        # From the first spec write to the last delta load the barrier is
-        # in flight, and a pool is reusable only after one that
-        # completed.  Whatever leaves this block — a worker's death, a
-        # worker-side error, a KeyboardInterrupt or a signal handler's
-        # timeout in the parent — leaves no pool behind: a worker kept
-        # with an unread reply would answer the next barrier with it,
-        # and one blocked writing that reply would never take ``exit``.
-        try:
-            self._ensure_pool(len(chunks))
-            workers = self._workers[: len(chunks)]
-            sent = 0
-            for worker, blob in zip(workers, spec_blobs):
-                try:
-                    _write_frame(
-                        worker["cmd_w"],
-                        pickle.dumps(("run", blob), protocol=pickle.HIGHEST_PROTOCOL),
-                    )
-                    sent += 1
-                except OSError:
-                    break
-            replies: list[tuple[str, Any] | None] = []
-            for worker in workers[:sent]:
-                frame = _read_frame(worker["reply_r"])
-                replies.append(None if frame is None else pickle.loads(frame))
-            replies.extend([None] * (len(workers) - sent))
-            if all(r is not None and r[0] == "ok" for r in replies):
-                # Chunks are contiguous and in task order, so are the deltas.
-                return [_load_delta(blobs) for r in replies for blobs in r[1]]
-            raise self._barrier_failure(phase_name, tasks, chunks, workers, replies)
-        except BaseException:
-            # No delta that was loaded survives this frame, so no segment
-            # a reply names has an owner here; the family sweep unlinks
-            # them all, with whatever a dead worker never consumed (spec
-            # segments, a half-shipped reply).
-            self._destroy_pool()
-            residency.sweep_family_segments()
-            raise
+        return spec_blobs
 
     def _barrier_failure(
         self,

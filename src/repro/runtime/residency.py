@@ -35,7 +35,8 @@ import numpy as np
 from . import colfab
 
 __all__ = [
-    "SHM_THRESHOLD", "dumps_with_segments", "loads_with_segments",
+    "SHM_THRESHOLD", "dumps_with_segments", "check_pickles",
+    "loads_with_segments",
     "discard_untracked_segment", "sweep_family_segments", "export_resident",
     "refresh_resident", "unlink_resident", "spec_pids", "resident_frame",
     "install_resident",
@@ -53,13 +54,21 @@ _SegmentRef = tuple[str, Any, tuple[int, ...]]
 _relayed: dict[int, tuple] = {}
 
 
-def _array_to_segment(arr: np.ndarray, tracked: bool) -> tuple[Any, _SegmentRef]:
+def _array_to_segment(
+    arr: np.ndarray, tracked: bool, owned: list[Any]
+) -> _SegmentRef:
     """Copy ``arr`` into a fresh (creator-closed) segment; return the
-    handle and the reference a decoder needs to map it back."""
+    reference a decoder needs to map it back.
+
+    The handle goes into ``owned`` before anything else can raise: from
+    there on the name is its owner's to discard, which it does on any
+    failure, an interrupt included — a handle held only here would take
+    the name with it."""
     raw = np.ascontiguousarray(arr)
     seg = colfab._create_shared_segment(raw, tracked=tracked)
+    owned.append(seg)
     seg.close()
-    return seg, (seg.name, np.lib.format.dtype_to_descr(raw.dtype), raw.shape)
+    return (seg.name, np.lib.format.dtype_to_descr(raw.dtype), raw.shape)
 
 
 def _segment_to_array(ref: _SegmentRef, name_fate: str = "keep") -> np.ndarray:
@@ -229,9 +238,7 @@ def dumps_with_segments(
     segments: list[Any] = []
 
     def export(arr: np.ndarray) -> tuple:
-        seg, ref = _array_to_segment(arr, tracked=False)
-        segments.append(seg)
-        return ("nd", *ref)
+        return ("nd", *_array_to_segment(arr, False, segments))
 
     buf = io.BytesIO()
     try:
@@ -241,6 +248,20 @@ def dumps_with_segments(
             discard_untracked_segment(seg)
         raise
     return buf.getvalue(), segments
+
+
+class _NullSink:
+    """A file that keeps nothing."""
+
+    def write(self, data: Any) -> int:
+        return len(data)
+
+
+def check_pickles(obj: Any, known: dict[int, tuple] | None = None) -> None:
+    """Raise what :func:`dumps_with_segments` would raise pickling
+    ``obj``, short of a full ``/dev/shm``: pickle it into a null sink,
+    large arrays standing in for segments that are never made."""
+    _SegmentPickler(_NullSink(), lambda arr: ("nd",), known).dump(obj)
 
 
 def loads_with_segments(
@@ -273,10 +294,9 @@ def export_resident(obj: Any, gen: int) -> dict[str, Any]:
     }
 
     def export(arr: np.ndarray) -> tuple:
-        seg, ref = _array_to_segment(arr, tracked=True)
-        colfab.register_resident_segment(seg.name, arr.nbytes)
+        ref = _array_to_segment(arr, True, segments)
+        colfab.register_resident_segment(ref[0], arr.nbytes)
         arrays.append(arr)
-        segments.append(seg)
         manifest.append(ref)
         return ("rarr", len(manifest) - 1)
 

@@ -17,6 +17,7 @@ refresh-in-place ``publish`` and the ``sync_rounds`` scaling gate.
 
 import collections
 import contextlib
+import dataclasses
 import errno
 import functools
 import gc
@@ -360,27 +361,33 @@ class TestExecutorMechanics:
                 executor.close()
 
 
+def _relay_body(view, payload):
+    log, compute_units, fail_at = payload
+    h = view.host
+    seen = [src for src, _ in view.recv_all("relay")]
+    log.append(("body", h, compute_units.tolist(), seen))
+    view.add_compute(1.0)
+    if h == fail_at:
+        raise RuntimeError(f"host {h} failed")
+    view.send((h + 1) % 3, h, tag="relay")
+    return h
+
+
 def _relay_tasks(ph, log, fail_at=None):
     """Host h logs what it sees of the shared state and of its inbox,
     charges one compute unit, and relays its id to host h + 1; every
     apply logs too.  A body sees host h - 1's relay only when host
-    h - 1 merged before it started."""
-    def body(view):
-        h = view.host
-        seen = [src for src, _ in view.recv_all("relay")]
-        log.append(("body", h, ph.compute_units.tolist(), seen))
-        view.add_compute(1.0)
-        if h == fail_at:
-            raise RuntimeError(f"host {h} failed")
-        view.send((h + 1) % 3, h, tag="relay")
-        return h
-
+    h - 1 merged before it started.  The body is module-level, so a
+    pooled barrier accepts the tasks too."""
     def apply(h):
         log.append(("apply", h))
         return h
 
-    return [HostTask(h, body, apply=apply, drains=("relay",))
-            for h in range(3)]
+    return [
+        HostTask(h, _relay_body, payload=(log, ph.compute_units, fail_at),
+                 apply=apply, drains=("relay",))
+        for h in range(3)
+    ]
 
 
 #: The log of a relay sweep with one host in flight.
@@ -541,9 +548,20 @@ class TestSerialProcessEquivalence:
 
 @pytest.fixture
 def pool():
-    """A two-worker ProcessExecutor, closed (workers retired, residents
-    unlinked) before the module's leak check runs."""
+    """A two-lane ProcessExecutor — the parent and one worker — closed
+    (worker retired, residents unlinked) before the module's leak check
+    runs."""
     ex = ProcessExecutor(max_workers=2)
+    try:
+        yield ex
+    finally:
+        ex.close()
+
+
+@pytest.fixture
+def two_workers():
+    """A three-lane ProcessExecutor: the parent and two workers."""
+    ex = ProcessExecutor(max_workers=3)
     try:
         yield ex
     finally:
@@ -553,7 +571,7 @@ def pool():
 @pytest.fixture(params=["parallel", "process"])
 def ledger_executor(request):
     """Each executor that merges private ledgers at the barrier, two
-    workers wide, closed before the module's leak check runs."""
+    lanes wide, closed before the module's leak check runs."""
     ex = {"parallel": ParallelExecutor, "process": ProcessExecutor}[
         request.param
     ](max_workers=2)
@@ -597,6 +615,24 @@ def _pool_times_ten_body(view, h):
     return h * 10
 
 
+def _pid_body(view):
+    return os.getpid()
+
+
+def _append_host_body(view, path):
+    """Log the host to a file every lane appends to."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, b"%d\n" % view.host)
+    finally:
+        os.close(fd)
+
+
+def _big_result_body(view):
+    """A result large enough to ride a segment from a worker."""
+    return np.arange(SHM_THRESHOLD // 4, dtype=np.int64)
+
+
 def _charge_then_fail_body(view, failing_host):
     for dst in range(3):
         if dst != view.host:
@@ -629,8 +665,8 @@ def _block(rows=SHM_THRESHOLD // 4):
     )
 
 
-def _send_block_body(view):
-    view.send_batch((view.host + 1) % 2, _block(), tag="blocks")
+def _send_block_body(view, dst):
+    view.send_batch(dst, _block(), tag="blocks")
 
 
 def _drain_blocks_body(view):
@@ -730,6 +766,120 @@ class TestDeclaredDrains:
         assert recvs == [(h, "mail", 4) for h in range(3)]
 
 
+class TestParentLane:
+    """The calling process is the first lane of a pooled barrier: it
+    runs chunk 0 of the hosts itself, ``width - 1`` workers run the
+    others, and the parent's lane ships nothing."""
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_parent_runs_chunk_zero(self, width):
+        ex = ProcessExecutor(max_workers=width)
+        try:
+            pids = ex.run(_make_stats(num_hosts=8),
+                          [HostTask(h, _pid_body) for h in range(8)])
+            assert len(ex._workers) == width - 1
+            chunks = np.array_split(np.arange(8), width)
+            lanes = [os.getpid()] + [w["pid"] for w in ex._workers]
+            assert pids == [
+                pid for chunk, pid in zip(chunks, lanes) for _ in chunk
+            ]
+            assert len(set(lanes)) == width
+        finally:
+            ex.close()
+
+    def test_one_lane_forks_nothing_and_runs_in_turn(self):
+        gc.collect()
+        before = _children()
+        ex = ProcessExecutor(max_workers=1)
+        try:
+            ph, log = _make_stats(), []
+            assert ex.run(ph, _relay_tasks(ph, log)) == [0, 1, 2]
+            # Host h + 1's body started after host h had applied.
+            assert log == _IN_TURN_LOG
+            serial_ph, serial_log = _make_stats(), []
+            SerialExecutor().run(serial_ph, _relay_tasks(serial_ph, serial_log))
+            assert log == serial_log
+            assert ph.compute_units.tolist() == serial_ph.compute_units.tolist()
+            assert ph.comm.recv_all(0, "relay") == [(2, 2)]
+            ph, log = _make_stats(), []
+            with pytest.raises(RuntimeError, match="host 1 failed"):
+                ex.run(ph, _relay_tasks(ph, log, fail_at=1))
+            assert log == _IN_TURN_LOG[:3]
+            # A whole call: serial's partition, nothing published into a
+            # segment no worker would map.
+            graph = erdos_renyi(300, 2400, seed=11)
+            with CuSP(4, "SVC", executor=ex, sync_rounds=3) as cusp:
+                probe = np.zeros(SHM_THRESHOLD, dtype=np.int64)
+                assert ex.publish("probe", probe) is probe
+                assert ex._residents == {}
+                dg = cusp.partition(graph)
+            reference = CuSP(4, "SVC", sync_rounds=3).partition(graph)
+            assert_same_partition(dg, reference)
+            assert_same_breakdown(dg.breakdown, reference.breakdown)
+            assert ex._workers == [] and _children() == before
+        finally:
+            ex.close()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_unshippable_in_the_parents_chunk_runs_no_body(
+        self, width, tmp_path
+    ):
+        """Hosts 0 and 1 are the parent's chunk at width 2 (all four
+        are at width 1): a closure body or a payload that does not
+        pickle there is refused before any lane runs a body."""
+        log = tmp_path / "ran"
+        ex = ProcessExecutor(max_workers=width)
+
+        def barrier(**host_one):
+            tasks = [HostTask(h, _append_host_body, payload=str(log))
+                     for h in range(4)]
+            tasks[1] = dataclasses.replace(tasks[1], **host_one)
+            return ex.run(_make_stats(num_hosts=4), tasks)
+
+        try:
+            with pytest.raises(UnshippableTaskError, match="module-level"):
+                barrier(fn=lambda view, path: None)
+            with pytest.raises(
+                UnshippableTaskError, match="dispatch spec does not pickle"
+            ) as info:
+                barrier(payload=(str(log), lambda: 1))
+            assert info.value.__cause__ is not None
+            assert not log.exists(), log.read_text()
+            assert ex._workers == [] and leaked_segments() == []
+            barrier()  # the same barrier, shippable, runs every host once
+            assert sorted(log.read_text().split()) == ["0", "1", "2", "3"]
+        finally:
+            ex.close()
+
+    def test_parent_lane_ships_nothing(self, pool, parent_traffic):
+        """At width 2 hosts 0 and 1 are the parent's: their results and
+        the blocks they queue to one another make no segment and cross
+        no pipe."""
+        ph = _make_stats(num_hosts=4)
+        tasks = [
+            HostTask(0, _send_block_body, payload=1),
+            HostTask(1, _send_block_body, payload=0),
+            HostTask(2, _pool_ok_body),
+            HostTask(3, _pool_ok_body),
+        ]
+        assert pool.run(ph, tasks) == [None, None, "ok", "ok"]
+        assert leaked_segments() == [] and parent_traffic["segments"] == 0
+        big = pool.run(ph, [HostTask(h, _big_result_body) for h in range(4)])
+        # Two results rode the worker's segments; none was made here.
+        assert parent_traffic["segments"] == 0
+        assert all(np.array_equal(b, big[0]) for b in big)
+        rows = _block().rows
+        assert pool.run(ph, [
+            HostTask(h, _drain_blocks_body, drains=("blocks",)) for h in (0, 1)
+        ] + [HostTask(h, _pool_ok_body) for h in (2, 3)]) == [
+            (rows, rows * (rows - 1) // 2)
+        ] * 2 + ["ok", "ok"]
+        assert parent_traffic["segments"] == 0
+        # Three small specs: no block, no result.
+        assert parent_traffic["bytes"] < SHM_THRESHOLD // 8
+        assert leaked_segments() == []
+
+
 @pytest.fixture
 def parent_traffic(monkeypatch):
     """Counts what this process puts on pool pipes (``bytes``, through
@@ -779,15 +929,22 @@ class TestShipOnce:
             seen[5]["segments"] == seen[10]["segments"] == seen[20]["segments"]
         ), seen
 
-    def test_publish_refreshes_an_ndarray_in_place(self, pool, parent_traffic):
-        ph = _make_stats(num_hosts=2)
+    def test_publish_refreshes_an_ndarray_in_place(
+        self, two_workers, parent_traffic
+    ):
+        pool = two_workers
+        ph = _make_stats(num_hosts=3)
         arr = np.arange(SHM_THRESHOLD // 8, dtype=np.int64)
 
         def read_back(payload):
-            return pool.run(ph, [
+            """What the two workers' hosts read.  Host 0 runs in the
+            parent's lane, on the parent's own array."""
+            parent, *workers = pool.run(ph, [
                 HostTask(h, _resident_probe_body, payload=payload)
-                for h in range(2)
+                for h in range(3)
             ])
+            assert parent == (int(payload.sum()), True)
+            return workers
 
         pool.publish("state", arr)
         # Read-only: the workers map the resident, no copy was shipped.
@@ -840,15 +997,16 @@ class TestPoolCrashTeardown:
     and the pool must respawn transparently on the next barrier."""
 
     def test_worker_killed_mid_phase_sweeps_all_segments(self):
-        ph = _make_stats(num_hosts=2)
+        ph = _make_stats(num_hosts=3)
         # Pending inbound traffic the doomed host declares rides to its
         # worker in a spec segment the worker will never drain.
-        ph.comm.send(0, 1, np.arange(1 << 15, dtype=np.int64), tag="pre")
-        ex = ProcessExecutor(max_workers=2)
+        ph.comm.send(0, 2, np.arange(1 << 15, dtype=np.int64), tag="pre")
+        ex = ProcessExecutor(max_workers=3)
         try:
             tasks = [
-                HostTask(0, _pool_large_delta_body),  # ships a big delta
-                HostTask(1, _pool_suicide_body,       # SIGKILLs itself
+                HostTask(0, _pool_ok_body),           # the parent's lane
+                HostTask(1, _pool_large_delta_body),  # ships a big delta
+                HostTask(2, _pool_suicide_body,       # SIGKILLs itself
                          drains=("pre",)),
             ]
             with pytest.raises(RuntimeError, match="died without shipping"):
@@ -985,17 +1143,58 @@ class TestSegmentLifecycle:
         del back
         assert leaked_segments() == []
 
-    def test_queued_batch_reaches_its_drainer_by_name(self, pool, parent_traffic):
-        ph = _make_stats(num_hosts=2)
-        pool.run(ph, [HostTask(h, _send_block_body) for h in range(2)])
+    @pytest.mark.parametrize("exporter", ["dumps_with_segments", "export_resident"])
+    def test_interrupt_before_the_owner_records_a_segment(
+        self, monkeypatch, exporter
+    ):
+        """A segment is its owner's from the moment it exists: an
+        interrupt between its creation and the exporter's bookkeeping
+        (here, in the creator handle's ``close``) leaves no name."""
+        create = colfab._create_shared_segment
+        interrupted = []
+
+        def creating(raw, tracked=False):
+            seg = create(raw, tracked=tracked)
+            if not interrupted:
+                interrupted.append(seg.name)
+                close = seg.close
+
+                def close_once_interrupted():
+                    seg.close = close
+                    raise KeyboardInterrupt
+
+                seg.close = close_once_interrupted
+            return seg
+
+        monkeypatch.setattr(colfab, "_create_shared_segment", creating)
+        arrays = [np.arange(SHM_THRESHOLD // 8, dtype=np.int64)] * 2
+        with pytest.raises(KeyboardInterrupt):
+            if exporter == "dumps_with_segments":
+                residency.dumps_with_segments([a.copy() for a in arrays])
+            else:
+                residency.export_resident([a.copy() for a in arrays], 0)
+        assert len(interrupted) == 1
+        assert interrupted[0] not in colfab._resident_registry
+        assert leaked_segments() == []
+
+    def test_queued_batch_reaches_its_drainer_by_name(
+        self, two_workers, parent_traffic
+    ):
+        # Hosts 1 and 2 run on the two workers and queue a block to each
+        # other; host 0, in the parent's lane, only makes the width.
+        pool = two_workers
+        ph = _make_stats(num_hosts=3)
+        pool.run(ph, [HostTask(0, _pool_ok_body)] + [
+            HostTask(h, _send_block_body, payload=3 - h) for h in (1, 2)
+        ])
         # Two blocks of two columns wait in the parent's queues, each
         # column still under the name its worker gave it.
         assert len(leaked_segments()) == 4
         parent_traffic.update(bytes=0, segments=0)
         rows = _block().rows
-        assert pool.run(ph, [
-            HostTask(h, _drain_blocks_body, drains=("blocks",)) for h in range(2)
-        ]) == [(rows, rows * (rows - 1) // 2)] * 2
+        assert pool.run(ph, [HostTask(0, _pool_ok_body)] + [
+            HostTask(h, _drain_blocks_body, drains=("blocks",)) for h in (1, 2)
+        ]) == ["ok"] + [(rows, rows * (rows - 1) // 2)] * 2
         assert parent_traffic["segments"] == 0
         # Two small specs: not one column (>= SHM_THRESHOLD each) among them.
         assert parent_traffic["bytes"] < SHM_THRESHOLD // 8
@@ -1174,7 +1373,8 @@ def _arrays(obj):
 class TestGroupingsStayHome:
     """A grouping never crosses a process boundary and allocation
     exchanges mirror-info bitmaps: what the pool moves for phases 3 and
-    4 is the owner decisions, O(k²) counts and k² bitmaps of n/8 bytes."""
+    4 is the owner decisions, O(k²) counts and k² bitmaps of n/8 bytes —
+    for the workers' hosts; the parent's lane moves nothing."""
 
     def test_pooled_svc_byte_budget(self, monkeypatch, parent_traffic):
         k = 8
@@ -1187,20 +1387,30 @@ class TestGroupingsStayHome:
             for start, stop in compute_read_ranges(graph, k)
         ]
         assert n * 8 < SHM_THRESHOLD <= min(per_host)
+        # Three lanes: the parent runs hosts 0-2, two workers hosts 3-7,
+        # and only those hosts' replies and specs cross a pipe.
+        lane = len(np.array_split(np.arange(k), 3)[0])
+        shipped = k - lane
         # label -> (pipe bytes, segments, result per reply, queued sends)
         barriers = {}
-        dispatch = ProcessExecutor._pool_dispatch
+        deltas = []
+        outcomes, load_delta = ProcessExecutor._outcomes, pool_module._load_delta
 
-        def recording_dispatch(self, stats, tasks):
+        def recording_load(blobs):
+            deltas.append(load_delta(blobs))
+            return deltas[-1]
+
+        def recording_outcomes(self, stats, tasks):
             before = dict(parent_traffic)
-            deltas = dispatch(self, stats, tasks)
+            deltas.clear()
+            out = outcomes(self, stats, tasks)
             barriers[tasks[0].label] = (
                 parent_traffic["bytes"] - before["bytes"],
                 parent_traffic["segments"] - before["segments"],
                 [delta["result"] for delta in deltas],
                 [send for delta in deltas for send in delta["queued"]],
             )
-            return deltas
+            return out
 
         published = {}
         publish = ProcessExecutor.publish
@@ -1211,10 +1421,11 @@ class TestGroupingsStayHome:
                 published.update(self._residents[name])
             return out
 
-        monkeypatch.setattr(ProcessExecutor, "_pool_dispatch", recording_dispatch)
+        monkeypatch.setattr(pool_module, "_load_delta", recording_load)
+        monkeypatch.setattr(ProcessExecutor, "_outcomes", recording_outcomes)
         monkeypatch.setattr(ProcessExecutor, "publish", recording_publish)
         CuSP(
-            k, "SVC", executor=ProcessExecutor(max_workers=2), sync_rounds=3
+            k, "SVC", executor=ProcessExecutor(max_workers=3), sync_rounds=3
         ).partition(graph)
 
         # Edge assignment replies: the owner decisions at 1 B per edge
@@ -1226,9 +1437,9 @@ class TestGroupingsStayHome:
         _, _, replies, _ = barriers["assign-edges"]
         assert shapes(replies) == [
             [(np.dtype(np.uint8), edges), (np.dtype(np.int64), k)]
-            for edges in per_host
+            for edges in per_host[lane:]
         ]
-        assert [groups for _owner, _counts, groups in replies] == [None] * k
+        assert [groups for _owner, _counts, groups in replies] == [None] * shipped
         # publish("assignment"): the same 1 B per edge on segments, the
         # k x k and k counts (and the read ranges) in the blob.
         assert [
@@ -1237,17 +1448,19 @@ class TestGroupingsStayHome:
         ] == [(np.dtype(np.uint8), (edges,)) for edges in per_host]
         assert sum(per_host) == m
         assert len(published["blob"]) < 8 * (k * k + k) + 2048
-        # Allocation: k² bitmaps of ceil(n / 8) bytes cross the pipe,
-        # twice (reply, then the owner's spec); no array in either
-        # direction is large enough to ride a segment.
+        # Allocation: k bitmaps of ceil(n / 8) bytes per shipped host
+        # cross the pipe, twice (a worker's reply, then an owner's spec);
+        # no array in either direction is large enough to ride a segment.
         bitmap = (n + 7) // 8
         pipe, segments, replies, _ = barriers["group-endpoints"]
         assert segments == 0 and pipe < SHM_THRESHOLD // 8
         # All-to-all: every reader has edges for every owner.
-        assert shapes(replies) == [[(np.dtype(np.uint8), bitmap)] * k] * k
+        assert shapes(replies) == [[(np.dtype(np.uint8), bitmap)] * k] * shipped
         pipe, segments, replies, _ = barriers["build-proxies"]
         assert segments == 0
-        assert k * k * bitmap <= pipe < k * k * bitmap + k * 2048
+        assert (
+            shipped * k * bitmap <= pipe < shipped * k * bitmap + k * 2048
+        )
         assert all(a.nbytes < SHM_THRESHOLD for a in _arrays(replies))
         # Construction: an edge block carries two node ids per edge at
         # node-id width (two bytes each at n = 8 000), no int64 column.
@@ -1257,7 +1470,8 @@ class TestGroupingsStayHome:
             block for _dst, tag, block in barriers["ship-edges"][3]
             if tag == "edges"
         ]
-        assert sum(block.rows for block in blocks) == m
+        assert sum(block.rows for block in blocks) == sum(per_host[lane:])
+        assert sum(per_host) == m
         for block in blocks:
             assert sum(c.nbytes for c in block.columns) <= (
                 2 * width * block.rows
@@ -1359,10 +1573,10 @@ class TestDegenerateGraphs:
         assert leaked_segments() == []
 
 
-def _kill_host_one_in_worker(body):
+def _kill_host_three_in_worker(body):
     @functools.wraps(body)
     def doomed(view, payload):
-        if pool_module._IN_POOL_WORKER and view.host == 1:
+        if pool_module._IN_POOL_WORKER and view.host == 3:
             os.kill(os.getpid(), signal.SIGKILL)
         return body(view, payload)
 
@@ -1383,17 +1597,19 @@ class TestNamesDoNotOutliveTheQueue:
             4, policy, executor=ProcessExecutor(max_workers=2), sync_rounds=5
         ).partition(self.GRAPH)
         assert leaked_segments() == []
-        assert dg.partitions[0].local_graph.indices.nbytes >= SHM_THRESHOLD
+        # The last host runs in a worker, so its result rode a segment.
+        assert dg.partitions[-1].local_graph.indices.nbytes >= SHM_THRESHOLD
 
     @pytest.mark.parametrize("policy", ["CVC", "SVC"])
     def test_worker_killed_mid_run_no_segment_left(
         self, policy, monkeypatch, unraisable
     ):
-        # Host 1 dies building its partition, while the parent's queues
-        # still hold every relayed edge block of the assignment phase.
+        # Host 3 (the worker's; hosts 0 and 1 run in the parent's lane)
+        # dies building its partition, while the parent's queues still
+        # hold every relayed edge block of the assignment phase.
         monkeypatch.setattr(
             construction_phase, "_build_partition_body",
-            _kill_host_one_in_worker(construction_phase._build_partition_body),
+            _kill_host_three_in_worker(construction_phase._build_partition_body),
         )
         cusp = CuSP(4, policy, executor=ProcessExecutor(max_workers=2),
                     sync_rounds=5)
@@ -1580,9 +1796,10 @@ def _worker_pids(cusp):
 
 @contextlib.contextmanager
 def _pooled(k, policy, **kwargs):
-    """A ``CuSP`` over a two-worker pool whatever the core count (a
-    name would size the pool by it), retired with the block."""
-    ex = ProcessExecutor(max_workers=2)
+    """A ``CuSP`` over the parent's lane and two workers whatever the
+    core count (a name would size the pool by it), retired with the
+    block."""
+    ex = ProcessExecutor(max_workers=3)
     try:
         yield CuSP(k, policy, executor=ex, **kwargs)
     finally:
@@ -1754,6 +1971,50 @@ class TestInterruptedBarrier:
             signal.signal(signal.SIGALRM, was)
         assert landed, "no timer fired inside partition(); nothing was tested"
         assert _children() == before
+
+    def test_timer_inside_a_parent_lane_body(self):
+        """The parent's lane runs inside the barrier's in-flight block:
+        a timer's exception in one of its bodies retires the pool with
+        the workers' unread replies on segments."""
+        gc.collect()
+        before = _children()
+        landed = []
+
+        def on_alarm(signum, frame):
+            landed.append(frame.f_code.co_name)
+            raise _Injected("timer")
+
+        was = signal.signal(signal.SIGALRM, on_alarm)
+        ex = ProcessExecutor(max_workers=3)
+        try:
+            tasks = [HostTask(h, _parent_lane_naps_body, payload=os.getpid())
+                     for h in range(3)]
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(_Injected, match="timer"):
+                ex.run(_make_stats(), tasks)
+            assert landed == ["_parent_lane_naps_body"]
+            assert ex._workers == []
+            assert leaked_segments() == []
+            assert _children() == before, "a worker outlived its broken barrier"
+            # The next barrier forks fresh workers.
+            assert ex.run(_make_stats(), [
+                HostTask(h, _pool_ok_body) for h in range(3)
+            ]) == ["ok"] * 3
+            assert len(ex._workers) == 2
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, was)
+            ex.close()
+        assert _children() == before
+
+
+def _parent_lane_naps_body(view, parent):
+    """The workers' hosts reply with a segment; the parent's lane waits
+    until both replies are in ``/dev/shm``, then naps (the timer fires)."""
+    if os.getpid() != parent:
+        return _big_result_body(view)
+    _wait_until(lambda: len(leaked_segments()) >= 2, seconds=5.0)
+    time.sleep(10)
 
 
 def _late_owner(self, prop, src_id, dst_id, src_master, dst_master,
@@ -1929,7 +2190,7 @@ class TestPoolOutlivesCall:
         assert leaked_segments() == []
 
     def test_a_callers_executor_is_ended_per_run_not_closed(self):
-        ex = ProcessExecutor(max_workers=2)
+        ex = ProcessExecutor(max_workers=3)
         try:
             with CuSP(4, "CVC", executor=ex) as cusp:
                 cusp.partition(self.LARGE)
