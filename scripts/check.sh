@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full correctness gate: strict SPMD-safety lint, strict phase-contract
-# diff, type check (when mypy is installed), tier-1 suite, the dedicated
+# Full correctness gate: strict SPMD-safety lint (the phase-contract
+# diff is its deep-contract rule), type check (when mypy is installed),
+# tier-1 suite, the dedicated
 # fault/recovery suite, the chaos campaign (serial and pooled process
 # executor, the latter also under SVC's and FEC's stateful master
 # rules, and SVC under the isolation monitor), the
@@ -22,9 +23,6 @@ python -m repro lint src/repro --strict --cache "$lint_cache"
 echo "-- warm re-run (everything cached):"
 time python -m repro lint src/repro --strict --cache "$lint_cache"
 rm -f "$lint_cache"
-
-echo "== phase-contract diff (strict) =="
-python -m repro contracts src/repro --strict
 
 echo "== type check (mypy, when available) =="
 if command -v mypy >/dev/null 2>&1; then

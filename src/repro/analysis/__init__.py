@@ -23,8 +23,8 @@ This package enforces the contract mechanically:
   ``ParallelExecutor`` runs and raises :class:`IsolationViolation` on
   any cross-host access outside the sanctioned barrier-merge path;
 * :mod:`repro.analysis.contracts` — declarative phase-communication
-  contracts with a static extraction diff (``repro contracts``) and the
-  opt-in runtime sanitizer :class:`CommSan`.
+  contracts, checked statically by the ``deep-contract`` lint rule and
+  at run time by the opt-in sanitizer :class:`CommSan`.
 
 See ``docs/ANALYSIS.md`` for the contract, each rule's rationale, and
 the suppression syntax.
@@ -41,7 +41,6 @@ __all__ = [
     "IsolationMonitor",
     "IsolationViolation",
     "CommSan",
-    "check_contracts",
     "ContractViolation",
     "ContractViolationError",
     "PhaseContract",
@@ -52,7 +51,6 @@ _LINT_EXPORTS = {"Finding", "LintReport", "LintRule", "all_rules", "run_lint"}
 
 _CONTRACT_EXPORTS = {
     "CommSan",
-    "check_contracts",
     "ContractViolation",
     "ContractViolationError",
     "PhaseContract",

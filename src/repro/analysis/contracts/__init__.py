@@ -1,11 +1,13 @@
-"""Phase-communication contracts: specs, static extraction, and CommSan.
+"""Phase-communication contracts: specs and the CommSan runtime sanitizer.
 
 The contract *language* lives in :mod:`.model`; the five CuSP phase
 declarations live with the phase code in :mod:`repro.core.contracts`.
-The two verifiers — static extraction (:func:`check_contracts`) and the
-runtime sanitizer (:class:`CommSan`) — are imported lazily so that
-``repro.runtime`` modules can be imported by the sanitizer without a
-cycle and so that plain model users never pay for numpy/AST machinery.
+Two verifiers consume them: the ``deep-contract`` rule of ``repro lint``
+(:mod:`repro.analysis.ipa.analyses`) diffs them against the code, and
+the runtime sanitizer (:class:`CommSan`) audits real runs.  ``CommSan``
+is imported lazily so that ``repro.runtime`` modules can be imported by
+the sanitizer without a cycle and so that plain model users never pay
+for numpy.
 """
 
 from .model import (
@@ -29,27 +31,10 @@ __all__ = [
     "OpSpec",
     "PhaseContract",
     "CommSan",
-    "check_contracts",
-    "extract_phase_ops",
-    "ContractReport",
-    "ContractFinding",
-    "ExtractedOp",
 ]
-
-_EXTRACT_EXPORTS = {
-    "check_contracts",
-    "extract_phase_ops",
-    "ContractReport",
-    "ContractFinding",
-    "ExtractedOp",
-}
 
 
 def __getattr__(name: str):
-    if name in _EXTRACT_EXPORTS:
-        from . import extract
-
-        return getattr(extract, name)
     if name == "CommSan":
         from .sanitize import CommSan
 

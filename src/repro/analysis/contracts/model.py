@@ -8,9 +8,9 @@ as a function of the run configuration (:class:`ContractContext`).
 
 Contracts are *data*; two independent verifiers consume them:
 
-* the static extractor (:mod:`repro.analysis.contracts.extract`) diffs a
-  contract against the comm ops an AST walk of the phase's sources can
-  emit, and
+* the ``deep-contract`` rule of ``repro lint``
+  (:mod:`repro.analysis.ipa.analyses`) diffs a contract against the
+  comm ops the phase's code can emit, and
 * the runtime sanitizer (:mod:`repro.analysis.contracts.sanitize`)
   audits every finished phase's :class:`~repro.runtime.comm.Communicator`
   against the contract and the ledger's conservation laws.
@@ -85,7 +85,7 @@ class OpSpec:
     so its sends must be accounting-only — the runtime sanitizer rejects
     any payload but ``None`` left on such a queue.  ``batched`` marks
     p2p channels carried by the columnar fabric
-    (:mod:`repro.runtime.colfab`): the static extractor rejects
+    (:mod:`repro.runtime.colfab`): ``deep-contract`` rejects
     ``send_batch``/``recv_all_batch`` traffic on a clause that does not
     declare it.
     """

@@ -3,11 +3,11 @@
 An opt-in observer for :class:`~repro.runtime.comm.Communicator` that
 audits every finished phase against its declared
 :class:`~repro.analysis.contracts.model.PhaseContract` and against the
-ledger's conservation laws.  Where the static extractor
-(:mod:`repro.analysis.contracts.extract`) proves properties of the
-*code*, CommSan checks the *run*: a send on an undeclared or inactive
-tag, a topology breach, a collective-round count that disagrees with
-the spec, bytes that appear in the accounting without a matching
+ledger's conservation laws.  Where the ``deep-contract`` lint rule
+proves properties of the *code*, CommSan checks the *run*: a send on
+an undeclared or inactive tag, a topology breach, a collective-round
+count that disagrees with the spec, bytes that appear in the
+accounting without a matching
 ``send``/``merge_ledger`` (or vice versa), queue entries that bypass
 ``send``/``recv_all``, a payload left on a queue no task drains, and
 fault-injector retries that are charged more or less than exactly once.

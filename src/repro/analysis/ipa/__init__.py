@@ -1,10 +1,8 @@
 """Whole-program interprocedural analysis: the ``deep-*`` rules of ``repro lint``.
 
-The per-module rules (:mod:`repro.analysis.lint.rules`) and the
-per-phase contract extractor (:mod:`repro.analysis.contracts`) both
-stop at module (or call-closure-within-module) boundaries.  This
-package analyzes the *whole program*, and its engine drives every
-``repro lint`` run:
+The per-module rules (:mod:`repro.analysis.lint.rules`) stop at module
+boundaries.  This package analyzes the *whole program*, and its engine
+drives every ``repro lint`` run:
 
 * :mod:`~repro.analysis.ipa.summary` — one cacheable
   :class:`ModuleSummary` per file: symbols, classes, alias tables,
@@ -18,7 +16,7 @@ package analyzes the *whole program*, and its engine drives every
   determinism taint, payload shippability, unseeded RNG, and the
   Communicator and captured state reached from a HostTask body (in
   the body or through helpers), each reporting a call-chain witness
-  naming every hop.
+  naming every hop; and the phase-contract diff (``deep-contract``).
 * :mod:`~repro.analysis.ipa.cache` — the per-file SHA-256-keyed
   incremental cache that keeps warm full-repo runs fast.
 * :mod:`~repro.analysis.ipa.engine` — the one driver ``run_lint``

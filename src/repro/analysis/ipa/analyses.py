@@ -32,15 +32,24 @@ Rules:
   unpickle or must not own: locks, open files, sockets, generators,
   lambdas, closure-carrying nested functions, or Communicator/executor
   references.
+* ``deep-contract`` — the static half of the phase contracts
+  (:mod:`repro.core.contracts`): every comm op a phase's code can emit,
+  diffed against the ops its ``PhaseContract`` declares.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
+from ..contracts.model import ContractSet, OpSpec, PhaseContract
 from ..lint.base import ERROR, WARNING, Finding, register
 from .program import COMM_TYPE_LEAFS, Program, Target
-from .summary import FunctionSummary, ModuleSummary, taints_from_json
+from .summary import (
+    PHASE_GLOBAL_CALLS,
+    FunctionSummary,
+    ModuleSummary,
+    taints_from_json,
+)
 
 __all__ = ["DeepRule"]
 
@@ -167,14 +176,16 @@ class DeepCommInTaskRule(DeepRule):
         for msum, task in program.host_tasks():
             for target, hops in _body_reachable(program, msum, task):
                 for access in target.fn.comm:
-                    key = (target.module.rel, access["line"], access["what"])
+                    op = access["op"]
+                    if op != ".comm" and op not in PHASE_GLOBAL_CALLS:
+                        continue  # a send or drain on the task's own view
+                    key = (target.module.rel, access["line"], op)
                     if key in seen:
                         continue
                     seen.add(key)
                     what = (
-                        f"phase-global `{access['what'][5:]}`"
-                        if access["what"].startswith("call:")
-                        else "`.comm`"
+                        "`.comm`" if op == ".comm"
+                        else f"phase-global `{op}`"
                     )
                     yield self.finding(
                         target.module.rel, access["line"], 0,
@@ -688,3 +699,281 @@ class DeepUnshippablePayloadRule(DeepRule):
                     f"HostTask payload is not process-safe: {reason}; "
                     f"via {_chain(hops)}",
                 )
+
+
+class _Op(NamedTuple):
+    """One comm op a phase's code can emit.
+
+    ``kind`` is a contract op kind, ``recv`` (a drain) or
+    ``allreduce-any`` (an allreduce whose blocking mode is unknown: it
+    matches a blocking and an async clause alike).  ``tag`` is ``None``
+    for a non-constant tag; ``batch`` marks columnar-fabric traffic.
+    """
+
+    kind: str
+    tag: str | None
+    batch: bool
+    rel: str
+    line: int
+    via: str
+
+
+_ALLREDUCE_KINDS: dict[bool | None, str] = {
+    True: "allreduce", False: "allreduce-async", None: "allreduce-any",
+}
+_FIXED_KINDS = {"allreduce_max": "allreduce", "allgather": "allgather"}
+
+
+def _contract_ops(
+    msum: ModuleSummary, fn: FunctionSummary, hint: frozenset[bool]
+) -> Iterator[_Op]:
+    """The ops of one function's comm records.  ``hint`` holds the
+    ``blocking`` values the phase dispatches ``sync_round`` with; it
+    resolves a forwarded ``blocking`` and hides a barrier under
+    ``if blocking:`` when every dispatch is async."""
+    for rec in fn.comm:
+        op, tag = rec["op"], None
+        if op in ("send", "send_batch"):
+            kind, tag = "p2p", rec["tag"]
+        elif op in ("recv_all", "recv_all_batch"):
+            kind, tag = "recv", rec["tag"]
+        elif op == "allreduce_sum":
+            blocking = rec["blocking"]
+            if blocking is None and len(hint) == 1:
+                [blocking] = hint
+            kind = _ALLREDUCE_KINDS[blocking]
+        elif op in _FIXED_KINDS:
+            kind = _FIXED_KINDS[op]
+        elif op == "barrier":
+            if rec["guarded"] and hint == {False}:
+                continue  # statically unreachable: every dispatch is async
+            kind = "barrier"
+        else:
+            continue
+        yield _Op(
+            kind, tag, op.endswith("_batch"), msum.rel, rec["line"], fn.name
+        )
+
+
+def _matches(op: _Op, spec: OpSpec) -> bool:
+    if spec.kind == "p2p":
+        return op.kind == "p2p" and op.tag == spec.tag
+    if op.kind == "allreduce-any":
+        return spec.kind in ("allreduce", "allreduce-async")
+    return op.kind == spec.kind
+
+
+def _linted(program: Program, rel: str) -> ModuleSummary | None:
+    """The linted module at package-relative path ``rel`` (suffix match)."""
+    for msum in program.modules.values():
+        if msum.rel == rel or msum.rel.endswith("/" + rel):
+            return msum
+    return None
+
+
+def _phase_reachable(
+    program: Program, entries: list[Target]
+) -> Iterator[Target]:
+    """What a phase's entry points reach inside its primary module.
+
+    BFS over resolved calls, the bodies of the ``HostTask``\\ s each
+    reached function registers, and every function nested in a reached
+    one (an ``apply`` callback is passed, never called by name).
+    """
+    queue = list(entries)
+    seen = {t.key for t in queue}
+    while queue:
+        target = queue.pop(0)
+        yield target
+        msum, qual = target.module, target.fn.qual
+        nexts = [callee for _atom, callee in program.callees(msum, target.fn)]
+        nexts += [
+            body for task in msum.host_tasks
+            if task["enclosing"] == qual
+            and (body := program.resolve_body(msum, task)) is not None
+        ]
+        nexts += [
+            Target(msum, fn, "func") for q, fn in msum.functions.items()
+            if q.startswith(qual + ".<locals>.")
+        ]
+        for nxt in nexts:
+            if nxt.module.rel == msum.rel and nxt.key not in seen:
+                seen.add(nxt.key)
+                queue.append(nxt)
+
+
+@register
+class DeepContractRule(DeepRule):
+    """Every comm op a phase can emit is declared by its contract.
+
+    A contract's *primary* module (``modules[0]``) is walked from its
+    entry points (:func:`_phase_reachable`); the modules it dispatches
+    into (``modules[1:]``) and any module that opts in with a
+    module-level ``__phase_contract__ = "Phase Name"`` are scanned whole.
+    ``state.sync_round(comm, blocking=...)`` is a dispatch point: the
+    blocking constants at the phase's call sites resolve the
+    ``allreduce_sum(..., blocking=blocking)`` inside a dispatched
+    ``sync_round`` and prove its ``if blocking: comm.barrier()``
+    unreachable, and a phase that never dispatches a round emits
+    nothing from one.
+
+    Undeclared ops, non-constant tags and columnar traffic on a clause
+    without ``batched=True`` are errors; so are a missing entry point
+    and a dispatched module that is not linted.  A clause no reachable
+    code emits (or a ``drained`` tag nothing drains) is a dead-clause
+    warning.  Missing and dead findings need the primary module among
+    the linted files.  ``contracts`` defaults to
+    :data:`repro.core.contracts.PHASE_CONTRACTS`.
+    """
+
+    name = "deep-contract"
+    severity = ERROR
+    description = (
+        "comm op a phase can emit that its PhaseContract does not declare "
+        "(or a non-constant tag, or columnar traffic on an unbatched "
+        "clause); a clause no code path emits is a warning"
+    )
+
+    def __init__(self, contracts: ContractSet | None = None):
+        self.contracts = contracts
+
+    def check(self, program: Program) -> Iterator[Finding]:
+        contracts = self.contracts
+        if contracts is None:
+            from ...core.contracts import PHASE_CONTRACTS
+
+            contracts = PHASE_CONTRACTS
+        for contract in contracts:
+            yield from self._check_contract(program, contract)
+
+    def _flag(
+        self, contract: PhaseContract, kind: str, rel: str, line: int,
+        text: str, severity: str = ERROR,
+    ) -> Finding:
+        return Finding(
+            rule=self.name, severity=severity, path=rel, line=line, col=0,
+            message=f"{kind} in phase {contract.phase!r}: {text}",
+        )
+
+    def _check_contract(
+        self, program: Program, contract: PhaseContract
+    ) -> Iterator[Finding]:
+        found = [_linted(program, rel) for rel in contract.modules]
+        primary = found[0] if found else None
+        ops: dict[tuple, _Op] = {}
+        hint: set[bool] = set()
+        whole: dict[str, ModuleSummary] = {}
+        if primary is not None:
+            entries: list[Target] = []
+            for entry in contract.entry_points:
+                # Nested entry points count: framework.py's reading
+                # phase is a closure over the run's locals.
+                named = [
+                    Target(primary, fn, "func")
+                    for fn in primary.functions.values() if fn.name == entry
+                ]
+                if not named:
+                    yield self._flag(
+                        contract, "missing-entry", primary.rel, 1,
+                        f"entry point {entry}() not found in the phase "
+                        "module",
+                    )
+                entries += named
+            for target in _phase_reachable(program, entries):
+                for rec in target.fn.comm:
+                    if rec["op"] == "sync_round":
+                        b = rec["blocking"]
+                        hint |= {True, False} if b is None else {b}
+                for op in _contract_ops(primary, target.fn, frozenset()):
+                    ops.setdefault(op[:5], op)
+            for rel, msum in zip(contract.modules[1:], found[1:]):
+                if msum is None:
+                    yield self._flag(
+                        contract, "missing-module", primary.rel, 1,
+                        f"declared phase module {rel} is not among the "
+                        "linted files",
+                    )
+                else:
+                    whole[msum.rel] = msum
+        for msum in program.modules.values():
+            if msum.phase_contract == contract.phase:
+                whole[msum.rel] = msum
+        for msum in whole.values():
+            for fn in msum.functions.values():
+                if fn.qual == "<module>":
+                    continue
+                if "sync_round" not in fn.qual.split("."):
+                    scan = _contract_ops(msum, fn, frozenset())
+                elif hint:
+                    scan = _contract_ops(msum, fn, frozenset(hint))
+                else:
+                    continue  # the phase never dispatches a round
+                for op in scan:
+                    ops.setdefault(op[:5], op)
+        yield from self._diff(contract, list(ops.values()), primary)
+
+    def _diff(
+        self,
+        contract: PhaseContract,
+        ops: list[_Op],
+        primary: ModuleSummary | None,
+    ) -> Iterator[Finding]:
+        declared = ", ".join(
+            repr(t) for t in sorted(contract.p2p_tags())
+        ) or "none"
+        for op in ops:
+            if op.kind == "recv":
+                continue  # receiving is passive; drains are checked per clause
+            if op.kind == "p2p" and op.tag is None:
+                yield self._flag(
+                    contract, "dynamic-tag", op.rel, op.line,
+                    f"send in {op.via}() uses a non-constant tag; contracts "
+                    "can only be checked against compile-time tags",
+                )
+                continue
+            matched = [spec for spec in contract.ops if _matches(op, spec)]
+            if matched:
+                if op.batch and not any(spec.batched for spec in matched):
+                    yield self._flag(
+                        contract, "unbatched-op", op.rel, op.line,
+                        f"columnar-fabric traffic on tag {op.tag!r} in "
+                        f"{op.via}(), but the contract clause does not "
+                        "declare batched=True; mark the OpSpec batched or "
+                        "use the scalar send/recv_all path",
+                    )
+                continue
+            if op.kind == "p2p":
+                text = (
+                    f"send with tag {op.tag!r} in {op.via}() is not "
+                    f"declared by the contract (declared tags: {declared}); "
+                    "add an OpSpec in repro.core.contracts or remove the send"
+                )
+            else:
+                text = (
+                    f"{op.kind} in {op.via}() is not declared by the "
+                    "contract; add an OpSpec in repro.core.contracts or "
+                    "remove the collective"
+                )
+            yield self._flag(contract, "undeclared-op", op.rel, op.line, text)
+        if primary is None:
+            return
+        for spec in contract.ops:
+            if not any(_matches(op, spec) for op in ops):
+                text = (
+                    f"contract declares {spec.describe()} but no code path "
+                    "in the phase's modules can emit it (dead contract "
+                    "clause); delete the clause or implement the op"
+                )
+            elif spec.kind == "p2p" and spec.drained and not any(
+                op.kind == "recv" and op.tag == spec.tag for op in ops
+            ):
+                text = (
+                    f"contract declares {spec.describe()} as drained, but "
+                    f"no recv_all(tag={spec.tag!r}) exists in the phase's "
+                    "modules"
+                )
+            else:
+                continue
+            yield self._flag(
+                contract, "dead-clause", primary.rel, 1, text, WARNING
+            )

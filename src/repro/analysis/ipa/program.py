@@ -13,10 +13,9 @@ function summaries:
   ``__init__`` (argument slots shift past ``self``);
 * **method dispatch on typed receivers** — ``x.m(...)`` dispatches when
   ``x``'s type is statically known (parameter annotation, ``self``, or
-  a local constructor assignment), following base classes.  This reuses
-  the same philosophy as the contract extractor's ``sync_round``
-  dispatch hints: resolve what the runtime's known types make
-  unambiguous, stay silent otherwise.
+  a local constructor assignment), following base classes: resolve
+  what the runtime's known types make unambiguous, stay silent
+  otherwise.
 
 Resolution is deliberately partial — an unresolved call is simply not
 an edge.  Every analysis built on top over-approximates *within*

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ..lint.base import ModuleSource, dotted_name, resolve_name
-from ..lint.rules import UnorderedIterationRule, WallClockRule
+from ..lint.rules import UnorderedIterationRule, WallClockRule, explicit_phase
 
 __all__ = [
     "FunctionSummary",
@@ -59,13 +59,19 @@ __all__ = [
 
 #: Bump when the summary schema or extraction semantics change; part of
 #: the cache key so stale summaries are never reused across versions.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: Phase-global collective calls: issuing one from a task body is a
 #: ``deep-comm-in-task`` finding.
 PHASE_GLOBAL_CALLS = {
     "allreduce_sum", "allreduce_max", "allgather", "barrier",
     "merge_ledger", "sync_round",
+}
+
+#: Every call recorded as a comm op: the phase-global ones plus the
+#: point-to-point sends and drains a task body may issue on its view.
+COMM_CALLS = PHASE_GLOBAL_CALLS | {
+    "send", "send_batch", "recv_all", "recv_all_batch",
 }
 
 _CLOCKS = WallClockRule._CLOCKS
@@ -186,6 +192,64 @@ def _annotation_type(node: ast.AST | None, aliases: dict[str, str]) -> str | Non
     return resolve_name(node, aliases)
 
 
+def _constant_str(node: ast.AST | None) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _keyword(call: ast.Call, name: str) -> ast.AST | None:
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    return None
+
+
+def _blocking(call: ast.Call) -> bool | None:
+    """A call's ``blocking`` argument; omitted is True (``allreduce_sum``
+    and ``sync_round`` both default to blocking), a non-constant None."""
+    node = _keyword(call, "blocking")
+    if node is None:
+        return True
+    if isinstance(node, ast.Constant) and isinstance(node.value, bool):
+        return node.value
+    return None
+
+
+def _under_blocking_guard(node: ast.AST, stop: ast.AST) -> bool:
+    """Whether ``node`` sits inside an ``if`` that tests ``blocking``."""
+    current = getattr(node, "_repro_parent", None)
+    while current is not None and current is not stop:
+        if isinstance(current, ast.If) and any(
+            isinstance(n, ast.Name) and n.id == "blocking"
+            for n in ast.walk(current.test)
+        ):
+            return True
+        current = getattr(current, "_repro_parent", None)
+    return False
+
+
+def _comm_op(node: ast.Call, method: str, scope_node: ast.AST) -> dict:
+    """The comm-op record of one call: its line and method, plus the tag
+    of a send or drain (``None`` when not a constant), the ``blocking``
+    argument of a collective or round, or whether a barrier is guarded."""
+    op: dict[str, Any] = {"line": node.lineno, "op": method}
+    tag = _keyword(node, "tag")
+    if method in ("send", "send_batch"):
+        op["tag"] = "default" if tag is None else _constant_str(tag)
+    elif method in ("recv_all", "recv_all_batch"):
+        # Communicator.recv_all(dst, tag) takes the tag positionally.
+        op["tag"] = _constant_str(tag) if tag is not None else next(
+            (t for a in node.args if (t := _constant_str(a)) is not None),
+            "default",
+        )
+    elif method in ("allreduce_sum", "sync_round"):
+        op["blocking"] = _blocking(node)
+    elif method == "barrier":
+        op["guarded"] = _under_blocking_guard(node, scope_node)
+    return op
+
+
 @dataclass
 class FunctionSummary:
     """Everything the link phase needs to know about one function."""
@@ -232,6 +296,8 @@ class ModuleSummary:
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, dict] = field(default_factory=dict)
     host_tasks: list[dict] = field(default_factory=list)
+    #: The phase a module-level ``__phase_contract__`` opts it into.
+    phase_contract: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -242,6 +308,7 @@ class ModuleSummary:
             "functions": {q: f.to_dict() for q, f in self.functions.items()},
             "classes": self.classes,
             "host_tasks": self.host_tasks,
+            "phase_contract": self.phase_contract,
         }
 
     @classmethod
@@ -256,6 +323,7 @@ class ModuleSummary:
             },
             classes=data["classes"],
             host_tasks=data["host_tasks"],
+            phase_contract=data["phase_contract"],
         )
 
 
@@ -354,7 +422,8 @@ class _Extractor:
         self.aliases = dict(ms.aliases)
         self._add_relative_aliases()
         self.summary = ModuleSummary(
-            rel=ms.rel, module=module_name, aliases=self.aliases
+            rel=ms.rel, module=module_name, aliases=self.aliases,
+            phase_contract=explicit_phase(ms),
         )
         self._lambda_quals: dict[int, str] = {}
 
@@ -741,10 +810,8 @@ class _Extractor:
             }
             fn.calls.append(atom)
             self._maybe_host_task(node, raw, scope)
-            if method in PHASE_GLOBAL_CALLS:
-                fn.comm.append(
-                    {"line": node.lineno, "what": f"call:{method}"}
-                )
+            if method in COMM_CALLS:
+                fn.comm.append(_comm_op(node, method, scope.node))
 
     def _emit_rng(
         self, node: ast.Call, scope: _Scope, fn: FunctionSummary
@@ -807,7 +874,7 @@ class _Extractor:
     ) -> None:
         for node in _walk_scope(scope.node):
             if isinstance(node, ast.Attribute) and node.attr == "comm":
-                fn.comm.append({"line": node.lineno, "what": "attr:comm"})
+                fn.comm.append({"line": node.lineno, "op": ".comm"})
             if isinstance(node, ast.Call):
                 self._emit_rng(node, scope, fn)
             targets: list[ast.AST] = []
@@ -843,7 +910,7 @@ class _Extractor:
                         "op": node.func.attr,
                         "taints": taints_to_json(taints),
                     })
-        fn.comm.sort(key=lambda c: (c["line"], c["what"]))
+        fn.comm.sort(key=lambda c: (c["line"], c["op"]))
 
     def _emit_write(
         self,

@@ -3,7 +3,8 @@
 Each rule enforces one clause of the determinism contract (see
 ``docs/ANALYSIS.md``), one module at a time; the properties that need
 the whole program (unseeded RNG, the shared Communicator and captured
-state reached from a task body) are the ``deep-*`` rules of
+state reached from a task body, the phase contracts) are the ``deep-*``
+rules of
 :mod:`repro.analysis.ipa.analyses`.  Rules are heuristic by design —
 they must never crash on valid Python, and anything they over-flag can
 be suppressed with a justified ``# repro-lint: disable=<rule>`` comment.
@@ -31,9 +32,7 @@ __all__ = [
     "UnorderedDictSendRule",
     "LedgerBypassRule",
     "UnaccountedSendRule",
-    "CrossHostWriteRule",
     "ScalarSendInHotLoopRule",
-    "ContractUndeclaredOpRule",
     "SwallowedErrorRule",
 ]
 
@@ -41,18 +40,11 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
-# Name-resolution helpers live in ``base`` (shared with the contracts
-# extractor and the whole-program engine); keep short local aliases so
-# rule code stays terse.
+# Name-resolution helpers live in ``base`` (shared with the
+# whole-program engine); keep short local aliases so rule code stays
+# terse.
 _dotted = dotted_name
 _resolve = resolve_name
-
-
-def _root_name(node: ast.AST) -> str | None:
-    """The Name at the bottom of a Subscript/Attribute chain."""
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
 
 
 # ----------------------------------------------------------------------
@@ -527,82 +519,7 @@ class UnaccountedSendRule(LintRule):
                 )
 
 
-@register
-class CrossHostWriteRule(LintRule):
-    """A HostTask body should write only its own host's slots.
-
-    Writing ``shared[j][...]`` where ``j`` iterates over peers inside
-    the body is a cross-host write from a mapped task.  It is only safe
-    if the writes are provably disjoint across concurrent tasks — if
-    they are, say so in a suppression comment; otherwise move the write
-    to the merge barrier.
-    """
-
-    name = "cross-host-write"
-    severity = WARNING
-    description = (
-        "HostTask body writes a per-host slot indexed by its own loop "
-        "variable (cross-host write from a mapped task)"
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for body, _call in module.host_task_bodies():
-            if isinstance(body, ast.Lambda):
-                continue
-            local_names: set[str] = {a.arg for a in body.args.args}
-            loop_vars: set[str] = set()
-            for node in ast.walk(body):
-                if isinstance(node, ast.For) and isinstance(
-                    node.target, ast.Name
-                ):
-                    loop_vars.add(node.target.id)
-                elif isinstance(node, ast.Assign):
-                    for t in node.targets:
-                        if isinstance(t, ast.Name):
-                            local_names.add(t.id)
-                elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                       ast.DictComp, ast.GeneratorExp)):
-                    for gen in node.generators:
-                        if isinstance(gen.target, ast.Name):
-                            local_names.add(gen.target.id)
-            if not loop_vars:
-                continue
-            for node in ast.walk(body):
-                targets: list[ast.AST] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, ast.AugAssign):
-                    targets = [node.target]
-                for target in targets:
-                    if not isinstance(target, ast.Subscript):
-                        continue
-                    root = _root_name(target)
-                    if root is None or root in local_names:
-                        continue
-                    indices = self._subscript_indices(target)
-                    bad = [
-                        i.id for i in indices
-                        if isinstance(i, ast.Name) and i.id in loop_vars
-                    ]
-                    if bad:
-                        yield self.finding(
-                            module, target,
-                            f"write to closure `{root}` indexed by body "
-                            f"loop variable `{bad[0]}`; prove the writes "
-                            "disjoint (and suppress) or move them to the "
-                            "merge barrier",
-                        )
-
-    @staticmethod
-    def _subscript_indices(node: ast.Subscript) -> list[ast.AST]:
-        indices: list[ast.AST] = []
-        while isinstance(node, ast.Subscript):
-            indices.append(node.slice)
-            node = node.value  # type: ignore[assignment]
-        return indices
-
-
-def _explicit_phase(module: ModuleSource) -> str | None:
+def explicit_phase(module: ModuleSource) -> str | None:
     """The module-level ``__phase_contract__`` constant, if declared."""
     for node in module.tree.body:
         if (
@@ -629,7 +546,7 @@ def _governing_contracts(module: ModuleSource) -> list:
         from ...core.contracts import PHASE_CONTRACTS
     except Exception:  # pragma: no cover - partial checkouts
         return []
-    explicit = _explicit_phase(module)
+    explicit = explicit_phase(module)
     if explicit is not None:
         contract = PHASE_CONTRACTS.get(explicit)
         return [contract] if contract is not None else []
@@ -685,86 +602,6 @@ class ScalarSendInHotLoopRule(LintRule):
                         module, node,
                         "scalar `.send` inside a loop; ship one "
                         "MessageBatch per peer via send_batch instead",
-                    )
-
-
-@register
-class ContractUndeclaredOpRule(LintRule):
-    """Comm calls in a phase module must be covered by its PhaseContract.
-
-    A module is *governed* when it is the primary module of a contract
-    in :data:`repro.core.contracts.PHASE_CONTRACTS` (matched by
-    package-relative path suffix) or when it declares its phase
-    explicitly with a module-level ``__phase_contract__ = "Phase Name"``
-    constant.  In a governed module every ``send`` tag must be a
-    compile-time constant declared by a governing contract, and
-    collectives/barriers are only allowed when a clause of that kind
-    exists.  The full dataflow diff — including dispatch into rule/state
-    modules and dead-clause detection — is the ``repro contracts``
-    subcommand's job; this rule is the fast in-editor subset.
-    """
-
-    name = "contract-undeclared-op"
-    severity = ERROR
-    description = (
-        "comm op in a phase module not covered by its declared "
-        "PhaseContract; declare an OpSpec in repro.core.contracts"
-    )
-
-    _COLLECTIVE_CALLS = {
-        "allreduce_sum": ("allreduce", "allreduce-async"),
-        "allreduce_max": ("allreduce",),
-        "allgather": ("allgather",),
-        "barrier": ("barrier",),
-    }
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        contracts = _governing_contracts(module)
-        if not contracts:
-            return
-        tags: set[str] = set()
-        kinds: set[str] = set()
-        for contract in contracts:
-            tags |= contract.p2p_tags()
-            kinds |= contract.collective_kinds()
-        phases = " + ".join(c.phase for c in contracts)
-        declared = ", ".join(sorted(repr(t) for t in tags)) or "none"
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            attr = node.func.attr
-            if attr == "send":
-                tag_node = next(
-                    (kw.value for kw in node.keywords if kw.arg == "tag"), None
-                )
-                if tag_node is None:
-                    tag: str | None = "default"
-                elif isinstance(tag_node, ast.Constant) and isinstance(
-                    tag_node.value, str
-                ):
-                    tag = tag_node.value
-                else:
-                    yield self.finding(
-                        module, node,
-                        f"send with a non-constant tag cannot be checked "
-                        f"against the {phases} contract",
-                    )
-                    continue
-                if tag not in tags:
-                    yield self.finding(
-                        module, node,
-                        f"send tag {tag!r} is not declared by the {phases} "
-                        f"contract (declared: {declared})",
-                    )
-            elif attr in self._COLLECTIVE_CALLS:
-                if not any(k in kinds for k in self._COLLECTIVE_CALLS[attr]):
-                    yield self.finding(
-                        module, node,
-                        f"`{attr}` has no matching clause in the {phases} "
-                        "contract",
                     )
 
 

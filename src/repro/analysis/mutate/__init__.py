@@ -1,9 +1,9 @@
 """Mutation-based soundness harness for the analysis stack.
 
-PRs 3, 4, and 8 built a tower of detectors — the SPMD-safety lint
-(per-module rules plus the whole-program ``deep-*`` rules), the phase
-contracts with their static extractor and the CommSan runtime
-sanitizer, and the host-isolation monitor.  This package measures what
+The analysis stack is a tower of detectors — the SPMD-safety lint
+(per-module rules plus the whole-program ``deep-*`` rules, the
+phase-contract diff among them), the CommSan runtime sanitizer, and the
+host-isolation monitor.  This package measures what
 that tower actually catches: it *injects* the bug classes the
 detectors claim to find — seeded, AST-level semantic mutations of the
 real ``src/repro`` phase/runtime/policy code — runs the full detector
@@ -20,10 +20,10 @@ caught/missed/equivalent``) as byte-stable JSON.
   one mutant at a time, runs the detectors through :mod:`.probe` in a
   subprocess whose ``PYTHONPATH`` points at the shadow tree, and
   assembles the :class:`CampaignReport`.
-* :mod:`.probe` — the in-shadow detector harness (per-module and deep lint,
-  contract extraction, and the dynamic tier: CommSan, the isolation
-  monitor, serial-vs-parallel bit-identity, run-to-run determinism and
-  the partition invariant checker on a fixture graph).
+* :mod:`.probe` — the in-shadow detector harness (per-module and deep
+  lint, the contract diff included, and the dynamic tier: serial
+  fixture partitions under CommSan and the partition invariant
+  checker).
 * :mod:`.triage` — the survivor registry: every undetected,
   non-equivalent mutant must be triaged into a new rule, a tightened
   contract clause, or a documented-equivalent entry; untriaged

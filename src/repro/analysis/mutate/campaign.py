@@ -54,7 +54,7 @@ DEFAULT_BUDGET = 24
 DEFAULT_SEED = 7
 
 #: Matrix columns, in report order.
-DETECTORS = ("lint", "deep", "contracts", "dynamic")
+DETECTORS = ("lint", "deep", "dynamic")
 
 #: Survivor verdicts excluded from the detection-rate denominator.
 _EXCLUDED_VERDICTS = ("equivalent", "covered-elsewhere")

@@ -17,13 +17,12 @@ Detectors, in emission order:
 
 * ``lint`` — the per-module SPMD-safety rules over the whole package
   (strict: unsuppressed warnings count);
-* ``deep`` — the whole-program rules (same single ``repro lint`` pass
-  as ``lint``, split by the ``deep-`` rule prefix);
-* ``contracts`` — the static phase-contract diff (strict);
-* ``dynamic`` — fixture partitions under CommSan and the isolation
-  monitor: run-to-run bit-identity, serial-vs-parallel bit-identity,
-  and the partition invariant checker, on the fixture graph and on two
-  width fixtures whose ids fill a node-id tier.
+* ``deep`` — the whole-program rules, the phase-contract diff
+  (``deep-contract``) included (same single ``repro lint`` pass as
+  ``lint``, split by the ``deep-`` rule prefix);
+* ``dynamic`` — serial fixture partitions under CommSan, checked by the
+  partition invariant checker: the two fixtures, the §IV-D5 ablation,
+  and two width fixtures whose ids fill a node-id tier.
 
 The module top level imports only the standard library, and the driver
 runs this file *by path* (not ``-m``): a mutant that breaks ``import
@@ -38,16 +37,12 @@ dies instantly.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
 from typing import Callable, IO
 
-__all__ = [
-    "main", "partition_digest", "FIXTURES", "ABLATION_FIXTURE",
-    "WIDTH_FIXTURE_NODES",
-]
+__all__ = ["main", "FIXTURES", "ABLATION_FIXTURE", "WIDTH_FIXTURE_NODES"]
 
 #: (policy, num_hosts, sync_rounds): one stateful+impure master rule
 #: (GVC = FennelEB) exercising the request/assignment exchange and the
@@ -115,50 +110,12 @@ def _static_verdicts(out: IO[str], pkg_dir: Path, cache: str | None) -> None:
         )
 
 
-def _contract_verdict(out: IO[str], pkg_dir: Path) -> None:
-    from repro.analysis.contracts import check_contracts
-
-    report = check_contracts(pkg_dir)
-    _emit(
-        out,
-        {
-            "detector": "contracts",
-            "caught": not report.ok(strict=True),
-            "findings": sorted(
-                _anchor(f.kind, f.path, f.line) for f in report.findings
-            ),
-        },
-    )
-
-
-def partition_digest(dg) -> str:
-    """SHA-256 over everything bit-identity promises: partitions + stats.
-
-    Extends the bench-smoke digest with the per-phase simulated
-    breakdown, so accounting faults (a dropped ledger merge, a skipped
-    flush) diverge the digest even when the partition arrays agree.
-    """
-    import numpy as np
-
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(dg.masters).tobytes())
-    for p in dg.partitions:
-        h.update(np.ascontiguousarray(p.global_ids).tobytes())
-        h.update(str(p.num_masters).encode())
-        h.update(np.ascontiguousarray(p.local_graph.indptr).tobytes())
-        h.update(np.ascontiguousarray(p.local_graph.indices).tobytes())
-    for r in dg.breakdown.phases:
-        h.update(json.dumps(r.to_dict(), sort_keys=True).encode())
-    return h.hexdigest()
-
-
 def _dynamic_verdict(out: IO[str]) -> None:
     try:
         import numpy as np
 
         from repro import CuSP
         from repro.analysis.contracts import ContractViolationError
-        from repro.analysis.isolation import IsolationViolation
         from repro.core.validate import check_partition
         from repro.graph.csr import CSRGraph
         from repro.graph.generators import erdos_renyi
@@ -181,61 +138,20 @@ def _dynamic_verdict(out: IO[str]) -> None:
             return fn()
         except ContractViolationError:
             checks.append(f"commsan:{label}")
-        except IsolationViolation:
-            checks.append(f"isolation:{label}")
         except Exception as exc:  # noqa: BLE001 — any crash is a catch
             checks.append(f"crash:{type(exc).__name__}:{label}")
         return None
 
-    def run(
-        policy: str, hosts: int, rounds: int, executor: str, on=graph, **kw
-    ):
+    def run(policy: str, hosts: int, rounds: int, on=graph, **kw):
         with CuSP(
-            hosts,
-            policy,
-            sync_rounds=rounds,
-            executor=executor,
-            sanitizer=True,
-            **kw,
+            hosts, policy, sync_rounds=rounds, sanitizer=True, **kw
         ) as cusp:
             return cusp.partition(on)
 
-    for index, (policy, hosts, rounds) in enumerate(FIXTURES):
+    for policy, hosts, rounds in FIXTURES:
         serial = attempt(
-            f"serial:{policy}", lambda: run(policy, hosts, rounds, "serial")
+            f"serial:{policy}", lambda: run(policy, hosts, rounds)
         )
-        if serial is not None and index == 0:
-            again = attempt(
-                f"serial2:{policy}",
-                lambda: run(policy, hosts, rounds, "serial"),
-            )
-            if again is not None and partition_digest(serial) != (
-                partition_digest(again)
-            ):
-                checks.append(f"nondeterminism:{policy}")
-        parallel = attempt(
-            f"parallel:{policy}",
-            lambda: run(policy, hosts, rounds, "parallel-checked"),
-        )
-        if (
-            serial is not None
-            and parallel is not None
-            and partition_digest(serial) != partition_digest(parallel)
-        ):
-            checks.append(f"divergence:{policy}")
-        if serial is not None and index == 0:
-            # Cover the plain production executors by digest too: every
-            # run above is monitored, and none of them ships a barrier
-            # through the process pool.
-            for plain in ("parallel", "process"):
-                alt = attempt(
-                    f"{plain}:{policy}",
-                    lambda plain=plain: run(policy, hosts, rounds, plain),
-                )
-                if alt is not None and partition_digest(serial) != (
-                    partition_digest(alt)
-                ):
-                    checks.append(f"divergence:{plain}:{policy}")
         if serial is not None:
             report = check_partition(serial, graph)
             if report.errors:
@@ -248,7 +164,7 @@ def _dynamic_verdict(out: IO[str]) -> None:
     # (campaign evidence: contract-when #2 survived the elided fixtures).
     ablation = attempt(
         "ablation:CVC",
-        lambda: run(*ABLATION_FIXTURE, "serial", elide_master_communication=False),
+        lambda: run(*ABLATION_FIXTURE, elide_master_communication=False),
     )
     if ablation is not None:
         report = check_partition(ablation, graph)
@@ -261,7 +177,7 @@ def _dynamic_verdict(out: IO[str]) -> None:
         wide = CSRGraph.from_edges(src, src * 7919 % n, num_nodes=n)
         label = f"width:{n}"
         dg = attempt(
-            label, lambda wide=wide: run(*ABLATION_FIXTURE, "serial", on=wide)
+            label, lambda wide=wide: run(*ABLATION_FIXTURE, on=wide)
         )
         if dg is not None and check_partition(dg, wide).errors:
             checks.append(f"invariants:{label}")
@@ -295,7 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     pkg_dir = Path(args.pkg).resolve()
     with open(args.out, "a") as out:
         _guarded(out, ("lint", "deep"), _static_verdicts, pkg_dir, args.cache)
-        _guarded(out, ("contracts",), _contract_verdict, pkg_dir)
         if not args.static_only:
             _guarded(out, ("dynamic",), _dynamic_verdict)
     return 0

@@ -16,18 +16,17 @@ Subcommands:
 ``experiment``  regenerate one of the paper's tables/figures
 ``info``        print a graph file's Table III properties
 ``validate``    check a saved partition directory (exit 1 if invalid)
-``lint``        run the SPMD-safety lint over Python sources
-                (exit 1 on errors; ``--strict`` escalates warnings)
-``contracts``   statically diff the five phase modules against their
-                declared communication contracts (exit 1 on undeclared
-                ops; ``--strict`` escalates dead contract clauses)
+``lint``        run the SPMD-safety lint over Python sources, the
+                phase-contract diff included (exit 1 on errors;
+                ``--strict`` escalates warnings such as dead contract
+                clauses)
 ``mutate``      run a seeded mutation campaign against the analyzers
                 themselves: splice semantic faults into the package and
                 assert the detector stack catches them (exit 1 on any
                 untriaged survivor; ``--strict`` additionally wants
                 >= 90% detection)
 
-``lint``, ``contracts``, ``chaos``, ``mutate`` and ``validate`` are all
+``lint``, ``chaos``, ``mutate`` and ``validate`` are all
 *checking* subcommands and share one verdict convention
 (:func:`_check_exit`): a single summary line — ``OK:`` on stdout with
 exit 0, or a failure line on stderr with exit 1.
@@ -183,10 +182,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Statically check sources against the determinism contract: "
             "no unseeded randomness, no wall-clock reads in simulated "
-            "code, no iteration over unordered sets, and no host task "
+            "code, no iteration over unordered sets, no host task "
             "that touches shared communicator/stats state or another "
-            "host's data.  See docs/ANALYSIS.md for the rule catalogue "
-            "and suppression syntax."
+            "host's data, and no comm op a phase's contract does not "
+            "declare (repro.core.contracts).  See docs/ANALYSIS.md for "
+            "the rule catalogue and suppression syntax."
         ),
     )
     p.add_argument(
@@ -214,32 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="lint without reading or writing any cache",
     )
-
-    p = sub.add_parser(
-        "contracts",
-        help="statically check phase code against its communication contracts",
-        description=(
-            "Extract every communication operation the five phase "
-            "modules (and the rule/state modules they dispatch into) can "
-            "emit, and diff the result against the declared "
-            "PhaseContracts in repro.core.contracts: undeclared ops and "
-            "non-constant tags are errors, contract clauses no code path "
-            "can exercise are warnings.  See the 'Phase contracts & "
-            "CommSan' section of docs/ANALYSIS.md."
-        ),
-    )
-    p.add_argument(
-        "root", nargs="?",
-        help=(
-            "package root to check: a repo root, src/repro, or any "
-            "directory holding the core/ phase modules (default: the "
-            "installed repro package)"
-        ),
-    )
-    p.add_argument("--strict", action="store_true",
-                   help="treat dead-clause warnings as errors")
-    p.add_argument("--json", action="store_true",
-                   help="emit the report as JSON instead of text")
 
     p = sub.add_parser(
         "chaos",
@@ -281,11 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "skipped flushes, laundered communication, mutated contract "
             "clauses, ...) against the repro package, splice each into "
             "an isolated shadow copy, and run the full detector stack — "
-            "per-module and whole-program lint, the contract diff, and a "
-            "dynamic fixture tier — against every mutant.  Fails on any "
-            "surviving mutant without a triage verdict, and on matrix "
-            "drift when --reference is given.  See the 'Mutation "
-            "soundness' section of docs/ANALYSIS.md."
+            "per-module and whole-program lint (the contract diff "
+            "included) and a dynamic fixture tier — against every "
+            "mutant.  Fails on any surviving mutant without a triage "
+            "verdict, and on matrix drift when --reference is given.  "
+            "See the 'Mutation soundness' section of docs/ANALYSIS.md."
         ),
     )
     p.add_argument(
@@ -432,25 +406,6 @@ def _check_exit(ok: bool, success: str, failure: str) -> int:
     return 1
 
 
-def _report_exit(report, args, strict_note: str) -> int:
-    """Print a ``lint``/``contracts`` report — JSON, or its findings and
-    the verdict line — and return the exit code.  ``strict_note`` is
-    appended when only ``--strict`` turned the verdict into a failure."""
-    ok = report.ok(strict=args.strict)
-    if args.json:
-        print(report.to_json())
-        return 0 if ok else 1
-    for finding in report.findings:
-        print(finding.render())
-    if not (args.strict and not ok and not report.errors):
-        strict_note = ""
-    return _check_exit(
-        ok,
-        f"OK: {report.summary()}",
-        f"FAIL: {report.summary()}{strict_note}",
-    )
-
-
 def _default_cache(paths: list) -> str:
     """Per-tree default cache file under the user's cache directory."""
     import hashlib
@@ -487,16 +442,21 @@ def _run_lint_command(args) -> int:
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
     cache = None if args.no_cache else args.cache or _default_cache(paths)
     report = run_lint(paths, rules=rules, cache=cache)
-    return _report_exit(report, args, " (strict: warnings are errors)")
-
-
-def _run_contracts_command(args) -> int:
-    """The ``contracts`` subcommand: drive the static extraction diff."""
-    from .analysis.contracts import check_contracts
-
-    root = args.root or os.path.dirname(os.path.abspath(__file__))
-    report = check_contracts(root)
-    return _report_exit(report, args, " (strict: dead clauses are errors)")
+    ok = report.ok(strict=args.strict)
+    if args.json:
+        print(report.to_json())
+        return 0 if ok else 1
+    for finding in report.findings:
+        print(finding.render())
+    strict_note = (
+        " (strict: warnings are errors)"
+        if args.strict and not ok and not report.errors else ""
+    )
+    return _check_exit(
+        ok,
+        f"OK: {report.summary()}",
+        f"FAIL: {report.summary()}{strict_note}",
+    )
 
 
 def _run_mutate_command(args) -> int:
@@ -723,9 +683,6 @@ def _dispatch(argv: list[str] | None = None) -> int:
 
     elif args.command == "lint":
         return _run_lint_command(args)
-
-    elif args.command == "contracts":
-        return _run_contracts_command(args)
 
     elif args.command == "mutate":
         return _run_mutate_command(args)

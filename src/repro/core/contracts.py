@@ -4,11 +4,10 @@ Each :class:`~repro.analysis.contracts.model.PhaseContract` declares
 everything a phase is allowed to say on the wire: its point-to-point
 tags (with topology and payload kind), its collectives with exact
 expected round counts as functions of the run configuration, and which
-source modules implement the phase.  The static extractor
-(``repro contracts`` / :func:`repro.analysis.contracts.check_contracts`)
-diffs these declarations against the code; the runtime sanitizer
-(:class:`repro.analysis.contracts.CommSan`) audits real runs against
-them.
+source modules implement the phase.  The ``deep-contract`` rule of
+``repro lint`` diffs these declarations against the code; the runtime
+sanitizer (:class:`repro.analysis.contracts.CommSan`) audits real runs
+against them.
 
 Phase names are string literals rather than imports from
 :mod:`.framework` so this module stays import-light (the lint rules

@@ -527,24 +527,6 @@ class FaultInjector:
         return spec_phase == self._phase
 
     # ------------------------------------------------------------------
-    # Message-level faults (convenience delegates to the src channel)
-    # ------------------------------------------------------------------
-    def tick(self, host: int = 0) -> None:
-        self.channel(host).tick()
-
-    def transient_send_failure(self, src: int, dst: int) -> bool:
-        return self.channel(src).transient_send_failure(dst)
-
-    def dropped(self, src: int, dst: int) -> bool:
-        return self.channel(src).dropped(dst)
-
-    def duplicated(self, src: int, dst: int) -> bool:
-        return self.channel(src).duplicated(dst)
-
-    def corrupted(self, src: int, dst: int) -> bool:
-        return self.channel(src).corrupted(dst)
-
-    # ------------------------------------------------------------------
     # Checkpoint faults (driven by PartitionCheckpoint)
     # ------------------------------------------------------------------
     def torn_checkpoint(self, stage: str) -> bool:

@@ -1,4 +1,4 @@
-"""Corpus: cross-host writes from a mapped task (rule: cross-host-write)."""
+"""Corpus: cross-host writes from a mapped task (rule: deep-unshippable-task-capture)."""
 
 from repro.runtime.executor import HostTask
 

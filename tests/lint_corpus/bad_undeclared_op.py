@@ -1,4 +1,4 @@
-"""Corpus: comm ops outside the declared contract (rule: contract-undeclared-op)."""
+"""Corpus: comm ops outside the declared contract (rule: deep-contract)."""
 
 __phase_contract__ = "Master Assignment"
 

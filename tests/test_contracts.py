@@ -4,12 +4,14 @@ Covers the three layers of the differential verifier: the contract
 language itself, the static extraction diff (including a deliberately
 mutated phase module that must be caught and named), and the CommSan
 runtime sanitizer (clean on every real run; planted violations die with
-an actionable (phase, host, op) message).  The ``repro contracts`` CLI
-verdict/JSON conventions are exercised at the end.
+an actionable (phase, host, op) message).  The static diff is the
+``deep-contract`` rule of ``repro lint``; its CLI verdicts are exercised
+at the end.
 """
 
-import json
+import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +24,9 @@ from repro.analysis.contracts import (
     ContractViolationError,
     OpSpec,
     PhaseContract,
-    check_contracts,
 )
-from repro.analysis.contracts.extract import extract_phase_ops
+from repro.analysis.ipa.analyses import DeepContractRule
+from repro.analysis.lint import run_lint
 from repro.cli import main
 from repro.core import (
     PHASE_CONTRACTS,
@@ -132,17 +134,44 @@ class TestDeclarations:
         assert hdrf.edge_stateful
 
 
-class TestStaticExtraction:
-    def test_tree_is_contract_clean_strict(self):
-        report = check_contracts(SRC_ROOT)
-        assert report.ok(strict=True), report.render_text()
-        assert report.phases_checked == len(PHASE_CONTRACTS)
-        assert report.ops_extracted > 0
+def lint_contracts(root, contracts=None, cache=None):
+    """The ``deep-contract`` rule alone over ``root``."""
+    return run_lint(
+        [root], rules=[DeepContractRule(contracts)], root=root, cache=cache
+    )
 
-    def test_repo_root_and_package_root_resolve_identically(self):
-        a = check_contracts(SRC_ROOT)
-        b = check_contracts(SRC_ROOT.parent.parent)  # the repo root
-        assert a.render_text() == b.render_text()
+
+@pytest.fixture(scope="module")
+def package_cache(tmp_path_factory):
+    """One lint cache for every run over the package: it holds per-file
+    summaries only, which no contract set changes."""
+    return tmp_path_factory.mktemp("lint") / "cache.json"
+
+
+def kinds(findings):
+    """The finding kinds (``undeclared-op``, ``dead-clause``, ...)."""
+    return {f.message.split(" in phase ", 1)[0] for f in findings}
+
+
+def without_clauses(contract, kind):
+    """``contract`` with every clause of ``kind`` dropped."""
+    return replace(
+        contract, ops=tuple(s for s in contract.ops if s.kind != kind)
+    )
+
+
+class TestStaticExtraction:
+    def test_tree_is_contract_clean_strict(self, package_cache):
+        report = lint_contracts(SRC_ROOT, cache=package_cache)
+        assert report.ok(strict=True), report.render_text()
+        # Every phase with a clause has ops the diff sees: declare
+        # nothing and each of them is flagged.
+        bare = ContractSet(replace(c, ops=()) for c in PHASE_CONTRACTS)
+        flagged = {
+            f.message.split("'")[1]
+            for f in lint_contracts(SRC_ROOT, bare, package_cache).errors
+        }
+        assert flagged == {c.phase for c in PHASE_CONTRACTS if c.ops}
 
     @pytest.fixture()
     def mutated_tree(self, tmp_path):
@@ -159,27 +188,29 @@ class TestStaticExtraction:
         return tmp_path
 
     def test_mutated_phase_caught_statically(self, mutated_tree):
-        report = check_contracts(mutated_tree)
+        report = lint_contracts(mutated_tree)
         assert not report.ok()
         [finding] = report.errors
-        assert finding.kind == "undeclared-op"
-        assert finding.phase == "Master Assignment"
+        assert kinds([finding]) == {"undeclared-op"}
+        assert "phase 'Master Assignment'" in finding.message
         assert "'rogue-sync'" in finding.message
         assert finding.path.endswith("masters_phase.py")
         assert finding.line > 0
 
-    def test_dead_clause_flagged_as_warning(self):
+    def test_dead_clause_flagged_as_warning(self, package_cache):
         contract = PhaseContract(
             phase="Graph Reading",
             modules=("core/framework.py", "core/reading.py"),
             entry_points=("phase_reading",),
             ops=(OpSpec("p2p", tag="never-sent"),),
         )
-        report = check_contracts(SRC_ROOT, contracts=ContractSet([contract]))
+        report = lint_contracts(
+            SRC_ROOT, ContractSet([contract]), package_cache
+        )
         assert report.ok(strict=False)
         assert not report.ok(strict=True)
         [finding] = report.warnings
-        assert finding.kind == "dead-clause"
+        assert kinds([finding]) == {"dead-clause"}
         assert "'never-sent'" in finding.message
 
     def test_undrained_declared_drain_is_flagged(self, tmp_path):
@@ -195,7 +226,7 @@ class TestStaticExtraction:
             entry_points=("run",),
             ops=(OpSpec("p2p", tag="data", drained=True),),
         )
-        report = check_contracts(tmp_path, contracts=ContractSet([contract]))
+        report = lint_contracts(tmp_path, ContractSet([contract]))
         [finding] = report.warnings
         assert "recv_all" in finding.message
 
@@ -209,9 +240,44 @@ class TestStaticExtraction:
         contract = PhaseContract(
             phase="P", modules=("core/phase.py",), entry_points=("run",)
         )
-        report = check_contracts(tmp_path, contracts=ContractSet([contract]))
+        report = lint_contracts(tmp_path, ContractSet([contract]))
         [finding] = report.errors
-        assert finding.kind == "dynamic-tag"
+        assert kinds([finding]) == {"dynamic-tag"}
+
+    def test_rogue_tag_from_a_helper_a_task_body_reaches(self, tmp_path):
+        """The walk follows the entry point into a ``HostTask`` body and
+        on through the body's helper calls."""
+        mod = tmp_path / "core"
+        mod.mkdir()
+        (mod / "phase.py").write_text(
+            "from repro.runtime.executor import HostTask\n"
+            "\n"
+            "def _gossip(view):\n"
+            "    view.send(0, None, tag='rogue', nbytes=8)\n"
+            "\n"
+            "def _body(view, payload):\n"
+            "    view.send(0, None, tag='data', nbytes=8)\n"
+            "    _gossip(view)\n"
+            "\n"
+            "def _unreached(view):\n"
+            "    view.send(0, None, tag='elsewhere', nbytes=8)\n"
+            "\n"
+            "def run(phase, hosts):\n"
+            "    phase.executor.run(\n"
+            "        phase, [HostTask(h, _body, payload=h) for h in hosts]\n"
+            "    )\n"
+        )
+        contract = PhaseContract(
+            phase="P",
+            modules=("core/phase.py",),
+            entry_points=("run",),
+            ops=(OpSpec("p2p", tag="data"),),
+        )
+        report = lint_contracts(tmp_path, ContractSet([contract]))
+        [finding] = report.findings
+        assert kinds([finding]) == {"undeclared-op"}
+        assert "'rogue' in _gossip()" in finding.message
+        assert (finding.path, finding.line) == ("core/phase.py", 4)
 
     def test_batch_traffic_on_unbatched_clause_is_an_error(self, tmp_path):
         mod = tmp_path / "core"
@@ -227,9 +293,9 @@ class TestStaticExtraction:
             entry_points=("run",),
             ops=(OpSpec("p2p", tag="data"),),
         )
-        report = check_contracts(tmp_path, contracts=ContractSet([contract]))
+        report = lint_contracts(tmp_path, ContractSet([contract]))
         [finding] = report.errors
-        assert finding.kind == "unbatched-op"
+        assert kinds([finding]) == {"unbatched-op"}
         assert "batched=True" in finding.message
 
     def test_batched_clause_accepts_batch_traffic(self, tmp_path):
@@ -246,42 +312,61 @@ class TestStaticExtraction:
             entry_points=("run",),
             ops=(OpSpec("p2p", tag="data", drained=True, batched=True),),
         )
-        report = check_contracts(tmp_path, contracts=ContractSet([contract]))
+        report = lint_contracts(tmp_path, ContractSet([contract]))
         assert report.errors == [] and report.warnings == []
 
     def test_missing_module_and_entry_reported(self, tmp_path):
+        """Only the linted files are known: a declared module is missing
+        when its contract's primary module is linted and it is not."""
         (tmp_path / "core").mkdir()
         (tmp_path / "core" / "present.py").write_text("def other():\n    pass\n")
         contracts = ContractSet([
             PhaseContract(
-                phase="A", modules=("core/absent.py",), entry_points=("run",)
+                phase="A",
+                modules=("core/present.py", "core/absent.py"),
+                entry_points=("other",),
             ),
             PhaseContract(
                 phase="B", modules=("core/present.py",), entry_points=("run",)
             ),
         ])
-        report = check_contracts(tmp_path, contracts=contracts)
-        kinds = {f.kind for f in report.errors}
-        assert kinds == {"missing-module", "missing-entry"}
+        report = lint_contracts(tmp_path, contracts)
+        assert kinds(report.errors) == {"missing-module", "missing-entry"}
 
-    def test_sync_round_hint_resolves_async_collective(self):
+    def test_sync_round_hint_resolves_async_collective(self, package_cache):
         """The masters phase only ever dispatches sync_round with
         blocking=False, so state.py's allreduce resolves to async and
         its blocking-guarded barrier is statically unreachable."""
         masters = PHASE_CONTRACTS.get("Master Assignment")
-        ops, findings = extract_phase_ops(SRC_ROOT, masters)
-        assert findings == []
-        kinds = {op.kind for op in ops}
-        assert "allreduce-async" in kinds
-        assert "allreduce" not in kinds
-        assert "barrier" not in kinds
+        clean = lint_contracts(
+            SRC_ROOT, ContractSet([masters]), package_cache
+        )
+        assert clean.findings == []
+        report = lint_contracts(
+            SRC_ROOT,
+            ContractSet([without_clauses(masters, "allreduce-async")]),
+            package_cache,
+        )
+        undeclared = [
+            f.message.split(": ", 1)[1].split(" in ")[0]
+            for f in report.errors
+        ]
+        assert undeclared == ["allreduce-async"], report.render_text()
 
-    def test_each_masters_send_is_found_in_its_task_body(self):
-        """A round's shipping rides its scoring task: the extractor
-        reaches ``_assign_chunk_body`` through ``HostTask`` by name."""
-        masters = PHASE_CONTRACTS.get("Master Assignment")
-        ops, _ = extract_phase_ops(SRC_ROOT, masters)
-        assert {(op.tag, op.via) for op in ops if op.kind == "p2p"} == {
+    def test_each_masters_send_is_found_in_its_task_body(self, package_cache):
+        """A round's shipping rides its scoring task: the walk reaches
+        ``_assign_chunk_body`` through ``HostTask`` by name."""
+        masters = without_clauses(
+            PHASE_CONTRACTS.get("Master Assignment"), "p2p"
+        )
+        report = lint_contracts(
+            SRC_ROOT, ContractSet([masters]), package_cache
+        )
+        sends = {
+            re.search(r"tag '([^']+)' in (\w+)\(\)", f.message).groups()
+            for f in report.errors
+        }
+        assert sends == {
             ("master-requests", "_request_masters_body"),
             ("master-assignments", "_assign_chunk_body"),
             ("master-broadcast", "_pure_assign_body"),
@@ -508,17 +593,11 @@ class TestCommSanViolations:
 
 
 class TestContractsCLI:
-    def test_clean_tree_exits_zero(self, capsys):
-        assert main(["contracts", str(SRC_ROOT), "--strict"]) == 0
+    def test_clean_tree_exits_zero(self, capsys, package_cache):
+        argv = ["lint", str(SRC_ROOT), "--strict", "--rule", "deep-contract"]
+        assert main(argv + ["--cache", str(package_cache)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("OK:")
-
-    def test_json_output(self, capsys):
-        assert main(["contracts", str(SRC_ROOT), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == 1
-        assert doc["phases_checked"] == 5
-        assert doc["findings"] == []
 
     def test_mutated_tree_exits_nonzero(self, tmp_path, capsys):
         shutil.copytree(SRC_ROOT / "core", tmp_path / "core")
@@ -527,7 +606,8 @@ class TestContractsCLI:
                 "\n\ndef run_master_assignment(phase, extra):\n"
                 "    phase.comm.send(0, 1, None, tag='rogue-sync', nbytes=8)\n"
             )
-        assert main(["contracts", str(tmp_path)]) == 1
+        argv = ["lint", str(tmp_path), "--no-cache", "--rule", "deep-contract"]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert "rogue-sync" in captured.out
         assert captured.err.startswith("FAIL:")

@@ -117,9 +117,10 @@ class TestInjectorDeterminism:
             inj = FaultInjector(plan)
             inj.begin_phase("p")
             for i in range(200):
-                inj.transient_send_failure(i % 4, (i + 1) % 4)
-                inj.dropped(i % 4, (i + 1) % 4)
-                inj.duplicated(i % 4, (i + 1) % 4)
+                channel = inj.channel(i % 4)
+                channel.transient_send_failure((i + 1) % 4)
+                channel.dropped((i + 1) % 4)
+                channel.duplicated((i + 1) % 4)
             logs.append(list(inj.events))
         assert logs[0] == logs[1]
         assert logs[0]  # at those rates something must have fired
@@ -128,7 +129,8 @@ class TestInjectorDeterminism:
         def events(seed):
             inj = FaultInjector(FaultPlan(seed=seed, send_failure_rate=0.3))
             inj.begin_phase("p")
-            return [inj.transient_send_failure(0, 1) for _ in range(100)]
+            channel = inj.channel(0)
+            return [channel.transient_send_failure(1) for _ in range(100)]
         assert events(1) != events(2)
 
     def test_deterministic_end_to_end(self):

@@ -20,8 +20,10 @@ import pytest
 from repro.analysis.ipa import run_deep_lint
 from repro.analysis.ipa.analyses import DeepRule
 from repro.analysis.lint.base import LintRule, all_rules, run_lint
+from repro.cli import main
 
 DEEP = Path(__file__).parent / "lint_corpus" / "deep"
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 # (fixture, deep rule, substrings one witness must contain)
 EVASIONS = [
@@ -143,11 +145,31 @@ class TestSingleParse:
         assert counts["n"] == report.files_checked
 
     def test_deep_shares_the_shallow_parse(self, monkeypatch):
-        # One pass runs the 9 per-module rules AND builds summaries for
-        # the 5 whole-program rules, still from one parse per module.
+        # One pass runs the 7 per-module rules AND builds summaries for
+        # the 6 whole-program rules, still from one parse per module.
         counts = self._count_parses(monkeypatch)
         report = deep_report()
         assert counts["n"] == report.files_checked
+
+    def test_warm_package_run_replays_the_cold_findings(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``repro lint src/repro --json``, cold then warm: the same
+        findings byte for byte (``deep-contract`` included, from cached
+        summaries alone), and the warm run parses no module."""
+        argv = ["lint", str(SRC), "--json", "--cache", str(tmp_path / "c")]
+
+        def run():
+            assert main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            return doc.pop("cache"), json.dumps(doc, sort_keys=True)
+
+        cold_cache, cold = run()
+        counts = self._count_parses(monkeypatch)
+        warm_cache, warm = run()
+        assert warm == cold
+        assert counts["n"] == 0
+        assert warm_cache == {"hits": cold_cache["misses"], "misses": 0}
 
     def test_warm_cache_parses_nothing(self, tmp_path, monkeypatch):
         corpus = tmp_path / "corpus"
@@ -414,6 +436,7 @@ class TestEngineApi:
             "deep-determinism-taint",
             "deep-unshippable-task-capture",
             "deep-unshippable-payload",
+            "deep-contract",
         }
         assert all(name == rule.name for name, rule in rules.items())
 

@@ -37,23 +37,25 @@ RULE_FIXTURES = {
     "deep-comm-in-task": "bad_comm_in_task.py",
     "ledger-bypass": "bad_ledger_bypass.py",
     "unaccounted-send": "bad_unaccounted_send.py",
-    "cross-host-write": "bad_cross_host_write.py",
     "deep-unshippable-task-capture": "bad_unshippable_capture.py",
     "scalar-send-in-hot-loop": "bad_scalar_send_loop.py",
-    "contract-undeclared-op": "bad_undeclared_op.py",
+    "deep-contract": "bad_undeclared_op.py",
     "swallowed-error": "bad_swallowed_error.py",
     "deep-determinism-taint": "bad_determinism_taint.py",
     "deep-unshippable-payload": "bad_unshippable_payload.py",
 }
 
-#: The lines the per-module ``unseeded-rng``, ``comm-in-task`` and
-#: ``unshippable-task-capture`` rules flagged before their ``deep-*``
-#: twins took them over at every call depth: the twin must flag each
-#: (line 18 of ``bad_comm_in_task.py`` is a lambda body).
+#: The lines the per-module ``unseeded-rng``, ``comm-in-task``,
+#: ``unshippable-task-capture``, ``cross-host-write`` and
+#: ``contract-undeclared-op`` rules flagged before the whole-program rule
+#: owning each property took them over: that rule must flag each (line
+#: 18 of ``bad_comm_in_task.py`` is a lambda body).
 FOLDED_LINES = {
     ("deep-unseeded-rng", "bad_rng.py"): [9, 14, 15, 16, 20],
     ("deep-comm-in-task", "bad_comm_in_task.py"): [10, 11, 18],
     ("deep-unshippable-task-capture", "bad_unshippable_capture.py"): [10, 11],
+    ("deep-unshippable-task-capture", "bad_cross_host_write.py"): [9],
+    ("deep-contract", "bad_undeclared_op.py"): [11, 16],
 }
 
 

@@ -153,7 +153,7 @@ def _result(mutant, caught_detectors=(), findings=()):
             "caught": name in caught_detectors,
             "findings": list(findings) if name in caught_detectors else [],
         }
-        for name in ("lint", "deep", "contracts", "dynamic")
+        for name in ("lint", "deep", "dynamic")
     }
     return MutantResult(
         mutant=mutant, detectors=detectors, triage=TRIAGE.get(mutant.id)
@@ -224,7 +224,7 @@ class TestReport:
             mutant=chosen[0],
             detectors={
                 name: {"caught": False, "findings": []}
-                for name in ("lint", "deep", "contracts", "dynamic")
+                for name in ("lint", "deep", "dynamic")
             },
             triage=None,
         )
