@@ -92,13 +92,6 @@ class CommSan:
         self._observed = np.zeros((num_hosts, num_hosts), dtype=np.float64)
         self._event_mark = 0
 
-    def on_send(self, src: int, dst: int, tag: str, nbytes: int) -> None:
-        self.ops_observed += 1
-        key = (src, dst, tag)
-        self._sends[key] = self._sends.get(key, 0) + 1
-        if src != dst:  # self-delivery is free, exactly as in Communicator
-            self._observed[src, dst] += nbytes
-
     def on_merge(self, ledger: "CommLedger") -> None:
         self._observed[ledger.host, :] += ledger.sent_bytes
         for dst, tag, _payload in ledger.queued:

@@ -60,6 +60,16 @@ TRIAGE: dict[str, TriageEntry] = {
         " one-host-in-flight order and the failed-barrier pins in"
         " tests/test_executors.py (tier-1, every CI leg).",
     ),
+    "drop-ledger-merge:runtime/comm.py#0": TriageEntry(
+        "covered-elsewhere",
+        "Communicator.send's merge serves only direct sends, which no"
+        " CuSP phase makes; without it a direct send charges and"
+        " delivers nothing, which tests/test_runtime.py::TestCommunicator"
+        " (test_byte_accounting, test_send_recv_roundtrip, ...) and"
+        " tests/test_faults.py::TestReliableTransport::"
+        "test_exhausted_send_keeps_its_retry_charges fail on (tier-1,"
+        " every CI leg).",
+    ),
     "skip-barrier:core/state.py#0": TriageEntry(
         "covered-elsewhere",
         "CuSP dispatch never takes the blocking path, but"

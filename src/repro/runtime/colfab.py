@@ -585,6 +585,10 @@ def _release_segment(seg: Any) -> None:
     _defuse_segment(seg)
 
 
+class SegmentGoneError(ValueError):
+    """A shared-memory segment was unlinked before it was attached."""
+
+
 def _attach_shared_segment(name: str) -> Any:
     """Map an existing segment, leaving its tracker registration alone.
 
@@ -604,7 +608,7 @@ def _attach_shared_segment(name: str) -> Any:
     try:
         return shared_memory.SharedMemory(name=name)
     except FileNotFoundError as exc:
-        raise ValueError(
+        raise SegmentGoneError(
             f"shared-memory segment {name!r} is gone; an ephemeral "
             "segment is loaded exactly once, and a worker that died "
             "mid-send leaves nothing to attach"

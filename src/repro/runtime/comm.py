@@ -21,11 +21,13 @@ charged to dedicated retry counters — extra bytes, extra messages, and
 exponential-backoff stalls — so recovery overhead is visible in the
 simulated breakdown.
 
-Under the execution engine (:mod:`repro.runtime.executor`), a host
-task's traffic is recorded on a *private* :class:`CommLedger` instead
-of the shared matrices: :meth:`Communicator.ledger` hands out a
-per-host recording view, and :meth:`Communicator.merge_ledger` folds
-ledgers back in.  Merging in host order reproduces, bit for bit, the
+Every send is recorded on a *private* :class:`CommLedger` — one host's
+outbound accounting and payloads — and folded into the shared matrices
+and queues by :meth:`Communicator.merge_ledger`, the one writer of
+that state.  :meth:`Communicator.send` is a ledger merged at once; the
+execution engine (:mod:`repro.runtime.executor`) hands each host task a
+ledger of its own (:meth:`Communicator.ledger`) and merges them at the
+barrier.  Merging in host order reproduces, bit for bit, the
 accounting and message-queue order of hand calls to :meth:`send` made
 host by host — which is what lets the hosts run concurrently without
 perturbing a single counter.
@@ -52,26 +54,16 @@ class CommObserver(Protocol):
     The contract sanitizer (:class:`repro.analysis.contracts.CommSan`)
     implements this to mirror the accounting independently; the hooks
     fire only when :attr:`Communicator.observer` is set, so the default
-    path costs one ``is None`` check.  Collectives and barriers need no
-    hook — their event lists are read directly at the phase barrier.
+    path costs one ``is None`` check.  Every send reaches the shared
+    state through a ledger merge, so :meth:`on_merge` sees every send,
+    a direct :meth:`Communicator.send` included.  Collectives and
+    barriers need no hook — their event lists are read directly at the
+    phase barrier.
     """
-
-    def on_send(self, src: int, dst: int, tag: str, nbytes: int) -> None: ...
 
     def on_merge(self, ledger: "CommLedger") -> None: ...
 
     def on_recv(self, dst: int, tag: str, count: int) -> None: ...
-
-
-class _RetrySink(Protocol):
-    """Where the faulty transport charges wasted attempts: the shared
-    matrices for a direct send, a private :class:`CommLedger` otherwise."""
-
-    def charge_retry(self, dst: int, size: int, attempt: int) -> None: ...
-
-    def charge_duplicate(self, dst: int, size: int) -> None: ...
-
-    def charge_corruption(self, dst: int, size: int) -> None: ...
 
 
 #: Scalar types that serialize to one machine word.  ``np.bool_`` is
@@ -144,12 +136,22 @@ class Communicator:
         self.buffer_size = buffer_size
         self.injector = injector
         self.max_retries = max_retries
-        self.sent_bytes = np.zeros((num_hosts, num_hosts), dtype=np.float64)
-        self.sent_messages = np.zeros((num_hosts, num_hosts), dtype=np.float64)
-        # Retransmissions caused by injected faults: charged on top of the
-        # first-attempt accounting so recovery cost shows up per phase.
-        self.retry_bytes = np.zeros((num_hosts, num_hosts), dtype=np.float64)
-        self.retry_messages = np.zeros((num_hosts, num_hosts), dtype=np.float64)
+        # One (src, dst) matrix per accounting vector of a CommLedger, in
+        # its order, so a merge adds a whole ledger into its host's row
+        # at once.  The retry pair counts retransmissions caused by
+        # injected faults, on top of the first-attempt accounting, so
+        # recovery cost shows up per phase.  The stream pair counts the
+        # sends made with coalesce=True: the dedicated communication
+        # thread batches consecutive small sends to the same peer into
+        # buffer-sized network messages (paper §IV-D3), so their message
+        # count is derived from the stream volume, not the number of
+        # send calls.
+        self._matrices = np.zeros((6, num_hosts, num_hosts), dtype=np.float64)
+        (
+            self.sent_bytes, self.sent_messages,
+            self.retry_bytes, self.retry_messages,
+            self._stream_bytes, self._stream_logical,
+        ) = self._matrices
         #: Per-source exponential-backoff units (sum of 2**attempt over
         #: failed attempts); the cost model converts them to stall time.
         self.backoff_units = np.zeros(num_hosts, dtype=np.float64)
@@ -159,13 +161,6 @@ class Communicator:
         #: by the cluster, never consulted for accounting decisions.
         self.observer: CommObserver | None = None
         self._queues: dict[tuple[int, str], deque] = defaultdict(deque)
-        # Bytes sent with coalesce=True, per (src, dst): the dedicated
-        # communication thread batches consecutive small sends to the same
-        # peer into buffer-sized network messages (paper §IV-D3), so their
-        # message count is derived from the stream volume, not the number
-        # of send calls.
-        self._stream_bytes = np.zeros((num_hosts, num_hosts), dtype=np.float64)
-        self._stream_logical = np.zeros((num_hosts, num_hosts), dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Point-to-point
@@ -190,6 +185,9 @@ class Communicator:
         message count is ceil(total bytes / buffer) at the end rather than
         one per call.  Local "sends" (src == dst) are delivered but cost
         nothing: CuSP constructs local edges directly (§IV-B5).
+
+        This is :meth:`CommLedger.send` on ``src``'s ledger, merged at
+        once (:meth:`merge_ledger`).
         """
         if isolation._depth:
             # During a monitored parallel section, every charge must go
@@ -200,70 +198,17 @@ class Communicator:
                 f"sent {src}->{dst} on the shared Communicator, "
                 "bypassing its CommLedger",
             )
-        self._check_host(src)
-        self._check_host(dst)
-        size = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        if src != dst and self.injector is not None:
-            self._run_faulty_transport(
-                src, dst, size, _DirectRetrySink(self, src)
+        ledger = self.ledger(src)
+        try:
+            ledger.send(
+                dst, payload, tag=tag, logical_messages=logical_messages,
+                nbytes=nbytes, coalesce=coalesce,
             )
-        if src != dst:
-            self.sent_bytes[src, dst] += size
-            if coalesce:
-                self._stream_bytes[src, dst] += size
-                self._stream_logical[src, dst] += max(1, logical_messages)
-            else:
-                self.sent_messages[src, dst] += self._message_count(
-                    size, logical_messages
-                )
-        self._queues[(dst, tag)].append((src, payload))
-        if self.observer is not None:
-            self.observer.on_send(src, dst, tag, size)
-
-    def _run_faulty_transport(
-        self, src: int, dst: int, size: int, retry_sink: _RetrySink
-    ) -> None:
-        """Subject one remote send to the attached fault injector.
-
-        May raise :class:`~repro.runtime.faults.HostCrashError` (a
-        mid-phase crash triggered by this operation) or
-        :class:`~repro.runtime.faults.SendRetriesExhausted`.  Charges
-        every wasted attempt to ``retry_sink`` — the shared retry
-        counters for a direct send, a private :class:`CommLedger` when
-        the send is recorded on one.
-        """
-        channel = self.injector.channel(src)
-        channel.tick()
-        attempt = 0
-        # Sender-side NACKs: retry with exponential backoff.
-        while channel.transient_send_failure(dst):
-            retry_sink.charge_retry(dst, size, attempt)
-            attempt += 1
-            if attempt > self.max_retries:
-                raise SendRetriesExhausted(
-                    f"send {src}->{dst} failed after {self.max_retries} retries"
-                )
-        # In-flight drops: ack timeout, then retransmit (which may drop too).
-        while channel.dropped(dst):
-            retry_sink.charge_retry(dst, size, attempt)
-            attempt += 1
-            if attempt > self.max_retries:
-                raise SendRetriesExhausted(
-                    f"send {src}->{dst} dropped {self.max_retries} times"
-                )
-        # Corrupted delivery: the receiver's block checksum rejects the
-        # payload and sends a re-request; the sender retransmits (the
-        # retransmission may be corrupted again).
-        while channel.corrupted(dst):
-            retry_sink.charge_corruption(dst, size)
-            attempt += 1
-            if attempt > self.max_retries:
-                raise SendRetriesExhausted(
-                    f"send {src}->{dst} corrupted {self.max_retries} times"
-                )
-        # Duplicated delivery: the receiver dedups, the wire paid twice.
-        if channel.duplicated(dst):
-            retry_sink.charge_duplicate(dst, size)
+        finally:
+            # A send that raised has charged its wasted attempts, and
+            # they stay charged, as a raising host's ledger does at a
+            # barrier.
+            self.merge_ledger(ledger)
 
     # ------------------------------------------------------------------
     # Per-host ledger views (execution engine)
@@ -288,13 +233,8 @@ class Communicator:
         if self.observer is not None:
             self.observer.on_merge(ledger)
         h = ledger.host
-        self.sent_bytes[h, :] += ledger.sent_bytes
-        self.sent_messages[h, :] += ledger.sent_messages
-        self.retry_bytes[h, :] += ledger.retry_bytes
-        self.retry_messages[h, :] += ledger.retry_messages
+        self._matrices[:, h, :] += ledger._vectors
         self.backoff_units[h] += ledger.backoff_units
-        self._stream_bytes[h, :] += ledger.stream_bytes
-        self._stream_logical[h, :] += ledger.stream_logical
         for dst, tag, payload in ledger.queued:
             self._queues[(dst, tag)].append((h, payload))
         ledger.queued = []
@@ -521,32 +461,6 @@ class Communicator:
             raise ValueError(f"host {h} out of range [0, {self.num_hosts})")
 
 
-class _DirectRetrySink:
-    """Retry sink that charges straight to the shared matrices."""
-
-    __slots__ = ("comm", "src")
-
-    def __init__(self, comm: Communicator, src: int):
-        self.comm = comm
-        self.src = src
-
-    def charge_retry(self, dst: int, size: int, attempt: int) -> None:
-        self.comm.retry_bytes[self.src, dst] += size
-        self.comm.retry_messages[self.src, dst] += 1
-        self.comm.backoff_units[self.src] += 2.0 ** attempt
-
-    def charge_duplicate(self, dst: int, size: int) -> None:
-        self.comm.retry_bytes[self.src, dst] += size
-        self.comm.retry_messages[self.src, dst] += 1
-
-    def charge_corruption(self, dst: int, size: int) -> None:
-        # A checksum failure costs two wire messages on the src->dst
-        # channel: the receiver's one-word re-request plus the sender's
-        # full retransmission (matching retry_event_channels' weight 2).
-        self.comm.retry_bytes[self.src, dst] += size + 8
-        self.comm.retry_messages[self.src, dst] += 2
-
-
 class CommLedger:
     """Private per-host recording view over a :class:`Communicator`.
 
@@ -563,13 +477,14 @@ class CommLedger:
     def __init__(self, comm: Communicator, host: int):
         self.comm = comm
         self.host = host
-        n = comm.num_hosts
-        self.sent_bytes = np.zeros(n, dtype=np.float64)
-        self.sent_messages = np.zeros(n, dtype=np.float64)
-        self.retry_bytes = np.zeros(n, dtype=np.float64)
-        self.retry_messages = np.zeros(n, dtype=np.float64)
-        self.stream_bytes = np.zeros(n, dtype=np.float64)
-        self.stream_logical = np.zeros(n, dtype=np.float64)
+        #: One row per accounting vector, in the order of the
+        #: communicator's matrices, one column per destination.
+        self._vectors = np.zeros((6, comm.num_hosts), dtype=np.float64)
+        (
+            self.sent_bytes, self.sent_messages,
+            self.retry_bytes, self.retry_messages,
+            self.stream_bytes, self.stream_logical,
+        ) = self._vectors
         self.backoff_units = 0.0
         #: Buffered outbound payloads as (dst, tag, payload), in send order.
         self.queued: list[tuple[int, str, Any]] = []
@@ -586,16 +501,16 @@ class CommLedger:
         nbytes: int | None = None,
         coalesce: bool = False,
     ) -> None:
-        """Record a send from this ledger's host (same semantics as
-        :meth:`Communicator.send`, minus the shared-state writes)."""
+        """Record a send from this ledger's host (the semantics of
+        :meth:`Communicator.send`, which is this plus a merge)."""
         if isolation._depth:
             isolation.guard_owned(self.host, "CommLedger.send")
         comm = self.comm
         comm._check_host(dst)
         size = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        if self.host != dst and comm.injector is not None:
-            comm._run_faulty_transport(self.host, dst, size, self)
         if self.host != dst:
+            if comm.injector is not None:
+                self._run_faulty_transport(dst, size)
             self.sent_bytes[dst] += size
             if coalesce:
                 self.stream_bytes[dst] += size
@@ -606,22 +521,67 @@ class CommLedger:
                 )
         self.queued.append((dst, tag, payload))
 
-    def charge_retry(self, dst: int, size: int, attempt: int) -> None:
-        if isolation._depth:
-            isolation.guard_owned(self.host, "CommLedger.charge_retry")
-        self.retry_bytes[dst] += size
-        self.retry_messages[dst] += 1
-        self.backoff_units += 2.0 ** attempt
+    def _run_faulty_transport(self, dst: int, size: int) -> None:
+        """Subject one remote send to the attached fault injector.
 
-    def charge_duplicate(self, dst: int, size: int) -> None:
-        if isolation._depth:
-            isolation.guard_owned(self.host, "CommLedger.charge_duplicate")
-        self.retry_bytes[dst] += size
-        self.retry_messages[dst] += 1
+        May raise :class:`~repro.runtime.faults.HostCrashError` (a
+        mid-phase crash triggered by this operation) or
+        :class:`~repro.runtime.faults.SendRetriesExhausted`.  Charges
+        every wasted attempt to this ledger's retry counters, those of
+        the attempts before a raise included.
+        """
+        src = self.host
+        limit = self.comm.max_retries
+        channel = self.comm.injector.channel(src)
+        channel.tick()
+        attempt = 0
+        # Sender-side NACKs, then in-flight drops (ack timeout): retransmit
+        # with exponential backoff (a retransmission may drop too).
+        for faulty, failure in (
+            (channel.transient_send_failure, "failed after {} retries"),
+            (channel.dropped, "dropped {} times"),
+        ):
+            while faulty(dst):
+                self.retry_bytes[dst] += size
+                self.retry_messages[dst] += 1
+                self.backoff_units += 2.0 ** attempt
+                attempt += 1
+                if attempt > limit:
+                    raise SendRetriesExhausted(
+                        f"send {src}->{dst} " + failure.format(limit)
+                    )
+        # Corrupted delivery: the receiver's block checksum rejects the
+        # payload and sends a re-request; the sender retransmits (the
+        # retransmission may be corrupted again).  That costs two wire
+        # messages on the src->dst channel, the one-word re-request and
+        # the full retransmission (retry_event_channels' weight 2).
+        while channel.corrupted(dst):
+            self.retry_bytes[dst] += size + 8
+            self.retry_messages[dst] += 2
+            attempt += 1
+            if attempt > limit:
+                raise SendRetriesExhausted(
+                    f"send {src}->{dst} corrupted {limit} times"
+                )
+        # Duplicated delivery: the receiver dedups, the wire paid twice.
+        if channel.duplicated(dst):
+            self.retry_bytes[dst] += size
+            self.retry_messages[dst] += 1
 
-    def charge_corruption(self, dst: int, size: int) -> None:
-        if isolation._depth:
-            isolation.guard_owned(self.host, "CommLedger.charge_corruption")
-        # Re-request (one word) + retransmission, as in _DirectRetrySink.
-        self.retry_bytes[dst] += size + 8
-        self.retry_messages[dst] += 2
+    def state(self) -> dict[str, Any]:
+        """What this ledger recorded, picklable: its accounting, queued
+        payloads and fault events (what a pool worker ships home)."""
+        return {
+            "vectors": self._vectors,
+            "backoff_units": self.backoff_units,
+            "queued": self.queued,
+            "fault_events": self.fault_events,
+        }
+
+    def load(self, state: Mapping[str, Any]) -> None:
+        """Take in a :meth:`state` recorded on another ledger of the
+        same host, in place of this one's accounting and queue."""
+        self._vectors[:] = state["vectors"]
+        self.backoff_units = state["backoff_units"]
+        self.queued = state["queued"]
+        self.fault_events.extend(state["fault_events"])

@@ -43,6 +43,8 @@ Determinism argument (why concurrent hosts are bit-identical to serial):
 1. *Accounting*: merge adds each host's private vectors into its own row
    of the shared matrices — addition order across rows is irrelevant,
    and within a row the ledger preserved the host's own send order.
+   A direct ``Communicator.send`` is a ledger merged at once, so there
+   is no second way to charge a send.
 2. *Message queues*: merging in host order appends each destination's
    payloads in exactly the (src-major) order a serial sweep would have
    produced, so every receiver drains an identical queue.

@@ -82,15 +82,6 @@ def worker_cache() -> dict:
     return cache
 
 
-#: The per-destination accounting vectors of a
-#: :class:`~repro.runtime.comm.CommLedger`, in the order a delta ships
-#: them.
-_LEDGER_VECTORS = (
-    "sent_bytes", "sent_messages", "retry_bytes", "retry_messages",
-    "stream_bytes", "stream_logical",
-)
-
-
 class _ShippedHostView(HostView):
     """One host's ledger view on either side of a pool pipe.
 
@@ -128,31 +119,22 @@ class _ShippedHostView(HostView):
 
         Together with the task's result that is all the parent needs to
         make its shared state bit-identical to a serial run of the
-        task: the private ledger's accounting vectors and queued
-        payloads, fault events and the channel's advanced RNG/op state,
-        disk/compute charges, and the drain log.
+        task: the private ledger's :meth:`~repro.runtime.comm.CommLedger.state`
+        (accounting, queued payloads, fault events), the channel's
+        advanced RNG/op state, disk/compute charges, and the drain log.
         """
-        ledger = self.ledger
         channel = self._channel
-        return {
-            "vectors": [getattr(ledger, name) for name in _LEDGER_VECTORS],
-            "backoff_units": ledger.backoff_units,
-            "queued": ledger.queued,
-            "fault_events": ledger.fault_events,
-            "channel": None if channel is None else channel.live_state(),
-            "disk_bytes": self.disk_bytes,
-            "compute_units": self.compute_units,
-            "recv_log": self.recv_log,
-        }
+        return dict(
+            self.ledger.state(),
+            channel=None if channel is None else channel.live_state(),
+            disk_bytes=self.disk_bytes,
+            compute_units=self.compute_units,
+            recv_log=self.recv_log,
+        )
 
     def adopt(self, delta: dict[str, Any]) -> None:
         """Parent-side inverse of :meth:`export`."""
-        ledger = self.ledger
-        for name, vector in zip(_LEDGER_VECTORS, delta["vectors"]):
-            getattr(ledger, name)[:] = vector
-        ledger.backoff_units = delta["backoff_units"]
-        ledger.queued = delta["queued"]
-        ledger.fault_events.extend(delta["fault_events"])
+        self.ledger.load(delta)
         self.disk_bytes = delta["disk_bytes"]
         self.compute_units = delta["compute_units"]
         self.recv_log = delta["recv_log"]
@@ -217,6 +199,23 @@ def _read_frame(fd: int) -> bytes | None:
         return None
     (n,) = struct.unpack("<Q", header)
     return _read_exact(fd, n)
+
+
+def _last_words(reply_r: int) -> str:
+    """``": <exception>"`` when the first unread frame of a reaped
+    worker's reply pipe is the note an exception left as it killed the
+    worker (:meth:`ProcessExecutor._spawn_worker`), else ``""``.  The
+    worker was the pipe's only writer, so the read cannot block; the
+    caller must know the pipe holds whole frames only (no read of it
+    was cut short)."""
+    frame = _read_frame(reply_r)
+    if frame is None:
+        return ""
+    try:
+        kind, words = pickle.loads(frame)
+    except Exception:  # noqa: BLE001 — a reply the death tore, then the note
+        return ""
+    return f": {words}" if kind == "died" else ""
 
 
 def _fn_shippable(fn: Callable[..., Any]) -> bool:
@@ -495,7 +494,6 @@ class ProcessExecutor(Executor):
         reply_r, reply_w = os.pipe()
         pid = os.fork()
         if pid == 0:
-            status = 0
             try:
                 os.close(cmd_w)
                 os.close(reply_r)
@@ -505,9 +503,14 @@ class ProcessExecutor(Executor):
                 for pool in list(_live_pools):
                     pool._disown()
                 _pool_worker_main(cmd_r, reply_w)
-            except BaseException:  # noqa: BLE001 — worker must exit
-                status = 1
-            os._exit(status)
+            except BaseException as exc:  # noqa: BLE001 — worker must exit
+                # Its last words, where the parent reads replies: a
+                # barrier's failure names the exception.
+                _write_frame(reply_w, pickle.dumps(
+                    ("died", f"{type(exc).__name__}: {exc}")
+                ))
+            finally:
+                os._exit(1)
         os.close(cmd_r)
         os.close(reply_w)
         worker = {"pid": pid, "cmd_w": cmd_w, "reply_r": reply_r}
@@ -529,15 +532,20 @@ class ProcessExecutor(Executor):
         self._workers = []
         self._residents = {}
 
-    def _destroy_pool(self, graceful: bool = False) -> dict[int, int]:
-        """Retire every worker; returns ``pid -> exit code``.
+    def _destroy_pool(
+        self, graceful: bool = False, listen: bool = False
+    ) -> dict[int, str]:
+        """Retire every worker; returns how each ended, by pid: its exit
+        code and, when ``listen``, the last words of one an exception
+        killed (:func:`_last_words`).  Only a caller whose reads of the
+        reply pipes all completed may listen.
 
         ``graceful`` sends ``exit`` and lets idle workers leave on
         their own; otherwise workers are SIGKILLed first — a worker
         blocked writing a reply into a full pipe nobody will read must
         not deadlock the reaper.
         """
-        codes: dict[int, int] = {}
+        ended: dict[int, str] = {}
         for worker in self._workers:
             if graceful:
                 try:
@@ -555,13 +563,16 @@ class ProcessExecutor(Executor):
         for worker in self._workers:
             try:
                 _, status = os.waitpid(worker["pid"], 0)
-                codes[worker["pid"]] = os.waitstatus_to_exitcode(status)
+                how = f"exit {os.waitstatus_to_exitcode(status)}"
             # repro-lint: disable-next-line=swallowed-error -- already reaped elsewhere (e.g. a test harness); exit code defaults below
             except ChildProcessError:  # pragma: no cover
-                codes[worker["pid"]] = -1
+                how = "exit -1"
+            if listen:
+                how += _last_words(worker["reply_r"])
+            ended[worker["pid"]] = how
             os.close(worker["reply_r"])
         self._workers = []
-        return codes
+        return ended
 
     def close(self) -> None:
         """Retire the pool and unlink every resident segment."""
@@ -750,7 +761,7 @@ class ProcessExecutor(Executor):
         replies: "list[tuple[str, Any] | None]",
     ) -> Exception:
         """Retire the pool of a barrier that did not complete and say why."""
-        codes = self._destroy_pool()
+        ended = self._destroy_pool(listen=True)
         stale = [r[1] for r in replies if r is not None and r[0] == "stale"]
         if stale:
             return UnshippableTaskError(
@@ -765,11 +776,14 @@ class ProcessExecutor(Executor):
             return RuntimeError(
                 f"process executor worker failed: {'; '.join(errors)}"
             )
+        # A worker that died after reading its spec replied with its last
+        # words; one gone before that left them in its pipe.
         parts = [
             f"hosts {[tasks[i].host for i in chunk]} "
-            f"(exit {codes.get(worker['pid'], -1)})"
+            f"({ended.get(worker['pid'], 'exit -1')}"
+            f"{'' if reply is None else ': ' + reply[1]})"
             for chunk, worker, reply in zip(chunks, workers, replies)
-            if reply is None
+            if reply is None or reply[0] == "died"
         ]
         return RuntimeError(
             "process executor worker(s) died without shipping their "

@@ -387,15 +387,25 @@ def install_resident(
     Each mapping lives exactly as long as its last view: replacing a
     generation just drops the old entry (closing a mapping under the
     views the old object still holds would raise ``BufferError``).
+
+    The frame is read when the worker gets to it, and by then the
+    parent may have unlinked the generation: it unlinks a resident only
+    when it replaces it (``publish``) or ends the run (``end_run``), and
+    the frame saying so follows this one.  Such a generation is dropped,
+    not installed.
     """
     arrays: list[np.ndarray] = []
-    for ref in manifest:
-        arr = _segment_to_array(ref)
-        # Residents are immutable to a task; a body that tries to write
-        # through a zero-copy view fails loudly instead of corrupting
-        # every sibling worker's view.
-        arr.flags.writeable = False
-        arrays.append(arr)
+    try:
+        for ref in manifest:
+            arr = _segment_to_array(ref)
+            # Residents are immutable to a task; a body that tries to
+            # write through a zero-copy view fails loudly instead of
+            # corrupting every sibling worker's view.
+            arr.flags.writeable = False
+            arrays.append(arr)
+    except colfab.SegmentGoneError:
+        residents.pop(name, None)
+        return
 
     obj = _SegmentUnpickler(io.BytesIO(blob), arrays=arrays).load()
     residents[name] = {"gen": gen, "obj": obj, "arrays": arrays}

@@ -321,7 +321,9 @@ class TestExecutorMechanics:
     def test_ledger_merge_matches_direct(self):
         """Every executor's barrier charges the same matrices, and
         queues the same payloads, as hand calls on the shared
-        ``Communicator`` and ``PhaseStats``."""
+        ``Communicator`` and ``PhaseStats`` — and both equal the
+        literal costs: 50 int64 ids are 400 B in one message per remote
+        pair, 100 B of disk and 7 compute units per host."""
         def peers(h):
             return [j for j in range(3) if j != h]
 
@@ -341,6 +343,10 @@ class TestExecutorMechanics:
             direct.add_disk(h, 100.0)
             direct.add_compute(h, 7.0)
         expected = state(direct)
+        remote = [[float(src != dst) for dst in range(3)] for src in range(3)]
+        assert expected[0] == [[400.0 * r for r in row] for row in remote]
+        assert expected[1] == remote
+        assert expected[2:4] == ([100.0] * 3, [7.0] * 3)
         assert expected[4][0] == [
             (1, list(range(1, 51))), (2, list(range(2, 52))),
         ]
@@ -697,9 +703,6 @@ class _RecvTally:
     def __init__(self):
         self.recvs = []
 
-    def on_send(self, src, dst, tag, nbytes):
-        pass
-
     def on_merge(self, ledger):
         pass
 
@@ -991,10 +994,113 @@ class TestShipOnce:
         finally:
             ex.close()
 
+    def test_a_resident_unlinked_before_a_worker_maps_it(self, monkeypatch):
+        """The parent may replace a resident, or end the run, before an
+        idle worker got to the frame installing it: the worker drops
+        that generation and serves the next barrier."""
+        monkeypatch.setattr(  # before the fork, so the worker has it
+            residency, "install_resident",
+            _slow_install(residency.install_resident),
+        )
+        ex = ProcessExecutor(max_workers=2)
+        ph = _make_stats(num_hosts=2)
+        arr = np.arange(SHM_THRESHOLD // 8, dtype=np.int64)
+        try:
+            ok = [HostTask(h, _pool_ok_body) for h in range(2)]
+            assert ex.run(ph, ok) == ["ok", "ok"]
+            ex.publish("late", arr)
+            ex.end_run()  # unlinks it while the worker sleeps
+            assert ex.run(ph, ok) == ["ok", "ok"]
+            ex.publish("late", arr)
+            wide = arr.astype(np.float64)
+            ex.publish("late", wide)  # a new generation unlinks the first
+            assert ex.run(ph, [
+                HostTask(h, _resident_range_body, payload=wide)
+                for h in range(2)
+            ]) == [(0, arr.size - 1)] * 2
+        finally:
+            ex.close()
+        assert leaked_segments() == []
+
+
+def _slow_install(install):
+    """``install_resident`` that takes its time over the ``late``
+    resident, as a worker busy elsewhere would."""
+    def slow(residents, name, *args):
+        if name == "late":
+            time.sleep(0.3)
+        install(residents, name, *args)
+    return slow
+
+
+def _torn_in_worker(read_frame):
+    """``_read_frame`` that, in a pool worker, raises once it has read a
+    command: the worker dies outside any spec's reply envelope."""
+    def read(fd):
+        frame = read_frame(fd)
+        if pool_module._IN_POOL_WORKER:
+            raise ValueError("torn command")
+        return frame
+    return read
+
+
+def _fail_install(residents, name, *args):
+    if name == "probe":
+        raise ValueError("torn command")
+
+
+def _wait_for_zombie(pid, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/stat") as f:
+            if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"worker {pid} did not die")
+
 
 class TestPoolCrashTeardown:
     """Killing a pool worker mid-phase must not leak a single segment,
     and the pool must respawn transparently on the next barrier."""
+
+    #: What the barrier says of a worker an exception killed.  The exit
+    #: code is 1, unless the parent's teardown killed the worker first,
+    #: between its last words and its exit.
+    LAST_WORDS = (
+        r"died without shipping.*"
+        r"hosts \[1\] \(exit (1|-9): ValueError: torn command\)"
+    )
+
+    def test_worker_dying_after_reading_its_spec_says_why(self, monkeypatch):
+        monkeypatch.setattr(
+            pool_module, "_read_frame", _torn_in_worker(pool_module._read_frame)
+        )
+        ex = ProcessExecutor(max_workers=2)
+        try:
+            with pytest.raises(RuntimeError, match=self.LAST_WORDS):
+                ex.run(_make_stats(num_hosts=2), [
+                    HostTask(0, _pool_ok_body), HostTask(1, _pool_ok_body),
+                ])
+            assert ex._workers == [] and leaked_segments() == []
+        finally:
+            ex.close()
+
+    def test_worker_dead_before_its_spec_says_why(self, monkeypatch):
+        # The worker dies idle, installing a resident broadcast between
+        # barriers, so the next barrier cannot even write its spec.
+        # The worker forks at the first barrier, with the patch.
+        monkeypatch.setattr(residency, "install_resident", _fail_install)
+        tasks = [HostTask(0, _pool_ok_body), HostTask(1, _pool_ok_body)]
+        ex = ProcessExecutor(max_workers=2)
+        try:
+            assert ex.run(_make_stats(num_hosts=2), tasks) == ["ok", "ok"]
+            ex.publish("probe", np.arange(8))
+            _wait_for_zombie(ex._workers[0]["pid"])
+            with pytest.raises(RuntimeError, match=self.LAST_WORDS):
+                ex.run(_make_stats(num_hosts=2), tasks)
+            assert ex._workers == []
+        finally:
+            ex.close()
 
     def test_worker_killed_mid_phase_sweeps_all_segments(self):
         ph = _make_stats(num_hosts=3)

@@ -34,6 +34,7 @@ from repro.runtime.faults import (
     RecoveryManager,
     SendRetriesExhausted,
     UnrecoverableClusterError,
+    retry_event_channels,
 )
 
 from .strategies import fault_plans, graphs
@@ -167,6 +168,22 @@ class TestReliableTransport:
         with pytest.raises(SendRetriesExhausted):
             for _ in range(50):
                 comm.send(0, 1, None, tag="t", nbytes=64)
+
+    def test_exhausted_send_keeps_its_retry_charges(self):
+        # A send that gives up has already paid for the attempts it
+        # wasted: they stay charged to its channel, and nothing is sent
+        # or delivered.
+        inj = FaultInjector(FaultPlan(seed=0, send_failure_rate=0.99))
+        inj.begin_phase("p")
+        comm = Communicator(2, injector=inj, max_retries=3)
+        with pytest.raises(SendRetriesExhausted):
+            comm.send(0, 1, None, nbytes=64)
+        assert comm.retry_bytes.tolist() == [[0.0, 256.0], [0.0, 0.0]]
+        assert comm.retry_messages.tolist() == [[0.0, 4.0], [0.0, 0.0]]
+        assert comm.backoff_units.tolist() == [15.0, 0.0]  # 1 + 2 + 4 + 8
+        assert retry_event_channels(inj.events) == {(0, 1): 4}
+        assert comm.sent_bytes.sum() == 0
+        assert comm.pending(1) == 0
 
     def test_fault_free_plan_matches_no_plan(self):
         _, base = run()
