@@ -2,7 +2,7 @@
 thread can use either; LCI's leaner stack lowers per-message overhead).
 Also doubles as a window-size sweep for the streaming-window extension."""
 
-from repro.core import CuSP, WindowedPartitioner
+from repro.core import CuSP, window_policy
 from repro.experiments.common import ExperimentResult
 from repro.runtime.cost_model import LCI_TRANSPORT, MPI_TRANSPORT
 
@@ -57,8 +57,8 @@ def test_window_size_sweep(benchmark, ctx, record):
 
         g = get_dataset("kron", "tiny")
         for window in (1, 8, 64):
-            dg = WindowedPartitioner(
-                4, window_size=window, cost_model=ctx.cost_model
+            dg = CuSP(
+                4, window_policy(window), cost_model=ctx.cost_model
             ).partition(g)
             rows.append(
                 {

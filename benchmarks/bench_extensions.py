@@ -1,8 +1,8 @@
 """Extension policies head-to-head: the Table I streaming vertex-cut
 family (DBH, PowerGraph greedy, HDRF) and the streaming-window
-partitioner against the paper's six, on one input."""
+policy against the paper's six, on one input."""
 
-from repro.core import CuSP, WindowedPartitioner, make_policy
+from repro.core import CuSP, make_policy, window_policy
 from repro.experiments.common import ExperimentResult
 from repro.graph import get_dataset
 from repro.metrics import measure_quality
@@ -14,34 +14,22 @@ def test_extension_policies(benchmark, ctx, record):
         # slowest partitioners here, so use the tiny preset.
         g = get_dataset("kron", "tiny")
         rows = []
-        for name in ("EEC", "HVC", "CVC", "DBH", "PGC", "HDRF"):
-            dg = CuSP(
-                8, make_policy(name, degree_threshold=20),
-                cost_model=ctx.cost_model,
-            ).partition(g)
+        policies = [
+            make_policy(name, degree_threshold=20)
+            for name in ("EEC", "HVC", "CVC", "DBH", "PGC", "HDRF")
+        ] + [window_policy(32)]
+        for policy in policies:
+            dg = CuSP(8, policy, cost_model=ctx.cost_model).partition(g)
             dg.validate(g)
             q = measure_quality(dg, g)
             rows.append(
                 {
-                    "partitioner": name,
+                    "partitioner": policy.name,
                     "replication": q.replication_factor,
                     "edge balance": q.edge_balance,
                     "cut fraction": q.cut_fraction,
                 }
             )
-        wdg = WindowedPartitioner(
-            8, window_size=32, cost_model=ctx.cost_model
-        ).partition(g)
-        wdg.validate(g)
-        q = measure_quality(wdg, g)
-        rows.append(
-            {
-                "partitioner": "Window(32)",
-                "replication": q.replication_factor,
-                "edge balance": q.edge_balance,
-                "cut fraction": q.cut_fraction,
-            }
-        )
         return ExperimentResult(
             experiment="Extensions",
             title="Table I streaming family + window partitioner (kron, 8 hosts)",

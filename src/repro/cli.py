@@ -39,7 +39,13 @@ import os
 import sys
 
 from . import __version__
-from .core import CheckpointCorruptionError, CuSP, make_policy, policy_names
+from .core import (
+    CheckpointCorruptionError,
+    CuSP,
+    make_policy,
+    policy_names,
+    window_policy,
+)
 from .graph import (
     compute_properties,
     convert,
@@ -82,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "-p", "--policy", default="EEC",
         help=(
             f"one of {', '.join(policy_names())}, 'window[:SIZE]' for the "
-            "streaming-window partitioner, or 'xtrapulp'/'multilevel' for "
+            "streaming-window policy, or 'xtrapulp'/'multilevel' for "
             "the offline baselines"
         ),
     )
@@ -313,20 +319,12 @@ def _run_partitioner(graph, args):
             "already implies checkpointing to the directory it resumes from"
         )
     checkpoint_dir = args.resume or args.checkpoint_dir
-    fault_extras = spec.startswith("window") or spec in ("xtrapulp", "multilevel")
-    if fault_extras and (args.inject_faults or checkpoint_dir or args.supervise):
+    baseline = spec in ("xtrapulp", "multilevel")
+    if baseline and (args.inject_faults or checkpoint_dir or args.supervise):
         raise SystemExit(
             "--inject-faults/--checkpoint-dir/--resume/--supervise only "
             f"apply to CuSP policies, not to {args.policy!r}"
         )
-    if spec.startswith("window"):
-        from .core import WindowedPartitioner
-
-        window = int(spec.split(":", 1)[1]) if ":" in spec else 64
-        wp = WindowedPartitioner(
-            args.partitions, window_size=window, buffer_size=args.buffer_size
-        )
-        return wp.partition(graph), f"streaming window (size {window})"
     if spec == "xtrapulp":
         from .baselines import XtraPulp
 
@@ -336,7 +334,13 @@ def _run_partitioner(graph, args):
 
         ml = MultilevelPartitioner(args.partitions)
         return ml.partition(graph), "multilevel baseline"
-    policy = make_policy(args.policy, degree_threshold=args.degree_threshold)
+    if spec.startswith("window"):
+        window = int(spec.split(":", 1)[1]) if ":" in spec else 64
+        policy = window_policy(window)
+        description = f"streaming window (size {window})"
+    else:
+        policy = make_policy(args.policy, degree_threshold=args.degree_threshold)
+        description = policy.describe()
     fault_plan = None
     if args.inject_faults:
         from .runtime.faults import FaultPlan
@@ -388,7 +392,7 @@ def _run_partitioner(graph, args):
             print(f"replayed phases    : {', '.join(replayed)}")
     if args.supervise and cusp.last_supervisor_report is not None:
         print(f"supervision        : {cusp.last_supervisor_report.summary()}")
-    return dg, policy.describe()
+    return dg, description
 
 
 def _check_exit(ok: bool, success: str, failure: str) -> int:

@@ -21,7 +21,6 @@ from .partition_io import (
     load_partitions,
     save_partitions,
 )
-from .window import WindowedPartitioner
 from .master_rules import (
     LDG,
     Contiguous,
@@ -33,7 +32,8 @@ from .master_rules import (
     make_master_rule,
 )
 from .partition import DistributedGraph, LocalPartition
-from .policies import PAPER_POLICIES, POLICY_TABLE, Policy, make_policy, policy_names
+from .policies import (PAPER_POLICIES, POLICY_TABLE, Policy, make_policy,
+                       policy_names, window_policy)
 from .prop import GraphProp
 from .reading import (
     compute_read_ranges,
@@ -41,7 +41,7 @@ from .reading import (
     read_bytes_for_ranges,
 )
 from .state import PartitioningState, PartitionLoadState, VoidState
-from .streaming_rules import GreedyVertexCut, HDRFRule, ReplicationState
+from .streaming_rules import GreedyVertexCut, HDRFRule, ReplicationState, WindowRule
 from .validate import ValidationReport, check_csr, check_partition
 
 __all__ = [
@@ -49,12 +49,12 @@ __all__ = [
     "PHASE_NAMES",
     "PHASE_CONTRACTS",
     "contract_context_for",
-    "WindowedPartitioner",
     "save_partitions",
     "load_partitions",
     "Policy",
     "make_policy",
     "policy_names",
+    "window_policy",
     "PAPER_POLICIES",
     "POLICY_TABLE",
     "GraphProp",
@@ -85,6 +85,7 @@ __all__ = [
     "GreedyVertexCut",
     "HDRFRule",
     "ReplicationState",
+    "WindowRule",
     "compute_read_ranges",
     "read_bytes_for_range",
     "read_bytes_for_ranges",

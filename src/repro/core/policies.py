@@ -4,7 +4,9 @@ A policy composes one master rule with one edge rule, plus the input
 orientation ("csr" streams outgoing edges; "csc" streams incoming edges,
 i.e. partitions the transpose — the paper's second variant of every
 policy, §III-B).  The registry covers the six named policies the paper
-evaluates plus the two Table II omissions and the DBH extension.
+evaluates plus the two Table II omissions and the DBH extension;
+:func:`window_policy` builds the §II-B2 streaming-window policy, whose
+edge rule takes its window size.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .edge_rules import EdgeRule, make_edge_rule
-from .master_rules import MasterRule, make_master_rule
+from .master_rules import ContiguousEB, MasterRule, make_master_rule
+from .streaming_rules import WindowRule
 
-__all__ = ["Policy", "make_policy", "policy_names", "PAPER_POLICIES", "POLICY_TABLE"]
+__all__ = ["Policy", "make_policy", "policy_names", "window_policy",
+           "PAPER_POLICIES", "POLICY_TABLE"]
 
 
 @dataclass(frozen=True)
@@ -102,4 +106,21 @@ def make_policy(
         master_rule=make_master_rule(master_name, **master_kwargs),
         edge_rule=make_edge_rule(edge_name, **edge_kwargs),
         input_format=input_format,
+    )
+
+
+def window_policy(
+    window_size: int = 64,
+    balance_weight: float = 4.0,
+    shuffle_stream: bool = False,
+) -> Policy:
+    """The ADWISE-style streaming-window policy (paper §II-B2).
+
+    ContiguousEB masters and a :class:`~repro.core.streaming_rules.WindowRule`
+    edge rule, named ``Window(window_size)``.
+    """
+    return Policy(
+        f"Window({window_size})",
+        ContiguousEB(),
+        WindowRule(window_size, balance_weight, shuffle_stream),
     )

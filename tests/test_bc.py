@@ -9,7 +9,7 @@ from repro.analytics import (
     betweenness_centrality,
     default_source,
 )
-from repro.core import CuSP, WindowedPartitioner
+from repro.core import CuSP, window_policy
 from repro.graph import (
     CSRGraph,
     complete_graph,
@@ -105,7 +105,7 @@ class TestDistributed:
 
     def test_window_partitions(self):
         g = erdos_renyi(60, 400, seed=18)
-        dg = WindowedPartitioner(3, window_size=8).partition(g)
+        dg = CuSP(3, window_policy(8)).partition(g)
         res = betweenness_centrality(dg, 0)
         assert np.allclose(res.dependencies, bc_reference(g, 0))
 

@@ -40,6 +40,7 @@ from repro.core import (
     construction_phase,
     make_policy,
     policy_names,
+    window_policy,
 )
 from repro.core.assignment_phase import run_edge_assignment
 from repro.core.masters_phase import run_master_assignment
@@ -132,8 +133,13 @@ def run_both(graph, policy, k=4, plan=None, **kw):
     return dg_s, dg_p
 
 
+#: Every named policy, plus the streaming window: a stateful edge rule
+#: outside the table, run through the same five phases.
+ALL_POLICIES = policy_names() + [pytest.param(window_policy(8), id="Window(8)")]
+
+
 class TestSerialParallelEquivalence:
-    @pytest.mark.parametrize("policy", policy_names())
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_all_policies_bit_identical(self, policy):
         graph = erdos_renyi(300, 2400, seed=11)
         dg_s, dg_p = run_both(graph, policy)
@@ -472,12 +478,35 @@ class TestSerialProcessEquivalence:
     fault-channel RNG states and sanitizer evidence shipped across the
     process boundary instead of shared memory."""
 
-    @pytest.mark.parametrize("policy", policy_names())
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_all_policies_bit_identical(self, policy):
         graph = erdos_renyi(300, 2400, seed=11)
         dg_s, dg_p = run_serial_and_process(graph, policy)
         assert_same_partition(dg_s, dg_p)
         assert_same_breakdown(dg_s.breakdown, dg_p.breakdown)
+
+    def test_window_unchecked_process_and_fault_plan(self, tmp_path):
+        """The window under the plain pool matches serial, and a crash
+        in its (stateful) edge assignment replays to the fault-free
+        partition."""
+        graph = erdos_renyi(300, 2400, seed=11)
+        policy = window_policy(8)
+        dg_s = CuSP(4, policy, executor="serial").partition(graph)
+        with CuSP(4, policy, executor="process") as cusp:
+            dg_p = cusp.partition(graph)
+        assert_same_partition(dg_s, dg_p)
+        assert_same_breakdown(dg_s.breakdown, dg_p.breakdown)
+        plan = FaultPlan(
+            seed=2, send_failure_rate=0.05, drop_rate=0.03,
+            duplicate_rate=0.03,
+            crashes=(HostCrash(host=1, phase=2, op_count=5),),
+        )
+        with CuSP(4, policy, fault_plan=plan, executor="process",
+                  checkpoint_dir=str(tmp_path), sanitizer=True) as cusp:
+            dg_f = cusp.partition(graph)
+            assert cusp.sanitizer.violations == []
+        assert dg_f.breakdown.failed_phases()
+        assert_same_partition(dg_s, dg_f)
 
     def test_fec_serial_vs_process(self):
         graph = erdos_renyi(250, 1800, seed=3)
@@ -2039,23 +2068,37 @@ class TestInterruptedBarrier:
         before = _children()
         graph = erdos_renyi(30_000, 600_000, seed=11)
         reference = CuSP(8, "SVC", sync_rounds=10).partition(graph)
-        fired = []
+        fired, landing = [], []
 
         def on_alarm(signum, frame):
             fired.append(signum)
-            if len(fired) == 1:
+            if len(fired) > 1:
+                raise _HangGuard(
+                    "partition() did not return after the interrupt"
+                )
+            f, inside = frame, False
+            while f is not None and not inside:
+                inside = f.f_code is CuSP.partition.__code__
+                f = f.f_back
+            where = (f"{frame.f_code.co_name} "
+                     f"({frame.f_code.co_filename}:{frame.f_lineno})")
+            # A timer that fires after partition() returned has nothing
+            # to interrupt: raising then would escape into this test's
+            # own bookkeeping.
+            landing.append(where if inside else f"late, in {where}")
+            if inside:
                 raise _Injected("timer")
-            raise _HangGuard("partition() did not return after the interrupt")
 
         was = signal.signal(signal.SIGALRM, on_alarm)
         landed = 0
         try:
             with _pooled(8, "SVC", sync_rounds=10) as cusp:
+                cusp.partition(graph)  # forks the pool: not a warm call
                 start = time.perf_counter()
                 cusp.partition(graph)
                 warm = time.perf_counter() - start
                 for fraction in (0.3, 0.5, 0.7, 0.4, 0.6):
-                    del fired[:]
+                    del fired[:], landing[:]
                     # Fires once mid-call; a second firing, ten seconds
                     # later, only if the call is still stuck.
                     signal.setitimer(signal.ITIMER_REAL, warm * fraction, 10.0)
@@ -2067,7 +2110,9 @@ class TestInterruptedBarrier:
                         signal.setitimer(signal.ITIMER_REAL, 0)
                     # Interrupted between barriers the pool is intact and
                     # stays; mid-barrier it is gone.  Nothing else is left.
-                    assert leaked_segments() == []
+                    assert leaked_segments() == [], (
+                        f"timer landed in {landing}"
+                    )
                     assert _children() == sorted(before + _worker_pids(cusp))
                     dg = cusp.partition(graph)
                     assert_same_partition(dg, reference)

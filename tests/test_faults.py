@@ -443,9 +443,10 @@ class TestCLI:
     def test_faults_rejected_for_baselines(self, tmp_path):
         gr = tmp_path / "g.gr"
         write_gr(erdos_renyi(100, 400, seed=1), gr)
-        with pytest.raises(SystemExit):
-            main(["partition", str(gr), "-k", "2", "-p", "window",
-                  "--inject-faults", "seed=1"])
+        for baseline in ("xtrapulp", "multilevel"):
+            with pytest.raises(SystemExit):
+                main(["partition", str(gr), "-k", "2", "-p", baseline,
+                      "--inject-faults", "seed=1"])
 
     def test_bad_spec_is_a_clean_cli_error(self, tmp_path):
         gr = tmp_path / "g.gr"

@@ -24,7 +24,7 @@ from repro.analytics import (
     sssp_reference,
 )
 from repro.baselines import MultilevelPartitioner, XtraPulp, hash_partition
-from repro.core import CuSP, WindowedPartitioner, load_partitions, save_partitions
+from repro.core import CuSP, load_partitions, save_partitions, window_policy
 from repro.graph import (
     convert,
     read_edgelist,
@@ -89,7 +89,7 @@ class TestFullPipeline:
             "EEC": lambda: CuSP(4, "EEC").partition(graph),
             "SVC": lambda: CuSP(4, "SVC", sync_rounds=3).partition(graph),
             "HDRF": lambda: CuSP(4, "HDRF").partition(graph),
-            "window": lambda: WindowedPartitioner(4, window_size=8).partition(graph),
+            "window": lambda: CuSP(4, window_policy(8)).partition(graph),
             "xtrapulp": lambda: XtraPulp(4).partition(graph),
             "multilevel": lambda: MultilevelPartitioner(4).partition(graph),
             "hash": lambda: hash_partition(graph, 4),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import MultilevelPartitioner, XtraPulp
-from repro.core import CuSP, WindowedPartitioner, load_partitions, save_partitions
+from repro.core import CuSP, load_partitions, save_partitions, window_policy
 
 from tests.strategies import graphs
 
@@ -30,8 +30,8 @@ def test_partition_io_roundtrip(g, k, policy, tmp_path_factory):
 @given(g=graphs(max_nodes=25, max_edges=80), k=st.integers(1, 4),
        window=st.integers(1, 16), shuffle=st.booleans())
 def test_window_partitioner_preserves_graph(g, k, window, shuffle):
-    dg = WindowedPartitioner(
-        k, window_size=window, shuffle_stream=shuffle
+    dg = CuSP(
+        k, window_policy(window_size=window, shuffle_stream=shuffle)
     ).partition(g)
     dg.validate(g)
 

@@ -141,6 +141,24 @@ class TestCliExtensions:
         ]) == 0
         assert "size 8" in capsys.readouterr().out
 
+    def test_window_policy_takes_every_cusp_option(self, graph_file,
+                                                   tmp_path, capsys):
+        """The window is a CuSP policy: the output format, the executor
+        and the sanitizer apply to it like to any other."""
+        out = tmp_path / "parts"
+        assert main([
+            "partition", str(graph_file), "-k", "4", "-p", "window:8",
+            "--output-format", "csc", "--executor", "process",
+            "--commsan", "--save", str(out),
+        ]) == 0
+        text = capsys.readouterr().out
+        assert "streaming window (size 8)" in text
+        assert "5 phase(s) audited" in text
+        assert " 0 violation(s)" in text
+        loaded = load_partitions(out)
+        assert loaded.policy_name == "Window(8)"
+        assert all(p.local_csc is not None for p in loaded.partitions)
+
     def test_partition_xtrapulp(self, graph_file, capsys):
         assert main([
             "partition", str(graph_file), "-k", "2", "-p", "xtrapulp",

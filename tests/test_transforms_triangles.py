@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytics import count_triangles, triangles_reference
-from repro.core import CuSP, WindowedPartitioner
+from repro.core import CuSP, window_policy
 from repro.graph import (
     CSRGraph,
     complete_graph,
@@ -126,7 +126,7 @@ class TestTriangles:
 
     def test_window_partitions_too(self):
         g = erdos_renyi(50, 300, seed=10).symmetrize()
-        dg = WindowedPartitioner(3, window_size=8).partition(g)
+        dg = CuSP(3, window_policy(8)).partition(g)
         assert count_triangles(dg).count == triangles_reference(g)
 
     def test_handles_directed_input(self):
