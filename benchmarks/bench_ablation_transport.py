@@ -74,9 +74,11 @@ def test_window_size_sweep(benchmark, ctx, record):
             columns=["window", "replication", "edge balance", "partition ms"],
             rows=rows,
             notes=[
-                "Larger windows buy lower replication for more "
-                "partitioning compute — the trade the streaming-window "
-                "class (paper §II-B2) exists to offer.",
+                "Larger windows buy lower replication (paper §II-B2). "
+                "Partition ms stays flat: the cost model charges every "
+                "edge rule 2 units per edge, so the window's rescoring is "
+                "wall time the simulated time does not see (ROADMAP "
+                "item 5).",
             ],
         )
 

@@ -100,6 +100,13 @@ if python -m repro validate "$tmp/bogus" >/dev/null 2>&1; then
     exit 1
 fi
 
+# A malformed --policy must exit non-zero with a message, not a traceback.
+if python -m repro partition "$tmp/g.gr" -k 2 -p NOPE >/dev/null 2>"$tmp/policy.err" \
+        || grep -q Traceback "$tmp/policy.err"; then
+    echo "FAIL: partition -p NOPE did not fail cleanly" >&2
+    exit 1
+fi
+
 echo "== nothing left behind =="
 # Pools outlive a partition() call now, so say it out loud: every pooled
 # run above retired its workers and unlinked its segments.

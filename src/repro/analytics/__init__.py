@@ -13,31 +13,14 @@ from .apps import (
     pagerank_reference,
     sssp_reference,
 )
-from .bc import BCResult, bc_reference, betweenness_centrality
 from .bfs_variants import BFSDirectionOptimizing, BFSPull
 from .delta_stepping import DeltaSteppingSSSP
-from .diameter import DiameterResult, approximate_diameter
 from .engine import AppResult, Engine, VertexProgram
-from .kcore import KCore, kcore_reference
-from .msbfs import MultiSourceBFS, msbfs_reference
-from .triangles import TriangleResult, count_triangles, triangles_reference
 
 __all__ = [
     "Engine",
     "VertexProgram",
-    "KCore",
-    "kcore_reference",
-    "MultiSourceBFS",
-    "msbfs_reference",
-    "count_triangles",
-    "triangles_reference",
-    "TriangleResult",
     "AppResult",
-    "betweenness_centrality",
-    "bc_reference",
-    "BCResult",
-    "approximate_diameter",
-    "DiameterResult",
     "APPS",
     "BFS",
     "BFSPull",

@@ -14,6 +14,14 @@ D-Galois' execution and communication structure:
   back, which is Gluon's invariant-driven optimization);
 * a global reduction detects convergence.
 
+Each round runs as three :class:`~repro.runtime.executor.HostTask`
+barriers on the cluster's executor, the way the partitioner's phases
+do: ``_compute_body`` (local round, reduce sends), ``_fold_body``
+(drains ``reduce``, ``post_reduce``, broadcast sends) and
+``_install_body`` (drains ``bcast``).  Each body takes its host's
+arrays in its payload and returns them; the task's ``apply`` writes
+them back.  The convergence allreduce runs between barriers.
+
 The communication advantages the paper attributes to each policy emerge
 from the partition structure itself, with no per-policy code: outgoing
 edge-cuts (XtraPulp/EEC/FEC) have write-only mirrors, so the broadcast
@@ -38,6 +46,7 @@ from ..core.partition import DistributedGraph
 from ..graph.csr import stable_group_order
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.cost_model import STAMPEDE2, CostModel
+from ..runtime.executor import HostTask, HostView
 from ..runtime.stats import TimeBreakdown
 
 __all__ = ["Engine", "AppResult", "VertexProgram"]
@@ -143,6 +152,74 @@ class VertexProgram:
         return out
 
 
+def _by_master(local_ids: np.ndarray, gids: np.ndarray, masters: np.ndarray,
+               k: int):
+    """Yield ``(m, local_ids, gids)`` for every partition ``m`` mastering
+    some of ``gids``, in partition order and stable within it."""
+    owners = masters[gids]
+    order = stable_group_order(owners, k)
+    local_ids, gids = local_ids[order], gids[order]
+    cuts = np.searchsorted(owners[order], np.arange(k + 1))
+    for m in range(k):
+        if cuts[m + 1] > cuts[m]:
+            sl = slice(cuts[m], cuts[m + 1])
+            yield m, local_ids[sl], gids[sl]
+
+
+def _compute_body(view: HostView, payload) -> tuple:
+    """One host's local round, then its changed mirrors' values (or
+    partials) to their masters, grouped by owner."""
+    app, part, masters, values, frontier, k = payload
+    changed, units = app.compute(part, values, frontier)
+    view.add_compute(units)
+    mirrors = np.flatnonzero(changed[part.num_masters :]) + part.num_masters
+    for m, sent, gids in _by_master(mirrors, part.global_ids[mirrors], masters, k):
+        view.send(
+            m, (gids, app.reduce_payload(part, values, sent)), tag="reduce",
+            nbytes=len(gids) * _VALUE_ENTRY_BYTES, logical_messages=1,
+        )
+    return values, np.zeros_like(frontier), changed
+
+
+def _fold_body(view: HostView, payload) -> tuple:
+    """Fold the mirrors' contributions into this host's masters, run the
+    master-side hook, and broadcast changed masters to read mirrors."""
+    app, part, values, frontier, changed, read_mask, bcast_book = payload
+    # Locally-changed masters count as reduced too.
+    reduced = changed.copy()
+    reduced[part.num_masters :] = False
+    for _, (gids, vals) in view.recv_all("reduce"):
+        locals_ = part.to_local(gids)
+        better = app.apply_reduce(part, values, locals_, vals)
+        reduced[locals_[better]] = True
+        view.add_compute(float(len(gids)))
+    canon = app.post_reduce(part, values, reduced).copy()
+    canon[part.num_masters :] = False
+    contribution = app.convergence_contribution(part, values, canon)
+    # Masters whose value changed re-enter the frontier where readable.
+    frontier |= canon & read_mask
+    for q, (m_local, q_local) in bcast_book.items():
+        sel = canon[m_local]
+        cnt = int(sel.sum())
+        if cnt == 0:
+            continue
+        view.send(
+            q, (q_local[sel], values[m_local[sel]]), tag="bcast",
+            nbytes=cnt * _VALUE_ENTRY_BYTES, logical_messages=1,
+        )
+    return values, frontier, contribution
+
+
+def _install_body(view: HostView, payload) -> tuple:
+    """Install the broadcast canonical values on this host's mirrors."""
+    values, frontier = payload
+    for _, (locals_, vals) in view.recv_all("bcast"):
+        values[locals_] = vals
+        frontier[locals_] = True
+        view.add_compute(float(len(locals_)))
+    return values, frontier
+
+
 @dataclass
 class AppResult:
     """Outcome of one distributed application run."""
@@ -195,114 +272,63 @@ class Engine:
             if readable.size == 0:
                 continue
             gids = part.global_ids[readable]
-            owners = dg.masters[gids]
-            order = stable_group_order(owners, k)
-            readable, gids, owners = readable[order], gids[order], owners[order]
-            cuts = np.searchsorted(owners, np.arange(k + 1))
-            for m in range(k):
-                sl = slice(cuts[m], cuts[m + 1])
-                if cuts[m + 1] > cuts[m]:
-                    m_local = dg.partitions[m].to_local(gids[sl])
-                    self.bcast[m][q] = (m_local, readable[sl])
+            for m, q_local, m_gids in _by_master(readable, gids, dg.masters, k):
+                self.bcast[m][q] = (dg.partitions[m].to_local(m_gids), q_local)
 
     # ------------------------------------------------------------------
     def run(self, app: VertexProgram, max_rounds: int | None = None) -> AppResult:
-        """Run ``app`` to convergence (or its round limit)."""
+        """Run ``app`` to convergence (or its round limit), three
+        barriers a round (see the module docstring)."""
         dg = self.dg
         k = dg.num_partitions
         cluster = SimulatedCluster(k, cost_model=self.cost_model,
                                    buffer_size=self.buffer_size)
         values = app.init_values(dg, self)
         frontier = app.initial_frontier(dg)
+        changed: list[np.ndarray | None] = [None] * k
         limit = max_rounds if max_rounds is not None else app.max_rounds
+
+        def write_back(h: int, keep_changed: bool = False):
+            def apply(result):
+                values[h], frontier[h], *rest = result
+                if keep_changed:
+                    changed[h] = rest[0]
+                return rest[0] if rest else None
+            return apply
 
         rounds = 0
         while True:
             with cluster.phase(f"round {rounds}") as phase:
-                changed_masks = []
-                for q, part in enumerate(dg.partitions):
-                    changed, units = app.compute(part, values[q], frontier[q])
-                    changed_masks.append(changed)
-                    phase.add_compute(q, units)
-                    frontier[q] = np.zeros_like(frontier[q])
-
-                # Reduce: changed mirrors -> masters.
-                reduced = [
-                    np.zeros(p.num_proxies, dtype=bool) for p in dg.partitions
-                ]
-                for q, part in enumerate(dg.partitions):
-                    ch = changed_masks[q]
-                    mirrors = np.flatnonzero(ch[part.num_masters :]) + part.num_masters
-                    if mirrors.size == 0:
-                        continue
-                    gids = part.global_ids[mirrors]
-                    owners = dg.masters[gids]
-                    order = stable_group_order(owners, k)
-                    mirrors, gids, owners = (
-                        mirrors[order], gids[order], owners[order]
+                phase.executor.run(phase, [
+                    HostTask(
+                        q, _compute_body, label="compute",
+                        payload=(app, part, dg.masters, values[q],
+                                 frontier[q], k),
+                        apply=write_back(q, keep_changed=True),
                     )
-                    cuts = np.searchsorted(owners, np.arange(k + 1))
-                    for m in range(k):
-                        sl = slice(cuts[m], cuts[m + 1])
-                        cnt = cuts[m + 1] - cuts[m]
-                        if cnt == 0:
-                            continue
-                        payload = (
-                            gids[sl],
-                            app.reduce_payload(part, values[q], mirrors[sl]),
-                        )
-                        phase.comm.send(
-                            q, m, payload, tag="reduce",
-                            nbytes=int(cnt) * _VALUE_ENTRY_BYTES,
-                            logical_messages=1,
-                        )
-                for m, part in enumerate(dg.partitions):
-                    for src_host, (gids, vals) in phase.comm.recv_all(m, "reduce"):
-                        locals_ = part.to_local(gids)
-                        better = app.apply_reduce(part, values[m], locals_, vals)
-                        reduced[m][locals_[better]] = True
-                        phase.add_compute(m, float(len(gids)))
-                    # Locally-changed masters count as reduced too.
-                    local_master_changed = changed_masks[m].copy()
-                    local_master_changed[part.num_masters :] = False
-                    reduced[m] |= local_master_changed
-
-                # Master-side post-processing (e.g. PageRank rank update).
-                canon_changed = []
-                for m, part in enumerate(dg.partitions):
-                    cm = app.post_reduce(part, values[m], reduced[m])
-                    cm = cm.copy()
-                    cm[part.num_masters :] = False
-                    canon_changed.append(cm)
-
-                # Broadcast: changed masters -> read mirrors.
-                total_changed = 0
-                for m, part in enumerate(dg.partitions):
-                    changed_local = canon_changed[m]
-                    total_changed += app.convergence_contribution(
-                        part, values[m], changed_local
+                    for q, part in enumerate(dg.partitions)
+                ])
+                folded = phase.executor.run(phase, [
+                    HostTask(
+                        m, _fold_body, label="fold",
+                        payload=(app, part, values[m], frontier[m],
+                                 changed[m], self.read_mask[m], self.bcast[m]),
+                        apply=write_back(m),
+                        drains=("reduce",),
                     )
-                    # Masters whose value changed re-enter the frontier
-                    # where they are readable.
-                    frontier[m] |= changed_local & self.read_mask[m]
-                    for q, (m_local, q_local) in self.bcast[m].items():
-                        sel = changed_local[m_local]
-                        cnt = int(sel.sum())
-                        if cnt == 0:
-                            continue
-                        payload = (q_local[sel], values[m][m_local[sel]])
-                        phase.comm.send(
-                            m, q, payload, tag="bcast",
-                            nbytes=cnt * _VALUE_ENTRY_BYTES,
-                            logical_messages=1,
-                        )
-                for q, part in enumerate(dg.partitions):
-                    for _, (locals_, vals) in phase.comm.recv_all(q, "bcast"):
-                        values[q][locals_] = vals
-                        frontier[q][locals_] = True
-                        phase.add_compute(q, float(len(locals_)))
-
+                    for m, part in enumerate(dg.partitions)
+                ])
+                phase.executor.run(phase, [
+                    HostTask(
+                        q, _install_body, label="install",
+                        payload=(values[q], frontier[q]),
+                        apply=write_back(q),
+                        drains=("bcast",),
+                    )
+                    for q in range(k)
+                ])
                 # Convergence check (global reduction every round).
+                total_changed = sum(folded)
                 phase.comm.allreduce_sum(
                     [np.array([total_changed], dtype=np.int64)] * k
                 )

@@ -30,6 +30,7 @@ from ..core.reading import compute_read_ranges, read_bytes_for_range
 from ..graph.csr import CSRGraph
 from ..runtime.cluster import SimulatedCluster
 from ..runtime.cost_model import STAMPEDE2, CostModel
+from ..runtime.executor import HostTask, HostView
 from .common import assemble_edge_cut
 
 __all__ = ["XtraPulp"]
@@ -217,26 +218,35 @@ class XtraPulp:
         """
         src, dst = graph.edges()
         boundary = labels[src] != labels[dst]
-        cut = int(boundary.sum())
         num_hosts = len(ranges)
-        for h, (start, stop) in enumerate(ranges):
-            edges_here = int(graph.indptr[stop] - graph.indptr[start])
-            phase.add_compute(h, 2.0 * edges_here + (stop - start))
         # Boundary label exchange, attributed to the source's reading host.
-        if cut and num_hosts > 1:
-            cut_src = src[boundary]
+        per_host = np.zeros(num_hosts, dtype=np.int64)
+        if num_hosts > 1 and boundary.any():
             bounds = np.array([r[0] for r in ranges] + [graph.num_nodes])
-            owner = np.searchsorted(bounds, cut_src, side="right") - 1
+            owner = np.searchsorted(bounds, src[boundary], side="right") - 1
             per_host = np.bincount(owner, minlength=num_hosts)
-            for h in range(num_hosts):
-                if per_host[h]:
-                    peer = (h + 1) % num_hosts
-                    phase.comm.send(
-                        h, peer, None, tag="labels",
-                        nbytes=int(per_host[h]) * 8,
-                        logical_messages=1,
-                    )
+        phase.executor.run(phase, [
+            HostTask(
+                h, _charge_host_pass, label="lp-pass",
+                payload=(
+                    2.0 * int(graph.indptr[stop] - graph.indptr[start])
+                    + (stop - start),
+                    int(per_host[h]) * 8,
+                    (h + 1) % num_hosts,
+                ),
+            )
+            for h, (start, stop) in enumerate(ranges)
+        ])
         phase.comm.allreduce_sum(
             [np.zeros(2 * self.num_partitions, dtype=np.int64)] * num_hosts
         )
         phase.comm.barrier()
+
+
+def _charge_host_pass(view: HostView, payload: tuple[float, int, int]) -> None:
+    """One host's share of a pass: its edge scans, then its boundary
+    labels to the next host."""
+    units, nbytes, peer = payload
+    view.add_compute(units)
+    if nbytes:
+        view.send(peer, None, tag="labels", nbytes=nbytes, logical_messages=1)

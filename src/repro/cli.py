@@ -334,13 +334,17 @@ def _run_partitioner(graph, args):
 
         ml = MultilevelPartitioner(args.partitions)
         return ml.partition(graph), "multilevel baseline"
-    if spec.startswith("window"):
-        window = int(spec.split(":", 1)[1]) if ":" in spec else 64
-        policy = window_policy(window)
-        description = f"streaming window (size {window})"
-    else:
-        policy = make_policy(args.policy, degree_threshold=args.degree_threshold)
-        description = policy.describe()
+    try:
+        if spec.startswith("window"):
+            window = int(spec.split(":", 1)[1]) if ":" in spec else 64
+            policy = window_policy(window)
+            description = f"streaming window (size {window})"
+        else:
+            policy = make_policy(args.policy, degree_threshold=args.degree_threshold)
+            description = policy.describe()
+    except (ValueError, KeyError) as exc:
+        reason = exc.args[0] if exc.args else exc
+        raise SystemExit(f"invalid --policy {args.policy!r}: {reason}")
     fault_plan = None
     if args.inject_faults:
         from .runtime.faults import FaultPlan

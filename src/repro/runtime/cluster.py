@@ -13,7 +13,7 @@ Usage::
         ph.add_disk(host, nbytes)
         ...
     with cluster.phase("edge assignment") as ph:
-        ph.comm.send(src, dst, payload)
+        ph.executor.run(ph, [HostTask(h, body, payload=...) for h in ...])
         ...
     breakdown = cluster.breakdown()
 

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.graph import erdos_renyi, read_gr, write_gr
 
@@ -68,6 +74,19 @@ class TestPartition:
             "partition", str(graph_file), "-k", "2", "-p", "SVC",
             "--sync-rounds", "3",
         ]) == 0
+
+    @pytest.mark.parametrize("spec", ["NOPE", "window:0", "window:x"])
+    def test_malformed_policy_is_a_cli_error(self, graph_file, spec):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "partition", str(graph_file),
+             "-k", "2", "-p", spec],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode != 0
+        assert f"invalid --policy {spec!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestExperiment:

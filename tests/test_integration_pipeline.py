@@ -13,13 +13,11 @@ from repro.analytics import (
     BFS,
     ConnectedComponents,
     Engine,
-    KCore,
     PageRank,
     SSSP,
     bfs_reference,
     cc_reference,
     default_source,
-    kcore_reference,
     pagerank_reference,
     sssp_reference,
 )
@@ -69,10 +67,6 @@ class TestFullPipeline:
         sym_dg = CuSP(6, "CVC").partition(sym)
         cc = Engine(sym_dg).run(ConnectedComponents())
         assert np.array_equal(cc.values, cc_reference(sym))
-        k = int(np.median(sym.out_degree()))
-        app = KCore(k)
-        core = Engine(sym_dg).run(app)
-        assert np.array_equal(app.in_core(core.values), kcore_reference(sym, k) >= k)
 
         weighted = graph.with_random_weights(seed=21)
         w_dg = CuSP(6, "CVC").partition(weighted)

@@ -1,61 +1,16 @@
-"""Tests for the k-core app, partition disk I/O, and the ablation knobs."""
+"""Tests for partition disk I/O and the ablation knobs."""
 
 import numpy as np
 import pytest
 
-from repro.analytics import BFS, Engine, KCore, bfs_reference, default_source, kcore_reference
+from repro.analytics import BFS, Engine, bfs_reference, default_source
 from repro.core import CuSP, load_partitions, save_partitions
-from repro.graph import CSRGraph, complete_graph, get_dataset, path_graph
+from repro.graph import get_dataset
 
 
 @pytest.fixture(scope="module")
 def sym():
     return get_dataset("gsh", "tiny").symmetrize()
-
-
-class TestKCore:
-    @pytest.mark.parametrize("policy", ["EEC", "CVC", "HVC"])
-    def test_matches_reference(self, policy, sym):
-        # Pick k near the median degree so peeling actually cascades.
-        k = int(np.median(sym.out_degree()))
-        dg = CuSP(4, policy).partition(sym)
-        app = KCore(k)
-        res = Engine(dg).run(app)
-        ref = kcore_reference(sym, k)
-        assert np.array_equal(app.in_core(res.values), ref >= k)
-
-    def test_cascading_peel(self):
-        # A path has an empty 2-core: removal cascades end to end.
-        g = path_graph(30).symmetrize()
-        dg = CuSP(3, "EEC").partition(g)
-        app = KCore(2)
-        res = Engine(dg).run(app)
-        assert not app.in_core(res.values).any()
-        assert res.rounds > 1  # the cascade takes multiple rounds
-
-    def test_complete_graph_core(self):
-        g = complete_graph(6)
-        dg = CuSP(2, "CVC").partition(g)
-        app = KCore(5)
-        res = Engine(dg).run(app)
-        assert app.in_core(res.values).all()
-
-    def test_k_too_large_kills_everything(self, sym):
-        dg = CuSP(2, "EEC").partition(sym)
-        app = KCore(10**6)
-        res = Engine(dg).run(app)
-        assert not app.in_core(res.values).any()
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            KCore(0)
-
-    def test_reference_monotone_in_k(self, sym):
-        k = int(np.median(sym.out_degree()))
-        small = kcore_reference(sym, k) >= k
-        large = kcore_reference(sym, k + 5) >= (k + 5)
-        assert np.all(~small | ~large | small)  # large core subset of small
-        assert large.sum() <= small.sum()
 
 
 class TestPartitionIO:

@@ -1,67 +1,11 @@
-"""Tests for multi-source BFS and the ``cusp validate`` subcommand."""
+"""Tests for the ``cusp validate`` subcommand."""
 
 import numpy as np
 import pytest
 
-from repro.analytics import BFS, Engine, INF, MultiSourceBFS, msbfs_reference
 from repro.cli import main
 from repro.core import CuSP, save_partitions
-from repro.graph import CSRGraph, erdos_renyi, get_dataset, path_graph, write_gr
-
-
-@pytest.fixture(scope="module")
-def crawl():
-    return get_dataset("gsh", "tiny")
-
-
-class TestMultiSourceBFS:
-    @pytest.mark.parametrize("policy", ["EEC", "CVC", "HVC", "SVC"])
-    def test_matches_reference(self, policy, crawl):
-        sources = [0, 5, 17, 101, 333]
-        dg = CuSP(4, policy, sync_rounds=2).partition(crawl)
-        res = Engine(dg).run(MultiSourceBFS(sources))
-        assert np.array_equal(res.values, msbfs_reference(crawl, sources))
-
-    def test_consistent_with_single_bfs(self, crawl):
-        """Bit i of the mask == reachability according to plain BFS."""
-        sources = [3, 50]
-        dg = CuSP(3, "CVC").partition(crawl)
-        engine = Engine(dg)
-        masks = engine.run(MultiSourceBFS(sources)).values
-        for bit, s in enumerate(sources):
-            dist = engine.run(BFS(s)).values
-            reachable = dist < INF
-            from_mask = (masks >> np.uint64(bit)) & np.uint64(1)
-            assert np.array_equal(from_mask.astype(bool), reachable)
-
-    def test_max_64_sources(self, crawl):
-        sources = list(range(64))
-        dg = CuSP(2, "EEC").partition(crawl)
-        res = Engine(dg).run(MultiSourceBFS(sources))
-        assert np.array_equal(res.values, msbfs_reference(crawl, sources))
-
-    def test_source_limits(self):
-        with pytest.raises(ValueError):
-            MultiSourceBFS([])
-        with pytest.raises(ValueError):
-            MultiSourceBFS(list(range(65)))
-        with pytest.raises(ValueError):
-            MultiSourceBFS([1, 1])
-
-    def test_path_graph_reachability(self):
-        g = path_graph(10)
-        dg = CuSP(2, "EEC").partition(g)
-        res = Engine(dg).run(MultiSourceBFS([0, 9]))
-        # Source 0 (bit 0) reaches everyone; source 9 (bit 1) only itself.
-        assert np.all((res.values & np.uint64(1)).astype(bool))
-        bit1 = (res.values >> np.uint64(1)) & np.uint64(1)
-        assert bit1.sum() == 1 and bit1[9] == 1
-
-    def test_disconnected(self):
-        g = CSRGraph.from_edges([0], [1], num_nodes=4)
-        dg = CuSP(2, "EEC").partition(g)
-        res = Engine(dg).run(MultiSourceBFS([0]))
-        assert res.values.astype(bool).tolist() == [True, True, False, False]
+from repro.graph import erdos_renyi, write_gr
 
 
 class TestValidateCommand:

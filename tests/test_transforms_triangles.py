@@ -1,19 +1,13 @@
-"""Tests for graph transforms and distributed triangle counting."""
+"""Tests for graph transforms."""
 
 import numpy as np
 import pytest
 
-from repro.analytics import count_triangles, triangles_reference
-from repro.core import CuSP, window_policy
 from repro.graph import (
     CSRGraph,
-    complete_graph,
     cycle_graph,
     erdos_renyi,
-    get_dataset,
-    grid_graph,
     largest_wcc,
-    path_graph,
     relabel,
     relabel_by_degree,
     remove_self_loops,
@@ -100,52 +94,3 @@ class TestCleanup:
     def test_largest_wcc_empty(self):
         sub, ids = largest_wcc(CSRGraph.empty(0))
         assert ids.size == 0
-
-
-class TestTriangles:
-    def test_reference_known_counts(self):
-        assert triangles_reference(complete_graph(4)) == 4
-        assert triangles_reference(complete_graph(5)) == 10
-        assert triangles_reference(cycle_graph(3)) == 1
-        assert triangles_reference(cycle_graph(5)) == 0
-        assert triangles_reference(path_graph(10)) == 0
-        assert triangles_reference(grid_graph(4, 4)) == 0
-
-    @pytest.mark.parametrize("policy", ["EEC", "CVC", "HVC", "SVC"])
-    def test_distributed_matches_reference(self, policy):
-        g = get_dataset("kron", "tiny").symmetrize()
-        dg = CuSP(4, policy, sync_rounds=2).partition(g)
-        res = count_triangles(dg)
-        assert res.count == triangles_reference(g)
-
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_host_counts(self, k):
-        g = erdos_renyi(60, 500, seed=9).symmetrize()
-        dg = CuSP(k, "CVC").partition(g)
-        assert count_triangles(dg).count == triangles_reference(g)
-
-    def test_window_partitions_too(self):
-        g = erdos_renyi(50, 300, seed=10).symmetrize()
-        dg = CuSP(3, window_policy(8)).partition(g)
-        assert count_triangles(dg).count == triangles_reference(g)
-
-    def test_handles_directed_input(self):
-        """Orientation dedups reverse edges even on raw directed input."""
-        g = erdos_renyi(40, 200, seed=11)
-        dg = CuSP(3, "EEC").partition(g)
-        assert count_triangles(dg).count == triangles_reference(g)
-
-    def test_phases_and_time(self):
-        g = complete_graph(10)
-        dg = CuSP(3, "CVC").partition(g)
-        res = count_triangles(dg)
-        assert res.count == 120  # C(10,3)
-        assert res.time > 0
-        assert [p.name for p in res.breakdown.phases] == [
-            "Orient", "Gather", "Probe"
-        ]
-
-    def test_empty_graph(self):
-        g = CSRGraph.empty(5)
-        dg = CuSP(2, "EEC").partition(g)
-        assert count_triangles(dg).count == 0
