@@ -107,6 +107,13 @@ if python -m repro partition "$tmp/g.gr" -k 2 -p NOPE >/dev/null 2>"$tmp/policy.
     exit 1
 fi
 
+# So must a graph file that cannot be read.
+if python -m repro partition /dev/null -k 2 -p CVC >/dev/null 2>"$tmp/graph.err" \
+        || grep -q Traceback "$tmp/graph.err"; then
+    echo "FAIL: partition /dev/null did not fail cleanly" >&2
+    exit 1
+fi
+
 echo "== nothing left behind =="
 # Pools outlive a partition() call now, so say it out loud: every pooled
 # run above retired its workers and unlinked its segments.

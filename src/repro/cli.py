@@ -309,8 +309,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_partitioner(graph, args):
-    """Dispatch the ``partition`` subcommand's --policy string."""
+def _read_graph(path: str):
+    """``read_gr(path)``, with an unreadable file a CLI error.
+
+    A missing or unreadable file is an ``OSError``; a malformed one a
+    ``ValueError`` (``FormatError`` from the reader, or the CSR arrays
+    it holds failing their checks)."""
+    try:
+        return read_gr(path)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"cannot read graph {path!r}: {exc}")
+
+
+def _resolve_policy(args):
+    """The ``partition`` subcommand's --policy string, checked before
+    any graph is read: ``(policy, description)``, ``policy`` ``None``
+    for the offline baselines."""
     spec = args.policy.lower()
     if args.resume and args.checkpoint_dir and args.resume != args.checkpoint_dir:
         raise SystemExit(
@@ -318,33 +332,40 @@ def _run_partitioner(graph, args):
             f"{args.checkpoint_dir!r} name different directories; --resume "
             "already implies checkpointing to the directory it resumes from"
         )
-    checkpoint_dir = args.resume or args.checkpoint_dir
     baseline = spec in ("xtrapulp", "multilevel")
-    if baseline and (args.inject_faults or checkpoint_dir or args.supervise):
+    checkpointing = args.resume or args.checkpoint_dir
+    if baseline and (args.inject_faults or checkpointing or args.supervise):
         raise SystemExit(
             "--inject-faults/--checkpoint-dir/--resume/--supervise only "
             f"apply to CuSP policies, not to {args.policy!r}"
         )
     if spec == "xtrapulp":
-        from .baselines import XtraPulp
-
-        return XtraPulp(args.partitions).partition(graph), "XtraPulp baseline"
+        return None, "XtraPulp baseline"
     if spec == "multilevel":
-        from .baselines import MultilevelPartitioner
-
-        ml = MultilevelPartitioner(args.partitions)
-        return ml.partition(graph), "multilevel baseline"
+        return None, "multilevel baseline"
     try:
         if spec.startswith("window"):
             window = int(spec.split(":", 1)[1]) if ":" in spec else 64
-            policy = window_policy(window)
-            description = f"streaming window (size {window})"
-        else:
-            policy = make_policy(args.policy, degree_threshold=args.degree_threshold)
-            description = policy.describe()
+            return window_policy(window), f"streaming window (size {window})"
+        policy = make_policy(args.policy, degree_threshold=args.degree_threshold)
     except (ValueError, KeyError) as exc:
         reason = exc.args[0] if exc.args else exc
         raise SystemExit(f"invalid --policy {args.policy!r}: {reason}")
+    return policy, policy.describe()
+
+
+def _run_partitioner(graph, args, policy):
+    """Run the ``partition`` subcommand's resolved policy on ``graph``
+    (``policy=None``: the --policy baseline)."""
+    if policy is None:
+        if args.policy.lower() == "xtrapulp":
+            from .baselines import XtraPulp
+
+            return XtraPulp(args.partitions).partition(graph)
+        from .baselines import MultilevelPartitioner
+
+        return MultilevelPartitioner(args.partitions).partition(graph)
+    checkpoint_dir = args.resume or args.checkpoint_dir
     fault_plan = None
     if args.inject_faults:
         from .runtime.faults import FaultPlan
@@ -396,7 +417,7 @@ def _run_partitioner(graph, args):
             print(f"replayed phases    : {', '.join(replayed)}")
     if args.supervise and cusp.last_supervisor_report is not None:
         print(f"supervision        : {cusp.last_supervisor_report.summary()}")
-    return dg, description
+    return dg
 
 
 def _check_exit(ok: bool, success: str, failure: str) -> int:
@@ -572,9 +593,10 @@ def _dispatch(argv: list[str] | None = None) -> int:
         from .analysis.contracts import ContractViolationError
         from .runtime.faults import FaultError
 
-        graph = read_gr(args.graph)
+        policy, description = _resolve_policy(args)
+        graph = _read_graph(args.graph)
         try:
-            dg, description = _run_partitioner(graph, args)
+            dg = _run_partitioner(graph, args, policy)
         except FaultError as exc:
             print(f"partitioning failed: {exc}", file=sys.stderr)
             return 1
@@ -662,7 +684,7 @@ def _dispatch(argv: list[str] | None = None) -> int:
                 False, "",
                 f"INVALID: cannot load {args.partition_dir}: {exc}",
             )
-        reference = read_gr(args.graph) if args.graph else None
+        reference = _read_graph(args.graph) if args.graph else None
         report = check_partition(dg, original=reference)
         return _check_exit(
             report.ok,
@@ -696,7 +718,7 @@ def _dispatch(argv: list[str] | None = None) -> int:
         return _run_mutate_command(args)
 
     elif args.command == "info":
-        graph = read_gr(args.graph)
+        graph = _read_graph(args.graph)
         for key, value in compute_properties(graph, args.graph).row().items():
             print(f"{key:<16} {value}")
 

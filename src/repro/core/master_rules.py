@@ -177,12 +177,13 @@ def _prefetch_neighbor_counts(
       ``masters[node_ids[i]]`` row by row: ``None`` when no row after
       the vertex's first one has ``node_ids[i]`` as an out-neighbour
       (most rows — they pay nothing), else ``(cells, mult)``: those
-      rows, as flat offsets ``row * k`` into ``counts.ravel()``, and how
-      many parallel edges each has.  When ``masters[node_ids[i]]`` moves
-      from ``old`` to ``new`` the caller hands the pair to
-      :func:`_refile_neighbor`.  The fold is keyed on the vertex, not on
-      the batch position, so unsorted and repeated ``node_ids``,
-      pre-mastered vertices and self-loops all take the same path.
+      rows, as ascending flat offsets ``row * k`` into
+      ``counts.ravel()``, and how many parallel edges each has.  When
+      ``masters[node_ids[i]]`` moves from ``old`` to ``new`` the caller
+      hands the pair to :func:`_refile_neighbor`.  The fold is keyed on
+      the vertex, not on the batch position, so unsorted and repeated
+      ``node_ids``, pre-mastered vertices and self-loops all take the
+      same path.
 
     A pure function of its arguments; memory is O(out-edges of the
     batch + ``len(node_ids) * k``).  ``masters=None`` (no neighbour
@@ -264,6 +265,60 @@ def _refile_neighbor(
     if old >= 0:
         flat[cells + old] -= mult
     flat[cells + new] += mult
+
+
+#: Rows per anchor of :func:`_decisive_bounds` in FennelEB's ``sqrt``
+#: loop: a fresh anchor keeps the bounds tight (the penalties drift
+#: down as the window's rows are placed), a longer window pays for
+#: fewer of its vectorized passes.
+_DECISIVE_WINDOW = 64
+
+
+def _decisive_bounds(
+    penalty: np.ndarray, counts: np.ndarray, monotone: bool
+) -> tuple[list[int], list[float]]:
+    """``(best, bound)`` for a window of score rows, anchored now.
+
+    ``best[r]`` is row ``r``'s argmax of ``penalty + counts[r]`` and
+    ``bound[r]`` its best score in any other column.  While no penalty
+    rises and no count off ``best[r]`` goes up without
+    :func:`_raise_bounds` hearing of it, ``bound[r]`` stays an upper
+    bound on those columns, so a current ``best[r]`` score strictly
+    above it makes ``best[r]`` the argmax without recomputing the row.
+    ``monotone=False`` (no such guarantee on the penalties) gives
+    bounds that decide nothing.
+    """
+    if not monotone:
+        return [0] * len(counts), [math.inf] * len(counts)
+    scores = penalty + counts
+    best = scores.argmax(axis=1)
+    scores[np.arange(best.size), best] = -np.inf
+    return best.tolist(), scores.max(axis=1).tolist()
+
+
+def _raise_bounds(
+    best: list[int],
+    bound: list[float],
+    lo: int,
+    flat: np.ndarray,
+    cells: np.ndarray,
+    part: int,
+    penalty: float,
+    k: int,
+) -> None:
+    """Keep the bounds of the window starting at row ``lo`` valid after
+    a fold raised column ``part`` of the rows at ``cells`` (offsets
+    ``row * k`` into ``flat``, the raveled counts).  ``penalty`` is
+    that column's penalty now; later placements only lower it.  A raise
+    in a row's ``best`` column needs nothing: the test reads that
+    column's count as it is."""
+    hi = lo + len(bound)
+    for c in cells.tolist():
+        r = c // k
+        if lo <= r < hi and best[r - lo] != part:
+            score = penalty + flat.item(c + part)
+            if score > bound[r - lo]:
+                bound[r - lo] = score
 
 
 #: Abstract compute units per Fennel score entry: each entry evaluates a
@@ -476,6 +531,22 @@ class FennelEB(MasterRule):
         nodes first and then on the rest in order.  Neighbour counts are
         prefetched for the scored rows after the short-circuit has
         written its masters.
+
+        At ``gamma = 1.5`` (SVC's and GVC's) the entry is recomputed as
+        ``-alpha_gamma * math.sqrt(load)``: NumPy evaluates
+        ``power(x, 0.5)`` as IEEE ``sqrt``, so these are the bits
+        :meth:`assign`'s ``np.power`` gives, at a twentieth of the cost
+        of a one-element NumPy call (``math.pow`` is *not* the same: it
+        differs in the last bit).  There the penalties also only fall
+        within a batch, so a row's score in any column but its argmax at
+        the start of its window of :data:`_DECISIVE_WINDOW` rows stays
+        below that window's bound (:func:`_decisive_bounds`, raised by
+        :func:`_raise_bounds` when a fold adds to one of those counts).
+        A row whose argmax column now scores strictly above its bound is
+        placed there without the NumPy argmax; a tie or a closer call
+        takes ``(penalty + counts[i]).argmax()`` and its first-index
+        rule.  Any other ``gamma`` keeps the one-element ``np.power``
+        and the argmax on every row.
         """
         node_ids = np.asarray(node_ids)
         out = np.empty(node_ids.size, dtype=np.int32)
@@ -510,21 +581,55 @@ class FennelEB(MasterRule):
         counts, folds = _prefetch_neighbor_counts(
             prop.graph, low_ids, masters, k
         )
-        power = np.power
+        # At the default gamma = 1.5 the one-entry update is an exact
+        # scalar sqrt, and the penalties only fall as the batch places
+        # rows, which lets a row whose argmax is already decided by the
+        # window's bounds skip the NumPy argmax.
+        exact_sqrt = gm1 == 0.5
+        flat = counts.ravel()
+        pen = penalty.tolist()  # the same doubles, read without NumPy
+        power, sqrt = np.power, math.sqrt
         load_cell = np.empty(1, dtype=np.float64)
         low_out = []
+        lo = hi = 0
         for i, v in enumerate(low_ids.tolist()):
-            part = int((penalty + counts[i]).argmax())
+            if i == hi:
+                lo, hi = i, i + _DECISIVE_WINDOW
+                best, bound = _decisive_bounds(
+                    penalty, counts[lo:hi], exact_sqrt
+                )
+            part = best[i - lo]
+            if not pen[part] + flat.item(i * k + part) > bound[i - lo]:
+                # Undecided (a tie, a close call, or no monotone
+                # penalty): the first-index argmax decides.
+                part = int((penalty + counts[i]).argmax())
             low_out.append(part)
             nodes_load[part] += 1.0
             edges_load[part] += low_degrees[i]
-            load_cell[0] = (nodes_load[part] + mu * edges_load[part]) / 2.0
-            # Same vectorized pow kernel as the full recompute, applied
-            # to the one entry that changed.
-            penalty[part] = -alpha_gamma * power(load_cell, gm1)[0]
+            load = (nodes_load[part] + mu * edges_load[part]) / 2.0
+            if exact_sqrt:
+                # NumPy's power(x, 0.5) is IEEE sqrt: the same bits.
+                penalty[part] = pen[part] = -alpha_gamma * sqrt(load)
+            else:
+                # Same vectorized pow kernel as the full recompute,
+                # applied to the one entry that changed.
+                load_cell[0] = load
+                penalty[part] = pen[part] = (
+                    -alpha_gamma * power(load_cell, gm1)[0]
+                )
             if masters is not None:
-                if folds[i] is not None:
-                    _refile_neighbor(counts, folds[i], masters[v], part)
+                fold = folds[i]
+                if fold is not None:
+                    old = masters[v]
+                    if old != part:
+                        _refile_neighbor(counts, fold, old, part)
+                        # Cells ascend: a fold that starts past the
+                        # window touches no bound in it.
+                        if exact_sqrt and fold[0].item(0) < hi * k:
+                            _raise_bounds(
+                                best, bound, lo, flat, fold[0], part,
+                                pen[part], k,
+                            )
                 masters[v] = part
         low_parts = np.asarray(low_out, dtype=np.int32)
         out[low_positions] = low_parts

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import errno
 import itertools
+import mmap
 import os
 import struct
 import zlib
@@ -546,73 +547,56 @@ def _discard_segment_name(name: str) -> None:
     seg.unlink()
 
 
-def _defuse_segment(seg: Any) -> None:
-    """Divorce a mapping from its ``SharedMemory`` wrapper (zero-copy).
+def _unlink_untracked(name: str) -> None:
+    """Unlink a family segment that no resource-tracker entry stands
+    for: an ephemeral one (its creator unregistered it and
+    :func:`_attach_shared_segment` registers nothing).  A name the
+    crash sweep got to first is already gone, and its sweep balanced
+    the tracker itself."""
+    import _posixshmem
 
-    Any live NumPy view built over ``seg.buf`` holds the exporting
-    memoryview via its base chain, and the memoryview holds the mmap —
-    so after dropping the wrapper's file descriptor and its own
-    references, the mapping lives exactly as long as the last view and
-    is munmapped by ordinary refcounting.  ``SharedMemory.close()`` (and
-    thus ``__del__``) becomes a no-op, which is the point: the wrapper's
-    eager ``_buf.release()`` would raise ``BufferError`` under exported
-    views.  The segment *name* is untouched; pair with ``unlink()``
-    (before or after) according to who owns it.
-    """
-    fd = getattr(seg, "_fd", -1)
-    if fd >= 0:
-        os.close(fd)
-        seg._fd = -1  # noqa: SLF001
-    seg._buf = None  # noqa: SLF001
-    seg._mmap = None  # noqa: SLF001
-
-
-def _release_segment(seg: Any) -> None:
-    """Unlink an owned segment, keeping any live views valid.
-
-    Tolerates a name already swept by crash teardown: ``unlink()``
-    unregisters from the resource tracker only after a successful
-    ``shm_unlink``, and the sweeper's own unlink already unregistered
-    the shared set entry, so a ``FileNotFoundError`` here must *not* be
-    followed by a second unregister (the tracker daemon would print a
-    ``KeyError``).
-    """
     try:
-        seg.unlink()
+        _posixshmem.shm_unlink("/" + name)
     # repro-lint: disable-next-line=swallowed-error -- already unlinked by the crash sweeper, whose unlink balanced the tracker entry
     except FileNotFoundError:  # pragma: no cover - post-crash teardown race
         pass
-    _defuse_segment(seg)
 
 
 class SegmentGoneError(ValueError):
     """A shared-memory segment was unlinked before it was attached."""
 
 
-def _attach_shared_segment(name: str) -> Any:
-    """Map an existing segment, leaving its tracker registration alone.
+def _attach_shared_segment(name: str) -> mmap.mmap:
+    """Map an existing segment read-write, outside the resource tracker.
 
-    Attaching registers with the resource tracker (CPython < 3.13 does
-    so unconditionally) and the owner's ``unlink()`` unregisters again
-    internally — so the attach-side registration is already balanced,
-    and an explicit unregister here would make the tracker daemon print
-    a KeyError for every segment.
+    ``SharedMemory(name=…)`` would register the name after mapping it,
+    and an owner's unlink (which unregisters) landing in between would
+    leave a tracker entry for a segment that is gone: a leak warning
+    and a failed unlink at exit.  A raw ``shm_open`` + ``mmap`` touches
+    no tracker entry, so a resident keeps exactly its creator's
+    registration, which the creator's unlink balances, and an
+    ephemeral segment none (:func:`_unlink_untracked` consumes it).
+    The mapping lives as long as the last array over it.
 
     A missing segment means its owner already unlinked it (an ephemeral
     segment is loaded exactly once) or the producing worker died before
     publishing — either way the receiver gets a clean, diagnosable
     error rather than a raw ``FileNotFoundError``.
     """
-    from multiprocessing import shared_memory
+    import _posixshmem
 
     try:
-        return shared_memory.SharedMemory(name=name)
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
     except FileNotFoundError as exc:
         raise SegmentGoneError(
             f"shared-memory segment {name!r} is gone; an ephemeral "
             "segment is loaded exactly once, and a worker that died "
             "mid-send leaves nothing to attach"
         ) from exc
+    try:
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
 
 
 def concat_batches(

@@ -86,50 +86,31 @@ def _segment_to_array(ref: _SegmentRef, name_fate: str = "keep") -> np.ndarray:
     name (:data:`_relayed`).
     """
     name, descr, shape = ref
-    seg = colfab._attach_shared_segment(name)
+    buf = colfab._attach_shared_segment(name)
     dtype = np.lib.format.descr_to_dtype(descr)
-    arr = np.frombuffer(seg.buf, dtype=dtype, count=math.prod(shape)).reshape(shape)
-    colfab._defuse_segment(seg)
+    arr = np.frombuffer(buf, dtype=dtype, count=math.prod(shape)).reshape(shape)
     if name_fate == "relay":
         key = id(arr)
         _relayed[key] = ("ndk", *ref)
-        weakref.finalize(arr, _drop_relayed, key, seg, os.getpid())
+        weakref.finalize(arr, _drop_relayed, key, name, os.getpid())
     elif name_fate == "unlink":
-        seg.unlink()
+        colfab._unlink_untracked(name)
     return arr
 
 
-def _drop_relayed(key: int, seg: Any, owner: int) -> None:
+def _drop_relayed(key: int, name: str, owner: int) -> None:
     """A relayed array died: forget it and, in the process that loaded
     it, unlink the name (a forked child inherits the array but never
     the obligation — the parent may still be serving the segment)."""
     _relayed.pop(key, None)
     if owner == os.getpid():
-        colfab._release_segment(seg)
+        colfab._unlink_untracked(name)
 
 
 def discard_untracked_segment(seg: Any) -> None:
-    """Unlink a creator-owned (tracker-unregistered) segment quietly.
-
-    Balances the resource tracker by registering before the unlink
-    (which unregisters internally); if the consumer already unlinked
-    the segment, the provisional registration is rolled back — either
-    way the tracker daemon never prints a KeyError or leak warning.
-    """
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.register(seg._name, "shared_memory")  # noqa: SLF001
-        seg.unlink()
-    except FileNotFoundError:
-        try:
-            resource_tracker.unregister(seg._name, "shared_memory")  # noqa: SLF001
-        # repro-lint: disable-next-line=swallowed-error -- tracker API is CPython-internal; registration was provisional
-        except Exception:  # pragma: no cover
-            pass
-    # repro-lint: disable-next-line=swallowed-error -- cleanup on an already-failed path must not mask the original error
-    except Exception:  # pragma: no cover
-        pass
+    """Unlink a creator-owned ephemeral segment whose blob never
+    reached a consumer (the consumer may have unlinked it already)."""
+    colfab._unlink_untracked(seg.name)
 
 
 def sweep_family_segments() -> None:

@@ -12,6 +12,16 @@ from repro.cli import main
 from repro.graph import erdos_renyi, read_gr, write_gr
 
 
+def run_cli(*argv):
+    """``python -m repro *argv`` in a subprocess, output captured."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 @pytest.fixture()
 def graph_file(tmp_path):
     path = tmp_path / "g.gr"
@@ -77,15 +87,48 @@ class TestPartition:
 
     @pytest.mark.parametrize("spec", ["NOPE", "window:0", "window:x"])
     def test_malformed_policy_is_a_cli_error(self, graph_file, spec):
-        src = str(Path(repro.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "partition", str(graph_file),
-             "-k", "2", "-p", spec],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        proc = run_cli("partition", str(graph_file), "-k", "2", "-p", spec)
         assert proc.returncode != 0
         assert f"invalid --policy {spec!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_malformed_policy_is_reported_before_the_graph_is_read(
+        self, tmp_path
+    ):
+        missing = str(tmp_path / "missing.gr")
+        proc = run_cli("partition", missing, "-k", "2", "-p", "NOPE")
+        assert proc.returncode != 0
+        assert "invalid --policy 'NOPE'" in proc.stderr
+        assert "cannot read graph" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["dev-null", "truncated", "missing"])
+    @pytest.mark.parametrize(
+        "command", ["partition", "validate", "info"]
+    )
+    def test_unreadable_graph_is_a_cli_error(
+        self, graph_file, tmp_path, kind, command
+    ):
+        if kind == "dev-null":
+            path = os.devnull
+        elif kind == "truncated":
+            path = str(tmp_path / "cut.gr")
+            with open(path, "wb") as f:
+                f.write(graph_file.read_bytes()[:100])
+        else:
+            path = str(tmp_path / "missing.gr")
+        if command == "partition":
+            argv = ["partition", path, "-k", "2", "-p", "CVC"]
+        elif command == "validate":
+            parts = tmp_path / "parts"
+            assert main(["partition", str(graph_file), "-k", "2", "-p", "CVC",
+                         "--save", str(parts)]) == 0
+            argv = ["validate", str(parts), path]
+        else:
+            argv = ["info", path]
+        proc = run_cli(*argv)
+        assert proc.returncode != 0
+        assert f"cannot read graph {path!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

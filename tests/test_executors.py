@@ -25,8 +25,10 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1210,10 +1212,10 @@ class TestSegmentLifecycle:
 
     def test_relayed_name_dies_once_with_its_array(self, monkeypatch, unraisable):
         released = []
-        release = colfab._release_segment
+        release = colfab._unlink_untracked
         monkeypatch.setattr(
-            colfab, "_release_segment",
-            lambda seg: (released.append(seg.name), release(seg)),
+            colfab, "_unlink_untracked",
+            lambda name: (released.append(name), release(name)),
         )
         batch, blob = self._shipped()
         back = residency.loads_with_segments(blob, relay=True)["block"]
@@ -1261,6 +1263,47 @@ class TestSegmentLifecycle:
         assert leaked_segments() == [name]
         residency.sweep_family_segments()
         assert leaked_segments() == []
+
+    def test_resident_attach_leaves_the_tracker_balanced(self):
+        """A worker maps each published resident while the parent may
+        already be unlinking it (``end_run`` right after ``publish``).
+        Were the attach to register the name with the resource tracker
+        after the parent's unlink unregistered it, the tracker would
+        warn of leaked segments at exit and fail to unlink each one.
+        The sleeps sweep the parent's unlink across the worker's attach.
+        """
+        script = textwrap.dedent("""
+            import time
+            import numpy as np
+            from repro.runtime.colfab import leaked_segments
+            from repro.runtime.comm import Communicator
+            from repro.runtime.executor import HostTask, ProcessExecutor
+            from repro.runtime.residency import SHM_THRESHOLD
+            from repro.runtime.stats import PhaseStats
+
+            def body(view):
+                return view.host
+
+            pool = ProcessExecutor(max_workers=2)
+            ph = PhaseStats(name="probe", comm=Communicator(2), num_hosts=2)
+            assert pool.run(ph, [HostTask(h, body) for h in range(2)]) == [0, 1]
+            for i in range(200):
+                pool.publish("state", np.full(SHM_THRESHOLD // 8, i))
+                time.sleep((i % 20) * 1e-4)
+                pool.end_run()
+            pool.close()
+            assert leaked_segments() == []
+        """)
+        src = str(Path(colfab.__file__).resolve().parents[2])
+        # The tracker inherits stderr, so the captured output ends only
+        # once the tracker has exited and said what it had to say.
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "leaked shared_memory" not in proc.stderr, proc.stderr
+        assert "No such file" not in proc.stderr, proc.stderr
 
     def test_forked_child_never_unlinks_a_relayed_name(self):
         _, blob = self._shipped()
