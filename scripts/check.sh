@@ -41,8 +41,9 @@ echo "== chaos campaign: full fault family, bit-identity gate =="
 python -m repro chaos --plans 10 --seed 7 --quiet
 python -m repro chaos --plans 10 --seed 7 --executor process --quiet
 # A history-sensitive master rule: the pooled masters rounds (published
-# request table, refreshed masters maps, one barrier per round that
-# scores and ships) under every fault family, for FennelEB and Fennel.
+# request table, shared masters maps, one stepped task per host whose
+# worker keeps it live from round to round) under every fault family,
+# for FennelEB and Fennel.
 python -m repro chaos --plans 10 --seed 7 --executor process -p SVC --quiet
 python -m repro chaos --plans 10 --seed 7 --executor process -p FEC --quiet
 # The parent's lane runs pooled bodies in this process: the same rounds
@@ -71,9 +72,16 @@ python -m repro partition "$tmp/g.gr" -k 4 -p CVC \
     --checkpoint-dir "$tmp/ckpt" --validate --save "$tmp/parts" >/dev/null
 
 # The pooled stateful masters path at the paper's default round count,
-# under the sanitizer: no payload may sit on a queue nobody drains.
+# under the sanitizer (no payload may sit on a queue nobody drains), must
+# save byte for byte what a serial run saves.
 python -m repro partition "$tmp/g.gr" -k 4 -p SVC --sync-rounds 100 \
-    --executor process --commsan >/dev/null
+    --executor process --commsan --save "$tmp/svc_process" >/dev/null
+python -m repro partition "$tmp/g.gr" -k 4 -p SVC --sync-rounds 100 \
+    --save "$tmp/svc_serial" >/dev/null
+for f in "$tmp"/svc_serial/*; do
+    cmp "$f" "$tmp/svc_process/$(basename "$f")"
+done
+[ "$(ls "$tmp/svc_serial" | wc -l)" = "$(ls "$tmp/svc_process" | wc -l)" ]
 
 # A clean saved directory validates.
 python -m repro validate "$tmp/parts" "$tmp/g.gr" >/dev/null

@@ -8,15 +8,20 @@ The phase's communication depends on the rule's capabilities:
   hosts later *recompute* any assignment they need (replicating
   computation instead of communication, §IV-D5).
 
-* **History-sensitive rules** (Fennel/FennelEB): the phase runs in
+* **History-sensitive rules** (Fennel/FennelEB/LDG): the phase runs in
   ``sync_rounds`` bulk-synchronous rounds.  Before the first round each
   host *requests* the assignments it will need — the masters of the
   neighbors of its own nodes — from the hosts that will assign them
   (§IV-D5's request-driven elision: assignments nobody asked for are never
-  sent).  A round is one task per host and one barrier: the task scores
-  the host's chunk and ships the chunk's requested assignments to their
-  requesters; at the round boundary the partitioning state is reconciled
-  by a global reduction and the requesters learn what was shipped.
+  sent).  The rounds are one stepped task per host for the whole phase
+  (:meth:`~repro.runtime.executor.Executor.run_rounds`): round ``r``
+  scores the host's ``r``-th chunk, writes its masters into the shared
+  map, charges the shipment of the chunk's requested assignments to
+  their requesters, and yields the host's load delta.  At the round
+  boundary the partitioning state is reconciled by a global reduction,
+  and the new snapshot is all that goes back; the next round first
+  *pulls* what the host requested out of the other hosts' finished
+  chunks.
 
 The paper notes this exchange is deliberately *not* deterministic on a
 real cluster (hosts don't block for slow peers).  The simulation is
@@ -25,9 +30,9 @@ member of the family of schedules the real system may produce.
 
 Every send of this phase is accounting-only (``payload=None``): the
 bytes, messages and fault draws of each request and shipment are charged
-on the wire, while the ids themselves take one path — the task's result,
-installed by the parent at the barrier.  Nothing is queued that no task
-drains.
+on the wire, while the ids themselves take one path — the shared
+``masters`` map, written by its one assigner and read by the requester
+a round later.  Nothing is queued that no task drains.
 """
 
 from __future__ import annotations
@@ -66,11 +71,11 @@ class MasterAssignment:
 # Module-level so the pooled process executor can ship them by reference
 # (a pickled dotted name) instead of forking the whole parent per
 # barrier.  Everything a body needs travels in its payload tuple; the
-# big inputs (``prop``, the request table, the hosts' masters maps)
-# resolve against the pool's shared-memory residents, so neither graph
-# bytes nor a round's unchanged state cross a pipe.
-# Parent-side installs remain closures on ``run_master_assignment``'s
-# locals — apply callbacks never ship.
+# big inputs resolve against the pool's shared-memory residents —
+# ``prop`` read-only, the maps the rounds write (``masters``, ``known``)
+# writable — so neither graph bytes nor a round's unchanged state cross
+# a pipe.  The pure path's install is a closure on
+# ``run_master_assignment``'s locals: apply callbacks never ship.
 
 
 def _pure_assign_body(view: HostView, payload: tuple) -> np.ndarray | None:
@@ -103,76 +108,80 @@ def _pure_assign_body(view: HostView, payload: tuple) -> np.ndarray | None:
     return assigned
 
 
-def _request_masters_body(
-    view: HostView, payload: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Request pass: ask each assigner for the masters this host needs.
+def _assign_rounds_body(view: HostView, payload: tuple):
+    """One host's history-sensitive master phase, one step per round.
 
-    Returns ``(nbrs, cuts)``: the sorted ids this host needs, of which
-    ``nbrs[cuts[a]:cuts[a+1]]`` are the ones host ``a`` reads, and
-    therefore assigns (a searchsorted against the host bounds).
+    The first step is the request pass (§IV-D5): the host asks each
+    assigner for the masters of its read-nodes' neighbors — the sorted
+    ``nbrs``, of which ``nbrs[at[a, r]:at[a, r + 1]]`` lie in host
+    ``a``'s round-``r`` chunk — and yields how many it wants of each
+    chunk.  What that yield evaluates to is everyone's counts,
+    ``wanted[j, a, r]``.  Round ``r`` then scores the host's ``r``-th
+    chunk against the state snapshot plus the host's own delta, writes
+    the chunk into ``masters`` and the host's row of ``known`` (the map
+    the rule reads: only what the host assigned or pulled), charges one
+    coalesced shipment per requester, and yields the host's load delta,
+    or returns it after the last round.  That yield evaluates to the
+    reconciled snapshot; the next round installs it, then pulls what
+    the host asked for out of the other hosts' previous chunks —
+    finished, as the round boundary lies between.
     """
-    prop, bounds, num_hosts, j, start, stop = payload
-    lo, hi = prop.graph.indptr[start], prop.graph.indptr[stop]
-    nbrs = _mask_unique(prop.getNumNodes(), prop.graph.indices[lo:hi])
-    cuts = np.searchsorted(nbrs, bounds)
-    for assigner in range(num_hosts):
-        wanted = int(cuts[assigner + 1] - cuts[assigner])
-        if assigner != j and wanted:
+    rule, prop, k, elide, state, masters, known, chunk_bounds, h = payload
+    num_hosts, rounds = chunk_bounds.shape[0], chunk_bounds.shape[1] - 1
+    if elide:
+        start, stop = chunk_bounds[h, 0], chunk_bounds[h, -1]
+        lo, hi = prop.graph.indptr[start], prop.graph.indptr[stop]
+        nbrs = _mask_unique(prop.getNumNodes(), prop.graph.indices[lo:hi])
+    else:
+        # Ablation: every host "requests" everything, so each
+        # assignment is shipped to all peers.
+        nbrs = np.arange(prop.getNumNodes(), dtype=np.int64)
+    at = np.searchsorted(nbrs, chunk_bounds)
+    for a in range(num_hosts):
+        asked = int(at[a, -1] - at[a, 0])
+        if elide and a != h and asked:
             view.send(
-                assigner, None, tag="master-requests",
-                nbytes=wanted * _REQUEST_ENTRY_BYTES,
+                a, None, tag="master-requests",
+                nbytes=asked * _REQUEST_ENTRY_BYTES,
                 coalesce=True,
             )
-    return nbrs, cuts
-
-
-def _assign_chunk_body(view: HostView, payload: tuple):
-    """Score one round's chunk of a host's nodes against frozen state,
-    then ship the chunk's requested assignments to their requesters.
-
-    Returns ``(assigned, delta, shipped)``; ``shipped`` holds one
-    ``(j, lo, hi)`` per requester ``j`` that was sent anything, an index
-    range into the request table's ``ids``.
-    """
-    rule, prop, k, state, known, requests, h, c0, c1 = payload
-    if c0 == c1:
-        return None, None, []
-    masters_h = None if known is None else known[h]
-    if masters_h is not None and not masters_h.flags.writeable:
-        # A pool worker sees the maps as a read-only resident; the rule
-        # scribbles on its host's row, so it gets a private copy.
-        masters_h = masters_h.copy()
-    # Each host scores against the frozen snapshot plus its own pending
-    # delta.  The rule's in-place updates (masters_h, state delta) are
-    # scratch work in a worker; the body returns everything the parent
-    # needs to install them.
-    node_ids = np.arange(c0, c1, dtype=np.int64)
-    assigned = rule.assign_batch(prop, node_ids, state.host_view(h), masters_h)
-    view.add_compute(
-        rule.compute_units(
-            node_ids.size,
-            int(prop.graph.indptr[c1] - prop.graph.indptr[c0]),
-            k,
-        )
-    )
-    ids, cuts = requests
-    shipped = []
-    for j in range(len(cuts)):
-        if j == h:
-            continue
-        start, stop = cuts[j, h], cuts[j, h + 1]
-        lo, hi = start + np.searchsorted(ids[start:stop], (c0, c1))
-        if hi > lo:
-            # One coalesced charge per requester; the parent reads the
-            # assigned partitions off its own ``masters`` after the round.
-            view.send(
-                j, None, tag="master-assignments",
-                nbytes=int(hi - lo) * _ASSIGNMENT_ENTRY_BYTES,
-                coalesce=True,
+    wanted = yield np.diff(at, axis=1)
+    own = None if known is None else known[h]
+    for r in range(rounds):
+        if r:
+            state.import_snapshot(h, snapshot)
+        if r and own is not None:
+            for a in range(num_hosts):
+                if a != h:
+                    got = nbrs[at[a, r - 1]:at[a, r]]
+                    own[got] = masters[got]
+        c0, c1 = int(chunk_bounds[h, r]), int(chunk_bounds[h, r + 1])
+        if c1 > c0:
+            node_ids = np.arange(c0, c1, dtype=np.int64)
+            assigned = rule.assign_batch(prop, node_ids, state.host_view(h), own)
+            masters[c0:c1] = assigned
+            if own is not None:
+                own[c0:c1] = assigned  # own assignments visible at once
+            view.add_compute(
+                rule.compute_units(
+                    node_ids.size,
+                    int(prop.graph.indptr[c1] - prop.graph.indptr[c0]),
+                    k,
+                )
             )
-            shipped.append((j, int(lo), int(hi)))
-    return assigned, state.export_host_delta(h), shipped
+            for j in range(num_hosts):
+                if j != h and wanted[j, h, r]:
+                    # One coalesced charge per requester, which pulls
+                    # the ids off ``masters`` next round.
+                    view.send(
+                        j, None, tag="master-assignments",
+                        nbytes=int(wanted[j, h, r]) * _ASSIGNMENT_ENTRY_BYTES,
+                        coalesce=True,
+                    )
+        delta = state.export_host_delta(h)
+        if r + 1 == rounds:
+            return delta
+        snapshot = yield delta
 
 
 def run_master_assignment(
@@ -225,76 +234,47 @@ def run_master_assignment(
         )
         return MasterAssignment(masters, state)
 
-    # History-sensitive path: request-driven assignment exchange.
-    bounds = np.array([r[0] for r in ranges] + [n], dtype=np.int64)
-    if elide_master_communication:
-        # Request-driven exchange (§IV-D5): each host asks only for the
-        # masters of its read-nodes' neighbors.
-        wanted = phase.executor.run(phase, [
-            HostTask(
-                j, _request_masters_body, label="request-masters",
-                payload=(prop, bounds, num_hosts, j, start, stop),
-            )
-            for j, (start, stop) in enumerate(ranges)
-        ])
-        offsets = np.cumsum([0] + [nbrs.size for nbrs, _ in wanted[:-1]])
-        ids = np.concatenate([nbrs for nbrs, _ in wanted])
-        cuts = np.stack([off + c for off, (_, c) in zip(offsets, wanted)])
-    else:
-        # Ablation: every host "requests" everything, so each assignment
-        # is shipped to all peers.
-        ids = np.arange(n, dtype=np.int64)
-        cuts = np.tile(bounds, (num_hosts, 1))
-    # ids[cuts[j, a]:cuts[j, a + 1]] are the sorted node ids host j
-    # requested from host a.  Round-invariant from here on: published
-    # once, every round's tasks reference it.
-    requests = phase.executor.publish("master-requests", (ids, cuts))
-    # Row h is host h's private view of the masters map (only synced
-    # entries).
-    known = np.full((num_hosts, n), -1, dtype=np.int32)
-    known_arg = known if rule.uses_masters else None
-
-    # Round-robin over sync_rounds chunks of each host's node range.
-    chunk_bounds = [
+    # History-sensitive path: request-driven assignment exchange, then
+    # ``sync_rounds`` rounds.  Row h of ``chunk_bounds`` cuts host h's
+    # node range into one chunk per round; the maps the rounds write
+    # are shared, each entry written by one host.
+    chunk_bounds = np.stack([
         np.linspace(start, stop, sync_rounds + 1).astype(np.int64)
         for (start, stop) in ranges
-    ]
-
-    def assign_task(h: int, r: int) -> HostTask:
-        c0, c1 = int(chunk_bounds[h][r]), int(chunk_bounds[h][r + 1])
-
-        def install(result) -> list[tuple[int, int, int]]:
-            assigned, delta, shipped = result
-            if assigned is not None:
-                masters[c0:c1] = assigned
-                known[h, c0:c1] = assigned  # own assignments visible at once
-                state.import_host_delta(h, delta)
-            return shipped
-
-        return HostTask(
-            h, _assign_chunk_body, label="assign-chunk",
-            payload=(rule, prop, k, state, known_arg, requests, h, c0, c1),
-            apply=install,
+    ])
+    masters = phase.executor.share("master-map", masters)
+    known = None
+    if rule.uses_masters:
+        # Row h is host h's private view of the masters map (only
+        # synced entries).
+        known = phase.executor.share(
+            "known-masters", np.full((num_hosts, n), -1, dtype=np.int32)
         )
 
-    # ``known`` changes every round, in the parent, between barriers;
-    # republishing an array of unchanged dtype and shape refreshes its
-    # resident in place, so a round ships what it newly made, not the map.
-    for r in range(sync_rounds):
-        if rule.uses_masters:
-            phase.executor.publish("known-masters", known)
-        shipped = phase.executor.run(
-            phase, [assign_task(h, r) for h in range(num_hosts)]
-        )
+    def boundary(step: int, values: list) -> object:
+        if step == 0:
+            # The request pass: every requester's counts, to every
+            # assigner.
+            return np.stack(values)
         # Round boundary: reconcile state.  Master-assignment rounds
         # never block on peers (paper §IV-D5).
+        for h, delta in enumerate(values):
+            state.import_host_delta(h, delta)
         state.sync_round(phase.comm, blocking=False)
-        # Requesters learn the round's shipments only now, not in
-        # ``apply``: the serial executor applies host h before it runs
-        # host h + 1, which must score against the frozen round.
-        for host_shipments in shipped:
-            for j, lo, hi in host_shipments:
-                got = ids[lo:hi]
-                known[j, got] = masters[got]
+        return state.export_snapshot()
 
+    phase.executor.run_rounds(
+        phase,
+        [
+            HostTask(
+                h, _assign_rounds_body, label="assign-rounds",
+                payload=(
+                    rule, prop, k, elide_master_communication, state,
+                    masters, known, chunk_bounds, h,
+                ),
+            )
+            for h in range(num_hosts)
+        ],
+        boundary,
+    )
     return MasterAssignment(masters, state)

@@ -63,6 +63,17 @@ class PartitioningState:
         on the serial path is a no-op re-assignment of identical values.
         """
 
+    def export_snapshot(self):
+        """Picklable reconciled state, as :meth:`sync_round` left it:
+        what a round boundary hands back to every host.  Stateless
+        subclasses return ``None``."""
+        return None
+
+    def import_snapshot(self, host: int, snapshot) -> None:
+        """Install an :meth:`export_snapshot` as ``host`` sees it after
+        the round boundary: the reconciled values, and its own delta
+        cleared.  A state that exported it holds both already."""
+
 
 class VoidState(PartitioningState):
     """No state: used by Contiguous/ContiguousEB and all edge rules here."""
@@ -159,6 +170,20 @@ class PartitionLoadState(PartitioningState):
         nodes, edges = delta
         self._delta_nodes[host][:] = nodes
         self._delta_edges[host][:] = edges
+
+    def export_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._snapshot_nodes, self._snapshot_edges
+
+    def import_snapshot(self, host: int, snapshot) -> None:
+        nodes, edges = snapshot
+        if nodes is self._snapshot_nodes:
+            return
+        # Another process's state reconciled these (a pool worker holds
+        # a copy): hosts running here read them from now on.
+        self._snapshot_nodes[:] = nodes
+        self._snapshot_edges[:] = edges
+        self._delta_nodes[host][:] = 0
+        self._delta_edges[host][:] = 0
 
     def totals(self) -> tuple[np.ndarray, np.ndarray]:
         """Fully-reconciled (nodes, edges) counts, ignoring sync boundaries."""

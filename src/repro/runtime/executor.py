@@ -61,6 +61,15 @@ Determinism argument (why concurrent hosts are bit-identical to serial):
    state per attempt), so the discarded extra work of concurrent hosts
    is unobservable.
 
+A phase whose hosts meet at round boundaries — the masters rounds of a
+history-sensitive rule — runs as *stepped* tasks through
+:meth:`Executor.run_rounds`: each body is a generator, called once for
+the whole phase, that yields at every round boundary.  A round merges
+like a barrier; in between, the calling process reduces the round's
+yields and sends the result back into every body.  A body keeps its
+state from round to round, in a pool worker too, so a round ships only
+what the boundary reduces.
+
 Work whose *algorithm* is cross-host sequential — a stateful edge rule
 where host ``h+1`` must score against the state host ``h`` just updated —
 goes through :meth:`Executor.chain`, which every executor runs with one
@@ -73,6 +82,8 @@ and must be issued between task submissions, never inside a mapped task.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
@@ -83,6 +94,8 @@ from ..analysis import isolation
 from .colfab import ColumnSchema, MessageBatch, ReceivedBatch
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .stats import PhaseStats
 
 __all__ = [
@@ -96,6 +109,7 @@ __all__ = [
     "EXECUTOR_NAMES",
     "UnshippableTaskError",
     "UndeclaredDrainError",
+    "WorkerLostError",
 ]
 
 
@@ -127,6 +141,19 @@ class UndeclaredDrainError(RuntimeError):
     process pool ships a worker only the declared tags of its host's
     inbox, so an undeclared drain there would see a silently empty
     queue."""
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker died before it shipped its hosts' work: the barrier
+    or round it was in did not complete, and the pool is retired.
+    :attr:`hosts` are the hosts whose work died with it."""
+
+    def __init__(self, message: str, hosts: Sequence[int] = ()):
+        super().__init__(message)
+        self.hosts = tuple(hosts)
+
+    def __reduce__(self) -> tuple:
+        return type(self), (str(self), self.hosts)
 
 
 @dataclass(frozen=True)
@@ -178,13 +205,20 @@ class HostView:
         self._stats = stats
         self.host = int(host)
         self._drains = drains
-        self.ledger = stats.comm.ledger(host)
+        self.begin()
+
+    def begin(self) -> None:
+        """Record from here on afresh: a new private ledger, no charges,
+        the host's fault channel logging to the ledger.  A view records
+        one barrier; a stepped task's view (:meth:`Executor.run_rounds`)
+        begins again each round, its previous round merged."""
+        comm = self._stats.comm
+        self.ledger = comm.ledger(self.host)
         self.disk_bytes = 0.0
         self.compute_units = 0.0
-        injector = stats.comm.injector
         self._channel = None
-        if injector is not None:
-            self._channel = injector.channel(host)
+        if comm.injector is not None:
+            self._channel = comm.injector.channel(self.host)
             self._channel.events_out = self.ledger.fault_events
 
     def send(self, dst: int, payload: Any, tag: str = "default",
@@ -280,13 +314,14 @@ def _run_private(
     view: HostView,
     monitor: isolation.IsolationMonitor | None,
     phase_name: str,
+    step: Callable[[], Any] | None = None,
 ) -> tuple[Any, Exception | None]:
     """Run one body against its private view, off the barrier.
 
-    What every executor runs, wherever the body runs: the body, under
-    the isolation monitor when one is attached.  A failure is captured,
-    not raised — the barrier decides, in host order, whose failure
-    counts.
+    What every executor runs, wherever the body runs: the body — or,
+    for a stepped task, ``step``, its next round — under the isolation
+    monitor when one is attached.  A failure is captured, not raised —
+    the barrier decides, in host order, whose failure counts.
     """
     guard = (
         monitor.task(view.host, phase_name, task.label)
@@ -295,10 +330,74 @@ def _run_private(
     )
     try:
         with guard:
-            result = _invoke(task, view)
+            result = _invoke(task, view) if step is None else step()
         return result, None
     except Exception as exc:  # noqa: BLE001 — re-raised at the barrier
         return None, exc
+
+
+class _Stepped:
+    """A stepped task's body as the process that steps it holds it: the
+    generator and the view it records on, kept from round to round."""
+
+    def __init__(
+        self, stats: PhaseStats, task: HostTask,
+        view_type: Callable[..., HostView] = HostView,
+    ):
+        self.task = task
+        self.view = view_type(stats, task.host, task.drains)
+        self._body: Generator[Any, Any, Any] | None = None
+
+    def step(
+        self,
+        reply: Any,
+        monitor: isolation.IsolationMonitor | None,
+        phase_name: str,
+    ) -> tuple[Any, Exception | None]:
+        """Run the body to its next ``yield`` (the first round calls
+        it), sending in ``reply``; the result is ``(ended, value)``."""
+        if self._body is not None:
+            self.view.begin()
+        return _run_private(
+            self.task, self.view, monitor, phase_name,
+            functools.partial(self._advance, reply),
+        )
+
+    def _advance(self, reply: Any) -> tuple[bool, Any]:
+        if self._body is None:
+            self._body = _invoke(self.task, self.view)
+            reply = None
+        try:
+            return False, self._body.send(reply)
+        except StopIteration as stop:
+            return True, stop.value
+
+    def close(self) -> None:
+        # A body still running (a thread an interrupt left behind)
+        # finishes its step on its own and dies with its last reference.
+        if self._body is not None and not self._body.gi_running:
+            self._body.close()
+
+
+class _Rounds:
+    """One stepped phase as the calling process drives it."""
+
+    def __init__(self, stats: PhaseStats, tasks: list[HostTask]):
+        self.stats = stats
+        #: The phase's tasks, in host order.
+        self.tasks = tasks
+        #: Rounds completed so far.
+        self.round = 0
+        #: The bodies this process steps, by host.
+        self.bodies: dict[int, _Stepped] = {}
+        #: Task indices per lane, fixed by the first round (process pool).
+        self.lanes: list[list[int]] = []
+
+    def body(self, task: HostTask) -> _Stepped:
+        body = self.bodies.get(task.host)
+        if body is None:
+            body = self.bodies[task.host] = _Stepped(self.stats, task)
+        return body
 
 
 #: One host's ``(view, result, exception)`` as the barrier receives it.
@@ -314,6 +413,15 @@ def _in_turn(
     for task in tasks:
         view = HostView(stats, task.host, task.drains)
         yield (view, *_run_private(task, view, None, ""))
+
+
+def _steps_in_turn(
+    rounds: _Rounds, tasks: Sequence[HostTask], reply: Any
+) -> Generator[_Outcome, None, None]:
+    """:func:`_in_turn` for one round of a stepped phase."""
+    for task in tasks:
+        body = rounds.body(task)
+        yield (body.view, *body.step(reply, None, ""))
 
 
 def _handed_over(outcomes: list[_Outcome]) -> Generator[_Outcome, None, None]:
@@ -348,6 +456,14 @@ def _merge_in_order(
                 result = task.apply(result)
             results.append(result)
     return results
+
+
+def _host_order(tasks: list[HostTask]) -> list[int]:
+    """Indices of ``tasks`` in host order; one task per host."""
+    hosts = [t.host for t in tasks]
+    if len(set(hosts)) != len(hosts):
+        raise ValueError("one task per host required")
+    return sorted(range(len(tasks)), key=lambda i: tasks[i].host)
 
 
 class Executor:
@@ -393,15 +509,26 @@ class Executor:
         persistent id, not the data.  Every other executor shares the
         parent's address space already, so the default is the identity.
 
-        A published object must not be mutated before it is published
-        again (phases publish *after* checkpoint roundtrips, which is
-        also when an object becomes immutable).  Publishing again is
-        how state that does change between barriers stays resident: an
-        ndarray republished under its name with unchanged dtype and
-        shape is copied into the segment the workers already map.  Call
-        it between barriers only.
+        A published object must not be mutated (phases publish *after*
+        checkpoint roundtrips, which is also when an object becomes
+        immutable); publishing another object under the name replaces
+        it.  Call it between barriers only.
         """
         return obj
+
+    def share(self, name: str, arr: np.ndarray) -> np.ndarray:
+        """An array the bodies of every lane write in place, registered
+        under ``name``; use the returned array from then on.
+
+        The pooled process executor copies ``arr`` into a shared-memory
+        segment that its workers map writable and returns the parent's
+        own mapping of it; every other executor shares the parent's
+        address space, so the default is ``arr`` itself.  Bodies must
+        write disjoint ranges, and read a range only after the barrier
+        or round boundary that follows its write.  Call it between
+        barriers only.
+        """
+        return arr
 
     def end_run(self) -> None:
         """End one run (a ``CuSP.partition`` call): forget everything
@@ -433,10 +560,7 @@ class Executor:
         exception, in host order.
         """
         tasks = list(tasks)
-        hosts = [t.host for t in tasks]
-        if len(set(hosts)) != len(hosts):
-            raise ValueError("one task per host required in run()")
-        order = sorted(range(len(tasks)), key=lambda i: tasks[i].host)
+        order = _host_order(tasks)
         ordered = [tasks[i] for i in order]
         # A single task has nothing to overlap with: it runs in turn,
         # in the parent, with no dispatch.
@@ -449,6 +573,84 @@ class Executor:
         for i, result in zip(order, _merge_in_order(ordered, outcomes)):
             results[i] = result
         return results
+
+    def run_rounds(
+        self,
+        stats: PhaseStats,
+        tasks: Sequence[HostTask],
+        boundary: Callable[[int, list[Any]], Any],
+    ) -> Any:
+        """Run stepped per-host tasks in lockstep rounds; return what
+        the last round's ``boundary`` returned.
+
+        A stepped task's body is a generator function, called once for
+        the whole phase: it does one round of its host's work, then
+        yields the round's value — or returns it after its last round.
+        Each round merges like a barrier (views in host order, the
+        first failure in host order raised), then ``boundary(r,
+        values)`` runs in the calling process with the round's index
+        and values in host order, and what it returns is what each
+        body's ``yield`` evaluates to in the next round.  A body keeps
+        its locals, and under the process pool its worker, from round
+        to round: a round boundary moves only what ``boundary`` takes
+        and returns.  Serial steps the hosts in turn, as it runs a
+        barrier.  Every body must take the same number of rounds;
+        stepped tasks declare no ``apply`` and no ``drains``.
+        """
+        ordered = [tasks[i] for i in _host_order(list(tasks))]
+        if not ordered:
+            raise ValueError("run_rounds() needs at least one task")
+        for task in ordered:
+            if not inspect.isgeneratorfunction(task.fn):
+                raise TypeError(
+                    f"host {task.host} task {task.label!r}: a stepped body "
+                    "must be a generator function"
+                )
+            if task.apply is not None or task.drains:
+                raise ValueError(
+                    f"host {task.host} task {task.label!r}: a stepped task "
+                    "declares no apply and no drains"
+                )
+        rounds = _Rounds(stats, ordered)
+        reply = None
+        try:
+            while True:
+                outcomes = (
+                    self._step_outcomes(rounds, reply)
+                    if len(ordered) > 1
+                    else _steps_in_turn(rounds, ordered, reply)
+                )
+                stepped = _merge_in_order(ordered, outcomes)
+                ended = {done for done, _ in stepped}
+                if len(ended) > 1:
+                    raise RuntimeError(
+                        "stepped tasks ended in different rounds; every "
+                        "body must take the same number of rounds"
+                    )
+                reply = boundary(rounds.round, [value for _, value in stepped])
+                if ended.pop():
+                    return reply
+                rounds.round += 1
+        except BaseException as exc:
+            if not isinstance(exc, Exception):
+                # An interrupt between rounds (inside one, the pool has
+                # seen to it): bodies may be live in other processes.
+                self._abandon_rounds()
+            raise
+        finally:
+            for body in rounds.bodies.values():
+                body.close()
+
+    def _step_outcomes(
+        self, rounds: _Rounds, reply: Any
+    ) -> Generator[_Outcome, None, None]:
+        """:meth:`_outcomes` for one round of a stepped phase: run every
+        body to its next ``yield``, sending in ``reply``."""
+        return _steps_in_turn(rounds, rounds.tasks, reply)
+
+    def _abandon_rounds(self) -> None:
+        """Drop whatever a stepped phase that an interrupt left between
+        rounds keeps outside the calling process (nothing, here)."""
 
     def chain(self, stats: PhaseStats, tasks: Sequence[HostTask]) -> list[Any]:
         """Run cross-host-*dependent* tasks in turn, in task order.
@@ -514,6 +716,20 @@ class ParallelExecutor(Executor):
             for t, v in zip(tasks, views)
         ]
         return _handed_over([(v, *f.result()) for v, f in zip(views, futures)])
+
+    def _step_outcomes(
+        self, rounds: _Rounds, reply: Any
+    ) -> Generator[_Outcome, None, None]:
+        bodies = [rounds.body(t) for t in rounds.tasks]
+        pool = self._ensure_pool(len(bodies))
+        phase_name = getattr(rounds.stats, "name", "")
+        futures = [
+            pool.submit(b.step, reply, self.monitor, phase_name)
+            for b in bodies
+        ]
+        return _handed_over(
+            [(b.view, *f.result()) for b, f in zip(bodies, futures)]
+        )
 
 
 # ProcessExecutor is built on the classes above, so its module imports

@@ -11,7 +11,10 @@ parent runs its own chunk of hosts meanwhile, as a thread would.  The
 parent adopts each delta into a host view and hands it, behind its own
 lane's views, to the barrier in :mod:`repro.runtime.executor` — the
 host-order merge is that module's, shared with every executor, and is
-not re-implemented here.
+not re-implemented here.  A stepped phase
+(:meth:`~repro.runtime.executor.Executor.run_rounds`) ships its spec
+once: the worker keeps its hosts' bodies live and serves each later
+round from a ``step`` command carrying the round boundary's reply.
 This module is everything between that barrier and the body: the spec
 and its reply, the view both ends of the pipe agree on, pipe framing,
 and the workers' spawn/retire/teardown lifecycle.  How large arrays cross
@@ -41,10 +44,14 @@ from .executor import (
     HostTask,
     HostView,
     UnshippableTaskError,
+    WorkerLostError,
     _handed_over,
     _in_turn,
     _Outcome,
+    _Rounds,
     _run_private,
+    _Stepped,
+    _steps_in_turn,
 )
 from .faults import FaultInjector
 from .stats import PhaseStats
@@ -97,9 +104,8 @@ class _ShippedHostView(HostView):
     shared barrier merges or releases it the same way.
     """
 
-    def __init__(self, stats: PhaseStats, host: int,
-                 drains: tuple[str, ...] = ()):
-        super().__init__(stats, host, drains)
+    def begin(self) -> None:
+        super().begin()
         #: ``(tag, count)`` per non-empty drain, in drain order.
         self.recv_log: list[tuple[str, int]] = []
 
@@ -147,17 +153,18 @@ class _ShippedHostView(HostView):
             self._stats.comm.replay_recv(self.host, tag, count)
 
 
-def _run_shipped_task(
-    stats: PhaseStats, task: HostTask, monitored: bool, phase_name: str
+def _shipped_delta(
+    view: _ShippedHostView,
+    result: Any,
+    exc: Exception | None,
+    monitor: isolation.IsolationMonitor | None,
 ) -> dict[str, Any]:
-    """Worker-side: run one task, return its serializable delta — the
-    view's :meth:`~_ShippedHostView.export` plus the task's result or
-    failure and, when ``monitored``, the evidence of an isolation
-    monitor attached for just this task.  A result that does not pickle
-    is diagnosed where the delta is serialized (:func:`_dump_delta`)."""
-    monitor = isolation.IsolationMonitor() if monitored else None
-    view = _ShippedHostView(stats, task.host, task.drains)
-    result, exc = _run_private(task, view, monitor, phase_name)
+    """Worker-side: the serializable delta of one body's run (or one
+    round of a stepped body) on ``view`` — the view's
+    :meth:`~_ShippedHostView.export` plus the result or failure and the
+    evidence of the isolation monitor attached for just this run, if
+    any.  A result that does not pickle is diagnosed where the delta is
+    serialized (:func:`_dump_delta`)."""
     if exc is not None:
         try:
             pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
@@ -273,14 +280,17 @@ def _load_delta(blobs: tuple[bytes, bytes]) -> dict[str, Any]:
     return delta
 
 
-def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
-    """Worker-side: run one dispatch spec, return the reply envelope."""
+def _open_spec(
+    spec_blob: bytes, residents: dict[str, dict]
+) -> tuple[dict[str, Any], PhaseStats] | str:
+    """Worker-side: a dispatch spec and the stats its bodies record on,
+    or why the spec does not load here."""
     try:
         spec = residency.loads_with_segments(spec_blob, residents)
     except (AttributeError, ImportError) as exc:
         # The spec names a class or function this worker's heap
         # snapshot — as old as the pool's first barrier — does not have.
-        return ("stale", f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
     injector = None
     if spec["injector"] is not None:
         injector = FaultInjector.from_live_state(spec["injector"])
@@ -293,15 +303,91 @@ def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
     stats = PhaseStats(
         name=spec["phase"], comm=comm, num_hosts=spec["num_hosts"]
     )
+    return spec, stats
+
+
+def _run_spec(spec_blob: bytes, residents: dict[str, dict]) -> tuple[str, Any]:
+    """Worker-side: run one dispatch spec, return the reply envelope."""
+    opened = _open_spec(spec_blob, residents)
+    if isinstance(opened, str):
+        return ("stale", opened)
+    spec, stats = opened
     blobs: list[tuple[bytes, bytes]] = []
     for tspec in spec["tasks"]:
         task = tspec["task"]
         # Popped: once drained, an inbox block must not stay mapped
         # (and resident) for the rest of the spec.
-        comm.preload_queues(task.host, tspec.pop("queues"))
-        delta = _run_shipped_task(stats, task, spec["monitor"], spec["phase"])
-        blobs.append(_dump_delta(task, delta))
+        stats.comm.preload_queues(task.host, tspec.pop("queues"))
+        view = _ShippedHostView(stats, task.host, task.drains)
+        monitor = isolation.IsolationMonitor() if spec["monitor"] else None
+        result, exc = _run_private(task, view, monitor, spec["phase"])
+        blobs.append(_dump_delta(task, _shipped_delta(view, result, exc, monitor)))
     return ("ok", blobs)
+
+
+def _step_bodies(
+    bodies: list[_Stepped], reply: Any, spec: dict[str, Any]
+) -> tuple[str, Any]:
+    """Worker-side: one round of every stepped body this worker holds."""
+    blobs: list[tuple[bytes, bytes]] = []
+    for body in bodies:
+        monitor = isolation.IsolationMonitor() if spec["monitor"] else None
+        result, exc = body.step(reply, monitor, spec["phase"])
+        blobs.append(_dump_delta(
+            body.task, _shipped_delta(body.view, result, exc, monitor)
+        ))
+    return ("ok", blobs)
+
+
+def _answer(reply_w: int, work: Callable[[], tuple[str, Any]]) -> None:
+    """Worker-side: do one command's work and write its reply envelope."""
+    try:
+        reply = work()
+    except BaseException as exc:  # noqa: BLE001 — worker must keep serving
+        reply = ("error", f"{type(exc).__name__}: {exc}")
+    _write_frame(reply_w, pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _read_command(cmd_r: int) -> tuple:
+    """Worker-side: the parent's next command.  EOF means the parent is
+    gone, and so is this worker."""
+    frame = _read_frame(cmd_r)
+    if frame is None:
+        os._exit(0)
+    return pickle.loads(frame)
+
+
+def _serve_rounds(
+    spec_blob: bytes, residents: dict[str, dict], cmd_r: int, reply_w: int
+) -> tuple:
+    """Worker-side: serve a stepped phase — its first round from the
+    spec, each later one from a ``step`` command carrying the round
+    boundary's reply — with the hosts' bodies live in between.  Returns
+    the first other command, which ends the phase: its bodies are
+    dropped, finished or not (the parent raised a failure, or was
+    interrupted)."""
+    bodies: list[_Stepped] = []
+    spec: dict[str, Any] = {}
+
+    def first_round() -> tuple[str, Any]:
+        opened = _open_spec(spec_blob, residents)
+        if isinstance(opened, str):
+            return ("stale", opened)
+        spec.update(opened[0])
+        bodies.extend(
+            _Stepped(opened[1], tspec["task"], _ShippedHostView)
+            for tspec in spec["tasks"]
+        )
+        return _step_bodies(bodies, None, spec)
+
+    _answer(reply_w, first_round)
+    while True:
+        msg = _read_command(cmd_r)
+        if msg[0] != "step":
+            return msg
+        _answer(reply_w, lambda: _step_bodies(
+            bodies, residency.loads_with_segments(msg[1], residents), spec
+        ))
 
 
 def _pool_worker_main(cmd_r: int, reply_w: int) -> None:
@@ -309,29 +395,27 @@ def _pool_worker_main(cmd_r: int, reply_w: int) -> None:
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
     residents: dict[str, dict] = {}
+    msg = _read_command(cmd_r)
     while True:
-        frame = _read_frame(cmd_r)
-        if frame is None:
-            os._exit(0)
-        msg = pickle.loads(frame)
         kind = msg[0]
         if kind == "exit":
             os._exit(0)
         if kind == "resident":
             residency.install_resident(residents, *msg[1:])
-            continue
-        if kind == "forget":
+        elif kind == "forget":
             # End of a run: the parent unlinked every resident segment,
             # so a mapping kept here would pin its pages for nobody.
             residents.clear()
             for cache in _worker_caches:
                 cache.clear()
+        elif kind == "rounds":
+            # Serves the phase until a command of another kind, which is
+            # handled next.
+            msg = _serve_rounds(msg[1], residents, cmd_r, reply_w)
             continue
-        try:
-            reply: tuple[str, Any] = _run_spec(msg[1], residents)
-        except BaseException as exc:  # noqa: BLE001 — worker must keep serving
-            reply = ("error", f"{type(exc).__name__}: {exc}")
-        _write_frame(reply_w, pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+        else:
+            _answer(reply_w, lambda: _run_spec(msg[1], residents))
+        msg = _read_command(cmd_r)
 
 
 class ProcessExecutor(Executor):
@@ -366,8 +450,8 @@ class ProcessExecutor(Executor):
     fault-channel state) over a framed pipe.  A barrier input ships
     once: no graph bytes ever cross a pipe, a queue no task drains
     never leaves the parent, round-invariant tables are published, and
-    arrays that change between barriers are republished into the
-    segment they already occupy.  Other payload arrays at or above the
+    arrays the lanes write in place are one writable segment each
+    (:meth:`share`).  Other payload arrays at or above the
     segment threshold ride ephemeral segments, and results/ledger deltas
     come back the same way; a block one worker queued goes on to the
     worker that drains it by segment name.  The parent adopts each
@@ -399,7 +483,10 @@ class ProcessExecutor(Executor):
     mid-barrier (an interrupt, a signal handler's timeout, in its own
     lane's bodies too) kills the workers, reclaims every in-flight
     segment, and lets the next barrier fork fresh ones — a worker left
-    holding an unread reply would answer the next barrier with it.
+    holding an unread reply would answer the next barrier with it.  So
+    does an interrupt between the rounds of a stepped phase, whose
+    workers hold live bodies; a body's own failure leaves the pool, and
+    the next command ends the phase in every worker.
     """
 
     name = "process"
@@ -424,34 +511,42 @@ class ProcessExecutor(Executor):
     def publish(self, name: str, obj: Any) -> Any:
         """Export ``obj`` into shared segments and install it pool-wide.
 
-        Idempotent per object identity, except for an ndarray, which is
-        published for its values: one whose dtype and shape match the
-        live resident of that name is copied into the existing segment
-        (workers are idle between barriers and already map it, so there
-        is nothing to unlink, create or broadcast).  Anything else
-        republished under an existing name bumps the generation,
-        unlinks the old segments, and re-installs in every live worker
-        (crash replays rebuild phase outputs, so names are stable but
-        objects are not).
+        Idempotent per object identity.  Another object published
+        under an existing name bumps the generation, unlinks the old
+        segments, and re-installs in every live worker (crash replays
+        rebuild phase outputs, so names are stable but objects are
+        not).
         """
         if self._width(2) == 1:
             # One lane at most: no worker will ever map a segment.
             return obj
         entry = self._residents.get(name)
-        if entry is not None and entry["blob"] is not None:
-            if isinstance(obj, np.ndarray):
-                if residency.refresh_resident(entry, obj):
-                    return obj
-            elif entry["obj"] is obj:
-                return obj
+        if entry is None or entry["blob"] is None or entry["obj"] is not obj:
+            self._export(name, obj, writable=False)
+        return obj
+
+    def share(self, name: str, arr: np.ndarray) -> np.ndarray:
+        """Copy ``arr`` into a segment of its own, whatever its size,
+        that every worker maps writable; return the parent's writable
+        mapping of it (``arr`` itself on one lane).  Sharing a name
+        again replaces its resident, as :meth:`publish` does."""
+        if self._width(2) == 1:
+            return arr
+        return self._export(name, arr, writable=True)["obj"]
+
+    def _export(self, name: str, obj: Any, writable: bool) -> dict[str, Any]:
+        """Export ``obj`` as the resident ``name``, one generation past
+        the one it replaces (whose segments are unlinked), and install
+        it in every live worker."""
+        entry = self._residents.get(name)
         gen = entry["gen"] + 1 if entry is not None else 0
         if entry is not None:
             residency.unlink_resident(entry)
-        exported = residency.export_resident(obj, gen)
+        exported = residency.export_resident(obj, gen, writable)
         self._residents[name] = exported
         if self._workers:
             self._broadcast(residency.resident_frame(name, exported))
-        return obj
+        return exported
 
     def _broadcast(self, frame: bytes) -> None:
         """Send one command to every (idle) worker."""
@@ -518,7 +613,9 @@ class ProcessExecutor(Executor):
         # Replay every published resident into the fresh worker.
         for name, entry in self._residents.items():
             if entry["blob"] is None:
-                entry = residency.export_resident(entry["obj"], entry["gen"] + 1)
+                entry = residency.export_resident(
+                    entry["obj"], entry["gen"] + 1, entry["writable"]
+                )
                 self._residents[name] = entry
             _write_frame(worker["cmd_w"], residency.resident_frame(name, entry))
 
@@ -606,58 +703,120 @@ class ProcessExecutor(Executor):
             lanes = min(num_tasks, cpus)
         return max(1, min(lanes, num_tasks))
 
+    def _lanes(self, num_tasks: int) -> list[list[int]]:
+        """Contiguous runs of task indices, one per lane: the parent
+        runs the first, a resident worker each of the others."""
+        return [
+            chunk.tolist()
+            for chunk in np.array_split(
+                np.arange(num_tasks), self._width(num_tasks)
+            )
+        ]
+
     def _outcomes(
         self, stats: PhaseStats, tasks: list[HostTask]
     ) -> Generator[_Outcome, None, None]:
-        # Contiguous runs of task indices, one per lane: the parent runs
-        # the first, a resident worker each of the others.
-        chunks = [
-            chunk.tolist()
-            for chunk in np.array_split(
-                np.arange(len(tasks)), self._width(len(tasks))
-            )
-        ]
+        chunks = self._lanes(len(tasks))
         phase_name = getattr(stats, "name", "")
         specs = self._specs(stats, tasks, chunks, phase_name)
         if not specs:
             # One lane: nothing forks, and the hosts run in turn.
             return _in_turn(stats, tasks)
-        head = [tasks[i] for i in chunks[0]]
+
+        def own_lane(outcomes: list[_Outcome]) -> None:
+            # Plain views on the shared communicator, as threads run them.
+            for i in chunks[0]:
+                view = HostView(stats, tasks[i].host, tasks[i].drains)
+                outcomes.append((view, *_run_private(
+                    tasks[i], view, self.monitor, phase_name
+                )))
+
+        return _handed_over(self._exchange(
+            stats, tasks, chunks, [("run", blob) for blob in specs],
+            own_lane, phase_name,
+        ))
+
+    def _step_outcomes(
+        self, rounds: _Rounds, reply: Any
+    ) -> Generator[_Outcome, None, None]:
+        """One round of a stepped phase across the lanes, fixed by its
+        first round.  That round ships the spec (``rounds``); a worker
+        keeps its hosts' bodies live after it, so every later round
+        ships only ``reply`` (``step``) and the workers' round deltas."""
+        stats, tasks = rounds.stats, rounds.tasks
+        phase_name = getattr(stats, "name", "")
+        if rounds.round == 0:
+            rounds.lanes = self._lanes(len(tasks))
+            blobs = self._specs(stats, tasks, rounds.lanes, phase_name)
+            kind = "rounds"
+        else:
+            blobs = self._dump_all(
+                [reply] * (len(rounds.lanes) - 1), phase_name, "round reply"
+            )
+            kind = "step"
+        if not blobs:
+            return _steps_in_turn(rounds, tasks, reply)
+
+        def own_lane(outcomes: list[_Outcome]) -> None:
+            for i in rounds.lanes[0]:
+                body = rounds.body(tasks[i])
+                outcomes.append(
+                    (body.view, *body.step(reply, self.monitor, phase_name))
+                )
+
+        return _handed_over(self._exchange(
+            stats, tasks, rounds.lanes, [(kind, blob) for blob in blobs],
+            own_lane, phase_name,
+        ))
+
+    def _abandon_rounds(self) -> None:
+        # The workers hold live bodies and wait for their next round;
+        # none may serve a later barrier with them.
+        self._destroy_pool()
+        residency.sweep_family_segments()
+
+    def _exchange(
+        self,
+        stats: PhaseStats,
+        tasks: list[HostTask],
+        chunks: list[list[int]],
+        commands: list[tuple[str, bytes]],
+        own_lane: Callable[[list[_Outcome]], None],
+        phase_name: str,
+    ) -> list[_Outcome]:
+        """One trip of a barrier (or round) through the lanes: write
+        each worker its command, run the parent's chunk (``own_lane``
+        appends its outcomes), read the replies, and adopt the workers'
+        deltas behind the parent's outcomes — all in host order."""
         outcomes: list[_Outcome] = []
-        # From the first spec write to the last delta load the barrier is
-        # in flight, and a pool is reusable only after one that
-        # completed.  Whatever leaves this block — a worker's death, a
-        # worker-side error, a KeyboardInterrupt or a signal handler's
+        # From the first command write to the last delta load the
+        # barrier is in flight, and a pool is reusable only after one
+        # that completed.  Whatever leaves this block — a worker's death,
+        # a worker-side error, a KeyboardInterrupt or a signal handler's
         # timeout in the parent, in its own lane's bodies too — leaves no
         # pool behind: a worker kept with an unread reply would answer
         # the next barrier with it, and one blocked writing that reply
         # would never take ``exit``.
         try:
-            self._ensure_pool(len(specs))
-            workers = self._workers[: len(specs)]
-            sent = 0
-            for worker, blob in zip(workers, specs):
+            self._ensure_pool(len(commands))
+            workers = self._workers[: len(commands)]
+            sent = []
+            for worker, command in zip(workers, commands):
                 try:
                     _write_frame(
                         worker["cmd_w"],
-                        pickle.dumps(("run", blob), protocol=pickle.HIGHEST_PROTOCOL),
+                        pickle.dumps(command, protocol=pickle.HIGHEST_PROTOCOL),
                     )
-                    sent += 1
-                except OSError:
-                    break
-            if sent == len(workers):
-                # The parent's lane, while the workers run theirs: plain
-                # views on the shared communicator, as threads run them.
-                for task in head:
-                    view = HostView(stats, task.host, task.drains)
-                    outcomes.append(
-                        (view, *_run_private(task, view, self.monitor, phase_name))
-                    )
+                    sent.append(True)
+                except OSError:  # the worker is gone (EPIPE)
+                    sent.append(False)
+            if all(sent):
+                # The parent's lane, while the workers run theirs.
+                own_lane(outcomes)
             replies: list[tuple[str, Any] | None] = []
-            for worker in workers[:sent]:
-                frame = _read_frame(worker["reply_r"])
+            for worker, delivered in zip(workers, sent):
+                frame = _read_frame(worker["reply_r"]) if delivered else None
                 replies.append(None if frame is None else pickle.loads(frame))
-            replies.extend([None] * (len(workers) - sent))
             if not all(r is not None and r[0] == "ok" for r in replies):
                 raise self._barrier_failure(
                     phase_name, tasks, chunks[1:], workers, replies
@@ -674,7 +833,7 @@ class ProcessExecutor(Executor):
             self._destroy_pool()
             residency.sweep_family_segments()
             raise
-        for task, delta in zip(tasks[len(head):], deltas):
+        for task, delta in zip(tasks[len(chunks[0]):], deltas):
             # All lanes ran (as with threads), so all evidence counts, a
             # later-discarded host's included; the parent's lane recorded
             # its own first, and deltas arrive in host order, which keeps
@@ -683,7 +842,7 @@ class ProcessExecutor(Executor):
             view = _ShippedHostView(stats, task.host)
             view.adopt(delta)
             outcomes.append((view, delta["result"], delta["exc"]))
-        return _handed_over(outcomes)
+        return outcomes
 
     def _specs(
         self,
@@ -713,44 +872,65 @@ class ProcessExecutor(Executor):
         comm = stats.comm
         injector = comm.injector
         inj_state = injector.export_live_state() if injector is not None else None
+        specs = [
+            {
+                "phase": phase_name,
+                "num_hosts": comm.num_hosts,
+                "buffer_size": comm.buffer_size,
+                "max_retries": comm.max_retries,
+                "monitor": self.monitor is not None,
+                "injector": inj_state,
+                # Only the declared inbox ships.  ``apply`` stays
+                # behind: it runs in the parent, at the barrier, and is
+                # typically a closure.
+                "tasks": [
+                    {
+                        "task": replace(tasks[i], apply=None),
+                        "queues": comm.snapshot_queues(
+                            tasks[i].host, tasks[i].drains
+                        ),
+                    }
+                    for i in chunk
+                ],
+            }
+            for chunk in chunks[1:]
+        ]
+        return self._dump_all(
+            specs, phase_name, "dispatch spec",
+            parent_keeps=[tasks[i].payload for i in chunks[0]],
+        )
+
+    def _dump_all(
+        self,
+        objs: list[Any],
+        phase_name: str,
+        what: str,
+        parent_keeps: Any = None,
+    ) -> list[bytes]:
+        """Pickle each of ``objs`` for one worker (residents by
+        reference, other large arrays on ephemeral segments), once
+        ``parent_keeps`` — what the parent's lane runs on — is known to
+        pickle too.  A failure reclaims every segment made and raises
+        :class:`UnshippableTaskError` (an interrupt, itself)."""
         pids = residency.spec_pids(self._residents)
-        spec_blobs: list[bytes] = []
-        spec_segments: list[Any] = []
+        blobs: list[bytes] = []
+        made: list[Any] = []
         try:
-            residency.check_pickles([tasks[i].payload for i in chunks[0]], pids)
-            for chunk in chunks[1:]:
-                task_specs = []
-                for i in chunk:
-                    task = tasks[i]
-                    # Only the declared inbox ships.  ``apply`` stays
-                    # behind: it runs in the parent, at the barrier, and
-                    # is typically a closure.
-                    task_specs.append({
-                        "task": replace(task, apply=None),
-                        "queues": comm.snapshot_queues(task.host, task.drains),
-                    })
-                spec = {
-                    "phase": phase_name,
-                    "num_hosts": comm.num_hosts,
-                    "buffer_size": comm.buffer_size,
-                    "max_retries": comm.max_retries,
-                    "monitor": self.monitor is not None,
-                    "injector": inj_state,
-                    "tasks": task_specs,
-                }
-                blob, segments = residency.dumps_with_segments(spec, pids)
-                spec_blobs.append(blob)
-                spec_segments.extend(segments)
+            residency.check_pickles(parent_keeps, pids)
+            for obj in objs:
+                blob, segments = residency.dumps_with_segments(obj, pids)
+                blobs.append(blob)
+                made.extend(segments)
         except BaseException as perr:  # noqa: BLE001 — reclaim, then re-raise
-            for seg in spec_segments:
+            for seg in made:
                 residency.discard_untracked_segment(seg)
             if not isinstance(perr, Exception):
                 raise  # an interrupt is not a verdict on the payload
             raise UnshippableTaskError(
-                f"phase {phase_name!r}: dispatch spec does not pickle "
+                f"phase {phase_name!r}: {what} does not pickle "
                 f"({perr}); task payloads must pickle"
             ) from perr
-        return spec_blobs
+        return blobs
 
     def _barrier_failure(
         self,
@@ -778,16 +958,21 @@ class ProcessExecutor(Executor):
             )
         # A worker that died after reading its spec replied with its last
         # words; one gone before that left them in its pipe.
+        lost = [
+            (chunk, worker, reply)
+            for chunk, worker, reply in zip(chunks, workers, replies)
+            if reply is None or reply[0] == "died"
+        ]
         parts = [
             f"hosts {[tasks[i].host for i in chunk]} "
             f"({ended.get(worker['pid'], 'exit -1')}"
             f"{'' if reply is None else ': ' + reply[1]})"
-            for chunk, worker, reply in zip(chunks, workers, replies)
-            if reply is None or reply[0] == "died"
+            for chunk, worker, reply in lost
         ]
-        return RuntimeError(
+        return WorkerLostError(
             "process executor worker(s) died without shipping their "
-            f"deltas: {', '.join(parts)}"
+            f"deltas: {', '.join(parts)}",
+            hosts=[tasks[i].host for chunk, _, _ in lost for i in chunk],
         )
 
     def _merge_evidence(self, evidence: dict[str, Any] | None) -> None:

@@ -6,8 +6,9 @@ No graph bytes cross a pool pipe.  A published input becomes a
 *resident*: its large arrays are copied into parent-owned named POSIX
 segments that every worker maps as read-only zero-copy NumPy views, and
 the rest of the object crosses as a small pickle blob.  A resident
-ndarray that changes between barriers is refreshed inside its segment
-(:func:`refresh_resident`).  Dispatch specs and worker replies pickle
+array the lanes write in place — a stepped phase's output — is a
+*writable* resident: one segment that the parent and every worker map
+writable.  Dispatch specs and worker replies pickle
 through a segment-exporting pickler, so any other array at or above
 :data:`SHM_THRESHOLD` — a :class:`~repro.runtime.colfab.MessageBatch`
 column is just such an array — rides a one-shot *ephemeral* segment
@@ -38,8 +39,7 @@ __all__ = [
     "SHM_THRESHOLD", "dumps_with_segments", "check_pickles",
     "loads_with_segments",
     "discard_untracked_segment", "sweep_family_segments", "export_resident",
-    "refresh_resident", "unlink_resident", "spec_pids", "resident_frame",
-    "install_resident",
+    "unlink_resident", "spec_pids", "resident_frame", "install_resident",
 ]
 
 #: Arrays (and :class:`~repro.runtime.colfab.MessageBatch` columns) at
@@ -251,8 +251,8 @@ def loads_with_segments(
     return _SegmentUnpickler(io.BytesIO(blob), residents, relay=relay).load()
 
 
-def export_resident(obj: Any, gen: int) -> dict[str, Any]:
-    """Export one immutable object as shared segments plus a pickle blob.
+def export_resident(obj: Any, gen: int, writable: bool = False) -> dict[str, Any]:
+    """Export one object as shared segments plus a pickle blob.
 
     Returns the parent-side registry entry: the object and its
     generation, the blob (with large arrays replaced by manifest
@@ -261,6 +261,12 @@ def export_resident(obj: Any, gen: int) -> dict[str, Any]:
     owns the unlink), strong references to the exported source arrays
     (id-stability for the ``rref`` map), and the ``id(array) ->
     manifest index`` map itself.
+
+    An immutable object exports its arrays at or above
+    :data:`SHM_THRESHOLD`, which workers map read-only.  A
+    ``writable`` one is a single ndarray, exported whatever its size
+    and mapped writable everywhere: the entry's object is then the
+    parent's own mapping, which stands in for ``obj`` from here on.
     """
     manifest: list[_SegmentRef] = []
     segments: list[Any] = []
@@ -272,6 +278,7 @@ def export_resident(obj: Any, gen: int) -> dict[str, Any]:
         "manifest": manifest,
         "segments": segments,
         "arrays": arrays,
+        "writable": writable,
     }
 
     def export(arr: np.ndarray) -> tuple:
@@ -282,42 +289,22 @@ def export_resident(obj: Any, gen: int) -> dict[str, Any]:
         return ("rarr", len(manifest) - 1)
 
     buf = io.BytesIO()
-    pickler = _SegmentPickler(buf, export)
     try:
-        pickler.dump(obj)
+        if writable:
+            export(obj)
+            live = _segment_to_array(manifest[0])
+            entry.update(obj=live, arrays=[live])
+            pickler = _SegmentPickler(buf, export, {id(live): ("rarr", 0)})
+            pickler.dump(live)
+        else:
+            pickler = _SegmentPickler(buf, export)
+            pickler.dump(obj)
     except BaseException:
         unlink_resident(entry)
         raise
     entry["blob"] = buf.getvalue()
     entry["array_ids"] = {aid: pid[1] for aid, pid in pickler.known.items()}
     return entry
-
-
-def refresh_resident(entry: dict[str, Any], arr: np.ndarray) -> bool:
-    """Overwrite an exported resident ndarray with ``arr`` inside its
-    segment.
-
-    Only when the resident is a single exported array of ``arr``'s
-    dtype and shape (otherwise returns ``False`` and touches nothing):
-    the segment, its name and the generation stay, so no worker needs
-    telling — each already maps these very pages.  The caller must know
-    the workers idle, which between barriers they are.  An array
-    refreshed once is refreshed every round, so the parent's writable
-    mapping stays (``entry["live"]``) until the resident is unlinked.
-    """
-    manifest = entry["manifest"]
-    if not (
-        isinstance(entry["obj"], np.ndarray)
-        and len(manifest) == 1
-        and manifest[0][1:] == (np.lib.format.dtype_to_descr(arr.dtype), arr.shape)
-    ):
-        return False
-    live = entry.get("live")
-    if live is None:
-        live = entry["live"] = _segment_to_array(manifest[0])
-    live[...] = arr
-    entry.update(obj=arr, arrays=[arr], array_ids={id(arr): 0})
-    return True
 
 
 def unlink_resident(entry: dict[str, Any]) -> None:
@@ -332,7 +319,6 @@ def unlink_resident(entry: dict[str, Any]) -> None:
         colfab.unregister_resident_segment(seg.name)
     entry["segments"] = []
     entry["blob"] = None
-    entry.pop("live", None)
 
 
 def spec_pids(residents: dict[str, dict[str, Any]]) -> dict[int, tuple]:
@@ -351,7 +337,10 @@ def spec_pids(residents: dict[str, dict[str, Any]]) -> dict[int, tuple]:
 def resident_frame(name: str, entry: dict[str, Any]) -> bytes:
     """Parent-side: the framed command installing ``entry`` in a worker."""
     return pickle.dumps(
-        ("resident", name, entry["gen"], entry["blob"], entry["manifest"]),
+        (
+            "resident", name, entry["gen"], entry["blob"], entry["manifest"],
+            entry["writable"],
+        ),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
 
@@ -362,6 +351,7 @@ def install_resident(
     gen: int,
     blob: bytes,
     manifest: list[_SegmentRef],
+    writable: bool,
 ) -> None:
     """Worker-side: map a resident's segments zero-copy and cache it.
 
@@ -379,10 +369,10 @@ def install_resident(
     try:
         for ref in manifest:
             arr = _segment_to_array(ref)
-            # Residents are immutable to a task; a body that tries to
-            # write through a zero-copy view fails loudly instead of
+            # An immutable resident stays so: a body that tries to write
+            # through a zero-copy view fails loudly instead of
             # corrupting every sibling worker's view.
-            arr.flags.writeable = False
+            arr.flags.writeable = writable
             arrays.append(arr)
     except colfab.SegmentGoneError:
         residents.pop(name, None)

@@ -354,8 +354,9 @@ class TestStaticExtraction:
         assert undeclared == ["allreduce-async"], report.render_text()
 
     def test_each_masters_send_is_found_in_its_task_body(self, package_cache):
-        """A round's shipping rides its scoring task: the walk reaches
-        ``_assign_chunk_body`` through ``HostTask`` by name."""
+        """The request pass and a round's shipping ride the stepped
+        body: the walk reaches ``_assign_rounds_body`` through
+        ``HostTask`` by name."""
         masters = without_clauses(
             PHASE_CONTRACTS.get("Master Assignment"), "p2p"
         )
@@ -367,8 +368,8 @@ class TestStaticExtraction:
             for f in report.errors
         }
         assert sends == {
-            ("master-requests", "_request_masters_body"),
-            ("master-assignments", "_assign_chunk_body"),
+            ("master-requests", "_assign_rounds_body"),
+            ("master-assignments", "_assign_rounds_body"),
             ("master-broadcast", "_pure_assign_body"),
         }
 

@@ -12,7 +12,8 @@ Also covers the comm-layer fixes that rode along: ``payload_nbytes`` on
 NumPy 2 scalars and 0-d arrays, explicit ``nbytes=`` on allreduce, and
 ``partners`` counting retry-only peers; and what keeps the process pool
 shipping each barrier input once: declared inboxes (``HostTask.drains``),
-refresh-in-place ``publish`` and the ``sync_rounds`` scaling gate.
+writable shared arrays (``share``), the stepped masters rounds and the
+``sync_rounds`` scaling gate.
 """
 
 import collections
@@ -21,6 +22,7 @@ import dataclasses
 import errno
 import functools
 import gc
+import hashlib
 import os
 import signal
 import subprocess
@@ -728,6 +730,11 @@ def _resident_range_body(view, arr):
     return int(arr.min()), int(arr.max())
 
 
+def _shared_write_body(view, payload):
+    arr, h = payload
+    arr[h] = 100 + h
+
+
 class _RecvTally:
     """A ``CommObserver`` that keeps the drain notifications."""
 
@@ -963,61 +970,68 @@ class TestShipOnce:
             seen[5]["segments"] == seen[10]["segments"] == seen[20]["segments"]
         ), seen
 
-    def test_publish_refreshes_an_ndarray_in_place(
+    def test_share_is_one_writable_segment_for_every_lane(
         self, two_workers, parent_traffic
     ):
         pool = two_workers
         ph = _make_stats(num_hosts=3)
-        arr = np.arange(SHM_THRESHOLD // 8, dtype=np.int64)
-
-        def read_back(payload):
-            """What the two workers' hosts read.  Host 0 runs in the
-            parent's lane, on the parent's own array."""
-            parent, *workers = pool.run(ph, [
-                HostTask(h, _resident_probe_body, payload=payload)
-                for h in range(3)
-            ])
-            assert parent == (int(payload.sum()), True)
-            return workers
-
-        pool.publish("state", arr)
-        # Read-only: the workers map the resident, no copy was shipped.
-        assert read_back(arr) == [(int(arr.sum()), False)] * 2
-        entry = pool._residents["state"]
-        home = (entry["gen"], list(entry["manifest"]))
+        # Below SHM_THRESHOLD: a shared array gets a segment whatever its
+        # size, or the lanes would write private copies.
+        arr = np.arange(10, dtype=np.int64)
+        shared = pool.share("state", arr)
+        assert shared is not arr and np.array_equal(shared, arr)
+        assert shared.flags.writeable
         parent_traffic.update(segments=0)
-        arr[::2] = -7
-        pool.publish("state", arr)  # same object, new values
-        assert read_back(arr) == [(int(arr.sum()), False)] * 2
-        other = arr[::-1].copy()
-        pool.publish("state", other)  # another object, same dtype and shape
-        assert read_back(other) == [(int(other.sum()), False)] * 2
-        entry = pool._residents["state"]
-        assert (entry["gen"], entry["manifest"]) == home
+        # Every lane maps it writable, the parent's lane included.
+        assert pool.run(ph, [
+            HostTask(h, _resident_probe_body, payload=shared)
+            for h in range(3)
+        ]) == [(int(arr.sum()), True)] * 3
+        # Each host writes its own entry; the parent reads them all.
+        pool.run(ph, [
+            HostTask(h, _shared_write_body, payload=(shared, h))
+            for h in range(3)
+        ])
+        assert shared[:3].tolist() == [100, 101, 102]
+        # The parent writes between barriers; the workers see it, and
+        # no segment was made since the share.
+        shared[:] = 7
+        assert pool.run(ph, [
+            HostTask(h, _resident_probe_body, payload=shared)
+            for h in range(3)
+        ]) == [(70, True)] * 3
         assert parent_traffic["segments"] == 0
-        # A dtype or a shape change is a new resident generation.
-        for changed in (other.astype(np.float64), np.append(other, 1)):
-            gen = pool._residents["state"]["gen"]
-            pool.publish("state", changed)
-            entry = pool._residents["state"]
-            assert entry["gen"] == gen + 1
-            assert entry["manifest"][0][0] != home[1][0][0]
-            assert read_back(changed) == [(int(changed.sum()), False)] * 2
+        # Sharing the name again is a new generation, as publishing is.
+        gen, home = pool._residents["state"]["gen"], shared
+        shared = pool.share("state", np.zeros(4, dtype=np.int64))
+        assert pool._residents["state"]["gen"] == gen + 1
+        assert pool.run(ph, [
+            HostTask(h, _resident_probe_body, payload=shared)
+            for h in range(3)
+        ]) == [(0, True)] * 3
+        assert home[0] == 7  # the old mapping outlives its name
+        # A published object is immutable: publishing it again is a
+        # no-op, another object under the name a new generation.
+        frozen = np.arange(SHM_THRESHOLD // 8, dtype=np.int64)
+        pool.publish("frozen", frozen)
+        gen = pool._residents["frozen"]["gen"]
+        pool.publish("frozen", frozen)
+        assert pool._residents["frozen"]["gen"] == gen
+        pool.publish("frozen", frozen.copy())
+        assert pool._residents["frozen"]["gen"] == gen + 1
         pool.close()
         assert leaked_segments() == []
 
-
     def test_refreshed_values_are_never_torn(self):
-        """More workers than cores, a refresh before every barrier: a
-        worker that read while (or before) the parent wrote would see
-        two rounds' values in one array."""
+        """More workers than cores, the parent writing a shared array
+        before every barrier: a worker that read while (or before) the
+        parent wrote would see two rounds' values in one array."""
         ex = ProcessExecutor(max_workers=4)
         try:
             ph = _make_stats(num_hosts=4)
-            arr = np.zeros(SHM_THRESHOLD, dtype=np.int64)
+            arr = ex.share("round", np.zeros(SHM_THRESHOLD, dtype=np.int64))
             for r in range(60):
                 arr[:] = r
-                ex.publish("round", arr)
                 assert ex.run(ph, [
                     HostTask(h, _resident_range_body, payload=arr)
                     for h in range(4)
@@ -1382,10 +1396,11 @@ class TestSegmentLifecycle:
 
 class TestBarrierBudget:
     """A call is eight barriers — reading, masters, two of edge
-    assignment, four of construction — and a history-sensitive master
-    rule turns masters into a request pass plus one barrier per round:
-    a round's shipping rides its scoring task.  The request table is
-    published once, the hosts' maps once a round, as one resident."""
+    assignment, four of construction.  Under a history-sensitive master
+    rule the masters barrier becomes one stepped phase, the request
+    pass its first step, whatever ``sync_rounds``: no barrier and no
+    publish per round, and the two maps the rounds write are shared
+    once each."""
 
     GRAPH = erdos_renyi(300, 2400, seed=11)
 
@@ -1394,36 +1409,44 @@ class TestBarrierBudget:
     def test_barriers_and_publishes_per_call(self, policy, executor):
         ex = (ProcessExecutor(max_workers=2) if executor == "process"
               else make_executor(executor))
-        barriers, published = [0], []
-        run, publish = ex.run, ex.publish
+        calls, published, shared = collections.Counter(), [], []
+        run, run_rounds = ex.run, ex.run_rounds
+        publish, share = ex.publish, ex.share
 
         def counting_run(stats, tasks):
-            barriers[0] += 1
+            calls["run"] += 1
             return run(stats, tasks)
+
+        def counting_rounds(stats, tasks, boundary):
+            calls["rounds"] += 1
+            return run_rounds(stats, tasks, boundary)
 
         def recording_publish(name, obj):
             published.append(name)
             return publish(name, obj)
 
-        ex.run, ex.publish = counting_run, recording_publish
+        def recording_share(name, arr):
+            shared.append(name)
+            return share(name, arr)
+
+        ex.run, ex.run_rounds = counting_run, counting_rounds
+        ex.publish, ex.share = recording_publish, recording_share
         try:
-            for sync_rounds in (1, 3, 10):
-                barriers[0], published[:] = 0, []
+            for sync_rounds in (1, 3, 10, 100):
+                calls.clear()
+                published[:], shared[:] = [], []
                 CuSP(4, policy, executor=ex, sync_rounds=sync_rounds).partition(
                     self.GRAPH
                 )
                 if policy == "CVC":
-                    assert barriers[0] == 8
-                    assert "master-requests" not in published
-                    assert "known-masters" not in published
+                    assert calls == {"run": 8}
+                    assert shared == []
                 else:
-                    assert barriers[0] == 8 + sync_rounds
-                    assert published.count("master-requests") == 1
-                    assert published.count("known-masters") == sync_rounds
-                assert sorted(
-                    name for name in published
-                    if name not in ("master-requests", "known-masters")
-                ) == ["assignment", "masters", "prop", "proxies"]
+                    assert calls == {"run": 7, "rounds": 1}
+                    assert sorted(shared) == ["known-masters", "master-map"]
+                assert sorted(published) == [
+                    "assignment", "masters", "prop", "proxies"
+                ]
         finally:
             ex.close()
 
@@ -1465,9 +1488,11 @@ class TestOnePathPerDatum:
             "edge-counts": {0},
             "edges": {2},
         }
-        # The rounds refresh the hosts' maps, one resident for all; the
-        # global one is published once, by the framework, after the phase.
-        assert published.count("known-masters") == 3
+        # The masters phase publishes nothing (the maps its rounds
+        # write are shared once); the global map is published once, by
+        # the framework, after the phase.
+        assert "known-masters" not in published
+        assert "master-requests" not in published
         assert published.count("masters") == 1
 
     @pytest.mark.parametrize("policy", ["CVC", "SVC"])
@@ -2500,6 +2525,232 @@ class TestPoolOutlivesCall:
         # The killed parent could not unlink anything; nothing was there.
         assert not [n for n in os.listdir("/dev/shm")
                     if n.startswith(f"repro-{parent.pid:x}-")]
+
+
+def _round_counters(cluster):
+    """Every counter the rounds' phase recorded: the ledger matrices,
+    backoff, compute and disk per host, the collectives and barriers."""
+    return [
+        (
+            stats.name, stats.failed, stats.comm._matrices.tobytes(),
+            stats.comm.backoff_units.tobytes(), stats.compute_units.tobytes(),
+            stats.disk_bytes.tobytes(), list(stats.comm.collective_events),
+            stats.comm.barriers,
+        )
+        for stats in cluster.phase_stats
+    ]
+
+
+def _digest(dg):
+    h = hashlib.sha256(np.ascontiguousarray(dg.masters).tobytes())
+    for part in dg.partitions:
+        for arr in (part.global_ids, part.master_host,
+                    part.local_graph.indptr, part.local_graph.indices):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+_SIGTERM_PARENT = """
+import os, sys, time
+sys.path[:0] = {path!r}
+from repro.core import CuSP, state
+from repro.graph import erdos_renyi
+from repro.runtime.executor import ProcessExecutor
+graph = erdos_renyi(2000, 16000, seed=11)
+rounds = [0]
+sync_round = state.PartitionLoadState.sync_round
+
+def stalled_sync_round(self, comm, blocking=True):
+    sync_round(self, comm, blocking)
+    rounds[0] += 1
+    if rounds[0] == 10:  # between rounds 10 and 11 of 100
+        print(os.getpid(), *[w["pid"] for w in ex._workers], flush=True)
+        time.sleep(60)
+
+state.PartitionLoadState.sync_round = stalled_sync_round
+ex = ProcessExecutor(max_workers=3)
+CuSP(4, "SVC", executor=ex, sync_rounds=100).partition(graph)
+"""
+
+
+class TestResidentRounds:
+    """A history-sensitive master phase is one stepped task per host:
+    a pool worker keeps its hosts' bodies, deltas and rows from round to
+    round, and a round boundary moves only the load vectors.  Every
+    executor gives serial's partition, accounting and fault-event order;
+    a worker that holds live bodies between rounds, an interrupt there
+    and a terminated parent leave nothing behind."""
+
+    GRAPH = erdos_renyi(300, 2400, seed=11)
+    PLAN = "seed=5,send-fail=0.05,drop=0.03,dup=0.03,corrupt=0.03"
+
+    @pytest.fixture(scope="class")
+    def executors(self):
+        # Pools three lanes wide whatever the core count.
+        made = {
+            "serial": SerialExecutor(),
+            "parallel": ParallelExecutor(max_workers=3),
+            "parallel-checked": ParallelExecutor(
+                max_workers=3, check_isolation=True
+            ),
+            "process": ProcessExecutor(max_workers=3),
+            "process-checked": ProcessExecutor(
+                max_workers=3, check_isolation=True
+            ),
+        }
+        yield made
+        for ex in made.values():
+            ex.close()
+
+    @pytest.mark.parametrize("sync_rounds", [1, 7, 100])
+    @pytest.mark.parametrize("policy", ["FVC", "FEC", "SVC", "LEC"])
+    def test_every_executor_matches_serial(
+        self, policy, sync_rounds, executors, monkeypatch
+    ):
+        from repro.core import framework
+
+        clusters = []
+
+        class RecordingCluster(framework.SimulatedCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        monkeypatch.setattr(framework, "SimulatedCluster", RecordingCluster)
+        if sync_rounds == 100:
+            # Some host has fewer nodes than rounds: empty chunks.
+            ranges = compute_read_ranges(self.GRAPH, 4)
+            assert min(stop - start for start, stop in ranges) < sync_rounds
+        seen = {}
+        for name, ex in executors.items():
+            for plan in (None, FaultPlan.from_spec(self.PLAN)):
+                cusp = CuSP(
+                    4, policy, executor=ex, sync_rounds=sync_rounds,
+                    fault_plan=plan,
+                )
+                dg = cusp.partition(self.GRAPH)
+                events = (
+                    None if plan is None
+                    else list(cusp.last_fault_report.events)
+                )
+                seen.setdefault(plan is None, {})[name] = (
+                    _digest(dg),
+                    [p.to_dict() for p in dg.breakdown.phases],
+                    _round_counters(clusters[-1]),
+                    events,
+                )
+        for runs in seen.values():
+            for name, got in runs.items():
+                assert got == runs["serial"], name
+        assert seen[False]["serial"][3], "the fault plan fired nothing"
+        for name in ("parallel-checked", "process-checked"):
+            assert not executors[name].monitor.violations
+
+    @pytest.mark.parametrize("executor", ["process", "process-checked"])
+    def test_interrupt_between_rounds(self, executor, monkeypatch):
+        from repro.core.state import PartitionLoadState
+
+        gc.collect()
+        before = _children()
+        reference = CuSP(4, "SVC", sync_rounds=10).partition(self.GRAPH)
+        sync_round, calls = PartitionLoadState.sync_round, [0]
+
+        def interrupted(state, comm, blocking=True):
+            sync_round(state, comm, blocking)
+            calls[0] += 1
+            if calls[0] == 4:  # between round 3 and round 4
+                raise KeyboardInterrupt
+
+        ex = ProcessExecutor(
+            max_workers=3, check_isolation=executor == "process-checked"
+        )
+        cusp = CuSP(4, "SVC", executor=ex, sync_rounds=10)
+        try:
+            cusp.partition(self.GRAPH)  # warm: the workers are forked
+            assert len(_worker_pids(cusp)) == 2
+            monkeypatch.setattr(PartitionLoadState, "sync_round", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                cusp.partition(self.GRAPH)
+            assert calls[0] == 4
+            assert cusp.executor._workers == []
+            assert leaked_segments() == []
+            assert _children() == before, "a worker outlived the interrupt"
+            monkeypatch.setattr(PartitionLoadState, "sync_round", sync_round)
+            dg = cusp.partition(self.GRAPH)
+            assert _digest(dg) == _digest(reference)
+            assert_same_breakdown(dg.breakdown, reference.breakdown)
+        finally:
+            ex.close()
+        assert _children() == before
+
+    def test_worker_killed_between_rounds(self, monkeypatch):
+        from repro.core.state import PartitionLoadState
+        from repro.runtime.executor import WorkerLostError
+
+        gc.collect()
+        before = _children()
+        reference = CuSP(4, "SVC", sync_rounds=10).partition(self.GRAPH)
+        sync_round, calls, killed = PartitionLoadState.sync_round, [0], []
+
+        def kill_a_worker(state, comm, blocking=True):
+            sync_round(state, comm, blocking)
+            calls[0] += 1
+            if calls[0] == 3:
+                # Three lanes over four hosts: the first worker holds
+                # host 2, idle and holding its body until round 4.
+                pid = cusp.executor._workers[0]["pid"]
+                os.kill(pid, signal.SIGKILL)
+                _wait_for_zombie(pid)
+                killed.append(pid)
+
+        with _pooled(4, "SVC", sync_rounds=10) as cusp:
+            monkeypatch.setattr(PartitionLoadState, "sync_round", kill_a_worker)
+            with pytest.raises(WorkerLostError, match=r"hosts \[2\]") as err:
+                cusp.partition(self.GRAPH)
+            assert err.value.hosts == (2,)
+            assert killed and calls[0] == 3
+            assert cusp.executor._workers == []
+            assert leaked_segments() == []
+            assert _children() == before, "a worker outlived its dead peer"
+            monkeypatch.setattr(PartitionLoadState, "sync_round", sync_round)
+            dg = cusp.partition(self.GRAPH)
+            assert _digest(dg) == _digest(reference)
+            assert_same_breakdown(dg.breakdown, reference.breakdown)
+        assert _children() == before
+
+    def test_terminated_parent_leaves_nothing(self, tmp_path):
+        """SIGTERM's default action gives the parent no unwind: its
+        workers leave on the command pipe's EOF, and the resource
+        tracker unlinks the residents, which are the only names there
+        between rounds."""
+        script = tmp_path / "parent.py"
+        script.write_text(_SIGTERM_PARENT.format(path=sys.path))
+        parent = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True,
+        )
+        family = None
+        try:
+            pid, *workers = [int(p) for p in parent.stdout.readline().split()]
+            assert pid == parent.pid and len(workers) == 2
+            family = f"repro-{pid:x}-"
+            names = [n for n in os.listdir("/dev/shm") if n.startswith(family)]
+            assert names, "no resident in /dev/shm: nothing was tested"
+            parent.send_signal(signal.SIGTERM)
+            assert parent.wait(timeout=10) == -signal.SIGTERM
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=10)
+        assert _wait_until(
+            lambda: all(_proc_state(w) in ("Z", None) for w in workers),
+            seconds=10.0,
+        ), "a pool worker outlived its terminated parent"
+        assert _wait_until(
+            lambda: not [n for n in os.listdir("/dev/shm")
+                         if n.startswith(family)],
+            seconds=10.0,
+        ), "the terminated parent's segments stayed in /dev/shm"
 
 
 class TestCommRegressions:
